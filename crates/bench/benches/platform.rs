@@ -5,8 +5,8 @@
 //! `BENCH_platform.json` (run with `CRITERION_JSON=BENCH_platform.json`),
 //! starting the serving-path perf trajectory:
 //!
-//! * `chatstore_decode` — zero-copy v2 view decode vs the legacy v1
-//!   owned-`String` path on the bench corpus;
+//! * `chatstore_decode` — zero-copy v2 view decode and the two v2
+//!   encoders (owned `ChatLog` vs view sections) on the bench corpus;
 //! * `service_open_video_warm` — warm `open_video` (state-map hit) and
 //!   warm vs cold `rescore_video` (corpus-cache hit vs re-tokenize);
 //! * `campaign_run_task` — one crowd task / one batched round, at one
@@ -63,17 +63,12 @@ fn bench_chatstore_decode(c: &mut Criterion) {
     let view = &data.videos[0].video.chat;
     let chat = view.to_chat_log();
     let v2: Arc<[u8]> = format::encode_v2_view(VideoId(1), view).into();
-    let v1 = format::encode_v1(VideoId(1), &chat);
 
     let mut g = c.benchmark_group("chatstore_decode");
     g.throughput(Throughput::Elements(chat.len() as u64));
     // The serving path: v2 → zero-copy view, O(1) allocations.
     g.bench_function("v2_view", |b| {
         b.iter(|| black_box(format::decode_v2(&v2).expect("valid v2")))
-    });
-    // The legacy path: v1 → one owned String per message.
-    g.bench_function("v1_owned", |b| {
-        b.iter(|| black_box(format::decode_v1_owned(&v1).expect("valid v1")))
     });
     g.bench_function("encode_v2", |b| {
         b.iter(|| black_box(format::encode_v2(VideoId(1), &chat)))

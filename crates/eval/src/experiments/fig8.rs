@@ -10,10 +10,7 @@
 use crate::harness::{train_initializer, train_type_classifier, ExpEnv};
 use crate::metrics::{mean_over_videos, video_precision_end, video_precision_start};
 use crate::report::{fmt3, Report, Table};
-use lightor::{
-    aggregate_type1, aggregate_type2, filter_plays, play_position_features, DotType,
-    ExtractorConfig, FeatureSet, TypeClassifier,
-};
+use lightor::{DotProgress, ExtractorConfig, FeatureSet, HighlightExtractor};
 use lightor_baselines::{Moocer, SocialSkip};
 use lightor_chatsim::SimVideo;
 use lightor_crowdsim::Campaign;
@@ -22,15 +19,11 @@ use lightor_types::{Sec, Session};
 const ITERATIONS: usize = 4;
 const DOTS_PER_VIDEO: usize = 5;
 
+/// One refinement track; a converged dot is not republished
+/// (Algorithm 2 stops when |s - s'| < ε).
 struct DotTrack {
     video: usize,
-    current: Sec,
-    end: Option<Sec>,
-    /// Start of the previous Type II boundary (convergence detection).
-    last_t2: Option<f64>,
-    /// Once the position stops moving — or two Type II rounds agree — the
-    /// dot is not republished (Algorithm 2 stops when |s - s'| < ε).
-    frozen: bool,
+    dot: DotProgress,
 }
 
 /// Per-iteration precision series for the three systems.
@@ -57,6 +50,7 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
     let mut campaign = Campaign::new(492, env.seed ^ 0xF188);
     let (classifier, _acc) = train_type_classifier(&train, &mut campaign, 3, env.seed ^ 0xC1F);
     let ex_cfg = ExtractorConfig::default();
+    let extractor = HighlightExtractor::new(classifier, ex_cfg);
 
     // Initial dots — scored once per video, reused for both the
     // refinement tracks and the baseline comparison below.
@@ -73,10 +67,7 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
         .iter()
         .map(|&(vi, at)| DotTrack {
             video: vi,
-            current: at,
-            end: None,
-            last_t2: None,
-            frozen: false,
+            dot: DotProgress::new(at),
         })
         .collect();
 
@@ -91,12 +82,12 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
         let live: Vec<usize> = tracks
             .iter()
             .enumerate()
-            .filter(|(_, t)| !t.frozen)
+            .filter(|(_, t)| !t.dot.converged)
             .map(|(i, _)| i)
             .collect();
         let batch: Vec<(&lightor_types::LabeledVideo, Sec)> = live
             .iter()
-            .map(|&i| (&test[tracks[i].video].video, tracks[i].current))
+            .map(|&i| (&test[tracks[i].video].video, tracks[i].dot.current))
             .collect();
         let results = campaign.run_tasks(&batch, ex_cfg.responses_per_task);
         for (&ti, result) in live.iter().zip(&results) {
@@ -104,7 +95,7 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
             if iter == 0 {
                 first_iter_sessions[track.video].extend(result.sessions.iter().cloned());
             }
-            step_dot(track, &result.plays, &classifier, &ex_cfg);
+            extractor.step(&mut track.dot, &result.plays);
         }
         let (s, e) = precision_now(&tracks, &test);
         lightor_start.push(s);
@@ -129,46 +120,6 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
     }
 }
 
-fn step_dot(
-    track: &mut DotTrack,
-    plays: &lightor_types::PlaySet,
-    classifier: &TypeClassifier,
-    cfg: &ExtractorConfig,
-) {
-    let before = track.current;
-    let filtered = filter_plays(plays, track.current, cfg);
-    if filtered.is_empty() {
-        track.current = aggregate_type1(track.current, cfg.move_back);
-        return;
-    }
-    let feats = play_position_features(&filtered, track.current);
-    match classifier.classify(&feats) {
-        DotType::TypeII => {
-            if let Some((s, e)) = aggregate_type2(&filtered, track.current) {
-                track.current = s;
-                track.end = Some(e);
-                // Two agreeing Type II boundaries = converged, even if a
-                // misclassified Type I round interleaved.
-                if track
-                    .last_t2
-                    .is_some_and(|p| (p - s.0).abs() < cfg.converge_eps)
-                {
-                    track.frozen = true;
-                }
-                track.last_t2 = Some(s.0);
-            } else {
-                track.current = aggregate_type1(track.current, cfg.move_back);
-            }
-        }
-        DotType::TypeI => {
-            track.current = aggregate_type1(track.current, cfg.move_back);
-        }
-    }
-    if (track.current.0 - before.0).abs() < cfg.converge_eps && track.end.is_some() {
-        track.frozen = true;
-    }
-}
-
 fn precision_now(tracks: &[DotTrack], test: &[&SimVideo]) -> (f64, f64) {
     let mut per_video_start = Vec::with_capacity(test.len());
     let mut per_video_end = Vec::with_capacity(test.len());
@@ -176,12 +127,12 @@ fn precision_now(tracks: &[DotTrack], test: &[&SimVideo]) -> (f64, f64) {
         let starts: Vec<Sec> = tracks
             .iter()
             .filter(|t| t.video == vi)
-            .map(|t| t.current)
+            .map(|t| t.dot.current)
             .collect();
         let ends: Vec<Option<Sec>> = tracks
             .iter()
             .filter(|t| t.video == vi)
-            .map(|t| t.end)
+            .map(|t| t.dot.end)
             .collect();
         per_video_start.push(video_precision_start(&starts, sv));
         per_video_end.push(video_precision_end(&ends, sv));

@@ -3,8 +3,17 @@
 //! Each iteration publishes the current red-dot position to a crowd
 //! source, filters the returned plays, classifies the dot's geometry, and
 //! either extracts a boundary (Type II: medians) or moves the dot backward
-//! (Type I: `−m`) for another round. The loop stops when the dot position
-//! converges (`|s − s′| < ε`) or the iteration budget runs out.
+//! (Type I: `−m`) for another round.
+//!
+//! [`HighlightExtractor::step`] is that one iteration, over one dot's
+//! [`DotProgress`] and one round's raw plays. It is the only
+//! implementation: the offline loop ([`HighlightExtractor::refine`]), the
+//! Figure 8 experiment and the web service's online fold all call it.
+//! A dot converges when the step moved it less than ε (`|s − s′| < ε`),
+//! or when two Type II rounds agree on the start within ε — even with a
+//! (mis)classified Type I round in between, because the classifier is
+//! only ~80% accurate (Section V-C) and must not walk a settled dot away.
+//! A dot clamped at 0 s by a Type I move converges by the first rule.
 
 use crate::aggregate::{aggregate_type1, aggregate_type2};
 use crate::classify::{play_position_features, DotType, TypeClassifier};
@@ -12,6 +21,32 @@ use crate::config::ExtractorConfig;
 use crate::filter::filter_plays;
 use lightor_types::{PlaySet, RedDot, Sec};
 use serde::{Deserialize, Serialize};
+
+/// Where one red dot stands in the Algorithm 2 loop: everything an
+/// iteration reads and updates.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DotProgress {
+    /// Current position; the next round's task is published here.
+    pub current: Sec,
+    /// End boundary from the latest Type II round, if any.
+    pub end: Option<Sec>,
+    /// Start of the previous Type II boundary (the agreement rule).
+    pub last_type2_start: Option<Sec>,
+    /// Whether the loop has stopped for this dot.
+    pub converged: bool,
+}
+
+impl DotProgress {
+    /// A dot that has not been refined yet, at `at`.
+    pub fn new(at: Sec) -> Self {
+        DotProgress {
+            current: at,
+            end: None,
+            last_type2_start: None,
+            converged: false,
+        }
+    }
+}
 
 /// Diagnostics for one refinement iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -77,67 +112,64 @@ impl HighlightExtractor {
         &self.classifier
     }
 
-    /// Refine one red dot. `collect` is called once per iteration with
-    /// the dot position for that round and must return that round's play
-    /// records (a fresh crowd task).
+    /// One Algorithm 2 iteration on one dot: filter `raw` (this round's
+    /// plays), classify the dot, aggregate, and apply the convergence
+    /// rule (module docs). Updates `dot` in place and returns the
+    /// round's diagnostics. Callers stop stepping a converged dot.
+    pub fn step(&self, dot: &mut DotProgress, raw: &PlaySet) -> IterationRecord {
+        let at = dot.current;
+        let filtered = filter_plays(raw, at, &self.cfg);
+        let classified = if filtered.is_empty() {
+            // No usable plays at all: treat as Type I (the dot is
+            // probably nowhere near watchable content) and move back.
+            DotType::TypeI
+        } else {
+            self.classifier
+                .classify(&play_position_features(&filtered, at))
+        };
+        let mut record = IterationRecord {
+            dot: at,
+            plays_raw: raw.len(),
+            plays_filtered: filtered.len(),
+            classified,
+            boundary: None,
+        };
+
+        let mut t2_agreement = false;
+        let next = match classified {
+            DotType::TypeII => match aggregate_type2(&filtered, at) {
+                Some((s, e)) => {
+                    record.boundary = Some((s, e));
+                    dot.end = Some(e);
+                    t2_agreement = dot
+                        .last_type2_start
+                        .is_some_and(|p| (p.0 - s.0).abs() < self.cfg.converge_eps);
+                    dot.last_type2_start = Some(s);
+                    s
+                }
+                None => aggregate_type1(at, self.cfg.move_back),
+            },
+            DotType::TypeI => aggregate_type1(at, self.cfg.move_back),
+        };
+        dot.current = next;
+        dot.converged = (next.0 - at.0).abs() < self.cfg.converge_eps || t2_agreement;
+        record
+    }
+
+    /// Refine one red dot: [`Self::step`] until it converges or the
+    /// iteration budget runs out. `collect` is called once per iteration
+    /// with the dot position for that round and must return that round's
+    /// play records (a fresh crowd task).
     pub fn refine(&self, dot: RedDot, collect: &mut dyn FnMut(Sec) -> PlaySet) -> Refined {
-        let mut current = dot.at;
-        let mut history: Vec<IterationRecord> = Vec::new();
-        let mut last_boundary: Option<(Sec, Sec)> = None;
-        // Start of the previous Type II boundary: when two Type II rounds
-        // agree within ε the dot has converged, even if a (mis)classified
-        // Type I round slipped in between — the classifier is only ~80%
-        // accurate (Section V-C) and must not be allowed to walk a settled
-        // dot away.
-        let mut prev_t2_start: Option<Sec> = None;
-
-        for _ in 0..self.cfg.max_iterations {
-            let raw = collect(current);
-            let filtered = filter_plays(&raw, current, &self.cfg);
-            let feats = play_position_features(&filtered, current);
-            let classified = if filtered.is_empty() {
-                // No usable plays at all: treat as Type I (the dot is
-                // probably nowhere near watchable content) and move back.
-                DotType::TypeI
-            } else {
-                self.classifier.classify(&feats)
-            };
-
-            let mut record = IterationRecord {
-                dot: current,
-                plays_raw: raw.len(),
-                plays_filtered: filtered.len(),
-                classified,
-                boundary: None,
-            };
-
-            let mut t2_agreement = false;
-            let next = match classified {
-                DotType::TypeII => match aggregate_type2(&filtered, current) {
-                    Some((s, e)) => {
-                        record.boundary = Some((s, e));
-                        last_boundary = Some((s, e));
-                        t2_agreement = prev_t2_start
-                            .is_some_and(|p| (p.0 - s.0).abs() < self.cfg.converge_eps);
-                        prev_t2_start = Some(s);
-                        s
-                    }
-                    None => aggregate_type1(current, self.cfg.move_back),
-                },
-                DotType::TypeI => aggregate_type1(current, self.cfg.move_back),
-            };
-            history.push(record);
-
-            let moved = (next.0 - current.0).abs();
-            current = next;
-            if moved < self.cfg.converge_eps || t2_agreement {
-                break;
-            }
+        let mut progress = DotProgress::new(dot.at);
+        let mut history = Vec::new();
+        while !progress.converged && history.len() < self.cfg.max_iterations {
+            let raw = collect(progress.current);
+            history.push(self.step(&mut progress, &raw));
         }
-
         Refined {
-            start: current,
-            end: last_boundary.map(|(_, e)| e),
+            start: progress.current,
+            end: progress.end,
             history,
         }
     }

@@ -44,7 +44,7 @@ pub use aggregate::{aggregate_type1, aggregate_type2};
 pub use classify::{play_position_features, DotType, PlayPositionFeatures, TypeClassifier};
 pub use config::{ExtractorConfig, InitializerConfig};
 pub use corpus::{FeaturizedWindow, TokenizedChat};
-pub use extractor::{HighlightExtractor, IterationRecord, Refined};
+pub use extractor::{DotProgress, HighlightExtractor, IterationRecord, Refined};
 pub use features::{FeatureSet, WindowFeatures};
 pub use filter::filter_plays;
 pub use initializer::{

@@ -3,9 +3,10 @@
 //! Request flow: a viewer opens a recorded video → the service looks the
 //! chat up in the store (crawling on miss) → the Highlight Initializer
 //! places red dots → the front end renders them → viewer interactions
-//! stream back in → periodic refinement rounds run the Extractor's
-//! filter/classify/aggregate step over the plays accumulated per dot and
-//! persist the updated positions.
+//! stream back in → each ripe dot runs one Algorithm 2 step
+//! ([`lightor::HighlightExtractor::step`], the same step the offline loop
+//! runs) over the plays accumulated for it, and the updated positions
+//! are persisted.
 //!
 //! # Concurrency
 //!
@@ -34,25 +35,25 @@
 //!
 //! # Incremental ingestion
 //!
-//! [`LightorService::refine_batch`] is the unit of ingestion for both
-//! upload paths: it buffers one event batch against the nearest dots,
-//! runs a refinement round over whatever has accumulated, republishes
-//! the dot snapshot, and persists *before* the caller acknowledges —
-//! buffered plays and per-session sequence watermarks are part of
-//! [`VideoState`], so a SIGKILL loses only unacknowledged batches and
-//! an acknowledged batch replayed after a crash (same `(client, seq)`)
-//! is recognized and not folded twice.
+//! [`LightorService::refine_batch`] is the only ingestion entry point;
+//! both upload paths (`POST /sessions` and streamed NDJSON) call it. It
+//! buffers one event batch against the nearest dots, steps
+//! every dot with at least `min_plays_per_round` buffered plays,
+//! republishes the dot snapshot, and persists *before* the caller
+//! acknowledges — buffered plays and per-session sequence watermarks
+//! are part of [`VideoState`], so a SIGKILL loses only unacknowledged
+//! batches and an acknowledged batch replayed after a crash (same
+//! `(client, seq)`) is recognized and not folded twice. Plays near a
+//! converged dot are dropped, so a video whose dots have all converged
+//! stops growing its persisted state.
 
 use crate::cache::LruCache;
 use crate::crawler::Crawler;
 use crate::store::{ChatStore, FaultInjector, KvStore, TokenizedRecord};
 use crate::wire::{self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse};
-use lightor::{
-    aggregate_type1, aggregate_type2, filter_plays, play_position_features, DotType, GlobalVocab,
-    ModelBundle, TokenizedChat, VocabDelta,
-};
+use lightor::{DotProgress, GlobalVocab, ModelBundle, TokenizedChat, VocabDelta};
 use lightor_chatsim::SimPlatform;
-use lightor_types::{Play, RedDot, Sec, Session, VideoId};
+use lightor_types::{Play, PlaySet, RedDot, Sec, Session, VideoId};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -95,7 +96,8 @@ pub struct DotState {
     pub last_type2_start: Option<Sec>,
     /// Refinement rounds run so far.
     pub rounds: usize,
-    /// Whether the position has stopped moving.
+    /// Whether Algorithm 2 has stopped for this dot (the convergence
+    /// rule of [`lightor::HighlightExtractor::step`]).
     pub converged: bool,
     /// Plays accumulated since the last round. Persisted (with
     /// `default` for pre-streaming states, which never wrote them):
@@ -208,8 +210,6 @@ pub struct ServiceStats {
     pub record_cache_hits: u64,
     /// Chat-record cache misses in the store.
     pub record_cache_misses: u64,
-    /// Legacy v1 records flagged as truncated at open.
-    pub v1_truncated_records: usize,
     /// Bytes currently pending in the KV write-ahead log.
     pub kv_wal_bytes: u64,
     /// KV WAL appends since open (every persisted refinement is one).
@@ -282,18 +282,7 @@ impl LightorService {
         cfg: ServiceConfig,
     ) -> std::io::Result<Self> {
         let mut chat = ChatStore::open(dir.join("chat"))?;
-        // Older deployments kept one monolithic `state.json`; hand it to
-        // the KV store under the new name and let it migrate the file
-        // into the sharded layout.
-        let state_dir = dir.join("state");
-        let legacy = dir.join("state.json");
-        if legacy.is_file() && !state_dir.exists() {
-            std::fs::rename(&legacy, &state_dir)?;
-            // Make the rename itself crash-durable before the KV store
-            // starts migrating the file's contents.
-            crate::store::sync_dir(dir)?;
-        }
-        let mut kv = KvStore::open(state_dir)?;
+        let mut kv = KvStore::open(dir.join("state"))?;
         // Both stores share one injector so a test can arm chat-log and
         // KV faults through a single handle on the live service.
         let fault = FaultInjector::new();
@@ -532,21 +521,11 @@ impl LightorService {
         self.train_boot_ms.store(ms, Ordering::Relaxed);
     }
 
-    /// Log one viewer session: its plays are buffered against the nearest
-    /// red dot (within the extractor's Δ neighbourhood). Only the one
-    /// video's state locks; other videos stay fully concurrent.
-    ///
-    /// Returns how many plays were buffered, or `None` when the video is
-    /// not tracked (no one has fetched its dots yet) — the HTTP edge
-    /// turns that into a 422 instead of silently dropping the upload.
-    pub fn log_session(&self, video: VideoId, session: &Session) -> Option<usize> {
-        let entry = self.videos.read().get(&video).cloned()?;
-        let mut state = entry.state.lock();
-        Some(self.buffer_plays(&mut state, session))
-    }
-
-    /// Buffer one session's plays against the nearest dots. Caller
-    /// holds the video's state lock.
+    /// Buffer one session's plays against the nearest dots (within the
+    /// extractor's Δ neighbourhood). A play whose nearest dot has
+    /// converged is dropped: Algorithm 2 has stopped for that dot, so
+    /// its plays would only grow the persisted state. Caller holds the
+    /// video's state lock.
     fn buffer_plays(&self, state: &mut VideoState, session: &Session) -> usize {
         let delta = self.models.extractor.config().neighborhood;
         let mut buffered = 0;
@@ -557,7 +536,7 @@ impl LightorService {
                     .total_cmp(&play.range.distance_to(b.current))
             });
             if let Some(dot) = nearest {
-                if play.range.distance_to(dot.current).0 <= delta {
+                if !dot.converged && play.range.distance_to(dot.current).0 <= delta {
                     dot.pending.push(play);
                     buffered += 1;
                 }
@@ -566,78 +545,45 @@ impl LightorService {
         buffered
     }
 
-    /// Run one refinement round on every dot of `video` that has enough
-    /// buffered plays. Returns the number of dots updated. Holds only
-    /// that video's state lock while computing.
-    pub fn refine_video(&self, video: VideoId) -> std::io::Result<usize> {
-        let Some(entry) = self.videos.read().get(&video).cloned() else {
-            return Ok(0);
-        };
-        let mut state = entry.state.lock();
-        let updated = self.refine_locked(&mut state);
-        if updated > 0 {
-            // Republish the read snapshot, then persist — both while
-            // still holding the per-video lock so a concurrent round
-            // cannot interleave a stale snapshot (lock order:
-            // per-video state → stores).
-            entry.publish(&state);
-            self.persist(video, &state)?;
-        }
-        Ok(updated)
-    }
-
-    /// One refinement round over every dot with enough buffered plays.
-    /// Caller holds the video's state lock; caller republishes and
-    /// persists if the return is nonzero.
+    /// One refinement round: an Algorithm 2 [`step`] on every dot with
+    /// enough buffered plays; returns how many dots stepped. Converged
+    /// dots get no new plays, but a state written before that rule can
+    /// still carry some: they are cleared here, and go to disk with the
+    /// next persist. Caller holds the video's state lock; caller
+    /// republishes and persists if the return is nonzero.
+    ///
+    /// [`step`]: lightor::HighlightExtractor::step
     fn refine_locked(&self, state: &mut VideoState) -> usize {
-        let ex_cfg = *self.models.extractor.config();
-        let classifier = self.models.extractor.classifier();
+        let extractor = &self.models.extractor;
         let mut updated = 0;
-
         for dot in &mut state.dots {
-            if dot.converged || dot.pending.len() < self.cfg.min_plays_per_round {
+            if dot.converged {
+                dot.pending = Vec::new();
                 continue;
             }
-            let raw: lightor_types::PlaySet =
-                lightor_types::PlaySet::new(std::mem::take(&mut dot.pending));
-            let filtered = filter_plays(&raw, dot.current, &ex_cfg);
-            let next = if filtered.is_empty() {
-                aggregate_type1(dot.current, ex_cfg.move_back)
-            } else {
-                let feats = play_position_features(&filtered, dot.current);
-                match classifier.classify(&feats) {
-                    DotType::TypeII => match aggregate_type2(&filtered, dot.current) {
-                        Some((s, e)) => {
-                            dot.end = Some(e);
-                            // Two agreeing Type II boundaries = converged,
-                            // even across a misclassified round.
-                            if dot
-                                .last_type2_start
-                                .is_some_and(|p| (p.0 - s.0).abs() < ex_cfg.converge_eps)
-                            {
-                                dot.converged = true;
-                            }
-                            dot.last_type2_start = Some(s);
-                            s
-                        }
-                        None => aggregate_type1(dot.current, ex_cfg.move_back),
-                    },
-                    DotType::TypeI => aggregate_type1(dot.current, ex_cfg.move_back),
-                }
-            };
-            let moved = (next.0 - dot.current.0).abs();
-            dot.current = next;
-            dot.rounds += 1;
-            if moved < ex_cfg.converge_eps && dot.end.is_some() {
-                dot.converged = true;
+            if dot.pending.len() < self.cfg.min_plays_per_round {
+                continue;
             }
+            let raw = PlaySet::new(std::mem::take(&mut dot.pending));
+            let mut progress = DotProgress {
+                current: dot.current,
+                end: dot.end,
+                last_type2_start: dot.last_type2_start,
+                converged: false,
+            };
+            extractor.step(&mut progress, &raw);
+            dot.current = progress.current;
+            dot.end = progress.end;
+            dot.last_type2_start = progress.last_type2_start;
+            dot.converged = progress.converged;
+            dot.rounds += 1;
             updated += 1;
         }
         updated
     }
 
     /// Fold one event batch into a video's refinement state: the unit
-    /// of ingestion for both the buffered `POST /sessions` path and the
+    /// of ingestion for both the `POST /sessions` path and the
     /// streamed NDJSON path. Buffers the batch's plays, runs a
     /// refinement round over whatever has accumulated, republishes the
     /// dot snapshot if anything moved, and persists *before* returning
@@ -742,14 +688,13 @@ impl LightorService {
 
     /// Serving counters: store/caches state for dashboards and tests.
     pub fn stats(&self) -> ServiceStats {
-        let (record_hits, record_misses, stored, v1_truncated, kv, dead, reclaimed) = {
+        let (record_hits, record_misses, stored, kv, dead, reclaimed) = {
             let stores = self.stores.lock();
             let (h, m) = stores.chat.cache_stats();
             (
                 h,
                 m,
                 stores.chat.video_count(),
-                stores.chat.v1_truncated_records(),
                 stores.kv.stats(),
                 stores.chat.dead_bytes(),
                 stores.chat.reclaimed_bytes(),
@@ -770,7 +715,6 @@ impl LightorService {
             train_boot_ms: self.train_boot_ms.load(Ordering::Relaxed),
             record_cache_hits: record_hits,
             record_cache_misses: record_misses,
-            v1_truncated_records: v1_truncated,
             kv_wal_bytes: kv.wal_bytes,
             kv_wal_appends: kv.wal_appends,
             kv_shard_rewrites: kv.shard_rewrites,
@@ -1078,8 +1022,8 @@ impl LightorService {
 mod tests {
     use super::*;
     use lightor::{
-        ExtractorConfig, FeatureSet, HighlightExtractor, HighlightInitializer, InitializerConfig,
-        PlayPositionFeatures, TrainingVideo, TypeClassifier,
+        DotType, ExtractorConfig, FeatureSet, HighlightExtractor, HighlightInitializer,
+        InitializerConfig, PlayPositionFeatures, TrainingVideo, TypeClassifier,
     };
     use lightor_chatsim::dota2_dataset;
     use lightor_crowdsim::Campaign;
@@ -1184,15 +1128,14 @@ mod tests {
 
         let dots = svc.open_video(vid).unwrap().unwrap();
         let mut campaign = Campaign::new(150, 93);
-        // Three rounds of viewers + refinement.
+        // Three rounds of viewers, each session folded as it arrives.
         for _ in 0..3 {
             for dot in &dots {
                 let result = campaign.run_task(&truth.video, dot.at, 12);
                 for session in &result.sessions {
-                    svc.log_session(vid, session);
+                    svc.refine_batch(vid, None, session).unwrap().unwrap();
                 }
             }
-            svc.refine_video(vid).unwrap();
         }
         let state = svc.video_state(vid).unwrap();
         assert!(state.dots.iter().any(|d| d.rounds > 0));
@@ -1232,19 +1175,24 @@ mod tests {
             .flat_map(|_| campaign.run_task(&truth.video, dots[0].at, 16).sessions)
             .collect();
 
-        std::thread::scope(|scope| {
-            for chunk in sessions.chunks(16) {
-                let svc = &svc;
-                scope.spawn(move || {
-                    for s in chunk {
-                        svc.log_session(vid, s);
-                    }
-                });
-            }
+        let updated: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = sessions
+                .chunks(16)
+                .map(|chunk| {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|s| svc.refine_batch(vid, None, s).unwrap().unwrap())
+                            .map(|o| o.dots_refined)
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
 
         // All buffered plays are attributable to dots; refinement runs.
-        let updated = svc.refine_video(vid).unwrap();
         assert!(updated >= 1, "no dot had enough plays after 64 sessions");
     }
 
@@ -1477,10 +1425,9 @@ mod tests {
         for dot in &dots {
             let result = campaign.run_task(&truth.video, dot.at, 12);
             for session in &result.sessions {
-                src.log_session(vid, session);
+                src.refine_batch(vid, None, session).unwrap().unwrap();
             }
         }
-        src.refine_video(vid).unwrap();
         let refined = src.cached_dots(vid).unwrap();
 
         // Bulk copy: full bundle (chat + state), no freeze.
@@ -1504,10 +1451,9 @@ mod tests {
         for dot in &refined {
             let result = campaign.run_task(&truth.video, dot.at, 12);
             for session in &result.sessions {
-                src.log_session(vid, session);
+                src.refine_batch(vid, None, session).unwrap().unwrap();
             }
         }
-        src.refine_video(vid).unwrap();
 
         // … and the frozen delta ships only the state that changed.
         let delta = src
@@ -1577,10 +1523,9 @@ mod tests {
             for dot in &dots {
                 let result = campaign.run_task(&truth.video, dot.at, 12);
                 for session in &result.sessions {
-                    svc.log_session(vid, session);
+                    svc.refine_batch(vid, None, session).unwrap().unwrap();
                 }
             }
-            svc.refine_video(vid).unwrap();
             refined = svc.cached_dots(vid).unwrap();
             // Dropped here: the "dead" process. Its directory is all
             // that survives.
@@ -1633,7 +1578,7 @@ mod tests {
         let dir_a = TempDir::new("batch-a");
         let dir_b = TempDir::new("batch-b");
         let a = service(&dir_a.0); // sequenced, batch-at-a-time
-        let b = service(&dir_b.0); // unsequenced (the buffered path)
+        let b = service(&dir_b.0); // unsequenced
         let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
         let vid = platform.recent_videos(platform.channels()[0].id)[0];
         let truth = platform.ground_truth(vid).unwrap().clone();
@@ -1746,5 +1691,215 @@ mod tests {
             1,
             "replay buffered nothing"
         );
+    }
+
+    /// One session replaying `plays` verbatim: a play/pause pair each.
+    fn session_of(plays: &PlaySet) -> Session {
+        use lightor_types::{Interaction, UserId};
+        let events = plays
+            .iter()
+            .flat_map(|p| {
+                [
+                    Interaction::Play {
+                        video_ts: p.start(),
+                    },
+                    Interaction::Pause { video_ts: p.end() },
+                ]
+            })
+            .collect();
+        Session::new(UserId(1), events)
+    }
+
+    /// Post each of `rounds` to the service as one batch and check that
+    /// dot `k` of `vid` follows the offline trajectory `refined`, round
+    /// by round: position, end boundary, and convergence.
+    fn assert_follows(
+        svc: &LightorService,
+        vid: VideoId,
+        k: usize,
+        rounds: &[PlaySet],
+        refined: &lightor::Refined,
+    ) {
+        let max = svc.models.extractor.config().max_iterations;
+        assert!(refined.iterations() < max, "offline loop must converge");
+        assert_eq!(rounds.len(), refined.iterations());
+        let mut end = None;
+        for (i, plays) in rounds.iter().enumerate() {
+            svc.refine_batch(vid, None, &session_of(plays))
+                .unwrap()
+                .unwrap();
+            let last = i + 1 == rounds.len();
+            let next = if last {
+                refined.start
+            } else {
+                refined.history[i + 1].dot
+            };
+            if let Some((_, e)) = refined.history[i].boundary {
+                end = Some(e);
+            }
+            let dot = svc.video_state(vid).unwrap().dots[k].clone();
+            assert_eq!(
+                (dot.rounds, dot.current, dot.end, dot.converged),
+                (i + 1, next, end, last),
+                "round {i}"
+            );
+        }
+        assert_eq!(end, refined.end);
+    }
+
+    #[test]
+    fn service_folds_follow_the_offline_refine_trajectory() {
+        let dir = TempDir::new("pin");
+        let models = models();
+        let extractor = models.extractor.clone();
+        let delta = extractor.config().neighborhood;
+        let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        // One play in scope is enough for a round, as in the offline loop.
+        let cfg = ServiceConfig {
+            min_plays_per_round: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = LightorService::open(&dir.0, models, platform.clone(), cfg).unwrap();
+        let videos: Vec<VideoId> = platform
+            .channels()
+            .iter()
+            .flat_map(|c| platform.recent_videos(c.id).to_vec())
+            .collect();
+
+        // Start 45 s after an initializer dot, so the crowd hunts
+        // backward and the trajectory takes a Type I move before it
+        // converges. The start must be more than 2Δ from every other dot
+        // of its video, so each round's plays are buffered to it alone.
+        let (vid, k, start, rounds, refined) = videos
+            .iter()
+            .flat_map(|&vid| {
+                let dots = svc.open_video(vid).unwrap().unwrap();
+                (0..dots.len())
+                    .map(|k| (vid, k, Sec(dots[k].at.0 + 45.0)))
+                    .filter(|&(_, k, start)| {
+                        dots.iter()
+                            .enumerate()
+                            .all(|(j, d)| j == k || (d.at.0 - start.0).abs() > 2.0 * delta)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .find_map(|(vid, k, start)| {
+                let truth = platform.ground_truth(vid).unwrap().clone();
+                let mut campaign = Campaign::new(150, 98);
+                let mut rounds = Vec::new();
+                let refined = extractor.refine(RedDot::new(start.0, 1.0), &mut |at| {
+                    let plays = campaign.run_task(&truth.video, at, 12).plays;
+                    rounds.push(plays.clone());
+                    plays
+                });
+                let walked = refined.history[0].classified == DotType::TypeI;
+                let converged = refined.iterations() < extractor.config().max_iterations;
+                (walked && converged).then_some((vid, k, start, rounds, refined))
+            })
+            .expect("an isolated dot whose trajectory starts with a Type I move");
+        let entry = svc.videos.read().get(&vid).cloned().unwrap();
+        entry.state.lock().dots[k].current = start;
+        assert_follows(&svc, vid, k, &rounds, &refined);
+
+        // The 0 s clamp: a dot 10 s in, whose plays are all too short to
+        // survive the filter, moves back to 0 s, cannot move further,
+        // and converges with no boundary (|s − s′| < ε).
+        let vid = *videos.iter().find(|&&v| v != vid).unwrap();
+        svc.open_video(vid).unwrap().unwrap();
+        let entry = svc.videos.read().get(&vid).cloned().unwrap();
+        entry.state.lock().dots[0].current = Sec(10.0);
+        let short: PlaySet = (0..3).map(|_| Play::from_secs(9.0, 11.0)).collect();
+        let mut rounds = Vec::new();
+        let refined = extractor.refine(RedDot::new(10.0, 1.0), &mut |_| {
+            rounds.push(short.clone());
+            short.clone()
+        });
+        assert_eq!(
+            (refined.iterations(), refined.start, refined.end),
+            (2, Sec(0.0), None)
+        );
+        assert_follows(&svc, vid, 0, &rounds, &refined);
+    }
+
+    #[test]
+    fn converged_dots_stop_growing_the_persisted_state() {
+        use lightor_types::{Interaction, UserId};
+        let dir = TempDir::new("converged");
+        let svc = service(&dir.0);
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let dots = svc.open_video(vid).unwrap().unwrap();
+        // Eight plays starting just after a dot: a Type II round whose
+        // boundary start lies within ε of the dot, so it converges.
+        let batch = |client: u64, at: Sec| {
+            let events = (0..8)
+                .flat_map(|j| {
+                    let s = at.0 + 1.0 + 0.1 * j as f64;
+                    [
+                        Interaction::Play { video_ts: Sec(s) },
+                        Interaction::Pause {
+                            video_ts: Sec(s + 15.0),
+                        },
+                    ]
+                })
+                .collect();
+            Session::new(UserId(client), events)
+        };
+        for dot in &dots {
+            svc.refine_batch(vid, None, &batch(1, dot.at))
+                .unwrap()
+                .unwrap();
+        }
+        assert!(svc
+            .video_state(vid)
+            .unwrap()
+            .dots
+            .iter()
+            .all(|d| d.converged));
+
+        let persisted = || {
+            let state: VideoState = svc
+                .stores
+                .lock()
+                .kv
+                .get(&format!("video:{}", vid.0))
+                .unwrap();
+            (serde_json::to_string(&state).unwrap(), state)
+        };
+        // Two-digit sequence numbers keep the watermark's own length
+        // fixed, so any growth would be the dots'.
+        svc.refine_batch(vid, Some(10), &batch(7, dots[0].at))
+            .unwrap()
+            .unwrap();
+        let (json, state) = persisted();
+        let mut seq = 10;
+        for _ in 0..3 {
+            for dot in &dots {
+                seq += 1;
+                let o = svc
+                    .refine_batch(vid, Some(seq), &batch(7, dot.at))
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(
+                    (o.replayed, o.plays_buffered, o.dots_refined),
+                    (false, 0, 0)
+                );
+                let (json_now, state_now) = persisted();
+                assert_eq!(json_now.len(), json.len(), "seq {seq}: state grew");
+                assert_eq!(state_now.dots, state.dots);
+                assert_eq!(state_now.sessions, vec![SessionSeq { client: 7, seq }]);
+            }
+        }
+
+        // A state persisted before converged dots dropped their plays
+        // still carries them; the next fold clears them.
+        let entry = svc.videos.read().get(&vid).cloned().unwrap();
+        entry.state.lock().dots[0]
+            .pending
+            .push(Play::from_secs(dots[0].at.0, dots[0].at.0 + 9.0));
+        svc.refine_batch(vid, Some(seq + 1), &batch(7, dots[0].at))
+            .unwrap()
+            .unwrap();
+        assert_eq!(persisted().1.dots, state.dots);
     }
 }

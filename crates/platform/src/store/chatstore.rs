@@ -20,18 +20,13 @@
 //!
 //! # Record formats
 //!
-//! Records are self-describing and two formats coexist in one log (see
+//! Records are self-describing and two kinds share one log (see
 //! [`format`](super::format) for the byte-level layouts):
 //!
-//! * **v2 (current)** — columnar: a magic/version header, then parallel
+//! * **v2 (chat)** — columnar: a magic/version header, then parallel
 //!   `ts`/`user`/`text_end` arrays and one contiguous UTF-8 blob. Text
-//!   offsets are `u32`, so nothing is silently truncated, and a record
-//!   decodes into a zero-copy [`ChatLogView`] with O(1) allocations.
-//!   All new writes use v2.
-//! * **v1 (legacy)** — row-oriented with `u16` text lengths. Decode
-//!   only; records whose text hits the 65 535-byte v1 ceiling are
-//!   counted in [`ChatStore::v1_truncated_records`] and reported once
-//!   per open, because the original bytes are unrecoverable.
+//!   offsets are `u32`, and a record decodes into a zero-copy
+//!   [`ChatLogView`] with O(1) allocations.
 //! * **v3 (tokenized companion)** — not chat data: a per-video
 //!   tokenized-corpus record written *after* (and indexed next to) the
 //!   video's chat record, so reopening a store never re-tokenizes raw
@@ -102,25 +97,18 @@ pub struct ChatStore {
     live_bytes: u64,
     /// Cumulative bytes reclaimed by compactions since open.
     reclaimed_bytes: u64,
-    v1_records: usize,
-    v1_truncated: usize,
 }
 
 impl ChatStore {
     /// Open (or create) a store in `dir`, rebuilding the index by scan.
     ///
     /// The scan sniffs each record's format without materializing
-    /// messages. Legacy v1 records keep working (later records win, so
-    /// re-crawled videos pick up v2 on their next write); v1 records
-    /// that hit the old format's 65 535-byte text ceiling are counted
-    /// and reported — the truncated bytes are gone, so the only fix is
-    /// a re-crawl.
+    /// messages; later records win, so a re-crawl replaces a video's
+    /// chat record.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let log = SegmentLog::open(dir, 8 << 20)?;
         let mut index: HashMap<VideoId, IndexEntry> = HashMap::new();
         let mut tok_index: HashMap<VideoId, IndexEntry> = HashMap::new();
-        let mut v1_records = 0usize;
-        let mut v1_truncated = 0usize;
         log.scan_with(|id, payload| {
             if let Some(info) = format::sniff(payload) {
                 let entry = IndexEntry {
@@ -133,10 +121,6 @@ impl ChatStore {
                     tok_index.insert(info.video, entry);
                     return;
                 }
-                if info.format == Format::V1 {
-                    v1_records += 1;
-                    v1_truncated += usize::from(info.truncated);
-                }
                 // Later records win: re-crawls overwrite. A fresh chat
                 // record also orphans any earlier tokenized companion —
                 // its ids describe the *previous* chat bytes.
@@ -146,12 +130,6 @@ impl ChatStore {
         })?;
         // A companion whose chat record is gone is useless: drop it.
         tok_index.retain(|video, _| index.contains_key(video));
-        if v1_truncated > 0 {
-            eprintln!(
-                "chatstore: {v1_truncated} legacy v1 record(s) hit the u16 text ceiling; \
-                 their texts were truncated at write time — re-crawl to recover"
-            );
-        }
         let live_bytes = index
             .values()
             .chain(tok_index.values())
@@ -164,8 +142,6 @@ impl ChatStore {
             cache: Mutex::new(LruCache::new(RECORD_CACHE_CAP)),
             live_bytes,
             reclaimed_bytes: 0,
-            v1_records,
-            v1_truncated,
         })
     }
 
@@ -412,8 +388,7 @@ impl ChatStore {
     /// Fetch a video's chat replay as a zero-copy view, if crawled.
     ///
     /// The fast path: a cache hit is a hash lookup plus an `Arc` bump;
-    /// a miss reads one record and decodes with O(1) allocations (v2)
-    /// or materializes once (legacy v1).
+    /// a miss reads one record and decodes it with O(1) allocations.
     pub fn get_chat_view(&self, video: VideoId) -> std::io::Result<Option<ChatLogView>> {
         let Some(entry) = self.index.get(&video) else {
             return Ok(None);
@@ -423,7 +398,7 @@ impl ChatStore {
             return Ok(Some(view));
         }
         let payload: Arc<[u8]> = self.log.read(id)?.into();
-        let Some((_, view, _)) = format::decode(&payload) else {
+        let Some((_, view)) = format::decode_v2(&payload) else {
             return Ok(None);
         };
         self.cache.lock().insert(video, view.clone());
@@ -451,17 +426,6 @@ impl ChatStore {
         let mut ids: Vec<VideoId> = self.index.keys().copied().collect();
         ids.sort_unstable_by_key(|v| v.0);
         ids
-    }
-
-    /// Legacy v1 records still live in the log (they upgrade to v2 on
-    /// their next re-crawl).
-    pub fn v1_records(&self) -> usize {
-        self.v1_records
-    }
-
-    /// v1 records flagged as truncation victims at open.
-    pub fn v1_truncated_records(&self) -> usize {
-        self.v1_truncated
     }
 
     /// The backing log's fault injector (no-op unless faults are armed).
@@ -577,15 +541,6 @@ mod tests {
         ])
     }
 
-    /// Append a raw (already encoded) record the way `put_chat` would,
-    /// bypassing the v2 encoder — fabricates legacy logs for migration
-    /// tests.
-    fn put_raw(store: &mut ChatStore, video: VideoId, payload: &[u8]) {
-        let id = store.log.append(payload).unwrap();
-        store.log.sync().unwrap();
-        store.index_insert(video, id, payload.len());
-    }
-
     #[test]
     fn put_get_round_trip() {
         let dir = TempDir::new("rt");
@@ -617,7 +572,6 @@ mod tests {
             store.get_chat(VideoId(2)).unwrap().unwrap(),
             ChatLog::empty()
         );
-        assert_eq!(store.v1_records(), 0);
     }
 
     #[test]
@@ -674,8 +628,8 @@ mod tests {
 
     #[test]
     fn long_messages_survive_v2_intact() {
-        // The v1 defect (silent u16 truncation) is fixed by v2's u32
-        // offsets: the full text round-trips.
+        // v2's u32 offsets hold texts past 65 535 bytes: the full text
+        // round-trips.
         let dir = TempDir::new("long");
         let mut store = ChatStore::open(&dir.0).unwrap();
         let long_text = "x".repeat(70_000);
@@ -683,37 +637,6 @@ mod tests {
         store.put_chat(VideoId(9), &chat).unwrap();
         let back = store.get_chat(VideoId(9)).unwrap().unwrap();
         assert_eq!(back.messages()[0].text, long_text);
-    }
-
-    #[test]
-    fn v1_to_v2_mixed_log_recovers_on_reopen() {
-        let dir = TempDir::new("mixed");
-        let old = sample_chat();
-        let new = ChatLog::new(vec![ChatMessage::new(4.0, UserId(2), "fresh crawl")]);
-        {
-            let mut store = ChatStore::open(&dir.0).unwrap();
-            // A legacy log: two v1 records, one of them truncated.
-            put_raw(&mut store, VideoId(1), &format::encode_v1(VideoId(1), &old));
-            let long = ChatLog::new(vec![ChatMessage::new(0.0, UserId(3), "y".repeat(70_000))]);
-            put_raw(
-                &mut store,
-                VideoId(2),
-                &format::encode_v1(VideoId(2), &long),
-            );
-            // An upgrade recrawls video 2 with v2 and adds video 3.
-            store.put_chat(VideoId(2), &new).unwrap();
-            store.put_chat(VideoId(3), &new).unwrap();
-        }
-        let store = ChatStore::open(&dir.0).unwrap();
-        assert_eq!(store.video_count(), 3);
-        // v1 records decode through the same API...
-        assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), old);
-        // ...the recrawled v2 record wins over the truncated v1 one...
-        assert_eq!(store.get_chat(VideoId(2)).unwrap().unwrap(), new);
-        assert_eq!(store.get_chat(VideoId(3)).unwrap().unwrap(), new);
-        // ...and the legacy/truncation counters report the migration state.
-        assert_eq!(store.v1_records(), 2);
-        assert_eq!(store.v1_truncated_records(), 1);
     }
 
     #[test]

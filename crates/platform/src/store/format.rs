@@ -1,23 +1,10 @@
 //! The chat record codec: versioned payload formats for [`super::ChatStore`].
 //!
-//! Two formats coexist in one log (records are self-describing, so logs
-//! written by older builds keep working after an upgrade):
+//! Records are self-describing: each starts with a magic and a version,
+//! so the two record kinds share one log.
 //!
-//! **v1 (legacy, row-oriented)** — no header, one framed row per message:
-//!
-//! ```text
-//! [video_id: u64][n: u32] n × ([ts: f64][user: u64][len: u16][utf8 text])
-//! ```
-//!
-//! Decoding allocates one `String` per message, and the `u16` length
-//! field silently truncated texts longer than 65 535 bytes at encode
-//! time. v1 is *decode-only* in production; [`encode_v1`] is retained
-//! for migration tests and as the benchmark baseline. The v1 decode
-//! path flags records that contain a maximum-length text as suspected
-//! truncation victims so stores can surface the data loss.
-//!
-//! **v2 (current, columnar)** — a header followed by parallel arrays and
-//! one contiguous text blob (all little-endian):
+//! **v2 (chat)** — a header followed by parallel arrays and one
+//! contiguous text blob (all little-endian):
 //!
 //! ```text
 //! [magic: u32 = "LCv2"][version: u16 = 2][flags: u16 = 0]
@@ -27,10 +14,9 @@
 //! ```
 //!
 //! `text_end[i]` is the cumulative end offset of message `i`'s text in
-//! the blob (u32, so texts up to 4 GiB aggregate — no silent `u16`
-//! truncation). A v2 record decodes into a zero-copy
-//! [`ChatLogView`] with O(1) allocations: the view `Arc`s the payload
-//! buffer and reads the arrays in place.
+//! the blob (u32, so texts up to 4 GiB aggregate). A v2 record decodes
+//! into a zero-copy [`ChatLogView`] with O(1) allocations: the view
+//! `Arc`s the payload buffer and reads the arrays in place.
 //!
 //! **v3 (tokenized corpus, companion record)** — not a chat format: a
 //! v3 record rides in the same log *next to* a video's v2 chat record
@@ -64,16 +50,12 @@
 //! UTF-8 term slice — a corrupt record decodes to `None` and the
 //! service falls back to re-tokenizing the chat record.
 //!
-//! Format detection ([`sniff`] / [`decode`]) tries v2 first — magic,
-//! version, and an exact length equation must all hold — then v3 (a
-//! distinct magic plus its own length equations), then falls
-//! back to a strict v1 walk that must consume the payload exactly.
-//! A false positive would need a v1 video id whose low bytes equal the
-//! magic *and* a byte stream satisfying the v2 length equation, which
-//! the strict checks make practically impossible.
+//! Format detection ([`sniff`]) accepts a payload as v2 or v3 only when
+//! its magic, version and exact length equations all hold; anything
+//! else is not a record of this store.
 
 use bytes::{Buf, BufMut, BytesMut};
-use lightor_types::{ChatLog, ChatLogView, ChatMessage, ColumnarLayout, Sec, UserId, VideoId};
+use lightor_types::{ChatLog, ChatLogView, ColumnarLayout, VideoId};
 use std::sync::Arc;
 
 /// v2 header magic: `b"LCv2"` read as a little-endian u32.
@@ -95,9 +77,7 @@ const V3_HEADER: usize = 4 + 2 + 2 + 8 + 4 + 4 + 4;
 /// Which codec a record was written with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
-    /// Legacy row-oriented records (owned-`String` decode).
-    V1,
-    /// Columnar zero-copy records.
+    /// Columnar zero-copy chat records.
     V2,
     /// Tokenized-corpus companion records (not chat data).
     V3,
@@ -110,12 +90,9 @@ pub struct RecordInfo {
     pub video: VideoId,
     /// Codec the record was written with.
     pub format: Format,
-    /// v1 only: the record holds a maximum-length (65 535-byte) text,
-    /// i.e. it was very likely truncated by the v1 encoder.
-    pub truncated: bool,
 }
 
-/// Encode a chat replay with the current (v2, columnar) format.
+/// Encode a chat replay as a v2 (columnar) record.
 pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
     let n = chat.len();
     let blob_len: usize = chat.messages().iter().map(|m| m.text.len()).sum();
@@ -143,7 +120,7 @@ pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Encode a zero-copy view with the current (v2, columnar) format.
+/// Encode a zero-copy view as a v2 (columnar) record.
 ///
 /// The view is already columnar, so this is header + four raw section
 /// copies — no per-message walk, no UTF-8 revalidation, no `String`s.
@@ -164,24 +141,6 @@ pub fn encode_v2_view(video: VideoId, chat: &ChatLogView) -> Vec<u8> {
     buf.put_slice(chat.ends_section());
     buf.put_u32_le(text.len() as u32);
     buf.put_slice(text);
-    buf.to_vec()
-}
-
-/// Encode with the legacy v1 format. Texts longer than 65 535 bytes are
-/// truncated (the defect that motivated v2) — kept only so migration
-/// tests and benchmarks can fabricate old logs.
-pub fn encode_v1(video: VideoId, chat: &ChatLog) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(video.0);
-    buf.put_u32_le(chat.len() as u32);
-    for m in chat.messages() {
-        buf.put_f64_le(m.ts.0);
-        buf.put_u64_le(m.user.0);
-        let text = m.text.as_bytes();
-        let len = text.len().min(u16::MAX as usize);
-        buf.put_u16_le(len as u16);
-        buf.put_slice(&text[..len]);
-    }
     buf.to_vec()
 }
 
@@ -456,64 +415,6 @@ fn decode_v3_impl(payload: &[u8], with_terms: bool) -> Option<TokenizedRecord> {
     })
 }
 
-/// The legacy owned-`String` v1 decode (also the benchmark baseline).
-/// Strict: the payload must be consumed exactly.
-pub fn decode_v1_owned(mut payload: &[u8]) -> Option<(VideoId, ChatLog, bool)> {
-    if payload.remaining() < 12 {
-        return None;
-    }
-    let video = VideoId(payload.get_u64_le());
-    let n = payload.get_u32_le() as usize;
-    let mut truncated = false;
-    let mut messages = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        if payload.remaining() < 18 {
-            return None;
-        }
-        let ts = payload.get_f64_le();
-        let user = payload.get_u64_le();
-        let len = payload.get_u16_le() as usize;
-        if payload.remaining() < len {
-            return None;
-        }
-        truncated |= len == u16::MAX as usize;
-        let text = String::from_utf8_lossy(&payload[..len]).into_owned();
-        payload.advance(len);
-        messages.push(ChatMessage::new(Sec(ts), UserId(user), text));
-    }
-    if payload.remaining() > 0 {
-        return None;
-    }
-    Some((video, ChatLog::new(messages), truncated))
-}
-
-/// Walk a v1 record without allocating message strings; returns the
-/// video id and whether any text hit the v1 length ceiling.
-fn v1_walk(mut payload: &[u8]) -> Option<(VideoId, bool)> {
-    if payload.remaining() < 12 {
-        return None;
-    }
-    let video = VideoId(payload.get_u64_le());
-    let n = payload.get_u32_le() as usize;
-    let mut truncated = false;
-    for _ in 0..n {
-        if payload.remaining() < 18 {
-            return None;
-        }
-        payload.advance(16); // ts + user
-        let len = payload.get_u16_le() as usize;
-        if payload.remaining() < len {
-            return None;
-        }
-        truncated |= len == u16::MAX as usize;
-        payload.advance(len);
-    }
-    if payload.remaining() > 0 {
-        return None;
-    }
-    Some((video, truncated))
-}
-
 /// Identify a record and extract its metadata without materializing
 /// messages — the index-rebuild path (`ChatStore::open`) runs this over
 /// every record, so it must not allocate per message.
@@ -522,43 +423,18 @@ pub fn sniff(payload: &[u8]) -> Option<RecordInfo> {
         return Some(RecordInfo {
             video,
             format: Format::V2,
-            truncated: false,
         });
     }
-    if let Some(l) = v3_layout(payload) {
-        return Some(RecordInfo {
-            video: l.video,
-            format: Format::V3,
-            truncated: false,
-        });
-    }
-    v1_walk(payload).map(|(video, truncated)| RecordInfo {
-        video,
-        format: Format::V1,
-        truncated,
+    v3_layout(payload).map(|l| RecordInfo {
+        video: l.video,
+        format: Format::V3,
     })
-}
-
-/// Decode a *chat* record of either chat format into a [`ChatLogView`].
-///
-/// v2 records share `payload` zero-copy; v1 records are materialized
-/// once and re-columnarized (the price of the migration path). v3
-/// records are not chat data and decode to `None` here — use
-/// [`decode_v3`].
-pub fn decode(payload: &Arc<[u8]>) -> Option<(VideoId, ChatLogView, Format)> {
-    if let Some((video, view)) = decode_v2(payload) {
-        return Some((video, view, Format::V2));
-    }
-    if v3_layout(payload).is_some() {
-        return None;
-    }
-    let (video, chat, _) = decode_v1_owned(payload)?;
-    Some((video, ChatLogView::from_chat_log(&chat), Format::V1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightor_types::{ChatMessage, UserId};
 
     fn sample_chat() -> ChatLog {
         ChatLog::new(vec![
@@ -609,56 +485,23 @@ mod tests {
     fn sniff_identifies_both_formats() {
         let chat = sample_chat();
         let v2 = encode_v2(VideoId(5), &chat);
-        let v1 = encode_v1(VideoId(6), &chat);
+        let v3 = encode_v3(&sample_tokenized());
         assert_eq!(
             sniff(&v2),
             Some(RecordInfo {
                 video: VideoId(5),
                 format: Format::V2,
-                truncated: false
             })
         );
         assert_eq!(
-            sniff(&v1),
+            sniff(&v3),
             Some(RecordInfo {
-                video: VideoId(6),
-                format: Format::V1,
-                truncated: false
+                video: VideoId(42),
+                format: Format::V3,
             })
         );
         assert_eq!(sniff(&[]), None);
         assert_eq!(sniff(&v2[..v2.len() - 1]), None);
-    }
-
-    #[test]
-    fn v1_truncation_is_flagged() {
-        let long = "x".repeat(70_000);
-        let chat = ChatLog::new(vec![ChatMessage::new(0.0, UserId(1), long)]);
-        let v1 = encode_v1(VideoId(9), &chat);
-        let info = sniff(&v1).unwrap();
-        assert!(info.truncated, "max-length v1 text must be flagged");
-        let (_, decoded, truncated) = decode_v1_owned(&v1).unwrap();
-        assert!(truncated);
-        assert_eq!(decoded.messages()[0].text.len(), u16::MAX as usize);
-        // v2 keeps the full text.
-        let payload: Arc<[u8]> = encode_v2(VideoId(9), &chat).into();
-        let (_, view) = decode_v2(&payload).unwrap();
-        assert_eq!(view.text(0).len(), 70_000);
-    }
-
-    #[test]
-    fn decode_handles_either_format() {
-        let chat = sample_chat();
-        for (payload, fmt) in [
-            (encode_v2(VideoId(3), &chat), Format::V2),
-            (encode_v1(VideoId(3), &chat), Format::V1),
-        ] {
-            let arc: Arc<[u8]> = payload.into();
-            let (video, view, format) = decode(&arc).expect("decodable");
-            assert_eq!(video, VideoId(3));
-            assert_eq!(format, fmt);
-            assert_eq!(view, chat);
-        }
     }
 
     fn sample_tokenized() -> TokenizedRecord {
@@ -683,7 +526,6 @@ mod tests {
             Some(RecordInfo {
                 video: VideoId(42),
                 format: Format::V3,
-                truncated: false
             })
         );
         // An empty corpus (zero messages, no delta) round-trips too.
@@ -734,11 +576,9 @@ mod tests {
     #[test]
     fn v3_is_not_a_chat_record() {
         let payload: Arc<[u8]> = encode_v3(&sample_tokenized()).into();
-        assert!(decode(&payload).is_none(), "v3 must not decode as chat");
-        assert!(decode_v2(&payload).is_none());
-        // And the chat formats are not v3.
+        assert!(decode_v2(&payload).is_none(), "v3 must not decode as chat");
+        // And the chat format is not v3.
         assert!(decode_v3(&encode_v2(VideoId(1), &sample_chat())).is_none());
-        assert!(decode_v3(&encode_v1(VideoId(1), &sample_chat())).is_none());
     }
 
     #[test]
@@ -769,11 +609,7 @@ mod tests {
         let v2 = encode_v2(VideoId(5), &chat);
         for cut in [1, 3, v2.len() - 1] {
             let arc: Arc<[u8]> = v2[..v2.len() - cut].to_vec().into();
-            assert!(decode(&arc).is_none(), "cut {cut} bytes");
+            assert!(decode_v2(&arc).is_none(), "cut {cut} bytes");
         }
-        let v1 = encode_v1(VideoId(5), &chat);
-        assert!(decode_v1_owned(&v1[..v1.len() - 3]).is_none());
-        assert!(decode_v1_owned(&v1[..4]).is_none());
-        assert!(decode_v1_owned(&[]).is_none());
     }
 }

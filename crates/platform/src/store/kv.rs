@@ -36,12 +36,6 @@
 //! truncated away; everything before it is applied and re-marked dirty
 //! so the next snapshot persists it. Orphaned `*.tmp` files from a
 //! crash mid-snapshot are removed.
-//!
-//! A legacy monolithic snapshot (a single JSON file at the store path,
-//! the pre-shard layout) is migrated on open: parsed strictly, staged
-//! aside as `<dir>.migrating`, split into shards, and only deleted
-//! once the sharded layout is durably written — a crash anywhere in
-//! between resumes from the staged copy on the next open.
 
 use super::{crc32, sync_dir, FaultInjector};
 use serde::de::DeserializeOwned;
@@ -133,15 +127,6 @@ fn invalid_data(msg: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Where a legacy monolithic snapshot is staged during migration
-/// (`<dir>.migrating`): the original bytes must survive until the
-/// sharded layout is durably written.
-fn migrating_path(dir: &Path) -> PathBuf {
-    let mut os = dir.as_os_str().to_owned();
-    os.push(".migrating");
-    PathBuf::from(os)
-}
-
 /// `fsync` `path`'s parent directory (no-op when it has none).
 fn sync_parent(path: &Path) -> std::io::Result<()> {
     match path.parent() {
@@ -151,11 +136,9 @@ fn sync_parent(path: &Path) -> std::io::Result<()> {
 }
 
 impl KvStore {
-    /// Open (or create) the store at `path` with default tuning.
-    ///
-    /// A pre-shard monolithic snapshot file at `path` is migrated to
-    /// the directory layout; a corrupt snapshot (legacy or shard) is an
-    /// `InvalidData` error, never a silently empty store.
+    /// Open (or create) the store directory at `path` with default
+    /// tuning. A corrupt shard snapshot is an `InvalidData` error,
+    /// never a silently empty store.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         Self::open_with(path, KvConfig::default())
     }
@@ -163,24 +146,6 @@ impl KvStore {
     /// Open (or create) the store at `path` with explicit tuning.
     pub fn open_with(path: impl Into<PathBuf>, cfg: KvConfig) -> std::io::Result<Self> {
         let dir = path.into();
-        // A legacy monolithic snapshot is *staged aside*, not deleted:
-        // its bytes are the only durable copy of the store until the
-        // sharded layout is written and synced at the end of this open.
-        // A crash mid-migration leaves the staged file, and the next
-        // open resumes from it.
-        let staged = migrating_path(&dir);
-        let legacy = if fs::metadata(&dir).is_ok_and(|m| m.is_file()) {
-            // Parse before renaming so a corrupt file errors out
-            // untouched, in place, for forensics.
-            let map = Self::read_legacy(&dir)?;
-            fs::rename(&dir, &staged)?;
-            sync_parent(&dir)?;
-            Some(map)
-        } else if staged.is_file() {
-            Some(Self::read_legacy(&staged)?)
-        } else {
-            None
-        };
         fs::create_dir_all(&dir)?;
 
         // A crash mid-snapshot can leave temp files behind; they were
@@ -194,7 +159,7 @@ impl KvStore {
 
         let mut map = BTreeMap::new();
         let mut dirty = [false; SHARD_COUNT];
-        for (shard, flag) in dirty.iter_mut().enumerate() {
+        for shard in 0..SHARD_COUNT {
             let p = shard_path(&dir, shard);
             match fs::read(&p) {
                 Ok(bytes) => {
@@ -207,13 +172,6 @@ impl KvStore {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
             }
-            // A migrated legacy store must land in the shard files even
-            // if no further write ever happens.
-            *flag = legacy.is_some();
-        }
-        let migrated = legacy.is_some();
-        if let Some(legacy_map) = legacy {
-            map.extend(legacy_map);
         }
 
         // Replay the WAL on top of the snapshots. A torn tail is
@@ -247,7 +205,7 @@ impl KvStore {
 
         let seq = u64::from(!map.is_empty());
         let seqs: BTreeMap<String, u64> = map.keys().map(|k| (k.clone(), seq)).collect();
-        let mut store = KvStore {
+        Ok(KvStore {
             dir,
             cfg,
             map,
@@ -260,23 +218,7 @@ impl KvStore {
             fault: FaultInjector::new(),
             seq,
             seqs,
-        };
-        // Migration writes through immediately, and only then retires
-        // the staged legacy file — the point of no return comes after
-        // the sharded copy is durable.
-        if migrated {
-            store.snapshot()?;
-            fs::remove_file(&staged)?;
-            sync_parent(&staged)?;
-        }
-        Ok(store)
-    }
-
-    /// Parse a legacy monolithic snapshot file strictly.
-    fn read_legacy(path: &Path) -> std::io::Result<BTreeMap<String, serde_json::Value>> {
-        let bytes = fs::read(path)?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| invalid_data(format!("corrupt legacy snapshot {}: {e:?}", path.display())))
+        })
     }
 
     /// Apply every complete WAL frame to `map`; returns the byte length
@@ -532,7 +474,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = fs::remove_dir_all(&self.0);
             let _ = fs::remove_file(&self.0);
-            let _ = fs::remove_file(migrating_path(&self.0));
         }
     }
 
@@ -598,14 +539,14 @@ mod tests {
 
     #[test]
     fn corrupt_legacy_snapshot_is_an_error() {
-        // The old behavior silently replaced a corrupt store with an
-        // empty one — the data-loss bug this store exists to fix.
+        // A file at the store path (the pre-shard single-file layout,
+        // which is no longer read) must fail the open, never be
+        // replaced by an empty store.
         let d = TempDir::new("corrupt-legacy");
         fs::write(&d.0, b"{definitely not json").unwrap();
-        let err = KvStore::open(&d.0).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // The corrupt file is left in place for forensics.
-        assert!(d.0.is_file());
+        assert!(KvStore::open(&d.0).is_err());
+        // The file is left in place, untouched.
+        assert_eq!(fs::read(&d.0).unwrap(), b"{definitely not json");
     }
 
     #[test]
@@ -621,62 +562,6 @@ mod tests {
         fs::write(&shard, b"[1, 2, oops").unwrap();
         let err = KvStore::open(&d.0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn legacy_monolithic_file_migrates_to_shards() {
-        let d = TempDir::new("migrate");
-        let legacy = serde_json::to_vec_pretty(
-            &[
-                ("video:1".to_owned(), serde_json::Value::F64(1.5)),
-                ("model:main".to_owned(), serde_json::Value::U64(9)),
-            ]
-            .into_iter()
-            .collect::<BTreeMap<String, serde_json::Value>>(),
-        )
-        .unwrap();
-        fs::write(&d.0, legacy).unwrap();
-        {
-            let kv = KvStore::open(&d.0).unwrap();
-            assert_eq!(kv.get::<f64>("video:1"), Some(1.5));
-            assert_eq!(kv.get::<u64>("model:main"), Some(9));
-            // The migration snapshotted immediately: the data is durable
-            // in the new layout even if nothing else is ever written.
-            assert!(kv.stats().shard_rewrites > 0);
-        }
-        assert!(d.0.is_dir());
-        let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.len(), 2);
-        assert_eq!(kv.get::<f64>("video:1"), Some(1.5));
-    }
-
-    #[test]
-    fn crashed_migration_resumes_from_staged_file() {
-        // A kill after the legacy file was staged aside but before the
-        // sharded layout was durably written must not lose the store:
-        // the next open resumes from `<dir>.migrating`.
-        let d = TempDir::new("migrate-crash");
-        let legacy = serde_json::to_vec_pretty(
-            &[("video:7".to_owned(), serde_json::Value::F64(7.5))]
-                .into_iter()
-                .collect::<BTreeMap<String, serde_json::Value>>(),
-        )
-        .unwrap();
-        fs::write(migrating_path(&d.0), legacy).unwrap();
-        // The crash also left a half-made store dir with one empty shard.
-        fs::create_dir_all(&d.0).unwrap();
-        fs::write(shard_path(&d.0, 0), b"{}").unwrap();
-
-        let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<f64>("video:7"), Some(7.5));
-        assert!(
-            !migrating_path(&d.0).exists(),
-            "staged file must be retired only after a completed migration"
-        );
-        // And the migrated state is durable in the new layout.
-        drop(kv);
-        let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<f64>("video:7"), Some(7.5));
     }
 
     #[test]

@@ -152,8 +152,6 @@ pub struct StatsResponse {
     pub record_cache_hits: u64,
     /// Chat records decoded from the log.
     pub record_cache_misses: u64,
-    /// Legacy records that lost text to the v1 format's u16 ceiling.
-    pub v1_truncated_records: usize,
     /// Bytes pending in the KV write-ahead log (durable, not yet
     /// folded into shard snapshots).
     pub kv_wal_bytes: u64,
@@ -210,7 +208,6 @@ impl From<crate::service::ServiceStats> for StatsResponse {
             train_boot_ms: s.train_boot_ms,
             record_cache_hits: s.record_cache_hits,
             record_cache_misses: s.record_cache_misses,
-            v1_truncated_records: s.v1_truncated_records,
             kv_wal_bytes: s.kv_wal_bytes,
             kv_wal_appends: s.kv_wal_appends,
             kv_shard_rewrites: s.kv_shard_rewrites,
@@ -832,7 +829,6 @@ mod tests {
             train_boot_ms: 1234,
             record_cache_hits: 7,
             record_cache_misses: 4,
-            v1_truncated_records: 1,
             kv_wal_bytes: 512,
             kv_wal_appends: 21,
             kv_shard_rewrites: 2,

@@ -218,8 +218,6 @@ pub struct HttpClient {
     /// the hot path can skip the `setsockopt` syscall when the socket
     /// is already close enough to the remaining deadline budget.
     effective_timeout: Duration,
-    /// Busy-poll window before a blocking read (see [`Self::set_spin`]).
-    spin: Option<Duration>,
 }
 
 impl HttpClient {
@@ -243,47 +241,7 @@ impl HttpClient {
             buf: Vec::new(),
             read_timeout,
             effective_timeout: read_timeout,
-            spin: None,
         })
-    }
-
-    /// Busy-poll the socket for up to `window` before every blocking
-    /// read. A proxy thread awaiting an in-flight backend response
-    /// skips the scheduler wakeup (worth a few µs per hop) when the
-    /// reply lands inside the window — the userspace analogue of
-    /// `SO_BUSY_POLL`. Off by default: it trades bounded CPU for
-    /// latency, which only a routing tier on a multi-core host should
-    /// pay (on a single core, spinning starves the very thread that
-    /// would produce the reply).
-    pub fn set_spin(&mut self, window: Option<Duration>) {
-        self.spin = window;
-    }
-
-    /// Bounded non-blocking poll: `Ok(Some(n))` when bytes (or EOF)
-    /// arrived inside the window, `Ok(None)` when the window expired
-    /// and the caller should fall back to a blocking read.
-    fn try_spin_read(
-        &mut self,
-        chunk: &mut [u8],
-        window: Duration,
-    ) -> Result<Option<usize>, ClientError> {
-        self.stream.set_nonblocking(true)?;
-        let spin_deadline = Instant::now() + window;
-        let result = loop {
-            match self.stream.read(chunk) {
-                Ok(n) => break Ok(Some(n)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= spin_deadline {
-                        break Ok(None);
-                    }
-                    std::hint::spin_loop();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(ClientError::Io(e)),
-            }
-        };
-        self.stream.set_nonblocking(false)?;
-        result
     }
 
     /// `GET path`.
@@ -447,11 +405,6 @@ impl HttpClient {
         chunk: &mut [u8],
         deadline: Option<Instant>,
     ) -> Result<usize, ClientError> {
-        if let Some(window) = self.spin {
-            if let Some(n) = self.try_spin_read(chunk, window)? {
-                return Ok(n);
-            }
-        }
         let Some(deadline) = deadline else {
             return Ok(self.stream.read(chunk)?);
         };
@@ -850,46 +803,6 @@ mod tests {
                 .expect("connect to a closed port must fail");
         assert!(err.is_transport(), "{err:?}");
         assert!(start.elapsed() < Duration::from_secs(5), "connect hung");
-    }
-
-    #[test]
-    fn spin_reads_parse_fast_and_slow_responses() {
-        // Fast path: the scripted server answers immediately, inside
-        // the spin window. Slow path: a delayed response forces the
-        // spin window to expire and the blocking fallback to finish
-        // the read. Both must parse identically to a plain client.
-        let mut c = HttpClient::connect(scripted_server(
-            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
-        ))
-        .unwrap();
-        c.set_spin(Some(Duration::from_micros(50)));
-        let resp = c.get("/x").unwrap();
-        assert_eq!((resp.status, resp.body.as_slice()), (200, b"ok".as_slice()));
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let t = std::thread::spawn(move || {
-            if let Ok((mut stream, _)) = listener.accept() {
-                let mut buf = [0u8; 4096];
-                let _ = stream.read(&mut buf);
-                // Well past any spin window.
-                std::thread::sleep(Duration::from_millis(50));
-                let _ = stream.write_all(
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nConnection: close\r\n\r\nslow",
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
-        let mut c = HttpClient::connect(addr).unwrap();
-        c.set_spin(Some(Duration::from_micros(50)));
-        let resp = c
-            .request_deadline("GET", "/x", None, Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(
-            (resp.status, resp.body.as_slice()),
-            (200, b"slow".as_slice())
-        );
-        t.join().unwrap();
     }
 
     #[test]

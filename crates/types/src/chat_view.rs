@@ -434,8 +434,8 @@ impl ChatLogView {
         Some(ChatLogView { buf, layout })
     }
 
-    /// Build an owned columnar view from a [`ChatLog`] (used for the v1
-    /// migration path and for tests; O(total text) one-time cost).
+    /// Build an owned columnar view from a [`ChatLog`] (the reference
+    /// chat sink and tests; O(total text) one-time cost).
     pub fn from_chat_log(chat: &ChatLog) -> Self {
         let n = chat.len();
         let text_len: usize = chat.messages().iter().map(|m| m.text.len()).sum();

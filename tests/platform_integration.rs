@@ -73,10 +73,9 @@ fn service_lifecycle_with_real_crowd() {
             .collect();
         for dot in current {
             for session in crowd.run_task(&truth.video, dot, 12).sessions {
-                svc.log_session(vid, &session);
+                svc.refine_batch(vid, None, &session).unwrap().unwrap();
             }
         }
-        svc.refine_video(vid).unwrap();
     }
 
     let state = svc.video_state(vid).unwrap();
@@ -115,10 +114,9 @@ fn service_state_survives_restart_and_continues() {
         let mut crowd = Campaign::new(100, 2006);
         for dot in &dots {
             for session in crowd.run_task(&truth.video, dot.at, 12).sessions {
-                svc.log_session(vid, &session);
+                svc.refine_batch(vid, None, &session).unwrap().unwrap();
             }
         }
-        svc.refine_video(vid).unwrap();
         svc.video_state(vid).unwrap()
     };
 
@@ -132,11 +130,15 @@ fn service_state_survives_restart_and_continues() {
     assert_eq!(pos_before, pos_after);
 
     let mut crowd = Campaign::new(100, 2007);
+    let mut updated = 0;
     for d in &after.dots {
         for session in crowd.run_task(&truth.video, d.current, 12).sessions {
-            svc2.log_session(vid, &session);
+            updated += svc2
+                .refine_batch(vid, None, &session)
+                .unwrap()
+                .unwrap()
+                .dots_refined;
         }
     }
-    let updated = svc2.refine_video(vid).unwrap();
     assert!(updated > 0, "refinement must continue after restart");
 }

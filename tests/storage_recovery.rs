@@ -1,6 +1,6 @@
 //! Crash recovery and storage maintenance across the deployment stack:
-//! legacy-layout migration, WAL-only durability through a service
-//! restart, and dead-byte reclaim driven from the service and crawler.
+//! WAL-only durability through a service restart, injected storage
+//! faults, and dead-byte reclaim driven from the service and crawler.
 
 use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
@@ -46,68 +46,6 @@ fn models(seed: u64) -> ModelBundle {
     }
 }
 
-/// A service directory written by the pre-shard layout (one monolithic
-/// `state.json`) must migrate on open: same states, new layout, and the
-/// legacy file gone.
-#[test]
-fn legacy_monolithic_state_migrates_on_service_open() {
-    let dir = TempDir::new("migrate");
-    let platform = SimPlatform::top_channels(GameKind::Dota2, 1, 2, 3001);
-    let vid = platform.recent_videos(platform.channels()[0].id)[0];
-
-    // Phase 1: run a service, then demote its state dir to the legacy
-    // single-file layout by concatenating the shard snapshots.
-    let state_before = {
-        let svc = LightorService::open(
-            &dir.0,
-            models(3002),
-            platform.clone(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        svc.open_video(vid).unwrap().unwrap();
-        svc.video_state(vid).unwrap()
-    };
-    let state_dir = dir.0.join("state");
-    let mut merged: std::collections::BTreeMap<String, serde_json::Value> =
-        std::collections::BTreeMap::new();
-    for entry in std::fs::read_dir(&state_dir).unwrap() {
-        let p = entry.unwrap().path();
-        if p.extension().is_some_and(|e| e == "json") {
-            let part: std::collections::BTreeMap<String, serde_json::Value> =
-                serde_json::from_slice(&std::fs::read(&p).unwrap()).unwrap();
-            merged.extend(part);
-        }
-    }
-    assert!(
-        !merged.is_empty() || {
-            // State may still be WAL-only; fold the live state in directly.
-            merged.insert(
-                format!("video:{}", vid.0),
-                serde_json::to_value(&state_before).unwrap(),
-            );
-            true
-        }
-    );
-    std::fs::remove_dir_all(&state_dir).unwrap();
-    std::fs::write(
-        dir.0.join("state.json"),
-        serde_json::to_vec_pretty(&merged).unwrap(),
-    )
-    .unwrap();
-
-    // Phase 2: the next open migrates and serves the same state.
-    let svc =
-        LightorService::open(&dir.0, models(3002), platform, ServiceConfig::default()).unwrap();
-    let state_after = svc.video_state(vid).expect("state survived migration");
-    assert_eq!(state_before, state_after);
-    assert!(
-        !dir.0.join("state.json").exists(),
-        "legacy file not retired"
-    );
-    assert!(dir.0.join("state").is_dir(), "sharded layout not created");
-}
-
 /// Refinement state persisted only to the WAL (no snapshot ever forced)
 /// must survive a hard restart, and the persistence counters must show
 /// the write path is WAL appends, not whole-store rewrites.
@@ -130,10 +68,9 @@ fn wal_only_state_survives_restart() {
         let mut crowd = Campaign::new(100, 3005);
         for d in svc.video_state(vid).unwrap().dots {
             for session in crowd.run_task(&truth.video, d.current, 12).sessions {
-                svc.log_session(vid, &session);
+                svc.refine_batch(vid, None, &session).unwrap().unwrap();
             }
         }
-        svc.refine_video(vid).unwrap();
         let stats = svc.stats();
         assert!(stats.kv_wal_appends >= 2, "open + refine must both persist");
         assert_eq!(

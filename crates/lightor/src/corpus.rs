@@ -8,8 +8,9 @@
 //!
 //! * [`TokenizedChat`] — built **once** per [`ChatLog`]: a corpus-level
 //!   [`Vocab`], every message's sorted-unique token ids stored in one
-//!   flat CSR column, cached word counts, and prefix sums over word
-//!   counts. Index-aligned with `ChatLog::messages()`.
+//!   flat CSR column, cached word counts (returned by the tokenizer in
+//!   the same pass, never re-split), and prefix sums over word counts.
+//!   Index-aligned with `ChatLog::messages()`.
 //! * [`TokenizedChat::featurize_windows`] — slides over a sorted window
 //!   list with two monotone message pointers, maintaining a sparse
 //!   token-count window ([`LooWindow`]) by adding entering messages and
@@ -67,7 +68,8 @@ pub struct TokenizedChat {
 impl TokenizedChat {
     /// Tokenize and index a chat log. One pass: each message is
     /// tokenized exactly once, interning into the corpus vocabulary and
-    /// producing its binary bag-of-words vector.
+    /// producing its binary bag-of-words vector; its word count comes
+    /// from the same tokenizer pass.
     pub fn build(chat: &ChatLog) -> Self {
         Self::build_from_iter(
             chat.len(),
@@ -101,10 +103,10 @@ impl TokenizedChat {
         offsets.push(0u32);
         for (t, text) in messages {
             let text = text.as_ref();
-            let v = vocab.intern_text(text);
+            let (v, words) = vocab.intern_text(text);
             token_ids.extend_from_slice(v.indices());
             offsets.push(token_ids.len() as u32);
-            let wc = text.split_whitespace().count() as u32;
+            let wc = words as u32;
             word_counts.push(wc);
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
             debug_assert!(
@@ -127,7 +129,8 @@ impl TokenizedChat {
 
     /// Tokenize a view against a shared [`GlobalVocab`] instead of a
     /// fresh per-corpus table: one [`crate::vocab::VocabSession`] for
-    /// the whole build, returning the corpus plus the
+    /// the whole build (each message's word count comes from the same
+    /// tokenizer pass that interns its terms), returning the corpus plus the
     /// [`VocabDelta`] of terms this video introduced (the unit worth
     /// persisting). The resulting corpus scores bit-exactly like the
     /// per-corpus build — see the pins in [`crate::vocab`].
@@ -145,7 +148,7 @@ impl TokenizedChat {
         offsets.push(0u32);
         for m in view.iter() {
             idx.clear();
-            sess.tokenize_into(&m.text, &mut idx);
+            let wc = sess.tokenize_into(&m.text, &mut idx) as u32;
             idx.sort_unstable();
             idx.dedup();
             if let Some(&hi) = idx.last() {
@@ -153,7 +156,6 @@ impl TokenizedChat {
             }
             token_ids.extend_from_slice(&idx);
             offsets.push(token_ids.len() as u32);
-            let wc = m.text.split_whitespace().count() as u32;
             word_counts.push(wc);
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
             ts.push(m.ts.0);

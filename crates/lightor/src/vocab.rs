@@ -16,8 +16,9 @@
 //!   restarted process can re-warm its vocabulary.
 //! * [`FragmentTable`] — pre-tokenized fragments for generated chat:
 //!   each fragment of a `CompiledLexicon`-style blob maps to its global
-//!   token ids and whitespace word count once, so a simulated corpus
-//!   tokenizes by table lookup instead of re-splitting message text.
+//!   token ids and whitespace word count once (both from one tokenizer
+//!   pass), so a simulated corpus tokenizes by table lookup instead of
+//!   re-splitting message text.
 //!
 //! Scoring stays bit-exact under the id change: every feature
 //! aggregate is accumulated in integers over term *counts* (see
@@ -147,13 +148,15 @@ impl VocabSession<'_> {
         self.guard.intern(token)
     }
 
-    /// Tokenize `text` with the standard [`Tokenizer`] and append the
-    /// (unsorted, possibly repeated) term ids to `out`.
-    pub fn tokenize_into(&mut self, text: &str, out: &mut Vec<u32>) {
+    /// Tokenize `text` with the standard [`Tokenizer`], append the
+    /// (unsorted, possibly repeated) term ids to `out`, and return the
+    /// text's whitespace word count (counted by the tokenizer in the
+    /// same pass).
+    pub fn tokenize_into(&mut self, text: &str, out: &mut Vec<u32>) -> usize {
         let guard = &mut *self.guard;
         Tokenizer.for_each_token(text, |tok| {
             out.push(guard.intern(tok));
-        });
+        })
     }
 
     /// Current table length (terms interned so far, globally).
@@ -214,17 +217,16 @@ pub struct FragmentTable {
 }
 
 impl FragmentTable {
-    /// Tokenize every fragment against `vocab` (one session). Fragment
+    /// Tokenize every fragment against `vocab` (one session), taking
+    /// each fragment's word count from the same tokenizer pass. Fragment
     /// ids are positional: fragment `i` of the iterator is id `i`.
     pub fn build<'a>(fragments: impl IntoIterator<Item = &'a str>, vocab: &GlobalVocab) -> Self {
         let mut sess = vocab.session();
         let mut table = FragmentTable::default();
         for text in fragments {
-            sess.tokenize_into(text, &mut table.ids);
+            let words = sess.tokenize_into(text, &mut table.ids);
             table.ends.push(table.ids.len() as u32);
-            table
-                .word_counts
-                .push(text.split_whitespace().count() as u32);
+            table.word_counts.push(words as u32);
         }
         table
     }

@@ -8,10 +8,35 @@ use std::collections::HashMap;
 
 /// Lowercasing, punctuation-stripping whitespace tokenizer.
 ///
-/// Emote tokens like `PogChamp` or `<3` survive as-is (minus the angle
-/// brackets); empty tokens are dropped.
+/// The normalization rule, exactly:
+///
+/// 1. split the text on Unicode `White_Space` (the set
+///    [`char::is_whitespace`] and [`str::split_whitespace`] use);
+/// 2. within each word keep only `Alphabetic | Numeric` characters
+///    ([`char::is_alphanumeric`]), dropping punctuation and symbols;
+/// 3. replace every kept character by its full lowercase mapping
+///    ([`char::to_lowercase`], so `İ` becomes two chars);
+/// 4. drop words left empty.
+///
+/// Emote tokens like `PogChamp` or `<3` survive as `pogchamp` and `3`.
+/// [`Tokenizer::for_each_token`] also returns the whitespace word count
+/// (what `split_whitespace().count()` gives), counted in the same pass,
+/// which is the paper's message-length feature.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tokenizer;
+
+/// How one character of a word is treated.
+#[derive(Clone, Copy)]
+enum CharClass {
+    /// Ends the current word.
+    Space,
+    /// Kept, and already its own lowercase.
+    Kept,
+    /// Kept, but its lowercase mapping differs.
+    Lowered,
+    /// Not alphanumeric: dropped from the token.
+    Dropped,
+}
 
 impl Tokenizer {
     /// Split `text` into normalized tokens.
@@ -21,20 +46,107 @@ impl Tokenizer {
         out
     }
 
-    /// Visit each normalized token without allocating per token: a
-    /// single scratch buffer is reused across the whole text. This is
-    /// the hot-path entry used by [`Vocab`] so corpus construction
-    /// tokenizes each message exactly once with no `Vec<String>`.
-    pub fn for_each_token(self, text: &str, mut f: impl FnMut(&str)) {
+    /// Visit each normalized token in order and return the whitespace
+    /// word count, in one pass over `text`'s bytes.
+    ///
+    /// Each character takes one of two branches. An ASCII byte is
+    /// classified and lowercased with byte operations, and the loop
+    /// tests first for the common byte: a lowercase letter or digit
+    /// that extends the current token. The ASCII whitespace set is
+    /// exactly `\t \n \x0B \x0C \r` and space, as in
+    /// [`char::is_whitespace`] (which, unlike
+    /// [`u8::is_ascii_whitespace`], includes `\x0B`). A non-ASCII
+    /// character is decoded and goes through [`char::is_whitespace`],
+    /// [`char::is_alphanumeric`] and [`char::to_lowercase`].
+    ///
+    /// Nothing is allocated per token: a token made of one contiguous
+    /// run of already-lowercase characters is handed out as a slice of
+    /// `text`, and any other token is built in one scratch buffer
+    /// reused across the text.
+    pub fn for_each_token(self, text: &str, mut f: impl FnMut(&str)) -> usize {
+        let bytes = text.as_bytes();
         let mut buf = String::new();
-        for raw in text.split_whitespace() {
-            buf.clear();
-            for c in raw.chars().filter(|c| c.is_alphanumeric()) {
-                buf.extend(c.to_lowercase());
+        let mut words = 0usize;
+        let mut in_word = false;
+        // The current token is `text[start..end]` until a char needs
+        // rewriting, or a kept char follows a dropped one; from then on
+        // (`owned`) it lives in `buf`. An empty token sits where the
+        // next char starts, so a kept char extends it iff `end == i`.
+        let (mut start, mut end, mut owned) = (0usize, 0usize, false);
+        let mut i = 0usize;
+        loop {
+            let b = bytes.get(i).copied();
+            if end == i && !owned && matches!(b, Some(b'a'..=b'z' | b'0'..=b'9')) {
+                end = i + 1;
+                words += usize::from(!in_word);
+                in_word = true;
+                i += 1;
+                continue;
             }
-            if !buf.is_empty() {
-                f(&buf);
+            let (c, len, class) = match b {
+                // The end of the text closes the last word.
+                None => (' ', 0, CharClass::Space),
+                Some(b) if b.is_ascii() => {
+                    let class = match b {
+                        b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' => CharClass::Space,
+                        b'a'..=b'z' | b'0'..=b'9' => CharClass::Kept,
+                        b'A'..=b'Z' => CharClass::Lowered,
+                        _ => CharClass::Dropped,
+                    };
+                    (char::from(b), 1, class)
+                }
+                Some(_) => {
+                    let c = text[i..].chars().next().expect("i is on a char boundary");
+                    let class = if c.is_whitespace() {
+                        CharClass::Space
+                    } else if !c.is_alphanumeric() {
+                        CharClass::Dropped
+                    } else {
+                        let mut lower = c.to_lowercase();
+                        if lower.len() == 1 && lower.next() == Some(c) {
+                            CharClass::Kept
+                        } else {
+                            CharClass::Lowered
+                        }
+                    };
+                    (c, c.len_utf8(), class)
+                }
+            };
+            match class {
+                CharClass::Space => {
+                    if in_word {
+                        let tok = if owned { &buf } else { &text[start..end] };
+                        if !tok.is_empty() {
+                            f(tok);
+                        }
+                        (owned, in_word) = (false, false);
+                    }
+                    if len == 0 {
+                        return words;
+                    }
+                    (start, end) = (i + len, i + len);
+                }
+                CharClass::Dropped if start == end => (start, end) = (i + len, i + len),
+                CharClass::Dropped => {}
+                CharClass::Kept if !owned && end == i => end = i + len,
+                CharClass::Kept | CharClass::Lowered => {
+                    if !owned {
+                        buf.clear();
+                        buf.push_str(&text[start..end]);
+                        owned = true;
+                    }
+                    match class {
+                        CharClass::Kept => buf.push(c),
+                        _ if c.is_ascii() => buf.push(c.to_ascii_lowercase()),
+                        _ => buf.extend(c.to_lowercase()),
+                    }
+                }
             }
+            if !matches!(class, CharClass::Space) {
+                words += usize::from(!in_word);
+                in_word = true;
+            }
+            i += len;
         }
     }
 }
@@ -101,13 +213,14 @@ impl Vocab {
     /// Intern every token of `text` and encode it in the same pass —
     /// the tokenize-once entry point for corpus construction. Unlike
     /// [`Vocab::encode`], unknown tokens extend the vocabulary instead
-    /// of being dropped.
-    pub fn intern_text(&mut self, text: &str) -> BowVector {
+    /// of being dropped. Also returns the text's whitespace word count,
+    /// which the tokenizer counts in the same pass.
+    pub fn intern_text(&mut self, text: &str) -> (BowVector, usize) {
         let mut idx: Vec<u32> = Vec::new();
-        Tokenizer.for_each_token(text, |t| idx.push(self.intern(t)));
+        let words = Tokenizer.for_each_token(text, |t| idx.push(self.intern(t)));
         idx.sort_unstable();
         idx.dedup();
-        BowVector { indices: idx }
+        (BowVector { indices: idx }, words)
     }
 }
 
@@ -186,6 +299,72 @@ mod tests {
         assert!(tk.tokenize("").is_empty());
     }
 
+    /// The tokenizer loop before the one-pass kernel, verbatim: the
+    /// oracle the kernel must match token for token.
+    fn oracle_for_each_token(text: &str, mut f: impl FnMut(&str)) {
+        let mut buf = String::new();
+        for raw in text.split_whitespace() {
+            buf.clear();
+            for c in raw.chars().filter(|c| c.is_alphanumeric()) {
+                buf.extend(c.to_lowercase());
+            }
+            if !buf.is_empty() {
+                f(&buf);
+            }
+        }
+    }
+
+    /// Assert the kernel's tokens and word count against the oracle.
+    fn check_against_oracle(text: &str) {
+        let mut expected = Vec::new();
+        oracle_for_each_token(text, |t| expected.push(t.to_owned()));
+        let mut got = Vec::new();
+        let words = Tokenizer.for_each_token(text, |t| got.push(t.to_owned()));
+        assert_eq!(got, expected, "tokens of {text:?}");
+        assert_eq!(words, text.split_whitespace().count(), "words of {text:?}");
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_edge_cases() {
+        for text in [
+            // Whitespace: U+000B is whitespace for `char` but not for
+            // `u8::is_ascii_whitespace`; the rest are non-ASCII spaces.
+            "\x0B",
+            "a\x0Bb",
+            "a\x0Cb",
+            "\u{85}",
+            "a\u{85}b",
+            "\u{A0}",
+            "x\u{A0}y",
+            "\u{3000}",
+            "\u{1680}\u{2000}\u{2028}\u{2029}\u{202F}\u{205F}",
+            // Case mappings that change length or are not ASCII.
+            "İ",
+            "ß",
+            "ǅ",
+            "Straße",
+            "ＡＢＣ",
+            "٣",
+            "e\u{301}",
+            // ASCII mixes: emotes, punctuation gaps, empty.
+            "PogChamp<3",
+            "!!!",
+            "",
+            "a!b",
+            "ab!",
+            "!ab",
+            "AB!cd",
+            "gg wp \t\r\n GG",
+            "  leading and trailing  ",
+        ] {
+            check_against_oracle(text);
+        }
+        assert_eq!(Tokenizer.for_each_token("a\x0Bb\u{A0}!!!", |_| {}), 3);
+        assert_eq!(Tokenizer.tokenize("İ"), vec!["i\u{307}"]);
+        assert_eq!(Tokenizer.tokenize("ＡＢＣ"), vec!["ａｂｃ"]);
+        assert_eq!(Tokenizer.tokenize("PogChamp<3"), vec!["pogchamp3"]);
+    }
+
     #[test]
     fn vocab_interning_is_stable() {
         let mut v = Vocab::new();
@@ -258,6 +437,33 @@ mod tests {
             let v = Vocab::build([s.as_str()]);
             let enc = v.encode(&s);
             prop_assert!(enc.nnz() <= v.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn kernel_matches_oracle_on_arbitrary_unicode(
+            picks in proptest::collection::vec((0u32..8, any::<u32>()), 0..48),
+        ) {
+            // Characters that stress the whitespace and case rules.
+            const TRICKY: [char; 16] = [
+                '\x0B', '\x0C', '\u{85}', '\u{A0}', '\u{2028}', '\u{3000}', 'İ', 'ß',
+                'ǅ', 'Σ', 'Ａ', '٣', '\u{301}', '中', '∞', '\u{1F600}',
+            ];
+            let text: String = picks
+                .iter()
+                .map(|&(kind, r)| match kind {
+                    0 | 1 => char::from((r % 0x80) as u8),
+                    2 => TRICKY[r as usize % TRICKY.len()],
+                    3 => char::from_u32(r % 0x1_0000).unwrap_or('\u{FFFD}'),
+                    4 => char::from_u32(r % 0x11_0000).unwrap_or('\u{FFFD}'),
+                    5 => [' ', '\t', '\n'][r as usize % 3],
+                    _ => char::from(b"aZ9 !<"[r as usize % 6]),
+                })
+                .collect();
+            check_against_oracle(&text);
         }
     }
 }

@@ -332,9 +332,12 @@ impl LightorService {
 
         // First sight: crawl on miss, then load the corpus through the
         // shared path (persisted v3 companion if one shipped in a
-        // bundle, tokenize-and-upgrade otherwise). The stores lock is
-        // scoped to the crawl; scoring runs without any service-wide
-        // lock held.
+        // bundle, tokenize-and-upgrade otherwise). The crawl's synced
+        // put leaves the written view in the record cache, so the
+        // corpus load reads no log bytes back, and tokenizing takes
+        // each message's word count from the same pass. The stores
+        // lock is scoped to the crawl; scoring runs without any
+        // service-wide lock held.
         {
             let mut stores = self.stores.lock();
             let crawler = Crawler::new(&self.platform);
@@ -1116,6 +1119,21 @@ mod tests {
         assert_eq!(svc.stored_videos(), 1);
         // Unknown video.
         assert!(svc.open_video(VideoId(999_999)).unwrap().is_none());
+    }
+
+    #[test]
+    fn first_sight_reads_no_record_back() {
+        let dir = TempDir::new("first-sight-cache");
+        let svc = service(&dir.0);
+        let vid = {
+            let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+            p.recent_videos(p.channels()[0].id)[0]
+        };
+        let before = svc.stats().record_cache_misses;
+        svc.open_video(vid).unwrap().unwrap();
+        // The crawl cached the view it wrote; the corpus load hit it.
+        assert_eq!(svc.stats().record_cache_misses, before);
+        assert!(svc.stats().record_cache_hits > 0);
     }
 
     #[test]

@@ -43,7 +43,11 @@
 //! of a hot video cost a hash lookup plus an `Arc` bump. The owned
 //! [`ChatStore::get_chat`] materializes from the same view. Writes go
 //! through [`ChatStore::put_chat`], or [`ChatStore::put_chats`] to
-//! batch many videos into one `sync`.
+//! batch many videos into one `sync`. A single synced put (a crawl or
+//! an imported record) leaves the view of the bytes it wrote in the
+//! cache, so reading a just-written video never touches the log; a
+//! failed append or sync leaves the cache and index on the previous
+//! durable record. Batched puts evict instead.
 
 use super::format::{self, Format, TokenizedRecord};
 use super::log::{RecordId, SegmentLog};
@@ -181,11 +185,23 @@ impl ChatStore {
     /// Append one record and make it durable *before* publishing it in
     /// the index: a failed sync must leave readers on the previous
     /// durable record, never serving bytes a crash could lose.
+    ///
+    /// Once synced, the written bytes *are* the durable record, so their
+    /// view goes straight into the record cache: the read that usually
+    /// follows a crawl (first sight tokenizes the replay it just stored)
+    /// is a cache hit instead of a log read, CRC check and decode.
     fn put_one_synced(&mut self, payload: Vec<u8>, video: VideoId) -> std::io::Result<()> {
+        let payload: Arc<[u8]> = payload.into();
         let id = self.log.append(&payload)?;
         self.log.sync()?;
         self.index_insert(video, id, payload.len());
-        self.cache.lock().remove(&video);
+        let mut cache = self.cache.lock();
+        match format::decode_v2(&payload) {
+            Some((_, view)) => cache.insert(video, view),
+            None => {
+                cache.remove(&video);
+            }
+        }
         Ok(())
     }
 
@@ -507,6 +523,7 @@ impl ChatStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Fault, FaultKind};
     use lightor_types::{ChatMessage, UserId};
     use proptest::prelude::*;
     use std::fs;
@@ -618,12 +635,39 @@ mod tests {
         let second = store.get_chat_view(VideoId(1)).unwrap().unwrap();
         // Cache hit: both views share one payload buffer.
         assert!(Arc::ptr_eq(first.buffer(), second.buffer()));
+        // The synced put cached the view of the bytes it wrote, so
+        // neither read went to the log.
         let (hits, misses) = store.cache_stats();
-        assert_eq!((hits, misses), (1, 1));
-        // A re-put invalidates the cached view.
+        assert_eq!((hits, misses), (2, 0));
+        // A re-put replaces the cached view.
         store.put_chat(VideoId(1), &ChatLog::empty()).unwrap();
         let fresh = store.get_chat_view(VideoId(1)).unwrap().unwrap();
         assert!(fresh.is_empty());
+        // A reopened store starts cold: the first read misses, the
+        // second hits.
+        drop(store);
+        let store = ChatStore::open(&dir.0).unwrap();
+        store.get_chat_view(VideoId(1)).unwrap().unwrap();
+        store.get_chat_view(VideoId(1)).unwrap().unwrap();
+        assert_eq!(store.cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn failed_put_leaves_previous_record_cached() {
+        let dir = TempDir::new("cache-fault");
+        let mut store = ChatStore::open(&dir.0).unwrap();
+        let chat = sample_chat();
+        store.put_chat(VideoId(1), &chat).unwrap();
+        for point in ["log.append.write", "log.sync"] {
+            store
+                .fault_injector()
+                .arm(Fault::once(point, FaultKind::Error));
+            assert!(store.put_chat(VideoId(1), &ChatLog::empty()).is_err());
+            let view = store.get_chat_view(VideoId(1)).unwrap().unwrap();
+            assert_eq!(view.to_chat_log(), chat, "after a failed {point}");
+        }
+        // Still the written view: no read went to the log.
+        assert_eq!(store.cache_stats(), (2, 0));
     }
 
     #[test]

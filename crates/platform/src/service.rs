@@ -12,7 +12,7 @@
 //!
 //! The hot path is sharded so concurrent viewers don't serialize:
 //!
-//! * per-video refinement state lives behind its own [`VideoEntry`]
+//! * per-video refinement state lives behind its own `VideoEntry`
 //!   (a mutex'd [`VideoState`] plus an RCU-published dot snapshot),
 //!   reached through an `RwLock`'d map — sessions and refinement
 //!   rounds on *different* videos proceed in parallel, and the map's

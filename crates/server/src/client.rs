@@ -7,6 +7,11 @@
 //! [`HttpClient::send_raw`] writes arbitrary bytes, which is how the
 //! malformed-input tests provoke 400/413/431 responses.
 //!
+//! Every request reads its answer through one response reader: the
+//! head is parsed once, without a per-header allocation, and kept as
+//! received, so [`ClientResponse::header`] scans it on demand and the
+//! router relays head and body verbatim ([`ClientResponse::into_wire`]).
+//!
 //! Failures are the typed [`ClientError`]: the router's retry loop needs
 //! to distinguish transport errors (worth a retry on an idempotent GET)
 //! from a response that parsed — and a *lying* response (body longer
@@ -119,25 +124,31 @@ impl From<ClientError> for std::io::Error {
     }
 }
 
-/// A parsed response.
+/// A parsed response. The head is kept exactly as received: header
+/// lookups scan it on demand, and the router relays it, with the body,
+/// byte for byte.
 #[derive(Clone, Debug)]
 pub struct ClientResponse {
     /// Status code.
     pub status: u16,
-    /// Headers: lowercased names, response order.
-    pub headers: Vec<(String, String)>,
     /// Body bytes (exactly `Content-Length` of them).
     pub body: Vec<u8>,
+    /// Status line through the blank line that ends the head.
+    head: String,
 }
 
 impl ClientResponse {
-    /// First header with this (case-insensitive) name.
+    /// First header with this (case-insensitive) name, value trimmed.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        self.head.split("\r\n").skip(1).find_map(|line| {
+            let (n, v) = line.split_once(':')?;
+            n.eq_ignore_ascii_case(name).then(|| v.trim())
+        })
+    }
+
+    /// The body bytes (the `body` field, borrowed).
+    pub fn body(&self) -> &[u8] {
+        &self.body
     }
 
     /// The body as UTF-8 (panics on non-UTF-8; responses here are JSON
@@ -164,46 +175,16 @@ impl ClientResponse {
     /// burning retry budget on the next blind backoff tick.
     pub fn retry_after(&self) -> Option<Duration> {
         self.header("retry-after")
-            .and_then(|v| v.trim().parse::<u64>().ok())
+            .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_secs)
     }
-}
 
-/// A response captured as raw wire bytes for verbatim relay, plus the
-/// minimum the proxy needs to route it: status (error accounting),
-/// body offset (the rare caller that must parse the body), and whether
-/// the server is closing the connection (pooling).
-#[derive(Clone, Debug)]
-pub struct RelayResponse {
-    /// Status code from the status line.
-    pub status: u16,
-    /// Offset of the body within `raw`.
-    pub body_start: usize,
-    /// True when the server signalled `Connection: close`.
-    pub closed: bool,
-    /// The complete response, head and body, exactly as received.
-    pub raw: Vec<u8>,
-}
-
-impl RelayResponse {
-    /// The body bytes (exactly `Content-Length` of them).
-    pub fn body(&self) -> &[u8] {
-        &self.raw[self.body_start..]
-    }
-
-    /// The `Retry-After` header as a duration, scanned from the raw
-    /// head (the relay path never builds a header list). Same
-    /// integer-seconds contract as [`ClientResponse::retry_after`].
-    pub fn retry_after(&self) -> Option<Duration> {
-        let head = std::str::from_utf8(&self.raw[..self.body_start]).ok()?;
-        for line in head.split("\r\n").skip(1) {
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("retry-after") {
-                    return value.trim().parse::<u64>().ok().map(Duration::from_secs);
-                }
-            }
-        }
-        None
+    /// The complete response, head and body, exactly as received — what
+    /// the router relays.
+    pub fn into_wire(self) -> Vec<u8> {
+        let mut wire = self.head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        wire
     }
 }
 
@@ -282,24 +263,6 @@ impl HttpClient {
         result
     }
 
-    /// Like [`Self::request_deadline`], but captures the response as
-    /// raw bytes for verbatim relay — the router's hot path. Skips the
-    /// per-header allocations of the full parse: only the status line
-    /// and the framing headers are examined.
-    pub fn request_relay(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&[u8]>,
-        deadline: Instant,
-    ) -> Result<RelayResponse, ClientError> {
-        let raw = Self::encode(method, path, body);
-        self.stream.write_all(&raw)?;
-        let result = self.read_relay(Some(deadline));
-        self.restore_timeout()?;
-        result
-    }
-
     /// Restore the configured steady-state timeout after a deadline
     /// read — unless the deadline path never reprogrammed the socket.
     fn restore_timeout(&mut self) -> Result<(), ClientError> {
@@ -334,7 +297,7 @@ impl HttpClient {
     /// Begin a chunked-transfer request: writes the head with
     /// `Transfer-Encoding: chunked` and no `Content-Length`. Follow
     /// with [`Self::send_chunk`] calls, then read the response with
-    /// [`Self::finish_chunked`] (or its relay twin).
+    /// [`Self::finish_chunked`].
     pub fn start_chunked(&mut self, method: &str, path: &str) -> Result<(), ClientError> {
         use std::io::Write as _;
         let mut raw = Vec::with_capacity(96 + method.len() + path.len());
@@ -371,23 +334,11 @@ impl HttpClient {
         result
     }
 
-    /// [`Self::finish_chunked`] capturing the response as raw relay
-    /// bytes — the router's streamed-upload hop.
-    pub fn finish_chunked_relay(
-        &mut self,
-        deadline: Instant,
-    ) -> Result<RelayResponse, ClientError> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        let result = self.read_relay(Some(deadline));
-        self.restore_timeout()?;
-        result
-    }
-
-    /// Read one relay response without sending anything first — used
-    /// when a send failed mid-stream because the server answered early
-    /// (a mid-stream 503/422) and stopped reading.
-    pub fn read_early_relay(&mut self, deadline: Instant) -> Result<RelayResponse, ClientError> {
-        let result = self.read_relay(Some(deadline));
+    /// Read one response without sending anything first — used when a
+    /// send failed mid-stream because the server answered early (a
+    /// mid-stream 503/422) and stopped reading.
+    pub fn read_early(&mut self, deadline: Instant) -> Result<ClientResponse, ClientError> {
+        let result = self.read_response(Some(deadline));
         self.restore_timeout()?;
         result
     }
@@ -441,92 +392,8 @@ impl HttpClient {
         }
     }
 
-    /// Parse a response head: `(status, headers, content_length)`.
-    /// Headers come back lowercased, in response order.
-    #[allow(clippy::type_complexity)]
-    fn parse_head(head: &[u8]) -> Result<(u16, Vec<(String, String)>, usize), ClientError> {
-        let head = std::str::from_utf8(head)
-            .map_err(|_| ClientError::MalformedHead("head is not UTF-8".to_string()))?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let mut parts = status_line.split(' ');
-        let version = parts.next().unwrap_or("");
-        let status = if version.starts_with("HTTP/1.") {
-            parts
-                .next()
-                .and_then(|s| s.parse::<u16>().ok())
-                .filter(|s| (100..=599).contains(s))
-        } else {
-            None
-        };
-        let Some(status) = status else {
-            return Err(ClientError::MalformedHead(format!(
-                "bad status line: {status_line:?}"
-            )));
-        };
-        let mut headers = Vec::with_capacity(8);
-        let mut content_length = 0usize;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                return Err(ClientError::MalformedHead(format!(
-                    "header line without a colon: {line:?}"
-                )));
-            };
-            let mut name = name.to_string();
-            name.make_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| ClientError::BadContentLength)?;
-            }
-            headers.push((name, value));
-        }
-        Ok((status, headers, content_length))
-    }
-
-    /// Minimal head parse for the relay path: status code, body length,
-    /// and `Connection: close` — no per-header allocations.
-    fn parse_head_min(head: &[u8]) -> Result<(u16, usize, bool), ClientError> {
-        let head = std::str::from_utf8(head)
-            .map_err(|_| ClientError::MalformedHead("head is not UTF-8".to_string()))?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let mut parts = status_line.split(' ');
-        let version = parts.next().unwrap_or("");
-        let status = if version.starts_with("HTTP/1.") {
-            parts
-                .next()
-                .and_then(|s| s.parse::<u16>().ok())
-                .filter(|s| (100..=599).contains(s))
-        } else {
-            None
-        };
-        let Some(status) = status else {
-            return Err(ClientError::MalformedHead(format!(
-                "bad status line: {status_line:?}"
-            )));
-        };
-        let mut content_length = 0usize;
-        let mut closed = false;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                return Err(ClientError::MalformedHead(format!(
-                    "header line without a colon: {line:?}"
-                )));
-            };
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| ClientError::BadContentLength)?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                closed = value.trim().eq_ignore_ascii_case("close");
-            }
-        }
-        Ok((status, content_length, closed))
-    }
-
     /// Read until a complete head (`\r\n\r\n`) is buffered; returns its
-    /// offset. Shared by the parsed and relay read paths.
+    /// offset.
     fn fill_head(&mut self, deadline: Option<Instant>) -> Result<usize, ClientError> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
@@ -542,48 +409,17 @@ impl HttpClient {
         }
     }
 
-    /// Read one response as raw relay bytes (see
-    /// [`HttpClient::request_relay`]).
-    fn read_relay(&mut self, deadline: Option<Instant>) -> Result<RelayResponse, ClientError> {
-        let head_end = self.fill_head(deadline)?;
-        let (status, content_length, closed) = match Self::parse_head_min(&self.buf[..head_end]) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.buf.clear();
-                return Err(e);
-            }
-        };
-        let body_start = head_end + 4;
-        self.fill_body(body_start, content_length, deadline)?;
-        // One request in flight per connection: trailing bytes mean the
-        // framing lies (see read_response).
-        if self.buf.len() != body_start + content_length {
-            let extra = self.buf.len() - (body_start + content_length);
-            self.buf.clear();
-            return Err(ClientError::ExcessBody { extra });
-        }
-        let raw = std::mem::take(&mut self.buf);
-        Ok(RelayResponse {
-            status,
-            body_start,
-            closed,
-            raw,
-        })
-    }
-
-    /// Read until the body (starting at `body_start`, `content_length`
-    /// bytes) is fully buffered.
+    /// Read until `content_length` body bytes are buffered.
     fn fill_body(
         &mut self,
-        body_start: usize,
         content_length: usize,
         deadline: Option<Instant>,
     ) -> Result<(), ClientError> {
         let mut chunk = [0u8; 16 * 1024];
-        while self.buf.len() < body_start + content_length {
+        while self.buf.len() < content_length {
             let n = self.read_chunk(&mut chunk, deadline)?;
             if n == 0 {
-                let got = self.buf.len().saturating_sub(body_start);
+                let got = self.buf.len();
                 self.buf.clear();
                 return Err(ClientError::ClosedMidBody {
                     got,
@@ -595,36 +431,77 @@ impl HttpClient {
         Ok(())
     }
 
+    /// Read one response: the head is split off the buffer and parsed
+    /// once, then exactly `Content-Length` body bytes are read.
     fn read_response(&mut self, deadline: Option<Instant>) -> Result<ClientResponse, ClientError> {
         let head_end = self.fill_head(deadline)?;
-        // Parse the head in place (no copy of the raw bytes); only on
-        // error may the buffer be cleared, after the borrow ends.
-        let (status, headers, content_length) = match Self::parse_head(&self.buf[..head_end]) {
+        // The head leaves the buffer; what stays is the body so far.
+        let body_so_far = self.buf.split_off(head_end + 4);
+        let head = std::mem::replace(&mut self.buf, body_so_far);
+        let parsed = String::from_utf8(head)
+            .map_err(|_| ClientError::MalformedHead("head is not UTF-8".to_string()))
+            .and_then(|head| Ok((parse_head(&head)?, head)));
+        let ((status, content_length), head) = match parsed {
             Ok(parsed) => parsed,
             Err(e) => {
                 self.buf.clear();
                 return Err(e);
             }
         };
-        let body_start = head_end + 4;
-        self.fill_body(body_start, content_length, deadline)?;
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.buf.drain(..body_start + content_length);
+        self.fill_body(content_length, deadline)?;
         // This client never pipelines: one request is in flight per
         // connection, so any bytes past the declared body mean the
         // server's framing lies (body longer than Content-Length). The
         // truncated-at-Content-Length read must NOT pass as a success.
-        if !self.buf.is_empty() {
-            let extra = self.buf.len();
+        if self.buf.len() > content_length {
+            let extra = self.buf.len() - content_length;
             self.buf.clear();
             return Err(ClientError::ExcessBody { extra });
         }
         Ok(ClientResponse {
             status,
-            headers,
-            body,
+            body: std::mem::take(&mut self.buf),
+            head,
         })
     }
+}
+
+/// Parse a response head (status line through the blank line) without
+/// allocating: `(status, content_length)`. Every header line must carry
+/// a colon; the last `Content-Length` wins.
+fn parse_head(head: &str) -> Result<(u16, usize), ClientError> {
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
+    let mut parts = status_line.split(' ');
+    let version = parts.next().unwrap_or("");
+    let status = if version.starts_with("HTTP/1.") {
+        parts
+            .next()
+            .and_then(|s| s.parse::<u16>().ok())
+            .filter(|s| (100..=599).contains(s))
+    } else {
+        None
+    };
+    let Some(status) = status else {
+        return Err(ClientError::MalformedHead(format!(
+            "bad status line: {status_line:?}"
+        )));
+    };
+    let mut content_length = 0usize;
+    for line in lines.take_while(|line| !line.is_empty()) {
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ClientError::MalformedHead(format!(
+                "header line without a colon: {line:?}"
+            )));
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .trim()
+                .parse()
+                .map_err(|_| ClientError::BadContentLength)?;
+        }
+    }
+    Ok((status, content_length))
 }
 
 #[cfg(test)]
@@ -666,22 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_after_parses_from_both_response_forms() {
+    fn retry_after_parses_from_the_raw_head() {
         let resp = get_one(
             b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 3\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
         )
         .unwrap();
         assert_eq!(resp.retry_after(), Some(Duration::from_secs(3)));
 
-        let mut c = HttpClient::connect(scripted_server(
+        // Header names match case-insensitively.
+        let resp = get_one(
             b"HTTP/1.1 503 Service Unavailable\r\nretry-after: 2\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        ))
+        )
         .unwrap();
-        let relay = c
-            .request_relay("GET", "/x", None, Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(relay.status, 503);
-        assert_eq!(relay.retry_after(), Some(Duration::from_secs(2)));
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.retry_after(), Some(Duration::from_secs(2)));
 
         // Absent or garbage values parse to None, never panic.
         let resp = get_one(

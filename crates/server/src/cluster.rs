@@ -2,7 +2,7 @@
 //! `lightor-serve` backends.
 //!
 //! The router owns no data. It consistent-hashes video ids onto
-//! backends ([`Ring`]) and proxies the single-node route table
+//! backends (`Ring`) and proxies the single-node route table
 //! unchanged, so the browser extension talks to one address whether
 //! LIGHTOR runs as one process or a sharded fleet:
 //!
@@ -13,16 +13,24 @@
 //!   summed;
 //! * `GET /healthz`, `GET /stats` → answered by the router itself with
 //!   per-shard health and aggregated backend stats
-//!   ([`wire::RouterHealthzResponse`], [`wire::RouterStatsResponse`]);
+//!   ([`RouterHealthzResponse`], [`RouterStatsResponse`]);
+//! * `POST /sessions/stream` → relayed chunk by chunk to the shard
+//!   owning the video id on the body's first line;
 //! * `POST /admin/ring` → swap in a new backend set without a restart
 //!   (see below).
 //!
+//! Proxied answers are relayed verbatim. Every backend exchange (pooled
+//! GET, fresh-connection write, streamed upload) reads its answer
+//! through the client's one response reader, and the head and body it
+//! kept go back to the caller byte for byte
+//! ([`ClientResponse::into_wire`]).
+//!
 //! # Versioned ring
 //!
-//! The ring is an epoch ([`RingEpoch`]): version 1 is built at boot,
+//! The ring is an epoch (`RingEpoch`): version 1 is built at boot,
 //! and every applied `POST /admin/ring` builds version N+1 from the
 //! posted addresses. Addresses the router already knows carry their
-//! [`Backend`] over — health state, connection pool, counters —
+//! `Backend` over — health state, connection pool, counters —
 //! while new addresses are admitted in `Recovering` and must earn
 //! `Healthy` through the ordinary state machine. For a bounded
 //! overlap window after a swap ([`ClusterConfig::ring_overlap`]) the
@@ -50,13 +58,13 @@
 //! `down`, after which requests fast-fail `503` with a `Retry-After`
 //! tracking the next probe, and probes back off exponentially.
 
-use crate::client::{ClientError, ClientResponse, HttpClient, RelayResponse};
+use crate::client::{ClientError, ClientResponse, HttpClient};
 use crate::health::{BackendHealth, HealthPolicy, HealthState};
 use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
 use crate::retry::{RetryBudget, RetryPolicy, XorShift64};
 use crate::router::{resolve, Route};
-use crate::server::{BodySource, Handler, StreamBodyError};
+use crate::server::{BodySource, Handler, OneChunk, StreamBodyError};
 use lightor_platform::wire::{
     BackendHealthDto, BackendStatsDto, CompactResponse, RingUpdateRequest, RingUpdateResponse,
     RouterHealthzResponse, RouterStatsResponse, SessionUpload, StatsResponse, StreamAccepted,
@@ -314,7 +322,7 @@ impl Cluster {
     }
 
     /// Swap in a new ring built from `addrs` (version = current + 1).
-    /// Known addresses keep their [`Backend`] — health, pool, counters
+    /// Known addresses keep their `Backend` — health, pool, counters
     /// — across the swap; new addresses are admitted in `Recovering`.
     /// The outgoing epoch stays behind as a read fallback until
     /// [`ClusterConfig::ring_overlap`] elapses.
@@ -488,7 +496,7 @@ impl Cluster {
 
     /// One proxied exchange on the pooled connection (creating it on
     /// demand). The connection goes back to the pool only after a
-    /// fully parsed, keep-alive response; every error path drops it.
+    /// fully read, keep-alive response; every error path drops it.
     fn exchange(
         &self,
         b: &Backend,
@@ -516,35 +524,6 @@ impl Cluster {
         Ok(resp)
     }
 
-    /// The relay twin of [`Cluster::exchange`]: same pooling rules, but
-    /// the response comes back as raw wire bytes for verbatim relay —
-    /// no per-header parse, no head re-serialization. This is the
-    /// proxied-GET hot path.
-    fn relay_exchange(
-        &self,
-        b: &Backend,
-        path: &str,
-        deadline: Instant,
-    ) -> Result<RelayResponse, ClientError> {
-        let pooled = b.conn.lock().expect("conn lock poisoned").take();
-        let mut conn = match pooled {
-            Some(c) => c,
-            None => HttpClient::connect_with(
-                b.addr,
-                self.cfg.connect_timeout,
-                self.cfg.request_timeout,
-            )?,
-        };
-        let resp = conn.request_relay("GET", path, None, deadline)?;
-        if !resp.closed {
-            let mut slot = b.conn.lock().expect("conn lock poisoned");
-            if slot.is_none() {
-                *slot = Some(conn);
-            }
-        }
-        Ok(resp)
-    }
-
     /// Proxy an idempotent GET to `b`: pooled connection, per-request
     /// deadline, budgeted jittered retries on transport errors,
     /// verbatim relay of the backend's bytes. A parsed `503` carrying
@@ -561,7 +540,7 @@ impl Cluster {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.relay_exchange(b, path, deadline) {
+            match self.exchange(b, "GET", path, None, deadline) {
                 Ok(resp) => {
                     self.mark_success(b);
                     if resp.status == 503 && attempt < self.cfg.retry.max_attempts {
@@ -573,7 +552,7 @@ impl Cluster {
                             }
                         }
                     }
-                    return Response::relay(resp.status, resp.raw);
+                    return Response::relay(resp.status, resp.into_wire());
                 }
                 Err(e) => {
                     self.mark_failure(b, false);
@@ -631,7 +610,7 @@ impl Cluster {
     /// Proxy a write to `b`: fresh connection, one attempt, never
     /// retried (see the module docs). `Err` carries the ready
     /// client-facing failure (shard down, bad gateway).
-    fn write_once(&self, b: &Backend, path: &str, body: &[u8]) -> Result<RelayResponse, Response> {
+    fn write_once(&self, b: &Backend, path: &str, body: &[u8]) -> Result<ClientResponse, Response> {
         if let Some(resp) = self.gate(b) {
             return Err(resp);
         }
@@ -640,7 +619,7 @@ impl Cluster {
         let deadline = Instant::now() + self.cfg.request_timeout;
         let result =
             HttpClient::connect_with(b.addr, self.cfg.connect_timeout, self.cfg.request_timeout)
-                .and_then(|mut conn| conn.request_relay("POST", path, Some(body), deadline));
+                .and_then(|mut conn| conn.request_deadline("POST", path, Some(body), deadline));
         match result {
             Ok(resp) => {
                 self.mark_success(b);
@@ -657,7 +636,7 @@ impl Cluster {
     /// [`Cluster::write_once`] relayed straight to the client.
     fn proxy_write(&self, b: &Backend, path: &str, body: &[u8]) -> Response {
         match self.write_once(b, path, body) {
-            Ok(resp) => Response::relay(resp.status, resp.raw),
+            Ok(resp) => Response::relay(resp.status, resp.into_wire()),
             Err(resp) => resp,
         }
     }
@@ -671,26 +650,6 @@ impl Cluster {
             Err(_) => return Response::error(400, "bad_json", "body must be a SessionUpload"),
         };
         self.route_write(upload.video, "/sessions", body)
-    }
-
-    /// `POST /sessions/stream` with a buffered (Content-Length) body:
-    /// the first non-blank line carries the video id; the whole body is
-    /// already here, so route it like any other write.
-    fn route_session_stream_buffered(&self, body: &[u8]) -> Response {
-        let Some(line) = body
-            .split(|&b| b == b'\n')
-            .map(|l| l.trim_ascii())
-            .find(|l| !l.is_empty())
-        else {
-            return empty_stream_ack();
-        };
-        let batch: StreamBatchDto = match serde_json::from_slice(line) {
-            Ok(b) => b,
-            Err(_) => {
-                return Response::error(400, "bad_json", "first line must be a StreamBatchDto")
-            }
-        };
-        self.route_write(batch.video, "/sessions/stream", body)
     }
 
     /// Relay a streamed NDJSON upload to the owning shard chunk by
@@ -786,16 +745,16 @@ impl Cluster {
         }
         let deadline = Instant::now() + self.cfg.request_timeout;
         let read = match send_result {
-            Ok(()) => conn.finish_chunked_relay(deadline),
+            Ok(()) => conn.finish_chunked(deadline),
             // The backend stopped reading mid-send: it usually
             // answered early (frozen video, blown error budget). Relay
             // that answer if one is there.
-            Err(_) => conn.read_early_relay(deadline),
+            Err(_) => conn.read_early(deadline),
         };
         match read {
             Ok(resp) => {
                 self.mark_success(&owner);
-                Response::relay(resp.status, resp.raw)
+                Response::relay(resp.status, resp.into_wire())
             }
             Err(e) => {
                 self.mark_failure(&owner, false);
@@ -848,9 +807,9 @@ impl Cluster {
                 Err(resp) => return resp,
             };
             if resp.status != 200 {
-                return Response::relay(resp.status, resp.raw);
+                return Response::relay(resp.status, resp.into_wire());
             }
-            match serde_json::from_slice::<CompactResponse>(resp.body()) {
+            match resp.json::<CompactResponse>() {
                 Ok(r) => {
                     total.reclaimed_bytes += r.reclaimed_bytes;
                     total.dropped_records += r.dropped_records;
@@ -988,8 +947,14 @@ impl Cluster {
 
 impl Handler for Cluster {
     fn handle(&self, req: &Request, metrics: &HttpMetrics) -> (RouteKey, Response) {
+        let route = resolve(&req.method, &req.path);
+        if route == Ok(Route::SessionsStream) {
+            // An in-process caller with a buffered body; the server
+            // streams every socket request on this route.
+            return self.handle_stream(req, &mut OneChunk::new(&req.body), metrics);
+        }
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let route = match resolve(&req.method, &req.path) {
+        let route = match route {
             Ok(r) => r,
             Err(e) => return (RouteKey::Other, e.response()),
         };
@@ -999,7 +964,7 @@ impl Handler for Cluster {
             Route::Dots(id) => self.route_read(id, &req.path),
             Route::Rescore(id) => self.route_write(id, &req.path, &req.body),
             Route::Sessions => self.route_session(&req.body),
-            Route::SessionsStream => self.route_session_stream_buffered(&req.body),
+            Route::SessionsStream => unreachable!("answered by handle_stream above"),
             Route::Compact => self.broadcast_compact(),
             Route::Ring => self.handle_ring(&req.body),
             // Bundles move between a migration driver and a specific
@@ -1076,7 +1041,7 @@ fn stream_pull_error(e: StreamBodyError) -> Response {
     }
 }
 
-/// A running router: an [`HttpServer`] serving a [`Cluster`] handler,
+/// A running router: an [`HttpServer`](crate::server::HttpServer) serving a [`Cluster`] handler,
 /// plus the background prober thread.
 pub struct RouterServer {
     server: Option<crate::server::HttpServer>,

@@ -5,32 +5,45 @@
 //! which yields a complete [`Request`], `None` ("need more bytes"), or a
 //! typed [`HttpError`] that maps straight to a status code:
 //!
-//! * `400` — malformed request line, header, `Content-Length`, or
-//!   chunked framing;
+//! * `400` — malformed request line, header, `Content-Length`, repeated
+//!   `Transfer-Encoding`, or chunked framing;
 //! * `408` — a body stalled past its progress deadline (raised by the
 //!   connection loop, which owns the clock; the parser only names it);
 //! * `413` — declared or decoded body larger than the configured cap;
-//! * `431` — head (request line + headers) larger than the cap;
+//! * `431` — head (request line + headers), or one chunked-body trailer
+//!   line, larger than the cap;
 //! * `501` — a transfer encoding other than chunked.
 //!
 //! Framing is strict `Content-Length` or RFC 7230 chunked transfer
 //! coding (decoded transparently — `try_next` yields the de-chunked
 //! body). Pipelined bytes after one request's body are kept in the
-//! buffer for the next `try_next` call, which is what keep-alive needs.
+//! buffer for the next request, which is what keep-alive needs.
 //!
-//! # Streamed bodies
+//! # One head parse, one body decoder
 //!
-//! Routes that consume the body incrementally (the NDJSON ingest
-//! endpoint) use the streaming half of the API instead of `try_next`:
-//! [`RequestParser::begin_stream`] consumes the head and switches the
-//! parser into streamed-body mode, after which
-//! [`RequestParser::next_stream_chunk`] yields decoded body pieces
-//! ([`StreamChunk::Data`]) as bytes arrive, until [`StreamChunk::End`].
-//! Memory stays bounded the whole way: chunk-size lines are capped
-//! (`400` past [`MAX_CHUNK_LINE`]), the raw buffer never grows beyond
-//! the body cap plus a fixed framing allowance (`413`), and a streamed
-//! chunked body has no *total* cap — the data flows through the buffer
-//! instead of accumulating in it.
+//! A request's head is parsed once, the first time it is complete
+//! ([`RequestParser::peek_head`], which the connection loop uses to pick
+//! per-route deadlines and streamed dispatch). Its body then runs
+//! through one resumable decoder, fed whatever bytes have arrived, in
+//! one of two modes:
+//!
+//! * **buffered** — [`RequestParser::try_next`] decodes into the
+//!   request's body as bytes land (a trickling body is decoded once,
+//!   as it arrives) and yields the request when it is complete. The decoded total is capped: `413` as soon as a chunk
+//!   size would pass [`Limits::max_body_bytes`], before its data
+//!   arrives.
+//! * **streamed** — for routes that consume the body incrementally
+//!   (the NDJSON ingest endpoint), [`RequestParser::begin_stream`]
+//!   takes the head, after which [`RequestParser::next_stream_chunk`]
+//!   yields decoded body pieces ([`StreamChunk::Data`]) until
+//!   [`StreamChunk::End`]. A streamed body has no *total* cap — the
+//!   data flows through the buffer instead of accumulating in it — but
+//!   the raw buffer never grows beyond the body cap plus a fixed
+//!   framing allowance (`413`).
+//!
+//! Both modes bound memory the same way: a chunk-size line is `400`
+//! past 64 bytes, and a trailer line is `431` past
+//! [`Limits::max_head_bytes`].
 
 use std::io::Write;
 
@@ -60,8 +73,8 @@ const MAX_HEADERS: usize = 100;
 /// much garbage a client can feed before the first framing decision.
 const MAX_CHUNK_LINE: usize = 64;
 
-/// Raw-buffer allowance past the body cap for chunk framing overhead
-/// (size lines, CRLFs, trailers) while a chunked body accumulates.
+/// Raw-buffer allowance past the body cap while a streamed body waits
+/// for its handler to pull.
 const CHUNK_SLACK: usize = 16 * 1024;
 
 /// A parse-level failure, mapped to its HTTP status code.
@@ -150,37 +163,133 @@ impl Request {
     }
 }
 
-/// A fully parsed head plus the framing it declared, before any body.
-struct ParsedHead {
-    request: Request,
-    framing: Framing,
-    /// Offset of the first body byte in the parser buffer.
-    body_start: usize,
-}
-
-/// Where a streamed chunked body is in its framing grammar.
+/// Where a body is in its framing grammar. A `Content-Length` body is
+/// one `Data` run straight to `Done`; a chunked body cycles
+/// `Size → Data → DataCrlf` per chunk and ends through `Trailers`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ChunkPhase {
     /// Expecting a `SIZE[;ext]\r\n` line.
     Size,
-    /// Inside a chunk's data bytes.
+    /// Inside a chunk's (or a `Content-Length` body's) data bytes.
     Data,
     /// Expecting the CRLF that terminates a chunk's data.
     DataCrlf,
     /// Past the zero chunk: consuming trailer lines until a blank one.
     Trailers,
-    /// The terminal blank line was seen; the body is complete.
+    /// The body is complete; the parser is ready for the next request.
     Done,
 }
 
-/// Progress state of a streamed body between `next_stream_chunk` calls.
+/// The one body decoder: resumable state of a body's framing grammar,
+/// fed whatever raw bytes have arrived. Buffered (`try_next`) and
+/// streamed (`next_stream_chunk`) bodies both run through it; they
+/// differ only in where decoded bytes go and whether the total is
+/// capped.
 #[derive(Debug)]
-struct StreamState {
+struct BodyDecoder {
     framing: Framing,
-    /// `Length`: raw bytes still owed. `Chunked`: bytes left in the
-    /// current chunk's data.
+    /// Bytes left in the current chunk's data (or the whole
+    /// `Content-Length` body).
     remaining: usize,
     phase: ChunkPhase,
+}
+
+impl BodyDecoder {
+    fn new(framing: Framing) -> Self {
+        let (remaining, phase) = match framing {
+            Framing::Length(0) => (0, ChunkPhase::Done),
+            Framing::Length(n) => (n, ChunkPhase::Data),
+            Framing::Chunked => (0, ChunkPhase::Size),
+        };
+        BodyDecoder {
+            framing,
+            remaining,
+            phase,
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.phase == ChunkPhase::Done
+    }
+
+    /// Run the grammar over `raw` as far as it goes, appending decoded
+    /// body bytes to `out`; returns how many bytes of `raw` were
+    /// consumed. `cap` bounds the decoded total (`413` as soon as a
+    /// chunk-size line would pass it, before its data arrives);
+    /// `max_trailer` bounds one trailer line (`431`).
+    fn decode(
+        &mut self,
+        raw: &[u8],
+        out: &mut Vec<u8>,
+        cap: Option<usize>,
+        max_trailer: usize,
+    ) -> Result<usize, HttpError> {
+        let mut pos = 0;
+        loop {
+            let rest = &raw[pos..];
+            match self.phase {
+                ChunkPhase::Size => {
+                    let Some(eol) = find_crlf(rest) else {
+                        if rest.len() > MAX_CHUNK_LINE {
+                            return Err(HttpError::BadRequest("chunk size line too long"));
+                        }
+                        break;
+                    };
+                    let size = parse_chunk_size(&rest[..eol])?;
+                    if cap.is_some_and(|cap| size > cap.saturating_sub(out.len())) {
+                        return Err(HttpError::BodyTooLarge);
+                    }
+                    pos += eol + 2;
+                    if size == 0 {
+                        self.phase = ChunkPhase::Trailers;
+                    } else {
+                        self.remaining = size;
+                        self.phase = ChunkPhase::Data;
+                    }
+                }
+                ChunkPhase::Data => {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let take = self.remaining.min(rest.len());
+                    out.extend_from_slice(&rest[..take]);
+                    pos += take;
+                    self.remaining -= take;
+                    if self.remaining == 0 {
+                        self.phase = match self.framing {
+                            Framing::Length(_) => ChunkPhase::Done,
+                            Framing::Chunked => ChunkPhase::DataCrlf,
+                        };
+                    }
+                }
+                ChunkPhase::DataCrlf => {
+                    if rest.len() < 2 {
+                        break;
+                    }
+                    if &rest[..2] != b"\r\n" {
+                        return Err(HttpError::BadRequest("chunk data not terminated by CRLF"));
+                    }
+                    pos += 2;
+                    self.phase = ChunkPhase::Size;
+                }
+                ChunkPhase::Trailers => {
+                    let Some(eol) = find_crlf(rest) else {
+                        if rest.len() > max_trailer {
+                            return Err(HttpError::HeadersTooLarge);
+                        }
+                        break;
+                    };
+                    // Trailer header lines are consumed and ignored.
+                    pos += eol + 2;
+                    if eol == 0 {
+                        self.phase = ChunkPhase::Done;
+                    }
+                }
+                ChunkPhase::Done => break,
+            }
+        }
+        Ok(pos)
+    }
 }
 
 /// Incremental request parser over a growable byte buffer.
@@ -188,9 +297,13 @@ struct StreamState {
 pub struct RequestParser {
     buf: Vec<u8>,
     limits: Limits,
+    /// The buffered-mode request whose head is parsed: the head is
+    /// parsed once, and its body decodes into `Request::body` as bytes
+    /// arrive.
+    pending: Option<(Request, BodyDecoder)>,
     /// Set while a streamed body is being consumed (between
     /// `begin_stream` and `StreamChunk::End`).
-    stream: Option<StreamState>,
+    stream: Option<BodyDecoder>,
 }
 
 impl RequestParser {
@@ -199,6 +312,7 @@ impl RequestParser {
         RequestParser {
             buf: Vec::new(),
             limits,
+            pending: None,
             stream: None,
         }
     }
@@ -208,200 +322,97 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// True when no unconsumed bytes are buffered (nothing in flight).
+    /// True when no request is in flight and no unconsumed bytes are
+    /// buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty() && self.stream.is_none()
+        self.buf.is_empty() && self.pending.is_none() && self.stream.is_none()
     }
 
-    /// True when a complete head is buffered — a request is mid-flight
-    /// even if its body has not finished arriving. The connection loop
-    /// uses this to arm the body-progress deadline.
+    /// True when the next request's head is complete (parsed or just
+    /// buffered), even if its body has not finished arriving.
     pub fn head_complete(&self) -> bool {
-        find_head_end(&self.buf).is_some()
+        self.pending.is_some() || find_head_end(&self.buf).is_some()
     }
 
-    /// Parse the head of the next buffered request without consuming
-    /// anything: the returned [`Request`] carries an empty body, plus
-    /// the body [`Framing`] the wire declared. The connection loop uses
-    /// this to pick per-route deadlines and streamed dispatch before
-    /// the body exists.
-    pub fn peek_head(&self) -> Result<Option<(Request, Framing)>, HttpError> {
-        Ok(self.parse_head()?.map(|h| (h.request, h.framing)))
+    /// The next request's head, parsed off the buffer the first time
+    /// it is complete and kept until `try_next` or `begin_stream` takes
+    /// the request: the [`Request`] carries the body decoded so far,
+    /// plus the body [`Framing`] the wire declared. The connection loop
+    /// uses this to pick per-route deadlines and streamed dispatch
+    /// before the body exists. `Ok(None)` means the head is incomplete.
+    pub fn peek_head(&mut self) -> Result<Option<(&Request, Framing)>, HttpError> {
+        debug_assert!(
+            self.stream.is_none(),
+            "peek_head during an active body stream"
+        );
+        if self.pending.is_none() {
+            let Some((head_len, request, framing)) = self.parse_head()? else {
+                return Ok(None);
+            };
+            self.buf.drain(..head_len);
+            self.pending = Some((request, BodyDecoder::new(framing)));
+        }
+        Ok(self.pending.as_ref().map(|(r, d)| (r, d.framing)))
     }
 
-    /// Try to parse one complete request off the front of the buffer.
+    /// Try to complete the next request: parse its head (once) and
+    /// decode whatever body bytes have arrived since the last call.
     ///
     /// `Ok(None)` means "incomplete — feed more bytes". Errors are
     /// terminal for the connection: the buffer state is unspecified
     /// afterwards and the caller should answer and close.
     pub fn try_next(&mut self) -> Result<Option<Request>, HttpError> {
-        debug_assert!(
-            self.stream.is_none(),
-            "try_next during an active body stream"
-        );
-        let Some(head) = self.parse_head()? else {
+        if self.peek_head()?.is_none() {
             return Ok(None);
-        };
-        let body_start = head.body_start;
-        match head.framing {
-            Framing::Length(content_length) => {
-                if self.buf.len() < body_start + content_length {
-                    return Ok(None);
-                }
-                let mut request = head.request;
-                request.body = self.buf[body_start..body_start + content_length].to_vec();
-                // Keep pipelined bytes for the next request.
-                self.buf.drain(..body_start + content_length);
-                Ok(Some(request))
-            }
-            Framing::Chunked => {
-                match decode_chunked(&self.buf[body_start..], self.limits.max_body_bytes)? {
-                    Some((body, consumed)) => {
-                        let mut request = head.request;
-                        request.body = body;
-                        self.buf.drain(..body_start + consumed);
-                        Ok(Some(request))
-                    }
-                    None => {
-                        // Bounded buffering while chunks accumulate:
-                        // the decoded cap plus framing allowance.
-                        if self.buf.len() - body_start > self.limits.max_body_bytes + CHUNK_SLACK {
-                            return Err(HttpError::BodyTooLarge);
-                        }
-                        Ok(None)
-                    }
-                }
-            }
         }
+        let (request, decoder) = self.pending.as_mut().expect("head parsed above");
+        let used = decoder.decode(
+            &self.buf,
+            &mut request.body,
+            Some(self.limits.max_body_bytes),
+            self.limits.max_head_bytes,
+        )?;
+        // Pipelined bytes after the body stay for the next request.
+        self.buf.drain(..used);
+        if !decoder.is_done() {
+            return Ok(None);
+        }
+        Ok(self.pending.take().map(|(request, _)| request))
     }
 
-    /// Consume the next request's head and switch into streamed-body
+    /// Take the next request's head and switch into streamed-body
     /// mode: subsequent [`Self::next_stream_chunk`] calls yield the
     /// decoded body incrementally. Returns the head as a [`Request`]
     /// with an empty body, or `None` when the head is incomplete.
     pub fn begin_stream(&mut self) -> Result<Option<Request>, HttpError> {
-        debug_assert!(
-            self.stream.is_none(),
-            "begin_stream during an active body stream"
-        );
-        let Some(head) = self.parse_head()? else {
+        if self.peek_head()?.is_none() {
             return Ok(None);
-        };
-        self.buf.drain(..head.body_start);
-        self.stream = Some(match head.framing {
-            Framing::Length(n) => StreamState {
-                framing: head.framing,
-                remaining: n,
-                phase: ChunkPhase::Data,
-            },
-            Framing::Chunked => StreamState {
-                framing: head.framing,
-                remaining: 0,
-                phase: ChunkPhase::Size,
-            },
-        });
-        Ok(Some(head.request))
+        }
+        let (request, decoder) = self.pending.take().expect("head parsed above");
+        self.stream = Some(decoder);
+        Ok(Some(request))
     }
 
     /// Decode the next piece of a streamed body. Call only between
     /// [`Self::begin_stream`] and the [`StreamChunk::End`] it ends on;
     /// after `End` the parser is back in normal (`try_next`) mode with
-    /// any pipelined bytes intact.
+    /// any pipelined bytes intact. A streamed body has no total cap.
     pub fn next_stream_chunk(&mut self) -> Result<StreamChunk, HttpError> {
         // The raw buffer must never grow unboundedly even if the
         // handler pulls slower than the socket fills.
         if self.buf.len() > self.limits.max_body_bytes + CHUNK_SLACK {
             return Err(HttpError::BodyTooLarge);
         }
-        let Some(mut state) = self.stream.take() else {
+        let Some(decoder) = self.stream.as_mut() else {
             return Err(HttpError::BadRequest("no streamed body is active"));
         };
-        let result = self.advance_stream(&mut state);
-        match &result {
-            Ok(StreamChunk::End) => {} // leave self.stream = None
-            _ => self.stream = Some(state),
-        }
-        result
-    }
-
-    /// One decoding step over `state`; factored out so the state can be
-    /// moved out of `self` while the buffer is mutated.
-    fn advance_stream(&mut self, state: &mut StreamState) -> Result<StreamChunk, HttpError> {
-        if let Framing::Length(_) = state.framing {
-            if state.remaining == 0 {
-                return Ok(StreamChunk::End);
-            }
-            if self.buf.is_empty() {
-                return Ok(StreamChunk::NeedMore);
-            }
-            let take = state.remaining.min(self.buf.len());
-            let data: Vec<u8> = self.buf.drain(..take).collect();
-            state.remaining -= take;
-            return Ok(StreamChunk::Data(data));
-        }
-        // Chunked: run the framing grammar as far as the buffer allows,
-        // accumulating decoded data.
-        let mut out = Vec::new();
-        loop {
-            match state.phase {
-                ChunkPhase::Size => {
-                    let Some(eol) = find_crlf(&self.buf) else {
-                        if self.buf.len() > MAX_CHUNK_LINE {
-                            return Err(HttpError::BadRequest("chunk size line too long"));
-                        }
-                        break;
-                    };
-                    let size = parse_chunk_size(&self.buf[..eol])?;
-                    self.buf.drain(..eol + 2);
-                    if size == 0 {
-                        state.phase = ChunkPhase::Trailers;
-                    } else {
-                        state.remaining = size;
-                        state.phase = ChunkPhase::Data;
-                    }
-                }
-                ChunkPhase::Data => {
-                    if self.buf.is_empty() {
-                        break;
-                    }
-                    let take = state.remaining.min(self.buf.len());
-                    out.extend(self.buf.drain(..take));
-                    state.remaining -= take;
-                    if state.remaining == 0 {
-                        state.phase = ChunkPhase::DataCrlf;
-                    }
-                }
-                ChunkPhase::DataCrlf => {
-                    if self.buf.len() < 2 {
-                        break;
-                    }
-                    if &self.buf[..2] != b"\r\n" {
-                        return Err(HttpError::BadRequest("chunk data not terminated by CRLF"));
-                    }
-                    self.buf.drain(..2);
-                    state.phase = ChunkPhase::Size;
-                }
-                ChunkPhase::Trailers => {
-                    let Some(eol) = find_crlf(&self.buf) else {
-                        if self.buf.len() > self.limits.max_head_bytes {
-                            return Err(HttpError::HeadersTooLarge);
-                        }
-                        break;
-                    };
-                    let blank = eol == 0;
-                    // Trailer header lines are consumed and ignored.
-                    self.buf.drain(..eol + 2);
-                    if blank {
-                        state.phase = ChunkPhase::Done;
-                    }
-                }
-                ChunkPhase::Done => break,
-            }
-        }
-        if !out.is_empty() {
-            return Ok(StreamChunk::Data(out));
-        }
-        if state.phase == ChunkPhase::Done {
+        let mut data = Vec::new();
+        let used = decoder.decode(&self.buf, &mut data, None, self.limits.max_head_bytes)?;
+        self.buf.drain(..used);
+        if !data.is_empty() {
+            Ok(StreamChunk::Data(data))
+        } else if decoder.is_done() {
+            self.stream = None;
             Ok(StreamChunk::End)
         } else {
             Ok(StreamChunk::NeedMore)
@@ -409,8 +420,10 @@ impl RequestParser {
     }
 
     /// Parse the head (request line + headers + framing) off the front
-    /// of the buffer without consuming it. `Ok(None)` = incomplete.
-    fn parse_head(&self) -> Result<Option<ParsedHead>, HttpError> {
+    /// of the buffer without consuming it: `(head length including the
+    /// blank line, head with an empty body, framing)`. `Ok(None)` =
+    /// incomplete.
+    fn parse_head(&self) -> Result<Option<(usize, Request, Framing)>, HttpError> {
         let Some(head_len) = find_head_end(&self.buf) else {
             if self.buf.len() > self.limits.max_head_bytes {
                 return Err(HttpError::HeadersTooLarge);
@@ -447,27 +460,37 @@ impl RequestParser {
 
         // RFC 7230 §3.3.2: conflicting Content-Length values are a
         // smuggling vector (a proxy may frame by one, us by another) —
-        // reject duplicates outright unless they agree.
-        let mut content_length = 0usize;
-        let mut seen_length: Option<usize> = None;
+        // reject duplicates outright unless they agree. A repeated
+        // Transfer-Encoding line is the same ambiguity (which coding
+        // is outermost?), so it is rejected too.
+        let mut content_length: Option<usize> = None;
+        let mut transfer_encoding: Option<&str> = None;
         for (name, value) in &headers {
-            if name == "content-length" {
-                let parsed = value
-                    .parse::<usize>()
-                    .map_err(|_| HttpError::BadRequest("unparseable Content-Length"))?;
-                if seen_length.is_some_and(|prev| prev != parsed) {
-                    return Err(HttpError::BadRequest("conflicting Content-Length headers"));
+            match name.as_str() {
+                "content-length" => {
+                    let parsed = value
+                        .parse::<usize>()
+                        .map_err(|_| HttpError::BadRequest("unparseable Content-Length"))?;
+                    if content_length.is_some_and(|prev| prev != parsed) {
+                        return Err(HttpError::BadRequest("conflicting Content-Length headers"));
+                    }
+                    content_length = Some(parsed);
                 }
-                seen_length = Some(parsed);
-                content_length = parsed;
+                "transfer-encoding" => {
+                    if transfer_encoding.is_some() {
+                        return Err(HttpError::BadRequest("repeated Transfer-Encoding headers"));
+                    }
+                    transfer_encoding = Some(value);
+                }
+                _ => {}
             }
         }
-        let framing = match header_value(&headers, "transfer-encoding") {
+        let framing = match transfer_encoding {
             // Transfer-Encoding alongside Content-Length is the other
             // half of the same smuggling vector — reject it outright
             // instead of picking a winner.
-            Some(v) if v.trim().eq_ignore_ascii_case("chunked") => {
-                if seen_length.is_some() {
+            Some(v) if v.eq_ignore_ascii_case("chunked") => {
+                if content_length.is_some() {
                     return Err(HttpError::BadRequest(
                         "both Transfer-Encoding and Content-Length present",
                     ));
@@ -479,7 +502,7 @@ impl RequestParser {
                     "only the chunked transfer encoding is supported",
                 ))
             }
-            None => Framing::Length(content_length),
+            None => Framing::Length(content_length.unwrap_or(0)),
         };
         if let Framing::Length(n) = framing {
             if n > self.limits.max_body_bytes {
@@ -494,60 +517,15 @@ impl RequestParser {
             Some(v) if contains_ignore_case(v, "keep-alive") => true,
             _ => version_11,
         };
-        Ok(Some(ParsedHead {
-            request: Request {
-                method: method.to_string(),
-                path: path.to_string(),
-                headers,
-                body: Vec::new(),
-                keep_alive,
-            },
-            framing,
-            // Head ends with "\r\n\r\n": the body starts 4 bytes past.
-            body_start: head_len + 4,
-        }))
-    }
-}
-
-/// Decode a complete chunked body from `raw`: `Ok(Some((body,
-/// consumed)))` once the terminal chunk and its trailer section are
-/// fully buffered, `Ok(None)` when more bytes are needed.
-fn decode_chunked(raw: &[u8], max_body: usize) -> Result<Option<(Vec<u8>, usize)>, HttpError> {
-    let mut body = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let Some(eol) = find_crlf(&raw[pos..]) else {
-            if raw.len() - pos > MAX_CHUNK_LINE {
-                return Err(HttpError::BadRequest("chunk size line too long"));
-            }
-            return Ok(None);
+        let request = Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            headers,
+            body: Vec::new(),
+            keep_alive,
         };
-        let size = parse_chunk_size(&raw[pos..pos + eol])?;
-        pos += eol + 2;
-        if size == 0 {
-            // Trailer section: zero or more header lines, then CRLF.
-            loop {
-                let Some(eol) = find_crlf(&raw[pos..]) else {
-                    return Ok(None);
-                };
-                let blank = eol == 0;
-                pos += eol + 2;
-                if blank {
-                    return Ok(Some((body, pos)));
-                }
-            }
-        }
-        if body.len() + size > max_body {
-            return Err(HttpError::BodyTooLarge);
-        }
-        if raw.len() < pos + size + 2 {
-            return Ok(None);
-        }
-        body.extend_from_slice(&raw[pos..pos + size]);
-        if &raw[pos + size..pos + size + 2] != b"\r\n" {
-            return Err(HttpError::BadRequest("chunk data not terminated by CRLF"));
-        }
-        pos += size + 2;
+        // Head ends with "\r\n\r\n": the body starts 4 bytes past.
+        Ok(Some((head_len + 4, request, framing)))
     }
 }
 
@@ -825,6 +803,7 @@ mod tests {
             b"GET /x HTTP/1.1\r\nbad name: v\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: twelve\r\n\r\n",
             b"GET /x HTTP/1.1 extra\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: gzip\r\n\r\n",
         ] {
             match parse_one(raw) {
                 Err(e) => assert_eq!(e.status(), 400, "{:?} for {:?}", e, raw),
@@ -947,6 +926,191 @@ mod tests {
         });
         p.extend(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nAAAAAAAAA\r\n");
         assert_eq!(p.try_next(), Err(HttpError::BodyTooLarge));
+    }
+
+    /// Feed `wire` in pieces sized by cycling `splits`, calling `poll`
+    /// after every piece until it yields a value (the rest of `wire` is
+    /// then fed at once) or an error.
+    fn feed_until<T>(
+        p: &mut RequestParser,
+        wire: &[u8],
+        splits: &[usize],
+        mut poll: impl FnMut(&mut RequestParser) -> Result<Option<T>, HttpError>,
+    ) -> Result<Option<T>, HttpError> {
+        let mut fed = 0;
+        for &n in splits.iter().cycle() {
+            let end = (fed + n.max(1)).min(wire.len());
+            p.extend(&wire[fed..end]);
+            fed = end;
+            if let Some(v) = poll(p)? {
+                p.extend(&wire[fed..]);
+                return Ok(Some(v));
+            }
+            if fed == wire.len() {
+                return Ok(None);
+            }
+        }
+        unreachable!("splits is never empty")
+    }
+
+    /// Buffered mode: the first request (with body) and the pipelined
+    /// request after it.
+    fn run_buffered(
+        wire: &[u8],
+        splits: &[usize],
+        limits: Limits,
+    ) -> Result<(Request, Request), HttpError> {
+        let mut p = RequestParser::new(limits);
+        let first = feed_until(&mut p, wire, splits, RequestParser::try_next)?
+            .expect("request completes once every byte is fed");
+        let next = p.try_next()?.expect("pipelined request is intact");
+        Ok((first, next))
+    }
+
+    /// Streamed mode: the concatenated `Data` pieces and the pipelined
+    /// request after `End`.
+    fn run_streamed(
+        wire: &[u8],
+        splits: &[usize],
+        limits: Limits,
+    ) -> Result<(Vec<u8>, Request), HttpError> {
+        let mut p = RequestParser::new(limits);
+        let mut begun = false;
+        let mut body = Vec::new();
+        let ended = feed_until(&mut p, wire, splits, |p| {
+            if !begun {
+                if p.begin_stream()?.is_none() {
+                    return Ok(None);
+                }
+                begun = true;
+            }
+            loop {
+                match p.next_stream_chunk()? {
+                    StreamChunk::Data(data) => body.extend_from_slice(&data),
+                    StreamChunk::NeedMore => return Ok(None),
+                    StreamChunk::End => return Ok(Some(())),
+                }
+            }
+        })?;
+        assert!(ended.is_some(), "stream ends once every byte is fed");
+        let next = p.try_next()?.expect("pipelined request is intact");
+        Ok((body, next))
+    }
+
+    /// Chunk-encode `body` into chunks sized by cycling `sizes`, with
+    /// chunk extensions, hex-case variation and trailers driven by the
+    /// bits of `style`.
+    fn chunk_encode(body: &[u8], sizes: &[usize], style: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut rest = body;
+        let mut bit = 0u32;
+        let mut flip = || {
+            bit = (bit + 1) % 64;
+            style >> bit & 1 == 1
+        };
+        for &n in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (data, tail) = rest.split_at(n.max(1).min(rest.len()));
+            rest = tail;
+            let size = if flip() {
+                format!("{:X}", data.len())
+            } else {
+                format!("{:x}", data.len())
+            };
+            out.extend_from_slice(size.as_bytes());
+            if flip() {
+                out.extend_from_slice(b";ext=v;flag");
+            }
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(data);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(if flip() { b"0;last\r\n" } else { b"0\r\n" });
+        for i in 0..(style % 3) {
+            out.extend_from_slice(format!("X-Trailer-{i}: v\r\n").as_bytes());
+        }
+        out.extend_from_slice(b"\r\n");
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn buffered_and_streamed_decoding_agree(
+            body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2048),
+            sizes in proptest::collection::vec(1usize..300, 1..16),
+            style in proptest::arbitrary::any::<u64>(),
+            splits in proptest::collection::vec(1usize..200, 1..32),
+        ) {
+            let mut wire = if style >> 63 == 1 {
+                let mut w = format!(
+                    "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    body.len()
+                )
+                .into_bytes();
+                w.extend_from_slice(&body);
+                w
+            } else {
+                let mut w = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+                w.extend_from_slice(&chunk_encode(&body, &sizes, style));
+                w
+            };
+            wire.extend_from_slice(b"GET /next HTTP/1.1\r\nHost: h\r\n\r\n");
+
+            let (buffered, next_b) = run_buffered(&wire, &splits, Limits::default()).unwrap();
+            let (streamed, next_s) = run_streamed(&wire, &splits, Limits::default()).unwrap();
+            proptest::prop_assert_eq!(&buffered.body, &body);
+            proptest::prop_assert_eq!(&streamed, &body);
+            for next in [next_b, next_s] {
+                proptest::prop_assert_eq!(next.path.as_str(), "/next");
+                proptest::prop_assert_eq!(next.header("host"), Some("h"));
+                proptest::prop_assert!(next.body.is_empty());
+            }
+        }
+
+        #[test]
+        fn malformed_framing_fails_alike_in_both_modes(
+            splits in proptest::collection::vec(1usize..40, 1..16),
+        ) {
+            let head = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            let limits = Limits {
+                max_head_bytes: 64,
+                max_body_bytes: 1024,
+            };
+            let cases: [(&[u8], HttpError); 4] = [
+                // The failures of `chunked_framing_failures_are_typed`…
+                (b"zz\r\nhello\r\n0\r\n\r\n", HttpError::BadRequest("unparseable chunk size")),
+                (
+                    b"5\r\nhelloXX0\r\n\r\n",
+                    HttpError::BadRequest("chunk data not terminated by CRLF"),
+                ),
+                (&[b'1'; MAX_CHUNK_LINE + 8], HttpError::BadRequest("chunk size line too long")),
+                // …and a trailer line past the head cap.
+                (&[b"2\r\nok\r\n0\r\nX-Big: ".as_slice(), &[b'a'; 80]].concat(), HttpError::HeadersTooLarge),
+            ];
+            for (body, expected) in cases {
+                let wire = [head.as_slice(), body].concat();
+                proptest::prop_assert_eq!(run_buffered(&wire, &splits, limits).unwrap_err(), expected);
+                proptest::prop_assert_eq!(run_streamed(&wire, &splits, limits).unwrap_err(), expected);
+            }
+
+            // The decoded-body cap is buffered-only: 413 at the size
+            // line, while a stream carries the same body through.
+            let capped = Limits {
+                max_head_bytes: 1024,
+                max_body_bytes: 8,
+            };
+            let wire = [
+                head.as_slice(),
+                b"9\r\nAAAAAAAAA\r\n0\r\n\r\nGET /next HTTP/1.1\r\n\r\n",
+            ]
+            .concat();
+            proptest::prop_assert_eq!(run_buffered(&wire, &splits, capped).unwrap_err(), HttpError::BodyTooLarge);
+            proptest::prop_assert_eq!(run_streamed(&wire, &splits, capped).unwrap().0, b"AAAAAAAAA");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | `GET /stats` | [`StatsResponse`] | `stats` + HTTP counters |
 //! | `POST /admin/compact` | [`CompactResponse`] | `compact_storage` |
 //! | `POST /admin/export` | [`ExportRequest`] → [`BundleDto`] | `export_bundle` |
-//! | `POST /admin/import` | [`BundleDto`] → [`ImportResponse`] | `import_bundle` |
+//! | `POST /admin/import` | [`BundleDto`] → [`ImportResponse`](lightor_platform::wire::ImportResponse) | `import_bundle` |
 //! | `POST /admin/ring` | router-only | ring swap (404 on a backend) |
 //!
 //! Semantic failures answer with the standard error body
@@ -22,7 +22,7 @@
 
 use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
-use crate::server::{BodySource, Handler, StreamBodyError};
+use crate::server::{BodySource, Handler, OneChunk, StreamBodyError};
 use lightor_platform::wire::{
     BundleDto, CompactResponse, DotsResponse, ExportRequest, LineRejectDto, RescoreRequest,
     SessionUpload, StatsResponse, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
@@ -155,10 +155,12 @@ pub fn dispatch(
         Route::Sessions => {
             gate_write(svc).unwrap_or_else(|| handle_sessions(svc, metrics, &req.body))
         }
-        // A buffered (Content-Length) POST to the streaming route runs
-        // the same per-line machinery over the complete body — small
-        // clients need not speak chunked encoding.
-        Route::SessionsStream => handle_sessions_stream_buffered(svc, metrics, &req.body),
+        // A buffered request to the streaming route (an in-process
+        // caller; the server streams every socket request) runs the
+        // streaming handler over the complete body as one chunk.
+        Route::SessionsStream => {
+            return svc.handle_stream(req, &mut OneChunk::new(&req.body), metrics)
+        }
         Route::Stats => handle_stats(svc, metrics),
         // Compaction stays allowed while degraded: it is the repair
         // path — a successful compaction rewrites storage and clears
@@ -447,19 +449,6 @@ impl<'a> NdjsonIngest<'a> {
             },
         )
     }
-}
-
-/// The buffered fallback for `POST /sessions/stream`: same per-line
-/// machinery, body already complete.
-fn handle_sessions_stream_buffered(
-    svc: &LightorService,
-    metrics: &HttpMetrics,
-    body: &[u8],
-) -> Response {
-    let mut ingest = NdjsonIngest::new(svc, &metrics.stream);
-    ingest.feed(body);
-    ingest.finish();
-    ingest.response()
 }
 
 /// `Some(503)` when the service is degraded (persistence failed) and

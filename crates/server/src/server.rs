@@ -146,6 +146,23 @@ pub trait BodySource {
     fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, StreamBodyError>;
 }
 
+/// A complete, already-buffered body served as a single chunk: lets a
+/// buffered request reach a streaming route through that handler's own
+/// [`Handler::handle_stream`].
+pub(crate) struct OneChunk<'a>(Option<&'a [u8]>);
+
+impl<'a> OneChunk<'a> {
+    pub(crate) fn new(body: &'a [u8]) -> Self {
+        OneChunk(Some(body))
+    }
+}
+
+impl BodySource for OneChunk<'_> {
+    fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, StreamBodyError> {
+        Ok(self.0.take().map(<[u8]>::to_vec))
+    }
+}
+
 /// Shared connection context.
 struct Ctx {
     handler: Arc<dyn Handler>,
@@ -388,80 +405,88 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
     // flight: the worker keeps reading until the request completes or
     // this deadline passes.
     let mut drain_deadline: Option<Instant> = None;
+    // The in-flight request's route policy, read off its head once:
+    // (streamed?, body-progress deadline).
+    let mut route: Option<(bool, Duration)> = None;
 
     loop {
-        // Streamed dispatch runs off the head alone — the handler takes
-        // over before the body exists. Peek errors fall through to
-        // `try_next`, which surfaces the same error with a status.
-        if parser.head_complete() {
-            if let Ok(Some((head, _))) = parser.peek_head() {
-                if ctx.handler.wants_stream(&head.method, &head.path) {
-                    let head = parser
-                        .begin_stream()
-                        .expect("peek_head succeeded")
-                        .expect("head is complete");
-                    let started = Instant::now();
-                    let progress = ctx
-                        .handler
+        match parser.peek_head() {
+            Ok(Some((head, _))) if route.is_none() => {
+                route = Some((
+                    ctx.handler.wants_stream(&head.method, &head.path),
+                    ctx.handler
                         .body_progress(&head.method, &head.path)
-                        .unwrap_or(ctx.cfg.body_progress);
-                    let mut body = SocketBody {
-                        stream: &mut stream,
-                        parser: &mut parser,
-                        progress,
-                        shutdown: &ctx.shutdown,
-                        grace: ctx.cfg.drain_grace,
-                        shutdown_deadline: None,
-                        drained: false,
-                        disconnected: false,
-                    };
-                    let (key, response) = ctx.handler.handle_stream(&head, &mut body, &ctx.metrics);
-                    let (drained, disconnected) = (body.drained, body.disconnected);
-                    ctx.metrics.record(key, response.status, started.elapsed());
-                    if disconnected {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    // Reuse the connection only when the body reached
-                    // its clean end — otherwise unread body bytes would
-                    // be parsed as the next request.
-                    let keep_alive =
-                        head.keep_alive && drained && !ctx.shutdown.load(Ordering::SeqCst);
-                    let wrote = response.write_to(&mut stream, keep_alive);
-                    if wrote.is_err() || !keep_alive {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    last_activity = Instant::now();
-                    last_progress = Instant::now();
-                    continue;
-                }
+                        .unwrap_or(ctx.cfg.body_progress),
+                ));
             }
-        }
-
-        match parser.try_next() {
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                let (key, response) = ctx.handler.handle(&req, &ctx.metrics);
-                let shutting_down = ctx.shutdown.load(Ordering::SeqCst);
-                let keep_alive = req.keep_alive && !shutting_down;
-                // Record before writing: once a client holds the
-                // response, its request is visible in /stats.
-                ctx.metrics.record(key, response.status, started.elapsed());
-                let wrote = response.write_to(&mut stream, keep_alive);
-                if wrote.is_err() || !keep_alive {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-                last_activity = Instant::now();
-                last_progress = Instant::now();
-                continue;
-            }
-            Ok(None) => {}
+            Ok(_) => {}
             Err(e) => {
                 answer_parse_error(&mut stream, ctx, e);
                 return;
             }
+        }
+
+        // The head is parsed; its body is either streamed to the
+        // handler (which takes over before the body exists) or
+        // buffered through the same decoder until complete.
+        let answered = match route {
+            Some((true, progress)) => {
+                let head = parser
+                    .begin_stream()
+                    .ok()
+                    .flatten()
+                    .expect("head parsed above");
+                let started = Instant::now();
+                let mut body = SocketBody {
+                    stream: &mut stream,
+                    parser: &mut parser,
+                    progress,
+                    shutdown: &ctx.shutdown,
+                    grace: ctx.cfg.drain_grace,
+                    shutdown_deadline: None,
+                    drained: false,
+                    disconnected: false,
+                };
+                let (key, response) = ctx.handler.handle_stream(&head, &mut body, &ctx.metrics);
+                if body.disconnected {
+                    ctx.metrics.record(key, response.status, started.elapsed());
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+                // Reuse the connection only when the body reached its
+                // clean end — otherwise unread body bytes would be
+                // parsed as the next request.
+                let keep_alive = head.keep_alive && body.drained;
+                Some((key, response, started, keep_alive))
+            }
+            Some((false, _)) => match parser.try_next() {
+                Ok(Some(req)) => {
+                    let started = Instant::now();
+                    let (key, response) = ctx.handler.handle(&req, &ctx.metrics);
+                    Some((key, response, started, req.keep_alive))
+                }
+                Ok(None) => None,
+                Err(e) => {
+                    answer_parse_error(&mut stream, ctx, e);
+                    return;
+                }
+            },
+            None => None,
+        };
+        if let Some((key, response, started, keep_alive)) = answered {
+            let keep_alive = keep_alive && !ctx.shutdown.load(Ordering::SeqCst);
+            // Record before writing: once a client holds the response,
+            // its request is visible in /stats.
+            ctx.metrics.record(key, response.status, started.elapsed());
+            let wrote = response.write_to(&mut stream, keep_alive);
+            if wrote.is_err() || !keep_alive {
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+            route = None;
+            last_activity = Instant::now();
+            last_progress = Instant::now();
+            continue;
         }
 
         // No complete request buffered: decide whether to keep waiting.
@@ -479,21 +504,12 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 return;
             }
         } else {
-            if parser.head_complete() {
-                // A header-complete request whose body has stalled past
-                // the route's progress deadline gets a clean 408 — not
-                // a silent close at keep-alive expiry.
-                let progress = match parser.peek_head() {
-                    Ok(Some((head, _))) => ctx
-                        .handler
-                        .body_progress(&head.method, &head.path)
-                        .unwrap_or(ctx.cfg.body_progress),
-                    _ => ctx.cfg.body_progress,
-                };
-                if last_progress.elapsed() > progress {
-                    answer_parse_error(&mut stream, ctx, HttpError::RequestTimeout);
-                    return;
-                }
+            // A header-complete request whose body has stalled past the
+            // route's progress deadline gets a clean 408 — not a silent
+            // close at keep-alive expiry.
+            if route.is_some_and(|(_, progress)| last_progress.elapsed() > progress) {
+                answer_parse_error(&mut stream, ctx, HttpError::RequestTimeout);
+                return;
             }
             if last_activity.elapsed() > ctx.cfg.keep_alive {
                 // Idle keep-alive expiry — and, because `last_activity`

@@ -614,7 +614,7 @@ fn stalled_bodies_time_out_with_408() {
     c.start_chunked("POST", "/sessions/stream").unwrap();
     c.send_chunk(br#"{"video":1,"#).unwrap();
     let resp = c
-        .read_early_relay(std::time::Instant::now() + Duration::from_secs(5))
+        .read_early(std::time::Instant::now() + Duration::from_secs(5))
         .unwrap();
     assert_eq!(resp.status, 408, "{}", String::from_utf8_lossy(resp.body()));
     server.shutdown();

@@ -388,7 +388,7 @@ fn freeze_window_terminates_the_stream_with_503_retry_after() {
         )
         .unwrap();
     let resp = uploader
-        .read_early_relay(Instant::now() + Duration::from_secs(10))
+        .read_early(Instant::now() + Duration::from_secs(10))
         .unwrap();
     assert_eq!(resp.status, 503, "{}", String::from_utf8_lossy(resp.body()));
     assert!(

@@ -14,7 +14,11 @@
 //!   two series expose the multi-core speedup on multi-core hosts);
 //! * `kv_put_throughput` — a WAL-amortized `KvStore::put` at 1k
 //!   resident keys vs the pre-shard design's whole-store JSON rewrite
-//!   (replicated inline as the baseline);
+//!   (replicated inline as the baseline); and one acknowledged batch
+//!   on a 300-client video logged as the service logs it, a one-
+//!   watermark `KvStore::merge` patch (`ack_patch_300_clients`), vs a
+//!   `put` of the whole `VideoState` (`ack_full_state_300_clients`,
+//!   the ack's record before merge patches; budget: patch ≤ 0.5×);
 //! * `segmentlog_compact` — one steady-state re-crawl cycle: overwrite
 //!   a stored replay, then compact the chat log back to zero dead
 //!   bytes;
@@ -47,8 +51,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use lightor_bench::{bench_dataset, bench_models};
 use lightor_chatsim::SimPlatform;
 use lightor_crowdsim::Campaign;
+use lightor_platform::service::SessionSeq;
 use lightor_platform::store::format;
-use lightor_platform::{ChatStore, KvStore, LightorService, ServiceConfig};
+use lightor_platform::{ChatStore, KvStore, LightorService, ServiceConfig, VideoState};
 use lightor_server::cluster::{ClusterConfig, RouterServer};
 use lightor_server::{HttpClient, HttpServer, ServerConfig};
 use lightor_types::{
@@ -120,8 +125,9 @@ fn bench_service_open_video_warm(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A refined-dot-state-shaped value: what the service persists per
-/// video on every refinement round.
+/// A small fixed-size stand-in value — five `(position, score,
+/// rounds)` triples — for the store-level put benches; the service's
+/// own `VideoState` is the `ack_*` rows' value.
 fn dot_state_value() -> Vec<(f64, f64, u64)> {
     (0..5).map(|i| (700.0 + i as f64, 0.9, 3u64)).collect()
 }
@@ -164,8 +170,58 @@ fn bench_kv_put_throughput(c: &mut Criterion) {
             std::fs::rename(&tmp, &snap).unwrap();
         })
     });
+
+    // One ack on a video with 300 acknowledged clients (64-bit ids) and
+    // real initializer dots: the watermark-only merge patch the service
+    // logs, vs a put of the whole state. Both rows share one store, so
+    // they pay the same amortized shard snapshots.
+    let mut state = ack_state(&dir.join("svc"), 300);
+    let mut kv = KvStore::open(dir.join("acks")).unwrap();
+    kv.put("video:1", &state).unwrap();
+    let (mut n, mut seq) = (0usize, 1u64);
+    g.bench_function("ack_patch_300_clients", |b| {
+        b.iter(|| {
+            (n, seq) = ((n + 1) % state.sessions.len(), seq + 1);
+            let mark = (
+                state.sessions[n].client.to_string(),
+                serde_json::Value::U64(seq),
+            );
+            let patch = serde_json::Value::Map(vec![(
+                "sessions".to_owned(),
+                serde_json::Value::Map(vec![mark]),
+            )]);
+            kv.merge("video:1", patch).unwrap();
+        })
+    });
+    g.bench_function("ack_full_state_300_clients", |b| {
+        b.iter(|| {
+            (n, seq) = ((n + 1) % state.sessions.len(), seq + 1);
+            state.sessions[n].seq = seq;
+            kv.put("video:1", &state).unwrap();
+        })
+    });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A first-sight video state (real initializer dots, opened by a
+/// service under `dir`) whose watermarks hold `clients` viewers.
+fn ack_state(dir: &std::path::Path, clients: u64) -> VideoState {
+    let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+    let vid = platform.recent_videos(platform.channels()[0].id)[0];
+    let data = bench_dataset();
+    let svc =
+        LightorService::open(dir, bench_models(&data), platform, ServiceConfig::default()).unwrap();
+    svc.open_video(vid).unwrap().unwrap();
+    let mut state = svc.video_state(vid).unwrap();
+    state.sessions = (1..=clients)
+        .map(|i| SessionSeq {
+            client: 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i),
+            seq: 1,
+        })
+        .collect();
+    state.sessions.sort_unstable_by_key(|s| s.client);
+    state
 }
 
 fn bench_segmentlog_compact(c: &mut Criterion) {

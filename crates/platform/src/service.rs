@@ -46,6 +46,16 @@
 //! `(client, seq)`) is recognized and not folded twice. Plays near a
 //! converged dot are dropped, so a video whose dots have all converged
 //! stops growing its persisted state.
+//!
+//! The durable record of an ack is the change it made, not the video:
+//! one [`KvStore::merge`] patch holding the acknowledging client's
+//! watermark, plus the `dots` array only when the batch buffered a
+//! play or changed a dot. An ack on a video whose dots have converged
+//! therefore logs a few dozen bytes however large its audience. The KV
+//! store applies each patch to its materialized value, so snapshots,
+//! recovery and migration exports still see whole states. First-sight
+//! initialization and bundle imports write whole states with `put`, as
+//! does the next persist after a failed one.
 
 use crate::cache::LruCache;
 use crate::crawler::Crawler;
@@ -120,14 +130,60 @@ pub struct SessionSeq {
 }
 
 /// Refinement state of one video.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Persisted as `{"dots": [...], "sessions": {"<client>": seq, ...}}`:
+/// keying the watermarks by client id lets an ack's merge patch touch
+/// one watermark without restating the others. Decoding also accepts
+/// states with no `sessions` (written before streaming ingest) and the
+/// legacy array form `[{"client": c, "seq": s}, ...]`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VideoState {
     /// Per-dot state, in initializer rank order.
     pub dots: Vec<DotState>,
-    /// Per-client acknowledged batch sequences, sorted by client id
-    /// (`default` keeps pre-streaming persisted states parseable).
-    #[serde(default)]
+    /// Per-client acknowledged batch sequences, sorted by client id.
     pub sessions: Vec<SessionSeq>,
+}
+
+/// The merge-patch form of one watermark: `{"<client>": seq}`.
+fn watermark_field(s: &SessionSeq) -> (String, serde_json::Value) {
+    (s.client.to_string(), serde_json::Value::U64(s.seq))
+}
+
+impl Serialize for VideoState {
+    fn to_value(&self) -> serde_json::Value {
+        serde_json::Value::Map(vec![
+            ("dots".to_owned(), self.dots.to_value()),
+            (
+                "sessions".to_owned(),
+                serde_json::Value::Map(self.sessions.iter().map(watermark_field).collect()),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for VideoState {
+    fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
+        let mut sessions = match v.get_key("sessions") {
+            None => Vec::new(),
+            Some(serde_json::Value::Map(entries)) => entries
+                .iter()
+                .map(|(client, seq)| {
+                    Ok(SessionSeq {
+                        client: client.parse().map_err(|_| {
+                            serde::Error::custom(format!("bad session client id `{client}`"))
+                        })?,
+                        seq: u64::from_value(seq)?,
+                    })
+                })
+                .collect::<Result<Vec<_>, serde::Error>>()?,
+            Some(legacy) => Vec::<SessionSeq>::from_value(legacy)?,
+        };
+        sessions.sort_unstable_by_key(|s| s.client);
+        Ok(VideoState {
+            dots: serde::get_field(v, "dots")?,
+            sessions,
+        })
+    }
 }
 
 /// What one [`LightorService::refine_batch`] call did.
@@ -150,6 +206,11 @@ pub struct BatchOutcome {
 struct VideoEntry {
     state: Mutex<VideoState>,
     dots: RwLock<Arc<Vec<RedDot>>>,
+    /// Set when persisting `state` failed, so the stored value may lag
+    /// it: the next persist writes the whole state instead of a patch.
+    /// Only read or written with the `state` mutex held, which orders
+    /// every access, so `Relaxed` suffices.
+    stored_behind: AtomicBool,
 }
 
 impl VideoEntry {
@@ -158,6 +219,7 @@ impl VideoEntry {
         Arc::new(VideoEntry {
             state: Mutex::new(state),
             dots: RwLock::new(snap),
+            stored_behind: AtomicBool::new(false),
         })
     }
 
@@ -290,13 +352,26 @@ impl LightorService {
         kv.set_fault_injector(fault.clone());
         let mut videos = HashMap::new();
         for key in kv.keys_with_prefix("video:") {
-            if let (Some(id_str), Some(state)) =
-                (key.strip_prefix("video:"), kv.get::<VideoState>(&key))
-            {
-                if let Ok(id) = id_str.parse::<u64>() {
-                    videos.insert(VideoId(id), VideoEntry::new(state));
-                }
+            let Some(id) = key
+                .strip_prefix("video:")
+                .and_then(|s| s.parse::<u64>().ok())
+            else {
+                continue;
+            };
+            let Some(stored) = kv.get::<serde_json::Value>(&key) else {
+                continue;
+            };
+            let Ok(state) = serde_json::from_value_ref::<VideoState>(&stored) else {
+                continue;
+            };
+            // A merge patch replaces an array target, so a watermark
+            // patch over the legacy array form would drop every other
+            // client's watermark. Rewrite such states in object form
+            // before any ack can reach them.
+            if let Some(serde_json::Value::Seq(_)) = stored.get_key("sessions") {
+                kv.put(&key, &state)?;
             }
+            videos.insert(VideoId(id), VideoEntry::new(state));
         }
         Ok(LightorService {
             models,
@@ -378,7 +453,7 @@ impl LightorService {
         map.insert(video, entry.clone());
         let published = entry.state.lock();
         drop(map);
-        self.persist(video, &published)?;
+        self.persist(video, &entry, &published, None)?;
         Ok(Some(dots))
     }
 
@@ -549,18 +624,21 @@ impl LightorService {
     }
 
     /// One refinement round: an Algorithm 2 [`step`] on every dot with
-    /// enough buffered plays; returns how many dots stepped. Converged
-    /// dots get no new plays, but a state written before that rule can
-    /// still carry some: they are cleared here, and go to disk with the
-    /// next persist. Caller holds the video's state lock; caller
-    /// republishes and persists if the return is nonzero.
+    /// enough buffered plays. Converged dots get no new plays, but a
+    /// state written before that rule can still carry some: they are
+    /// cleared here. Returns how many dots stepped and whether any
+    /// stale plays were cleared. Caller holds the video's state lock;
+    /// caller republishes if any dot stepped, and persists the dots if
+    /// either happened.
     ///
     /// [`step`]: lightor::HighlightExtractor::step
-    fn refine_locked(&self, state: &mut VideoState) -> usize {
+    fn refine_locked(&self, state: &mut VideoState) -> (usize, bool) {
         let extractor = &self.models.extractor;
         let mut updated = 0;
+        let mut cleared = false;
         for dot in &mut state.dots {
             if dot.converged {
+                cleared |= !dot.pending.is_empty();
                 dot.pending = Vec::new();
                 continue;
             }
@@ -582,7 +660,7 @@ impl LightorService {
             dot.rounds += 1;
             updated += 1;
         }
-        updated
+        (updated, cleared)
     }
 
     /// Fold one event batch into a video's refinement state: the unit
@@ -591,6 +669,13 @@ impl LightorService {
     /// refinement round over whatever has accumulated, republishes the
     /// dot snapshot if anything moved, and persists *before* returning
     /// so the caller's acknowledgement is durable.
+    ///
+    /// The persisted record is a merge patch of what the batch changed
+    /// (one WAL append and one `sync_data`): `{"sessions": {"<client>":
+    /// seq}}` for a sequenced batch, plus `"dots": [...]` when the batch
+    /// buffered a play, stepped a dot, or cleared stale plays from a
+    /// converged dot. A batch that changed nothing persistent (an
+    /// unsequenced batch whose plays all missed) writes nothing.
     ///
     /// With `seq = Some(n)`, the batch carries a per-`(video, client)`
     /// sequence number: a batch at or below the acknowledged watermark
@@ -611,9 +696,16 @@ impl LightorService {
             return Ok(None);
         };
         let mut state = entry.state.lock();
+        let mut patch = Vec::new();
         if let Some(seq) = seq {
-            let client = session.user.0;
-            match state.sessions.binary_search_by_key(&client, |s| s.client) {
+            let mark = SessionSeq {
+                client: session.user.0,
+                seq,
+            };
+            match state
+                .sessions
+                .binary_search_by_key(&mark.client, |s| s.client)
+            {
                 Ok(i) if state.sessions[i].seq >= seq => {
                     return Ok(Some(BatchOutcome {
                         replayed: true,
@@ -621,21 +713,27 @@ impl LightorService {
                     }));
                 }
                 Ok(i) => state.sessions[i].seq = seq,
-                Err(i) => state.sessions.insert(i, SessionSeq { client, seq }),
+                Err(i) => state.sessions.insert(i, mark),
             }
+            patch.push((
+                "sessions".to_owned(),
+                serde_json::Value::Map(vec![watermark_field(&mark)]),
+            ));
         }
         let plays_buffered = self.buffer_plays(&mut state, session);
-        let dots_refined = self.refine_locked(&mut state);
+        let (dots_refined, cleared) = self.refine_locked(&mut state);
         if dots_refined > 0 {
             entry.publish(&state);
         }
-        // Durable before ack: sequenced batches persist even when no
-        // dot crossed the refinement threshold, so the watermark (and
-        // the buffered pending plays) survive a SIGKILL. A persist
-        // error flips degraded mode and the batch is never
-        // acknowledged.
-        if dots_refined > 0 || seq.is_some() {
-            self.persist(video, &state)?;
+        if plays_buffered > 0 || dots_refined > 0 || cleared {
+            patch.push(("dots".to_owned(), state.dots.to_value()));
+        }
+        // Durable before ack: the watermark and any buffered pending
+        // plays survive a SIGKILL even when no dot crossed the
+        // refinement threshold. A persist error flips degraded mode
+        // and the batch is never acknowledged.
+        if !patch.is_empty() {
+            self.persist(video, &entry, &state, Some(serde_json::Value::Map(patch)))?;
         }
         Ok(Some(BatchOutcome {
             plays_buffered,
@@ -933,7 +1031,11 @@ impl LightorService {
                             format!("bundle state for video {}: {e:?}", entry.video),
                         )
                     })?;
-                    stores.kv.put(&format!("video:{}", entry.video), state)?;
+                    // Store the re-encoded state, never the raw bundle
+                    // value: a bundle from an older source can carry the
+                    // legacy array-form watermarks, which a later merge
+                    // patch would overwrite wholesale.
+                    stores.kv.put(&format!("video:{}", entry.video), &parsed)?;
                     states_applied += 1;
                     restored.push((video, parsed));
                 }
@@ -1004,12 +1106,30 @@ impl LightorService {
         ids
     }
 
-    fn persist(&self, video: VideoId, state: &VideoState) -> std::io::Result<()> {
-        let result = self
-            .stores
-            .lock()
-            .kv
-            .put(&format!("video:{}", video.0), state);
+    /// Make `state` durable: merge `patch` (the change the caller just
+    /// made) into the stored value, or put the whole state when there
+    /// is no patch or an earlier persist of this video failed. Caller
+    /// holds `entry`'s state lock and passes its guarded `state`.
+    fn persist(
+        &self,
+        video: VideoId,
+        entry: &VideoEntry,
+        state: &VideoState,
+        patch: Option<serde_json::Value>,
+    ) -> std::io::Result<()> {
+        let key = format!("video:{}", video.0);
+        let result = {
+            let mut stores = self.stores.lock();
+            match patch {
+                Some(patch) if !entry.stored_behind.load(Ordering::Relaxed) => {
+                    stores.kv.merge(&key, patch)
+                }
+                _ => stores.kv.put(&key, state),
+            }
+        };
+        entry
+            .stored_behind
+            .store(result.is_err(), Ordering::Relaxed);
         if result.is_err() {
             // Refinement state could not be made durable: flip into
             // read-only mode so the HTTP edge stops acknowledging
@@ -1709,6 +1829,251 @@ mod tests {
             1,
             "replay buffered nothing"
         );
+    }
+
+    #[test]
+    fn unsequenced_pending_plays_survive_a_crash() {
+        use lightor_types::{Interaction, UserId};
+        let dir = TempDir::new("unsequenced-restart");
+        let vid;
+        let acked;
+        {
+            let svc = service(&dir.0);
+            let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+            vid = p.recent_videos(p.channels()[0].id)[0];
+            let dots = svc.open_video(vid).unwrap().unwrap();
+            // Fewer plays than `min_plays_per_round`, no sequence: no dot
+            // steps, yet the batch is acknowledged with its plays
+            // buffered, so they must be durable.
+            let events = (0..3)
+                .flat_map(|j| {
+                    let s = dots[0].at.0 - 1.0 + j as f64;
+                    [
+                        Interaction::Play { video_ts: Sec(s) },
+                        Interaction::Pause {
+                            video_ts: Sec(s + 6.0),
+                        },
+                    ]
+                })
+                .collect();
+            let o = svc
+                .refine_batch(vid, None, &Session::new(UserId(3), events))
+                .unwrap()
+                .unwrap();
+            assert_eq!((o.plays_buffered, o.dots_refined), (3, 0));
+            acked = svc.video_state(vid).unwrap();
+            // Dropped here without any shutdown: the SIGKILL stand-in.
+        }
+        let svc = service(&dir.0);
+        let state = svc.video_state(vid).unwrap();
+        assert_eq!(
+            state.dots.iter().map(|d| d.pending.len()).sum::<usize>(),
+            3,
+            "acknowledged unsequenced plays survive the crash"
+        );
+        assert_eq!(state, acked);
+    }
+
+    /// Rewrite `state`'s watermarks in the array form that data dirs
+    /// written before object-form watermarks hold.
+    fn legacy_state_value(state: &VideoState) -> serde_json::Value {
+        let serde_json::Value::Map(mut fields) = serde_json::to_value(state).unwrap() else {
+            panic!("a state encodes as an object");
+        };
+        for (name, value) in &mut fields {
+            if name == "sessions" {
+                *value = serde_json::to_value(&state.sessions).unwrap();
+            }
+        }
+        serde_json::Value::Map(fields)
+    }
+
+    #[test]
+    fn legacy_array_watermarks_survive_the_first_merge() {
+        use lightor_types::UserId;
+        let dir = TempDir::new("legacy-sessions");
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vids = p.recent_videos(p.channels()[0].id).to_vec();
+        let (a, b) = (vids[0], vids[1]);
+        let marks = |pairs: &[(u64, u64)]| -> Vec<SessionSeq> {
+            pairs
+                .iter()
+                .map(|&(client, seq)| SessionSeq { client, seq })
+                .collect()
+        };
+        let old_a = marks(&[(1, 5), (2, 3)]);
+        let old_b = marks(&[(3, 4), (4, 9)]);
+        let states = {
+            let svc = service(&dir.0);
+            svc.open_video(a).unwrap().unwrap();
+            svc.open_video(b).unwrap().unwrap();
+            let mut sa = svc.video_state(a).unwrap();
+            let mut sb = svc.video_state(b).unwrap();
+            sa.sessions = old_a.clone();
+            sb.sessions = old_b.clone();
+            (sa, sb)
+        };
+        {
+            // Hand-write the legacy layout: video A's array-form state
+            // in a shard snapshot, video B's in a WAL `p` frame.
+            let mut kv = KvStore::open(dir.0.join("state")).unwrap();
+            kv.put(&format!("video:{}", a.0), &legacy_state_value(&states.0))
+                .unwrap();
+            kv.snapshot().unwrap();
+            kv.put(&format!("video:{}", b.0), &legacy_state_value(&states.1))
+                .unwrap();
+            assert_eq!(kv.stats().wal_pending_ops, 1);
+        }
+        let quiet = |client: u64| Session::new(UserId(client), Vec::new());
+        {
+            let svc = service(&dir.0);
+            assert_eq!(svc.video_state(a).unwrap(), states.0);
+            assert_eq!(svc.video_state(b).unwrap(), states.1);
+            // A new client's ack: a watermark-only merge patch.
+            for vid in [a, b] {
+                let o = svc.refine_batch(vid, Some(1), &quiet(9)).unwrap().unwrap();
+                assert!(!o.replayed);
+            }
+        }
+        let replays_all = |svc: &LightorService, vid: VideoId, old: &[SessionSeq]| {
+            for mark in old.iter().chain(&[SessionSeq { client: 9, seq: 1 }]) {
+                let o = svc
+                    .refine_batch(vid, Some(mark.seq), &quiet(mark.client))
+                    .unwrap()
+                    .unwrap();
+                assert!(o.replayed, "video {}: {mark:?} lost", vid.0);
+            }
+        };
+        let svc = service(&dir.0);
+        replays_all(&svc, a, &old_a);
+        replays_all(&svc, b, &old_b);
+
+        // A migration bundle from an older source carries the array
+        // form too; the import must store it re-encoded.
+        let dst_dir = TempDir::new("legacy-import");
+        {
+            let dst = service(&dst_dir.0);
+            let entries = vec![BundleEntryDto {
+                video: a.0,
+                state: Some(legacy_state_value(&states.0)),
+                chat_hex: None,
+                tokenized_hex: None,
+            }];
+            let crc32 = wire::bundle_crc(&entries);
+            dst.import_bundle(&BundleDto {
+                format_version: 2,
+                as_of_seq: 0,
+                entries,
+                crc32,
+            })
+            .unwrap();
+            dst.refine_batch(a, Some(1), &quiet(9)).unwrap().unwrap();
+        }
+        replays_all(&service(&dst_dir.0), a, &old_a);
+    }
+
+    #[test]
+    fn an_ack_logs_its_watermark_not_the_audience() {
+        use lightor_types::{Interaction, UserId};
+        let dir = TempDir::new("ack-patch");
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let before = {
+            let svc = service(&dir.0);
+            let dots = svc.open_video(vid).unwrap().unwrap();
+            // Converge every dot (as in the test above), then let 1000
+            // clients with realistic 64-bit ids each acknowledge a batch.
+            for dot in &dots {
+                let events = (0..8)
+                    .flat_map(|j| {
+                        let s = dot.at.0 + 1.0 + 0.1 * j as f64;
+                        [
+                            Interaction::Play { video_ts: Sec(s) },
+                            Interaction::Pause {
+                                video_ts: Sec(s + 15.0),
+                            },
+                        ]
+                    })
+                    .collect();
+                svc.refine_batch(vid, None, &Session::new(UserId(1), events))
+                    .unwrap()
+                    .unwrap();
+            }
+            assert!(svc
+                .video_state(vid)
+                .unwrap()
+                .dots
+                .iter()
+                .all(|d| d.converged));
+            let client = |i: u64| UserId(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
+            for i in 0..1000 {
+                let o = svc
+                    .refine_batch(vid, Some(i + 1), &Session::new(client(i), Vec::new()))
+                    .unwrap()
+                    .unwrap();
+                assert!(!o.replayed);
+            }
+            let full = serde_json::to_string(&svc.video_state(vid).unwrap()).unwrap();
+            assert!(full.len() > 20_000, "full state is {} bytes", full.len());
+
+            // Retire the WAL so the next ack's frame is all it holds.
+            svc.compact_storage().unwrap();
+            assert_eq!(svc.stats().kv_wal_bytes, 0);
+            let o = svc
+                .refine_batch(vid, Some(5000), &Session::new(client(500), Vec::new()))
+                .unwrap()
+                .unwrap();
+            assert!(!o.replayed);
+            let logged = svc.stats().kv_wal_bytes;
+            assert!(logged < 256, "one ack logged {logged} bytes");
+            svc.video_state(vid).unwrap()
+            // Dropped here without any shutdown: the SIGKILL stand-in.
+        };
+        let svc = service(&dir.0);
+        assert_eq!(svc.video_state(vid).unwrap(), before);
+    }
+
+    #[test]
+    fn the_persist_after_a_failed_one_writes_the_whole_state() {
+        use crate::store::{Fault, FaultKind};
+        use lightor_types::{Interaction, UserId};
+        let dir = TempDir::new("behind");
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let before = {
+            let svc = service(&dir.0);
+            let dots = svc.open_video(vid).unwrap().unwrap();
+            let plays = Session::new(
+                UserId(1),
+                vec![
+                    Interaction::Play {
+                        video_ts: Sec(dots[0].at.0 - 1.0),
+                    },
+                    Interaction::Pause {
+                        video_ts: Sec(dots[0].at.0 + 5.0),
+                    },
+                ],
+            );
+            // The batch's plays are buffered in memory, but its merge
+            // never becomes durable.
+            svc.fault_injector()
+                .arm(Fault::once("kv.wal.sync", FaultKind::Error));
+            svc.refine_batch(vid, Some(1), &plays).unwrap_err();
+            assert!(svc.is_degraded());
+            svc.compact_storage().unwrap();
+            // The next ack changes only a watermark, yet must carry the
+            // whole state: the stored value lags the buffered plays.
+            svc.refine_batch(vid, Some(1), &Session::new(UserId(2), Vec::new()))
+                .unwrap()
+                .unwrap();
+            svc.video_state(vid).unwrap()
+        };
+        assert_eq!(
+            before.dots.iter().map(|d| d.pending.len()).sum::<usize>(),
+            1
+        );
+        let svc = service(&dir.0);
+        assert_eq!(svc.video_state(vid).unwrap(), before);
     }
 
     /// One session replaying `plays` verbatim: a play/pause pair each.

@@ -14,28 +14,38 @@
 //!
 //! Keys are routed to a shard by hashing their *prefix segment* (the
 //! part up to and including the first `:`, e.g. `video:` for
-//! `video:42`), so one logical namespace stays together and a `put`
+//! `video:42`), so one logical namespace stays together and a write
 //! only ever dirties one shard.
 //!
 //! # Write path
 //!
-//! Every `put`/`remove` appends one CRC-framed op to the WAL and
-//! `fsync`s it — durability is per-operation, but the cost is O(op),
-//! not O(store). Snapshots are amortized: once the WAL accumulates
-//! [`KvConfig::snapshot_every_ops`] ops (or `snapshot_every_bytes`
-//! bytes), the dirty shards are rewritten atomically (temp file +
-//! `sync_all` + rename + parent-directory fsync) and the WAL is
-//! truncated. The old design rewrote the whole store on every `put`.
+//! Every write appends one CRC-framed op to the WAL and `fsync`s it —
+//! durability is per-operation, but the cost is O(op), not O(store).
+//! The WAL holds three op kinds:
+//!
+//! * `["p", key, value]` — [`KvStore::put`]: insert or replace `value`;
+//! * `["m", key, patch]` — [`KvStore::merge`]: apply `patch` to the
+//!   stored value with RFC 7396 JSON Merge Patch semantics, so a small
+//!   change to a large value logs only the change;
+//! * `["r", key]` — [`KvStore::remove`].
+//!
+//! The in-memory map and the shard snapshots always hold *materialized*
+//! values: a merge is applied in place as soon as it is durable, and
+//! snapshots write whole values, never patches. Snapshots are
+//! amortized: once the WAL accumulates [`KvConfig::snapshot_every_ops`]
+//! ops (or `snapshot_every_bytes` bytes), the dirty shards are
+//! rewritten atomically (temp file + `sync_all` + rename +
+//! parent-directory fsync) and the WAL is truncated.
 //!
 //! # Recovery
 //!
 //! `open` loads every shard snapshot *strictly* — a corrupt shard is an
 //! [`InvalidData`](std::io::ErrorKind::InvalidData) error, never a
-//! silently empty store — then replays the WAL on top. A torn WAL tail
-//! (crash mid-append) is detected by the length/CRC framing and
-//! truncated away; everything before it is applied and re-marked dirty
-//! so the next snapshot persists it. Orphaned `*.tmp` files from a
-//! crash mid-snapshot are removed.
+//! silently empty store — then replays the WAL on top, in order. A torn
+//! WAL tail (crash mid-append) is detected by the length/CRC framing
+//! and truncated away; everything before it is applied and re-marked
+//! dirty so the next snapshot persists it. Orphaned `*.tmp` files from
+//! a crash mid-snapshot are removed.
 
 use super::{crc32, sync_dir, FaultInjector};
 use serde::de::DeserializeOwned;
@@ -97,9 +107,10 @@ pub struct KvStore {
     fault: FaultInjector,
     /// Monotonic in-memory op sequence — the migration watermark. Keys
     /// present at open (snapshot + replayed WAL tail) all carry seq 1;
-    /// every later `put`/`remove` bumps the counter. The counter resets
-    /// on reopen, so delta exports are only meaningful within one
-    /// process lifetime (a restarted source re-exports in full).
+    /// every later `put`/`merge`/`remove` bumps the counter. The
+    /// counter resets on reopen, so delta exports are only meaningful
+    /// within one process lifetime (a restarted source re-exports in
+    /// full).
     seq: u64,
     /// Last mutation seq per live key.
     seqs: BTreeMap<String, u64>,
@@ -132,6 +143,40 @@ fn sync_parent(path: &Path) -> std::io::Result<()> {
     match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => sync_dir(p),
         _ => Ok(()),
+    }
+}
+
+/// Apply an RFC 7396 JSON Merge Patch to `target` in place: an object
+/// patch merges field by field (recursively), a `null` field deletes
+/// that field, and any non-object patch replaces the target outright —
+/// arrays included. A non-object target under an object patch starts
+/// over as an empty object. Fields keep their order; new ones append.
+fn merge_patch(target: &mut serde_json::Value, patch: serde_json::Value) {
+    use serde_json::Value;
+    let Value::Map(fields) = patch else {
+        *target = patch;
+        return;
+    };
+    if !matches!(target, Value::Map(_)) {
+        *target = Value::Map(Vec::new());
+    }
+    let Value::Map(entries) = target else {
+        unreachable!("target was just made an object");
+    };
+    for (name, value) in fields {
+        let at = entries.iter().position(|(k, _)| *k == name);
+        match (at, value) {
+            (Some(i), Value::Null) => {
+                entries.remove(i);
+            }
+            (None, Value::Null) => {}
+            (Some(i), value) => merge_patch(&mut entries[i].1, value),
+            (None, value) => {
+                let mut fresh = Value::Null;
+                merge_patch(&mut fresh, value);
+                entries.push((name, fresh));
+            }
+        }
     }
 }
 
@@ -250,6 +295,12 @@ impl KvStore {
                         dirty[shard_of(key)] = true;
                         map.insert(key.clone(), value.clone());
                     }
+                    [serde_json::Value::Str(tag), serde_json::Value::Str(key), patch]
+                        if tag == "m" =>
+                    {
+                        dirty[shard_of(key)] = true;
+                        merge_patch(map.entry(key.clone()).or_default(), patch.clone());
+                    }
                     [serde_json::Value::Str(tag), serde_json::Value::Str(key)] if tag == "r" => {
                         dirty[shard_of(key)] = true;
                         map.remove(key);
@@ -274,6 +325,23 @@ impl KvStore {
         self.append_wal(payload.as_bytes())?;
         self.dirty[shard_of(key)] = true;
         self.map.insert(key.to_owned(), v);
+        self.seq += 1;
+        self.seqs.insert(key.to_owned(), self.seq);
+        self.maybe_snapshot()
+    }
+
+    /// Apply `patch` to the value under `key` with RFC 7396 JSON Merge
+    /// Patch semantics: object fields merge recursively, a `null` field
+    /// deletes, any other value replaces; a missing key merges into
+    /// `null`. Only the patch goes to the WAL — the op is WAL-durable on
+    /// return — while the map (and so every snapshot, `get` and
+    /// `export_since`) holds the merged whole value.
+    pub fn merge(&mut self, key: &str, patch: serde_json::Value) -> std::io::Result<()> {
+        let key_json = serde_json::to_string(key).map_err(|e| invalid_data(format!("{e:?}")))?;
+        let payload = format!("[\"m\",{key_json},{}]", serde_json::value_to_string(&patch));
+        self.append_wal(payload.as_bytes())?;
+        self.dirty[shard_of(key)] = true;
+        merge_patch(self.map.entry(key.to_owned()).or_default(), patch);
         self.seq += 1;
         self.seqs.insert(key.to_owned(), self.seq);
         self.maybe_snapshot()
@@ -738,6 +806,314 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(keys, vec!["video:2".to_owned()]);
+    }
+
+    fn json(text: &str) -> serde_json::Value {
+        serde_json::from_str(text).unwrap()
+    }
+
+    #[test]
+    fn merge_only_in_the_wal_survives_reopen() {
+        let d = TempDir::new("merge-wal");
+        {
+            let mut kv = KvStore::open(&d.0).unwrap();
+            kv.put("video:1", &json(r#"{"dots":[1,2],"sessions":{"7":1}}"#))
+                .unwrap();
+            kv.merge("video:1", json(r#"{"sessions":{"8":3}}"#))
+                .unwrap();
+            assert_eq!(kv.stats().shard_rewrites, 0);
+            assert_eq!(kv.stats().wal_pending_ops, 2);
+        }
+        let kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:1"),
+            Some(json(r#"{"dots":[1,2],"sessions":{"7":1,"8":3}}"#))
+        );
+    }
+
+    #[test]
+    fn merge_after_a_snapshot_applies_on_the_snapshotted_value() {
+        let d = TempDir::new("merge-snap");
+        {
+            let mut kv = KvStore::open(&d.0).unwrap();
+            kv.put("video:1", &json(r#"{"dots":[1],"sessions":{"7":1}}"#))
+                .unwrap();
+            kv.snapshot().unwrap();
+            kv.merge("video:1", json(r#"{"dots":[2,3],"sessions":{"7":2}}"#))
+                .unwrap();
+            // A merge on a missing key merges into null: the patch,
+            // minus its nulls, becomes the value.
+            kv.merge("video:2", json(r#"{"a":{"b":1,"c":null}}"#))
+                .unwrap();
+        }
+        let mut kv = KvStore::open(&d.0).unwrap();
+        let merged = json(r#"{"dots":[2,3],"sessions":{"7":2}}"#);
+        assert_eq!(kv.get::<serde_json::Value>("video:1"), Some(merged.clone()));
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:2"),
+            Some(json(r#"{"a":{"b":1}}"#))
+        );
+        // Snapshots hold the materialized value, not the patch.
+        kv.snapshot().unwrap();
+        drop(kv);
+        let shard = fs::read(shard_path(&d.0, shard_of("video:1"))).unwrap();
+        let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&shard).unwrap();
+        assert_eq!(part["video:1"], merged);
+    }
+
+    #[test]
+    fn torn_merge_frame_at_the_tail_is_truncated() {
+        let d = TempDir::new("merge-torn");
+        {
+            let mut kv = KvStore::open(&d.0).unwrap();
+            kv.put("video:1", &json(r#"{"sessions":{"7":1}}"#)).unwrap();
+            kv.merge("video:1", json(r#"{"sessions":{"8":1}}"#))
+                .unwrap();
+        }
+        // Crash mid-append of a second merge: its frame is cut short.
+        let payload = br#"["m","video:1",{"sessions":{"9":1}}]"#;
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        let intact = fs::metadata(wal_path(&d.0)).unwrap().len();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(wal_path(&d.0))
+            .unwrap();
+        f.write_all(&frame[..frame.len() - 3]).unwrap();
+        drop(f);
+
+        let mut kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:1"),
+            Some(json(r#"{"sessions":{"7":1,"8":1}}"#))
+        );
+        assert_eq!(fs::metadata(wal_path(&d.0)).unwrap().len(), intact);
+        // Later merges land after the trimmed tail and replay cleanly.
+        kv.merge("video:1", json(r#"{"sessions":{"9":2}}"#))
+            .unwrap();
+        drop(kv);
+        let kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:1"),
+            Some(json(r#"{"sessions":{"7":1,"8":1,"9":2}}"#))
+        );
+    }
+
+    #[test]
+    fn merge_null_deletes_a_field() {
+        let d = TempDir::new("merge-null");
+        let mut kv = KvStore::open(&d.0).unwrap();
+        kv.put("k", &json(r#"{"a":1,"b":{"c":2,"d":3},"e":4}"#))
+            .unwrap();
+        kv.merge("k", json(r#"{"a":null,"b":{"c":null},"zz":null}"#))
+            .unwrap();
+        let want = json(r#"{"b":{"d":3},"e":4}"#);
+        assert_eq!(kv.get::<serde_json::Value>("k"), Some(want.clone()));
+        drop(kv);
+        let kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(kv.get::<serde_json::Value>("k"), Some(want));
+    }
+
+    #[test]
+    fn non_object_patch_replaces_the_value() {
+        let d = TempDir::new("merge-replace");
+        let mut kv = KvStore::open(&d.0).unwrap();
+        kv.put("k", &json(r#"{"a":[1,2,3],"b":1}"#)).unwrap();
+        // An array inside an object patch replaces the array field …
+        kv.merge("k", json(r#"{"a":[9]}"#)).unwrap();
+        assert_eq!(
+            kv.get::<serde_json::Value>("k"),
+            Some(json(r#"{"a":[9],"b":1}"#))
+        );
+        // … and a non-object patch replaces the whole value, while an
+        // object patch over a non-object starts from an empty object.
+        kv.merge("k", json("[1,2]")).unwrap();
+        assert_eq!(kv.get::<serde_json::Value>("k"), Some(json("[1,2]")));
+        kv.merge("k", json(r#"{"x":"y"}"#)).unwrap();
+        drop(kv);
+        let kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(kv.get::<serde_json::Value>("k"), Some(json(r#"{"x":"y"}"#)));
+    }
+
+    /// RFC 7396's `MergePatch` pseudo-code, over sorted maps — the
+    /// reference model for the store's in-place merge.
+    fn model_merge(target: Option<Model>, patch: &Model) -> Model {
+        let Model::Obj(fields) = patch else {
+            return patch.clone();
+        };
+        let mut out = match target {
+            Some(Model::Obj(m)) => m,
+            _ => BTreeMap::new(),
+        };
+        for (name, value) in fields {
+            if *value == Model::Null {
+                out.remove(name);
+            } else {
+                let merged = model_merge(out.remove(name), value);
+                out.insert(name.clone(), merged);
+            }
+        }
+        Model::Obj(out)
+    }
+
+    /// A JSON value with sorted object keys: store values are compared
+    /// through it, so field order never matters.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Model {
+        Null,
+        Num(u64),
+        Arr(Vec<Model>),
+        Obj(BTreeMap<String, Model>),
+    }
+
+    impl Model {
+        fn of(v: &serde_json::Value) -> Model {
+            use serde_json::Value;
+            match v {
+                Value::Null => Model::Null,
+                Value::U64(n) => Model::Num(*n),
+                Value::Seq(items) => Model::Arr(items.iter().map(Model::of).collect()),
+                Value::Map(entries) => Model::Obj(
+                    entries
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Model::of(v)))
+                        .collect(),
+                ),
+                other => panic!("unexpected value {other:?}"),
+            }
+        }
+
+        fn to_value(&self) -> serde_json::Value {
+            use serde_json::Value;
+            match self {
+                Model::Null => Value::Null,
+                Model::Num(n) => Value::U64(*n),
+                Model::Arr(items) => Value::Seq(items.iter().map(Model::to_value).collect()),
+                Model::Obj(m) => {
+                    Value::Map(m.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+                }
+            }
+        }
+
+        /// A small random value: objects over the fields `a`..`c`
+        /// nest up to `depth`, and (in patches) fields may be `null`.
+        fn draw(bits: &mut u64, depth: u32, nulls: bool) -> Model {
+            fn next(bits: &mut u64, n: u64) -> u64 {
+                *bits = bits
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (*bits >> 33) % n
+            }
+            match next(bits, if depth == 0 { 2 } else { 4 }) {
+                0 => Model::Num(next(bits, 100)),
+                1 => Model::Arr((0..next(bits, 3)).map(Model::Num).collect()),
+                _ => {
+                    let mut m = BTreeMap::new();
+                    for name in ["a", "b", "c"] {
+                        match next(bits, 4) {
+                            0 => {}
+                            1 if nulls => {
+                                m.insert(name.to_owned(), Model::Null);
+                            }
+                            _ => {
+                                m.insert(name.to_owned(), Model::draw(bits, depth - 1, nulls));
+                            }
+                        }
+                    }
+                    Model::Obj(m)
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any interleaving of put / merge / remove / snapshot / reopen
+        /// leaves the store equal to the model — values, key set, and
+        /// the `export_since` delta set alike.
+        #[test]
+        fn random_ops_match_the_model(
+            ops in proptest::collection::vec((0u8..6, 0usize..4, proptest::prelude::any::<u64>()), 0..48),
+        ) {
+            let d = TempDir::new("merge-prop");
+            // A low op threshold so the random walk crosses automatic
+            // snapshots as well as forced ones.
+            let cfg = KvConfig { snapshot_every_ops: 5, snapshot_every_bytes: u64::MAX };
+            let keys = ["video:1", "video:2", "video:3", "model:main"];
+            let mut kv = KvStore::open_with(&d.0, cfg).unwrap();
+            let mut model: BTreeMap<String, Model> = BTreeMap::new();
+            // Per-key last-mutation seqs, as `export_since` sees them.
+            let mut seq = 0u64;
+            let mut seqs: BTreeMap<String, u64> = BTreeMap::new();
+            let mut marks = vec![0u64];
+            for (step, &(kind, k, bits)) in ops.iter().enumerate() {
+                let key = keys[k];
+                let mut bits = bits;
+                match kind {
+                    0 => {
+                        let v = Model::draw(&mut bits, 2, false);
+                        kv.put(key, &v.to_value()).unwrap();
+                        model.insert(key.to_owned(), v);
+                        seq += 1;
+                        seqs.insert(key.to_owned(), seq);
+                    }
+                    1 | 2 => {
+                        let patch = Model::draw(&mut bits, 3, true);
+                        kv.merge(key, patch.to_value()).unwrap();
+                        let merged = model_merge(model.remove(key), &patch);
+                        model.insert(key.to_owned(), merged);
+                        seq += 1;
+                        seqs.insert(key.to_owned(), seq);
+                    }
+                    3 => {
+                        let existed = kv.remove(key).unwrap();
+                        assert_eq!(existed, model.remove(key).is_some(), "step {step}");
+                        if existed {
+                            seq += 1;
+                            seqs.remove(key);
+                        }
+                    }
+                    4 => kv.snapshot().unwrap(),
+                    _ => {
+                        drop(kv);
+                        kv = KvStore::open_with(&d.0, cfg).unwrap();
+                        seq = u64::from(!model.is_empty());
+                        seqs = model.keys().map(|k| (k.clone(), seq)).collect();
+                        marks = vec![0];
+                    }
+                }
+                assert_eq!(kv.current_seq(), seq, "step {step}");
+                assert_eq!(kv.len(), model.len(), "step {step}");
+                for (key, want) in &model {
+                    let got = kv.get::<serde_json::Value>(key).map(|v| Model::of(&v));
+                    assert_eq!(got.as_ref(), Some(want), "step {step}: {key}");
+                }
+                for &since in &marks {
+                    let got: Vec<(String, Model)> = kv
+                        .export_since("video:", since)
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Model::of(v)))
+                        .collect();
+                    let want: Vec<(String, Model)> = model
+                        .iter()
+                        .filter(|(k, _)| k.starts_with("video:") && seqs[*k] > since)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(got, want, "step {step}: export_since({since})");
+                }
+                marks.push(seq);
+            }
+            drop(kv);
+            let kv = KvStore::open_with(&d.0, cfg).unwrap();
+            let reopened: BTreeMap<String, Model> = keys
+                .iter()
+                .filter_map(|k| Some((k.to_string(), Model::of(&kv.get::<serde_json::Value>(k)?))))
+                .collect();
+            assert_eq!(reopened, model, "final reopen");
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   live/dead byte accounting that drives [`ChatStore::compact`]
 //!   (re-crawled videos orphan their previous records).
 //! * [`KvStore`] — the refined red-dot / model state: prefix-sharded
-//!   JSON snapshots fronted by an fsynced write-ahead log. Puts are
-//!   O(op); snapshot rewrites are amortized by op/byte thresholds; a
-//!   corrupt snapshot is an error, never a silently empty store.
+//!   JSON snapshots fronted by an fsynced write-ahead log. Writes are
+//!   O(op) — a merge logs only its JSON Merge Patch; snapshots hold
+//!   materialized values and their rewrites are amortized by op/byte
+//!   thresholds; a corrupt snapshot is an error, never a silently
+//!   empty store.
 
 mod chatstore;
 mod fault;

@@ -174,7 +174,7 @@ fn bench_kv_put_throughput(c: &mut Criterion) {
     // One ack on a video with 300 acknowledged clients (64-bit ids) and
     // real initializer dots: the watermark-only merge patch the service
     // logs, vs a put of the whole state. Both rows share one store, so
-    // they pay the same amortized shard snapshots.
+    // they pay the same amortized snapshots.
     let mut state = ack_state(&dir.join("svc"), 300);
     let mut kv = KvStore::open(dir.join("acks")).unwrap();
     kv.put("video:1", &state).unwrap();

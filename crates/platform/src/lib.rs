@@ -7,9 +7,8 @@
 //! * [`store`] — an embedded storage layer: a CRC-checked append-only
 //!   segment log with compaction ([`store::SegmentLog`]), a per-video
 //!   chat store with crash recovery by segment scan and dead-byte
-//!   reclaim ([`store::ChatStore`]), and a prefix-sharded,
-//!   WAL-fronted KV store for models and red dots
-//!   ([`store::KvStore`]);
+//!   reclaim ([`store::ChatStore`]), and a snapshot-plus-WAL KV store
+//!   for the refined red dots ([`store::KvStore`]);
 //! * [`crawler`] — the offline/online chat crawler that pulls replays
 //!   from the (simulated) platform into the chat store;
 //! * [`service`] — the web-service core: serve red dots on video open
@@ -26,8 +25,7 @@ pub mod wire;
 
 pub use cache::LruCache;
 pub use crawler::{CrawlStats, Crawler};
-pub use service::{LightorService, ServiceConfig, ServiceStats, VideoState};
+pub use service::{LightorService, ServiceConfig, VideoState};
 pub use store::{
-    ChatStore, CompactStats, Fault, FaultInjector, FaultKind, KvConfig, KvStats, KvStore,
-    SegmentLog,
+    ChatStore, CompactStats, Fault, FaultInjector, FaultKind, KvStats, KvStore, SegmentLog,
 };

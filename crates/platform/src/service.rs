@@ -60,7 +60,10 @@
 use crate::cache::LruCache;
 use crate::crawler::Crawler;
 use crate::store::{ChatStore, FaultInjector, KvStore, TokenizedRecord};
-use crate::wire::{self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse};
+use crate::wire::{
+    self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse, StatsResponse,
+    BUNDLE_FORMAT_VERSION,
+};
 use lightor::{DotProgress, GlobalVocab, ModelBundle, TokenizedChat, VocabDelta};
 use lightor_chatsim::SimPlatform;
 use lightor_types::{Play, PlaySet, RedDot, Sec, Session, VideoId};
@@ -245,46 +248,17 @@ fn snapshot_dots(state: &VideoState) -> Vec<RedDot> {
         .collect()
 }
 
-/// Point-in-time serving counters (see [`LightorService::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServiceStats {
-    /// Videos with chat stored.
-    pub stored_videos: usize,
-    /// Videos with live refinement state.
-    pub tracked_videos: usize,
-    /// Corpus-cache hits (warm scores that skipped tokenization).
-    pub corpus_cache_hits: u64,
-    /// Corpus-cache misses (corpus loads that went to storage).
-    pub corpus_cache_misses: u64,
-    /// Corpus loads served from persisted v3 tokenized records —
-    /// zero re-tokenization, term ids straight off disk.
-    pub tokenized_hits: u64,
-    /// Corpus loads that had to re-tokenize raw chat (no usable v3
-    /// companion yet).
-    pub tokenized_misses: u64,
-    /// Lazy v2→v3 upgrades persisted: cold tokenizations written back
-    /// so no future process pays that cost again.
-    pub tokenized_lazy_upgrades: u64,
-    /// Wall time of the boot-time training pass, milliseconds (0 until
-    /// the serve binary reports it).
-    pub train_boot_ms: u64,
-    /// Chat-record cache hits in the store.
-    pub record_cache_hits: u64,
-    /// Chat-record cache misses in the store.
-    pub record_cache_misses: u64,
-    /// Bytes currently pending in the KV write-ahead log.
-    pub kv_wal_bytes: u64,
-    /// KV WAL appends since open (every persisted refinement is one).
-    pub kv_wal_appends: u64,
-    /// KV shard snapshot rewrites since open (amortized persistence).
-    pub kv_shard_rewrites: u64,
-    /// Chat-log bytes dead (orphaned by re-crawls, not yet compacted).
-    pub chat_dead_bytes: u64,
-    /// Chat-log bytes reclaimed by compactions since open.
-    pub chat_reclaimed_bytes: u64,
-    /// Whether the service is in degraded read-only mode (storage I/O
-    /// failed; warm reads keep working, writes are refused).
-    pub degraded: bool,
+/// The KV key prefix of every video's refinement state.
+const VIDEO_PREFIX: &str = "video:";
+
+/// The KV key holding `video`'s refinement state.
+fn video_key(video: VideoId) -> String {
+    format!("{VIDEO_PREFIX}{}", video.0)
+}
+
+/// The video a KV key holds the state of, if it is a video key.
+fn video_of_key(key: &str) -> Option<VideoId> {
+    key.strip_prefix(VIDEO_PREFIX)?.parse().ok().map(VideoId)
 }
 
 /// The storage pair: cold-open and persistence only.
@@ -351,11 +325,8 @@ impl LightorService {
         chat.set_fault_injector(fault.clone());
         kv.set_fault_injector(fault.clone());
         let mut videos = HashMap::new();
-        for key in kv.keys_with_prefix("video:") {
-            let Some(id) = key
-                .strip_prefix("video:")
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
+        for key in kv.keys_with_prefix(VIDEO_PREFIX) {
+            let Some(video) = video_of_key(&key) else {
                 continue;
             };
             let Some(stored) = kv.get::<serde_json::Value>(&key) else {
@@ -371,7 +342,7 @@ impl LightorService {
             if let Some(serde_json::Value::Seq(_)) = stored.get_key("sessions") {
                 kv.put(&key, &state)?;
             }
-            videos.insert(VideoId(id), VideoEntry::new(state));
+            videos.insert(video, VideoEntry::new(state));
         }
         Ok(LightorService {
             models,
@@ -788,7 +759,9 @@ impl LightorService {
     }
 
     /// Serving counters: store/caches state for dashboards and tests.
-    pub fn stats(&self) -> ServiceStats {
+    /// The HTTP-edge fields (`accept_errors`, `stream_*`, `http`) are
+    /// left zero for the front end to fill in.
+    pub fn stats(&self) -> StatsResponse {
         let (record_hits, record_misses, stored, kv, dead, reclaimed) = {
             let stores = self.stores.lock();
             let (h, m) = stores.chat.cache_stats();
@@ -805,7 +778,7 @@ impl LightorService {
             let corpora = self.corpora.lock();
             (corpora.hits(), corpora.misses())
         };
-        ServiceStats {
+        StatsResponse {
             stored_videos: stored,
             tracked_videos: self.videos.read().len(),
             corpus_cache_hits: corpus_hits,
@@ -818,16 +791,17 @@ impl LightorService {
             record_cache_misses: record_misses,
             kv_wal_bytes: kv.wal_bytes,
             kv_wal_appends: kv.wal_appends,
-            kv_shard_rewrites: kv.shard_rewrites,
+            kv_shard_rewrites: kv.snapshot_rewrites,
             chat_dead_bytes: dead,
             chat_reclaimed_bytes: reclaimed,
             degraded: self.is_degraded(),
+            ..StatsResponse::default()
         }
     }
 
     /// Maintenance hook: compact the chat log (reclaiming bytes orphaned
-    /// by re-crawls) and force the KV store's pending WAL into shard
-    /// snapshots. Safe to call any time; returns the chat compaction
+    /// by re-crawls) and force the KV store's pending WAL into its
+    /// snapshot. Safe to call any time; returns the chat compaction
     /// outcome.
     pub fn compact_storage(&self) -> std::io::Result<crate::store::CompactStats> {
         let mut stores = self.stores.lock();
@@ -920,46 +894,7 @@ impl LightorService {
             self.freeze_videos(&targets, Duration::from_millis(req.freeze_ms));
         }
         let stores = self.stores.lock();
-        let ids = if requested.is_empty() {
-            Self::all_video_ids(&stores.chat, &stores.kv)
-        } else {
-            requested
-        };
-        let changed: HashMap<String, serde_json::Value> = stores
-            .kv
-            .export_since("video:", req.since_seq)
-            .into_iter()
-            .collect();
-        let mut entries = Vec::new();
-        for v in ids {
-            let state = changed.get(&format!("video:{}", v.0)).cloned();
-            let (chat_hex, tokenized_hex) = if req.since_seq == 0 {
-                (
-                    stores.chat.export_record(v)?.map(|b| wire::hex_encode(&b)),
-                    stores
-                        .chat
-                        .export_tokenized(v)?
-                        .map(|b| wire::hex_encode(&b)),
-                )
-            } else {
-                (None, None)
-            };
-            if state.is_some() || chat_hex.is_some() {
-                entries.push(BundleEntryDto {
-                    video: v.0,
-                    state,
-                    chat_hex,
-                    tokenized_hex,
-                });
-            }
-        }
-        let crc32 = wire::bundle_crc(&entries);
-        Ok(BundleDto {
-            format_version: 2,
-            as_of_seq: stores.kv.current_seq(),
-            entries,
-            crc32,
-        })
+        Self::build_bundle(&stores.chat, &stores.kv, requested, req.since_seq)
     }
 
     /// Apply a migration bundle: verify its CRC, then append chat
@@ -971,11 +906,11 @@ impl LightorService {
     /// bytes) and state re-puts are plain overwrites.
     pub fn import_bundle(&self, bundle: &BundleDto) -> std::io::Result<ImportResponse> {
         use std::io::{Error, ErrorKind};
-        if bundle.format_version != 2 {
+        if bundle.format_version != BUNDLE_FORMAT_VERSION {
             return Err(Error::new(
                 ErrorKind::InvalidData,
                 format!(
-                    "unsupported bundle format_version {} (this build speaks 2)",
+                    "unsupported bundle format_version {} (this build speaks {BUNDLE_FORMAT_VERSION})",
                     bundle.format_version
                 ),
             ));
@@ -1035,7 +970,7 @@ impl LightorService {
                     // value: a bundle from an older source can carry the
                     // legacy array-form watermarks, which a later merge
                     // patch would overwrite wholesale.
-                    stores.kv.put(&format!("video:{}", entry.video), &parsed)?;
+                    stores.kv.put(&video_key(video), &parsed)?;
                     states_applied += 1;
                     restored.push((video, parsed));
                 }
@@ -1066,11 +1001,40 @@ impl LightorService {
     pub fn bundle_from_dir(dir: &Path) -> std::io::Result<BundleDto> {
         let chat = ChatStore::open(dir.join("chat"))?;
         let kv = KvStore::open(dir.join("state"))?;
+        Self::build_bundle(&chat, &kv, Vec::new(), 0)
+    }
+
+    /// The one bundle builder: an entry per video in `requested` (every
+    /// stored video when empty) carrying its state when it changed
+    /// after `since_seq` and, on full bundles (`since_seq == 0`), its
+    /// raw chat and tokenized records; then the CRC over the entries.
+    fn build_bundle(
+        chat: &ChatStore,
+        kv: &KvStore,
+        requested: Vec<VideoId>,
+        since_seq: u64,
+    ) -> std::io::Result<BundleDto> {
+        let ids = if requested.is_empty() {
+            Self::all_video_ids(chat, kv)
+        } else {
+            requested
+        };
+        let mut changed: HashMap<VideoId, serde_json::Value> = kv
+            .export_since(VIDEO_PREFIX, since_seq)
+            .into_iter()
+            .filter_map(|(key, state)| Some((video_of_key(&key)?, state)))
+            .collect();
         let mut entries = Vec::new();
-        for v in Self::all_video_ids(&chat, &kv) {
-            let state = kv.get::<serde_json::Value>(&format!("video:{}", v.0));
-            let chat_hex = chat.export_record(v)?.map(|b| wire::hex_encode(&b));
-            let tokenized_hex = chat.export_tokenized(v)?.map(|b| wire::hex_encode(&b));
+        for v in ids {
+            let state = changed.remove(&v);
+            let (chat_hex, tokenized_hex) = if since_seq == 0 {
+                (
+                    chat.export_record(v)?.map(|b| wire::hex_encode(&b)),
+                    chat.export_tokenized(v)?.map(|b| wire::hex_encode(&b)),
+                )
+            } else {
+                (None, None)
+            };
             if state.is_some() || chat_hex.is_some() {
                 entries.push(BundleEntryDto {
                     video: v.0,
@@ -1082,7 +1046,7 @@ impl LightorService {
         }
         let crc32 = wire::bundle_crc(&entries);
         Ok(BundleDto {
-            format_version: 2,
+            format_version: BUNDLE_FORMAT_VERSION,
             as_of_seq: kv.current_seq(),
             entries,
             crc32,
@@ -1093,14 +1057,11 @@ impl LightorService {
     /// refinement state, sorted by id.
     fn all_video_ids(chat: &ChatStore, kv: &KvStore) -> Vec<VideoId> {
         let mut ids = chat.videos();
-        for key in kv.keys_with_prefix("video:") {
-            if let Some(id) = key
-                .strip_prefix("video:")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                ids.push(VideoId(id));
-            }
-        }
+        ids.extend(
+            kv.keys_with_prefix(VIDEO_PREFIX)
+                .iter()
+                .filter_map(|k| video_of_key(k)),
+        );
         ids.sort_unstable_by_key(|v| v.0);
         ids.dedup();
         ids
@@ -1117,7 +1078,7 @@ impl LightorService {
         state: &VideoState,
         patch: Option<serde_json::Value>,
     ) -> std::io::Result<()> {
-        let key = format!("video:{}", video.0);
+        let key = video_key(video);
         let result = {
             let mut stores = self.stores.lock();
             match patch {
@@ -1915,12 +1876,12 @@ mod tests {
         };
         {
             // Hand-write the legacy layout: video A's array-form state
-            // in a shard snapshot, video B's in a WAL `p` frame.
+            // in the snapshot, video B's in a WAL `p` frame.
             let mut kv = KvStore::open(dir.0.join("state")).unwrap();
-            kv.put(&format!("video:{}", a.0), &legacy_state_value(&states.0))
+            kv.put(&video_key(a), &legacy_state_value(&states.0))
                 .unwrap();
             kv.snapshot().unwrap();
-            kv.put(&format!("video:{}", b.0), &legacy_state_value(&states.1))
+            kv.put(&video_key(b), &legacy_state_value(&states.1))
                 .unwrap();
             assert_eq!(kv.stats().wal_pending_ops, 1);
         }
@@ -2241,12 +2202,7 @@ mod tests {
             .all(|d| d.converged));
 
         let persisted = || {
-            let state: VideoState = svc
-                .stores
-                .lock()
-                .kv
-                .get(&format!("video:{}", vid.0))
-                .unwrap();
+            let state: VideoState = svc.stores.lock().kv.get(&video_key(vid)).unwrap();
             (serde_json::to_string(&state).unwrap(), state)
         };
         // Two-digit sequence numbers keep the watermark's own length

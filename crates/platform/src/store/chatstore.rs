@@ -50,6 +50,7 @@
 //! durable record. Batched puts evict instead.
 
 use super::format::{self, Format, TokenizedRecord};
+use super::frame;
 use super::log::{RecordId, SegmentLog};
 use super::FaultInjector;
 use crate::cache::LruCache;
@@ -64,7 +65,7 @@ use std::sync::Arc;
 const RECORD_CACHE_CAP: usize = 64;
 
 /// Frame overhead the log adds per record (length + CRC header).
-const FRAME_OVERHEAD: u64 = 8;
+const FRAME_OVERHEAD: u64 = frame::HEADER as u64;
 
 /// One live record in the index: where it is and how big it is on disk
 /// (framed), so dead bytes can be computed without rescanning the log.
@@ -668,6 +669,56 @@ mod tests {
         }
         // Still the written view: no read went to the log.
         assert_eq!(store.cache_stats(), (2, 0));
+    }
+
+    #[test]
+    fn failed_appends_never_cost_a_later_acknowledged_write() {
+        let kinds = [
+            FaultKind::Error,
+            FaultKind::TornWrite { keep: 1 },
+            FaultKind::TornWrite { keep: 9 },
+        ];
+        for point in ["log.append.write", "log.tok.write"] {
+            for kind in kinds {
+                let case = format!("{point} {kind:?}");
+                let dir = TempDir::new("fail-then-ack");
+                let mut store = ChatStore::open(&dir.0).unwrap();
+                store.put_chat(VideoId(1), &sample_chat()).unwrap();
+                store.fault_injector().arm(Fault::once(point, kind));
+                let failed = match point {
+                    "log.tok.write" => store.put_tokenized(&sample_tokenized(VideoId(1))),
+                    _ => store.put_chat(VideoId(1), &ChatLog::empty()),
+                };
+                assert!(failed.is_err(), "{case}");
+                assert_eq!(store.fault_injector().fired(point), 1, "{case}");
+
+                // The next synced writes are acknowledged and must read
+                // back from the log itself, not the record cache …
+                store.put_chat(VideoId(2), &sample_chat()).unwrap();
+                store.put_tokenized(&sample_tokenized(VideoId(2))).unwrap();
+                store.cache.lock().clear();
+                for vid in [VideoId(1), VideoId(2)] {
+                    assert_eq!(
+                        store.get_chat(vid).unwrap().unwrap(),
+                        sample_chat(),
+                        "{case}: video {}",
+                        vid.0
+                    );
+                }
+                let rec = sample_tokenized(VideoId(2));
+                assert_eq!(store.get_tokenized(VideoId(2)).unwrap(), Some(rec.clone()));
+                assert_eq!(store.dead_bytes(), 0, "{case}: failed frame trimmed");
+
+                // … and after a reopen.
+                drop(store);
+                let store = ChatStore::open(&dir.0).unwrap();
+                assert_eq!(store.video_count(), 2, "{case}");
+                assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), sample_chat());
+                assert_eq!(store.get_chat(VideoId(2)).unwrap().unwrap(), sample_chat());
+                assert_eq!(store.get_tokenized(VideoId(2)).unwrap(), Some(rec));
+                assert!(!store.has_tokenized(VideoId(1)), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! |---|---|
 //! | `kv.wal.write` | WAL frame `write_all` |
 //! | `kv.wal.sync` | WAL `sync_data` after an append |
-//! | `kv.wal.trim` | `set_len` rollback after a failed append |
-//! | `kv.shard.write` | shard snapshot `write_all` |
-//! | `kv.shard.sync` | shard snapshot `sync_all` before rename |
+//! | `kv.wal.trim` | `set_len` rollback after a failed WAL append |
+//! | `kv.shard.write` | `snapshot.json` `write_all` |
+//! | `kv.shard.sync` | `snapshot.json` `sync_all` before rename |
 //! | `log.append.write` | segment record `write_all` |
 //! | `log.tok.write` | tokenized-companion (v3) record `write_all` |
+//! | `log.append.trim` | `set_len` rollback after a failed segment append |
 //! | `log.sync` | segment `sync_data` |
 //! | `log.read` | record read (post-read corruption) |
 

@@ -1,27 +1,21 @@
-//! A sharded JSON key-value store with a write-ahead log — holds trained
-//! model bundles and the continuously refined red-dot state ("the
-//! refined results will be stored in the database continuously",
-//! Section VI-A).
+//! A JSON key-value store with a write-ahead log — holds the
+//! continuously refined red-dot state ("the refined results will be
+//! stored in the database continuously", Section VI-A).
 //!
 //! # On-disk layout
 //!
 //! The store is a directory:
 //!
 //! ```text
-//! <dir>/shard-00.json .. shard-07.json   per-shard snapshots (pretty JSON maps)
-//! <dir>/wal.log                          write-ahead log (framed JSON ops)
+//! <dir>/snapshot.json   the whole map (pretty JSON object)
+//! <dir>/wal.log         write-ahead log (framed JSON ops)
 //! ```
-//!
-//! Keys are routed to a shard by hashing their *prefix segment* (the
-//! part up to and including the first `:`, e.g. `video:` for
-//! `video:42`), so one logical namespace stays together and a write
-//! only ever dirties one shard.
 //!
 //! # Write path
 //!
-//! Every write appends one CRC-framed op to the WAL and `fsync`s it —
-//! durability is per-operation, but the cost is O(op), not O(store).
-//! The WAL holds three op kinds:
+//! Every write appends one op to the WAL as a [`frame`](super::frame)
+//! and `fsync`s it — durability is per-operation, but the cost is
+//! O(op), not O(store). The WAL holds three op kinds:
 //!
 //! * `["p", key, value]` — [`KvStore::put`]: insert or replace `value`;
 //! * `["m", key, patch]` — [`KvStore::merge`]: apply `patch` to the
@@ -29,55 +23,42 @@
 //!   change to a large value logs only the change;
 //! * `["r", key]` — [`KvStore::remove`].
 //!
-//! The in-memory map and the shard snapshots always hold *materialized*
+//! The in-memory map and the snapshot always hold *materialized*
 //! values: a merge is applied in place as soon as it is durable, and
-//! snapshots write whole values, never patches. Snapshots are
-//! amortized: once the WAL accumulates [`KvConfig::snapshot_every_ops`]
-//! ops (or `snapshot_every_bytes` bytes), the dirty shards are
-//! rewritten atomically (temp file + `sync_all` + rename +
-//! parent-directory fsync) and the WAL is truncated.
+//! the snapshot writes whole values, never patches. Snapshots are
+//! amortized: once the WAL holds 256 ops or 1 MiB (two constants, not
+//! settings), `snapshot.json` is rewritten atomically (temp file +
+//! `sync_all` + rename + directory fsync) and the WAL is truncated. The snapshot is stale exactly when the WAL
+//! has pending ops.
 //!
 //! # Recovery
 //!
-//! `open` loads every shard snapshot *strictly* — a corrupt shard is an
+//! `open` loads the snapshot *strictly* — a corrupt snapshot is an
 //! [`InvalidData`](std::io::ErrorKind::InvalidData) error, never a
 //! silently empty store — then replays the WAL on top, in order. A torn
-//! WAL tail (crash mid-append) is detected by the length/CRC framing
-//! and truncated away; everything before it is applied and re-marked
-//! dirty so the next snapshot persists it. Orphaned `*.tmp` files from
-//! a crash mid-snapshot are removed.
+//! WAL tail (crash mid-append) is detected by the frame's length/CRC
+//! and truncated away; everything before it is applied and stays
+//! pending, so the next snapshot persists it. Orphaned `*.tmp` files
+//! from a crash mid-snapshot are removed.
+//!
+//! Stores written before the single snapshot kept it as prefix-hashed
+//! `shard-NN.json` files. When `snapshot.json` is absent, `open` reads
+//! those instead; the first snapshot publishes `snapshot.json` (rename
+//! plus directory fsync) before it deletes them.
 
-use super::{crc32, sync_dir, FaultInjector};
+use super::frame::{self, Frames};
+use super::{sync_dir, FaultInjector};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom};
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
-/// Number of snapshot shards (prefix-hashed).
-pub const SHARD_COUNT: usize = 8;
+/// Snapshot once this many ops are pending in the WAL.
+const SNAPSHOT_EVERY_OPS: u64 = 256;
 
-/// WAL frame header: `[len: u32 LE][crc32(payload): u32 LE]`.
-const WAL_HEADER: usize = 8;
-
-/// Snapshot/WAL tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KvConfig {
-    /// Snapshot once this many ops are pending in the WAL.
-    pub snapshot_every_ops: u64,
-    /// Snapshot once the WAL grows past this many bytes.
-    pub snapshot_every_bytes: u64,
-}
-
-impl Default for KvConfig {
-    fn default() -> Self {
-        KvConfig {
-            snapshot_every_ops: 256,
-            snapshot_every_bytes: 1 << 20,
-        }
-    }
-}
+/// Snapshot once the WAL grows past this many bytes.
+const SNAPSHOT_EVERY_BYTES: u64 = 1 << 20;
 
 /// Point-in-time persistence counters (see [`KvStore::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,22 +69,23 @@ pub struct KvStats {
     pub wal_pending_ops: u64,
     /// WAL appends since open.
     pub wal_appends: u64,
-    /// Shard snapshot rewrites since open.
-    pub shard_rewrites: u64,
+    /// Snapshot rewrites since open.
+    pub snapshot_rewrites: u64,
 }
 
-/// String-keyed JSON store persisted as sharded snapshots plus a WAL.
+/// String-keyed JSON store persisted as one snapshot plus a WAL.
 #[derive(Debug)]
 pub struct KvStore {
     dir: PathBuf,
-    cfg: KvConfig,
     map: BTreeMap<String, serde_json::Value>,
-    dirty: [bool; SHARD_COUNT],
+    /// `shard-NN.json` files of the pre-snapshot layout, deleted by the
+    /// next snapshot.
+    legacy: Vec<PathBuf>,
     wal: File,
     wal_bytes: u64,
     wal_pending_ops: u64,
     wal_appends: u64,
-    shard_rewrites: u64,
+    snapshot_rewrites: u64,
     fault: FaultInjector,
     /// Monotonic in-memory op sequence — the migration watermark. Keys
     /// present at open (snapshot + replayed WAL tail) all carry seq 1;
@@ -116,18 +98,8 @@ pub struct KvStore {
     seqs: BTreeMap<String, u64>,
 }
 
-/// Shard a key by its prefix segment (up to and including the first
-/// `:`, or the whole key when it has none).
-fn shard_of(key: &str) -> usize {
-    let prefix = match key.find(':') {
-        Some(i) => &key[..=i],
-        None => key,
-    };
-    crc32(prefix.as_bytes()) as usize % SHARD_COUNT
-}
-
-fn shard_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:02}.json"))
+fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.json")
 }
 
 fn wal_path(dir: &Path) -> PathBuf {
@@ -144,6 +116,23 @@ fn sync_parent(path: &Path) -> std::io::Result<()> {
         Some(p) if !p.as_os_str().is_empty() => sync_dir(p),
         _ => Ok(()),
     }
+}
+
+/// Read the snapshot at `path` into `map`, strictly. `Ok(false)` when
+/// there is no such file.
+fn load_snapshot(
+    path: &Path,
+    map: &mut BTreeMap<String, serde_json::Value>,
+) -> std::io::Result<bool> {
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&bytes)
+        .map_err(|e| invalid_data(format!("corrupt snapshot {}: {e:?}", path.display())))?;
+    map.extend(part);
+    Ok(true)
 }
 
 /// Apply an RFC 7396 JSON Merge Patch to `target` in place: an object
@@ -181,67 +170,41 @@ fn merge_patch(target: &mut serde_json::Value, patch: serde_json::Value) {
 }
 
 impl KvStore {
-    /// Open (or create) the store directory at `path` with default
-    /// tuning. A corrupt shard snapshot is an `InvalidData` error,
-    /// never a silently empty store.
+    /// Open (or create) the store directory at `path`. A corrupt
+    /// snapshot is an `InvalidData` error, never a silently empty store.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::open_with(path, KvConfig::default())
-    }
-
-    /// Open (or create) the store at `path` with explicit tuning.
-    pub fn open_with(path: impl Into<PathBuf>, cfg: KvConfig) -> std::io::Result<Self> {
         let dir = path.into();
         fs::create_dir_all(&dir)?;
 
         // A crash mid-snapshot can leave temp files behind; they were
-        // never renamed into place, so they are dead weight.
+        // never renamed into place, so they are dead weight. Shard files
+        // are the old layout's snapshot.
+        let mut legacy = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let p = entry?.path();
-            if p.extension().is_some_and(|e| e == "tmp") {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.ends_with(".tmp") {
                 fs::remove_file(&p)?;
+            } else if name.starts_with("shard-") && name.ends_with(".json") {
+                legacy.push(p);
             }
         }
 
+        // `snapshot.json` supersedes any shard files: they outlive it
+        // only when a crash cut the first snapshot short of deleting
+        // them.
         let mut map = BTreeMap::new();
-        let mut dirty = [false; SHARD_COUNT];
-        for shard in 0..SHARD_COUNT {
-            let p = shard_path(&dir, shard);
-            match fs::read(&p) {
-                Ok(bytes) => {
-                    let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&bytes)
-                        .map_err(|e| {
-                            invalid_data(format!("corrupt shard snapshot {}: {e:?}", p.display()))
-                        })?;
-                    map.extend(part);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+        if !load_snapshot(&snapshot_path(&dir), &mut map)? {
+            for p in &legacy {
+                load_snapshot(p, &mut map)?;
             }
         }
 
-        // Replay the WAL on top of the snapshots. A torn tail is
-        // truncated; complete ops are applied and their shards re-marked
-        // dirty so the next snapshot persists them.
-        let wp = wal_path(&dir);
-        let mut wal_bytes = 0u64;
-        let mut wal_pending_ops = 0u64;
-        if let Ok(buf) = fs::read(&wp) {
-            let (valid, ops) = Self::replay_wal(&buf, &mut map, &mut dirty)?;
-            if valid < buf.len() as u64 {
-                let f = OpenOptions::new().write(true).open(&wp)?;
-                f.set_len(valid)?;
-                f.sync_all()?;
-            }
-            wal_bytes = valid;
-            wal_pending_ops = ops;
-        }
-        let mut wal = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false) // replay already trimmed the torn tail
-            .open(&wp)?;
-        wal.seek(SeekFrom::Start(wal_bytes))?;
+        // Replay the WAL on top of the snapshot; `open_trimmed` has cut
+        // any torn tail. The replayed ops stay pending, so the next
+        // snapshot persists them.
+        let (wal, valid) = frame::open_trimmed(&wal_path(&dir))?;
+        let wal_pending_ops = Self::replay_wal(&valid, &mut map)?;
         // "WAL-durable on return" needs the store directory itself (and
         // the fresh wal.log's entry in it) to survive a crash, not just
         // the file's data blocks.
@@ -252,57 +215,43 @@ impl KvStore {
         let seqs: BTreeMap<String, u64> = map.keys().map(|k| (k.clone(), seq)).collect();
         Ok(KvStore {
             dir,
-            cfg,
             map,
-            dirty,
+            legacy,
             wal,
-            wal_bytes,
+            wal_bytes: valid.len() as u64,
             wal_pending_ops,
             wal_appends: 0,
-            shard_rewrites: 0,
+            snapshot_rewrites: 0,
             fault: FaultInjector::new(),
             seq,
             seqs,
         })
     }
 
-    /// Apply every complete WAL frame to `map`; returns the byte length
-    /// of the valid prefix and the number of ops applied. A frame whose
-    /// length or CRC does not check out ends the replay (crash mid-
-    /// append); a frame that parses but is not a known op is corruption
-    /// and errors out.
+    /// Apply every WAL frame to `map`; returns the number of ops
+    /// applied. A frame that passes its CRC but is not a known op is
+    /// corruption and errors out.
     fn replay_wal(
         buf: &[u8],
         map: &mut BTreeMap<String, serde_json::Value>,
-        dirty: &mut [bool; SHARD_COUNT],
-    ) -> std::io::Result<(u64, u64)> {
-        let mut pos = 0usize;
+    ) -> std::io::Result<u64> {
         let mut ops = 0u64;
-        while pos + WAL_HEADER <= buf.len() {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            let end = pos + WAL_HEADER + len;
-            if end > buf.len() || crc32(&buf[pos + WAL_HEADER..end]) != crc {
-                break;
-            }
-            let op: serde_json::Value = serde_json::from_slice(&buf[pos + WAL_HEADER..end])
+        for (_, payload) in Frames::new(buf) {
+            let op: serde_json::Value = serde_json::from_slice(payload)
                 .map_err(|e| invalid_data(format!("corrupt WAL op: {e:?}")))?;
             match &op {
                 serde_json::Value::Seq(items) => match items.as_slice() {
                     [serde_json::Value::Str(tag), serde_json::Value::Str(key), value]
                         if tag == "p" =>
                     {
-                        dirty[shard_of(key)] = true;
                         map.insert(key.clone(), value.clone());
                     }
                     [serde_json::Value::Str(tag), serde_json::Value::Str(key), patch]
                         if tag == "m" =>
                     {
-                        dirty[shard_of(key)] = true;
                         merge_patch(map.entry(key.clone()).or_default(), patch.clone());
                     }
                     [serde_json::Value::Str(tag), serde_json::Value::Str(key)] if tag == "r" => {
-                        dirty[shard_of(key)] = true;
                         map.remove(key);
                     }
                     _ => return Err(invalid_data("unknown WAL op shape")),
@@ -310,9 +259,8 @@ impl KvStore {
                 _ => return Err(invalid_data("WAL op is not a sequence")),
             }
             ops += 1;
-            pos = end;
         }
-        Ok((pos as u64, ops))
+        Ok(ops)
     }
 
     /// Insert or replace a value; the op is WAL-durable on return.
@@ -323,7 +271,6 @@ impl KvStore {
         let key_json = serde_json::to_string(key).map_err(|e| invalid_data(format!("{e:?}")))?;
         let payload = format!("[\"p\",{key_json},{}]", serde_json::value_to_string(&v));
         self.append_wal(payload.as_bytes())?;
-        self.dirty[shard_of(key)] = true;
         self.map.insert(key.to_owned(), v);
         self.seq += 1;
         self.seqs.insert(key.to_owned(), self.seq);
@@ -340,7 +287,6 @@ impl KvStore {
         let key_json = serde_json::to_string(key).map_err(|e| invalid_data(format!("{e:?}")))?;
         let payload = format!("[\"m\",{key_json},{}]", serde_json::value_to_string(&patch));
         self.append_wal(payload.as_bytes())?;
-        self.dirty[shard_of(key)] = true;
         merge_patch(self.map.entry(key.to_owned()).or_default(), patch);
         self.seq += 1;
         self.seqs.insert(key.to_owned(), self.seq);
@@ -363,7 +309,6 @@ impl KvStore {
         }
         let key_json = serde_json::to_string(key).map_err(|e| invalid_data(format!("{e:?}")))?;
         self.append_wal(format!("[\"r\",{key_json}]").as_bytes())?;
-        self.dirty[shard_of(key)] = true;
         self.map.remove(key);
         self.seq += 1;
         self.seqs.remove(key);
@@ -428,71 +373,42 @@ impl KvStore {
             wal_bytes: self.wal_bytes,
             wal_pending_ops: self.wal_pending_ops,
             wal_appends: self.wal_appends,
-            shard_rewrites: self.shard_rewrites,
+            snapshot_rewrites: self.snapshot_rewrites,
         }
     }
 
     /// Append one framed op to the WAL and fsync it.
     fn append_wal(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let mut frame = Vec::with_capacity(WAL_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        // A previously failed append can leave partial bytes past the
-        // durable prefix; start every frame at the tracked offset and
-        // trim on failure, so garbage never sits *before* a frame we
-        // later acknowledge (replay stops at the first bad frame).
-        self.wal.seek(SeekFrom::Start(self.wal_bytes))?;
-        if let Err(e) = self
-            .fault
-            .write_all("kv.wal.write", &mut self.wal, &frame)
-            .and_then(|()| self.fault.sync_data("kv.wal.sync", &self.wal))
-        {
-            let _ = self.fault.set_len("kv.wal.trim", &self.wal, self.wal_bytes);
-            return Err(e);
-        }
-        self.wal_bytes += frame.len() as u64;
+        self.wal_bytes += frame::append(
+            &self.fault,
+            &mut self.wal,
+            self.wal_bytes,
+            payload,
+            "kv.wal.write",
+            Some("kv.wal.sync"),
+            "kv.wal.trim",
+        )?;
         self.wal_pending_ops += 1;
         self.wal_appends += 1;
         Ok(())
     }
 
     fn maybe_snapshot(&mut self) -> std::io::Result<()> {
-        if self.wal_pending_ops >= self.cfg.snapshot_every_ops
-            || self.wal_bytes >= self.cfg.snapshot_every_bytes
-        {
+        if self.wal_pending_ops >= SNAPSHOT_EVERY_OPS || self.wal_bytes >= SNAPSHOT_EVERY_BYTES {
             self.snapshot()?;
         }
         Ok(())
     }
 
-    /// Rewrite every dirty shard snapshot atomically, then truncate the
-    /// WAL. Public so callers (service shutdown, benches) can force the
+    /// Rewrite the snapshot atomically when the WAL has pending ops (or
+    /// shard files of the old layout remain), then truncate the WAL.
+    /// Public so callers (service shutdown, benches) can force the
     /// amortized work to a known point.
     pub fn snapshot(&mut self) -> std::io::Result<()> {
-        // One partitioning pass over the map — one shard hash per key —
-        // instead of a full rescan per dirty shard. A dirty shard with
-        // no surviving keys still gets written: its empty snapshot must
-        // overwrite whatever stale file is on disk.
-        let mut parts: [Option<Vec<(&String, &serde_json::Value)>>; SHARD_COUNT] =
-            std::array::from_fn(|shard| self.dirty[shard].then(Vec::new));
-        for (k, v) in &self.map {
-            if let Some(part) = &mut parts[shard_of(k)] {
-                part.push((k, v));
-            }
-        }
-        let mut renamed = false;
-        for (shard, part) in parts.into_iter().enumerate() {
-            let Some(part) = part else {
-                continue;
-            };
-            let owned: BTreeMap<String, serde_json::Value> = part
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
+        if self.wal_pending_ops > 0 || !self.legacy.is_empty() {
             let bytes =
-                serde_json::to_vec_pretty(&owned).map_err(|e| invalid_data(format!("{e:?}")))?;
-            let path = shard_path(&self.dir, shard);
+                serde_json::to_vec_pretty(&self.map).map_err(|e| invalid_data(format!("{e:?}")))?;
+            let path = snapshot_path(&self.dir);
             let tmp = path.with_extension("json.tmp");
             let mut f = File::create(&tmp)?;
             self.fault.write_all("kv.shard.write", &mut f, &bytes)?;
@@ -501,17 +417,21 @@ impl KvStore {
             self.fault.sync_all("kv.shard.sync", &f)?;
             drop(f);
             fs::rename(&tmp, &path)?;
-            renamed = true;
-            self.dirty[shard] = false;
-            self.shard_rewrites += 1;
-        }
-        if renamed {
             sync_dir(&self.dir)?;
+            self.snapshot_rewrites += 1;
+            // Only a durable `snapshot.json` makes the old shard files
+            // redundant.
+            if !self.legacy.is_empty() {
+                for p in std::mem::take(&mut self.legacy) {
+                    fs::remove_file(p)?;
+                }
+                sync_dir(&self.dir)?;
+            }
         }
-        // The shards now cover everything: retire the WAL. If we crash
-        // between the renames and this truncate, replay is idempotent.
+        // The snapshot now covers everything: retire the WAL. If we
+        // crash between the rename and this truncate, replay is
+        // idempotent.
         self.wal.set_len(0)?;
-        self.wal.seek(SeekFrom::Start(0))?;
         self.wal.sync_all()?;
         self.wal_bytes = 0;
         self.wal_pending_ops = 0;
@@ -522,7 +442,9 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Fault, FaultKind};
     use serde::Deserialize;
+    use std::fs::OpenOptions;
     use std::io::Write;
 
     struct TempDir(PathBuf);
@@ -584,7 +506,7 @@ mod tests {
             kv.put("model", &"weights".to_owned()).unwrap();
             // No snapshot happened (threshold is 256 ops): the value
             // lives only in the WAL at this point.
-            assert_eq!(kv.stats().shard_rewrites, 0);
+            assert_eq!(kv.stats().snapshot_rewrites, 0);
             assert_eq!(kv.stats().wal_pending_ops, 1);
         }
         let kv = KvStore::open(&d.0).unwrap();
@@ -625,9 +547,12 @@ mod tests {
             kv.put("video:1", &1.0).unwrap();
             kv.snapshot().unwrap();
         }
-        // Mangle whichever shard holds the key.
-        let shard = shard_path(&d.0, shard_of("video:1"));
-        fs::write(&shard, b"[1, 2, oops").unwrap();
+        fs::write(snapshot_path(&d.0), b"[1, 2, oops").unwrap();
+        let err = KvStore::open(&d.0).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A corrupt shard file of the old layout is read strictly too.
+        fs::remove_file(snapshot_path(&d.0)).unwrap();
+        fs::write(d.0.join("shard-06.json"), b"{\"video:1\": oops").unwrap();
         let err = KvStore::open(&d.0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
@@ -659,13 +584,37 @@ mod tests {
     }
 
     #[test]
+    fn failed_wal_appends_never_cost_a_later_acknowledged_write() {
+        let kinds = [
+            FaultKind::Error,
+            FaultKind::TornWrite { keep: 1 },
+            FaultKind::TornWrite { keep: 9 },
+        ];
+        for kind in kinds {
+            let d = TempDir::new("fail-then-ack");
+            let mut kv = KvStore::open(&d.0).unwrap();
+            kv.put("video:1", &1.0).unwrap();
+            kv.fault_injector().arm(Fault::once("kv.wal.write", kind));
+            assert!(kv.put("video:2", &2.0).is_err(), "{kind:?}");
+            assert_eq!(kv.get::<f64>("video:2"), None, "{kind:?}");
+            kv.merge("video:3", json("3")).unwrap();
+            assert_eq!(kv.get::<f64>("video:3"), Some(3.0), "{kind:?}");
+            drop(kv);
+            let kv = KvStore::open(&d.0).unwrap();
+            assert_eq!(kv.get::<f64>("video:1"), Some(1.0), "{kind:?}");
+            assert_eq!(kv.get::<f64>("video:2"), None, "{kind:?}");
+            assert_eq!(kv.get::<f64>("video:3"), Some(3.0), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn orphaned_tmp_files_are_removed_on_open() {
         let d = TempDir::new("orphan");
         {
             let mut kv = KvStore::open(&d.0).unwrap();
             kv.put("k", &1.0).unwrap();
         }
-        let orphan = d.0.join("shard-03.json.tmp");
+        let orphan = d.0.join("snapshot.json.tmp");
         fs::write(&orphan, b"half a snapsh").unwrap();
         let kv = KvStore::open(&d.0).unwrap();
         assert!(!orphan.exists(), "stale tmp file survived open");
@@ -676,15 +625,14 @@ mod tests {
     fn kill_between_append_and_snapshot_replays_wal() {
         let d = TempDir::new("kill");
         {
-            // Snapshot at every 4th op: two full snapshot cycles, then
+            // Snapshot after every 4th op: two full snapshot cycles, then
             // three ops stranded in the WAL when the "process dies".
-            let cfg = KvConfig {
-                snapshot_every_ops: 4,
-                snapshot_every_bytes: u64::MAX,
-            };
-            let mut kv = KvStore::open_with(&d.0, cfg).unwrap();
+            let mut kv = KvStore::open(&d.0).unwrap();
             for i in 0..11 {
                 kv.put(&format!("video:{i}"), &(i as f64)).unwrap();
+                if i % 4 == 3 {
+                    kv.snapshot().unwrap();
+                }
             }
             assert_eq!(kv.stats().wal_pending_ops, 3);
             // Simulate a kill: drop without snapshotting.
@@ -700,28 +648,132 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_threshold_rewrites_only_dirty_shards() {
+    fn snapshot_threshold_fires_after_256_merges() {
         let d = TempDir::new("threshold");
-        let cfg = KvConfig {
-            snapshot_every_ops: 3,
-            snapshot_every_bytes: u64::MAX,
-        };
-        let mut kv = KvStore::open_with(&d.0, cfg).unwrap();
-        // Three puts under one prefix → one shard dirty → threshold
-        // fires → exactly one shard rewritten, WAL reset.
-        kv.put("video:1", &1.0).unwrap();
-        kv.put("video:2", &2.0).unwrap();
-        kv.put("video:3", &3.0).unwrap();
+        let mut kv = KvStore::open(&d.0).unwrap();
+        // One op short of the threshold: everything is still pending.
+        for i in 1..SNAPSHOT_EVERY_OPS {
+            kv.merge("video:1", json(&format!(r#"{{"sessions":{{"{i}":{i}}}}}"#)))
+                .unwrap();
+        }
+        assert_eq!(kv.stats().snapshot_rewrites, 0);
+        assert_eq!(kv.stats().wal_pending_ops, SNAPSHOT_EVERY_OPS - 1);
+        // The 256th merge crosses it: one rewrite, WAL reset.
+        kv.merge("video:2", json(r#"{"dots":[1]}"#)).unwrap();
         let s = kv.stats();
-        assert_eq!(s.shard_rewrites, 1);
+        assert_eq!(s.snapshot_rewrites, 1);
         assert_eq!(s.wal_pending_ops, 0);
         assert_eq!(s.wal_bytes, 0);
-        assert_eq!(s.wal_appends, 3);
-        // And the shard file alone (no WAL) round-trips the data.
+        assert_eq!(s.wal_appends, SNAPSHOT_EVERY_OPS);
+        let want = kv.get::<serde_json::Value>("video:1").unwrap();
+        match want.get_key("sessions") {
+            Some(serde_json::Value::Map(sessions)) => assert_eq!(sessions.len(), 255),
+            other => panic!("sessions: {other:?}"),
+        }
+        // And the snapshot alone (no WAL) round-trips the data.
         drop(kv);
+        assert_eq!(fs::metadata(wal_path(&d.0)).unwrap().len(), 0);
         let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv.get::<f64>("video:2"), Some(2.0));
+        assert_eq!(kv.len(), 2);
+        assert_eq!(kv.get::<serde_json::Value>("video:1"), Some(want));
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:2"),
+            Some(json(r#"{"dots":[1]}"#))
+        );
+    }
+
+    /// One WAL frame, written by hand: the layout the store must keep
+    /// reading.
+    fn hand_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crate::store::crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn a_shard_layout_dir_opens_and_moves_to_one_snapshot() {
+        // A data dir as stores of the shard layout left it: the
+        // `video:` namespace in shard-06.json, plus a WAL tail of put
+        // and merge ops not yet snapshotted.
+        let d = TempDir::new("legacy");
+        fs::create_dir_all(&d.0).unwrap();
+        fs::write(
+            d.0.join("shard-06.json"),
+            r#"{
+  "video:1": {"dots": [1, 2], "sessions": {"7": 1}},
+  "video:2": {"dots": [3], "sessions": {}}
+}"#,
+        )
+        .unwrap();
+        let mut wal = hand_frame(br#"["m","video:1",{"sessions":{"8":2}}]"#);
+        wal.extend(hand_frame(
+            br#"["p","video:3",{"dots":[],"sessions":{"9":1}}]"#,
+        ));
+        fs::write(wal_path(&d.0), wal).unwrap();
+
+        let want = [
+            (
+                "video:1",
+                json(r#"{"dots":[1,2],"sessions":{"7":1,"8":2}}"#),
+            ),
+            ("video:2", json(r#"{"dots":[3],"sessions":{}}"#)),
+            ("video:3", json(r#"{"dots":[],"sessions":{"9":1}}"#)),
+        ];
+        let check = |kv: &KvStore| {
+            assert_eq!(kv.len(), want.len());
+            for (key, value) in &want {
+                assert_eq!(
+                    kv.get::<serde_json::Value>(key).as_ref(),
+                    Some(value),
+                    "{key}"
+                );
+            }
+        };
+        let mut kv = KvStore::open(&d.0).unwrap();
+        check(&kv);
+        assert_eq!(kv.stats().wal_pending_ops, 2);
+
+        kv.snapshot().unwrap();
+        drop(kv);
+        let mut names: Vec<String> = fs::read_dir(&d.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snapshot.json", "wal.log"]);
+        check(&KvStore::open(&d.0).unwrap());
+    }
+
+    #[test]
+    fn snapshot_json_wins_over_a_stale_shard_file() {
+        // A crash after the first snapshot's rename but before it
+        // deleted the old shard file leaves both on disk.
+        let d = TempDir::new("stale-shard");
+        {
+            let mut kv = KvStore::open(&d.0).unwrap();
+            kv.put("video:1", &json(r#"{"dots":[2]}"#)).unwrap();
+            kv.remove("video:1").unwrap();
+            kv.put("video:2", &json(r#"{"dots":[5]}"#)).unwrap();
+            kv.snapshot().unwrap();
+        }
+        fs::write(
+            d.0.join("shard-06.json"),
+            r#"{"video:1": {"dots": [1]}, "video:2": {"dots": [0]}}"#,
+        )
+        .unwrap();
+        let mut kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(kv.get::<serde_json::Value>("video:1"), None);
+        assert_eq!(
+            kv.get::<serde_json::Value>("video:2"),
+            Some(json(r#"{"dots":[5]}"#))
+        );
+        // The next snapshot clears the leftover.
+        kv.snapshot().unwrap();
+        assert!(!d.0.join("shard-06.json").exists());
+        drop(kv);
+        assert_eq!(KvStore::open(&d.0).unwrap().len(), 1);
     }
 
     #[test]
@@ -821,7 +873,7 @@ mod tests {
                 .unwrap();
             kv.merge("video:1", json(r#"{"sessions":{"8":3}}"#))
                 .unwrap();
-            assert_eq!(kv.stats().shard_rewrites, 0);
+            assert_eq!(kv.stats().snapshot_rewrites, 0);
             assert_eq!(kv.stats().wal_pending_ops, 2);
         }
         let kv = KvStore::open(&d.0).unwrap();
@@ -856,8 +908,8 @@ mod tests {
         // Snapshots hold the materialized value, not the patch.
         kv.snapshot().unwrap();
         drop(kv);
-        let shard = fs::read(shard_path(&d.0, shard_of("video:1"))).unwrap();
-        let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&shard).unwrap();
+        let snap = fs::read(snapshot_path(&d.0)).unwrap();
+        let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&snap).unwrap();
         assert_eq!(part["video:1"], merged);
     }
 
@@ -871,11 +923,7 @@ mod tests {
                 .unwrap();
         }
         // Crash mid-append of a second merge: its frame is cut short.
-        let payload = br#"["m","video:1",{"sessions":{"9":1}}]"#;
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = hand_frame(br#"["m","video:1",{"sessions":{"9":1}}]"#);
         let intact = fs::metadata(wal_path(&d.0)).unwrap().len();
         let mut f = OpenOptions::new()
             .append(true)
@@ -1039,11 +1087,8 @@ mod tests {
             ops in proptest::collection::vec((0u8..6, 0usize..4, proptest::prelude::any::<u64>()), 0..48),
         ) {
             let d = TempDir::new("merge-prop");
-            // A low op threshold so the random walk crosses automatic
-            // snapshots as well as forced ones.
-            let cfg = KvConfig { snapshot_every_ops: 5, snapshot_every_bytes: u64::MAX };
             let keys = ["video:1", "video:2", "video:3", "model:main"];
-            let mut kv = KvStore::open_with(&d.0, cfg).unwrap();
+            let mut kv = KvStore::open(&d.0).unwrap();
             let mut model: BTreeMap<String, Model> = BTreeMap::new();
             // Per-key last-mutation seqs, as `export_since` sees them.
             let mut seq = 0u64;
@@ -1079,7 +1124,7 @@ mod tests {
                     4 => kv.snapshot().unwrap(),
                     _ => {
                         drop(kv);
-                        kv = KvStore::open_with(&d.0, cfg).unwrap();
+                        kv = KvStore::open(&d.0).unwrap();
                         seq = u64::from(!model.is_empty());
                         seqs = model.keys().map(|k| (k.clone(), seq)).collect();
                         marks = vec![0];
@@ -1107,7 +1152,7 @@ mod tests {
                 marks.push(seq);
             }
             drop(kv);
-            let kv = KvStore::open_with(&d.0, cfg).unwrap();
+            let kv = KvStore::open(&d.0).unwrap();
             let reopened: BTreeMap<String, Model> = keys
                 .iter()
                 .filter_map(|k| Some((k.to_string(), Model::of(&kv.get::<serde_json::Value>(k)?))))

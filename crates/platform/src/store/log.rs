@@ -1,8 +1,10 @@
 //! A CRC-checked append-only segment log.
 //!
-//! Record layout on disk: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
-//! Segments roll over at a configurable size; a torn final record (partial
-//! write at crash) is detected by length/CRC and truncated away on open.
+//! Records are [`frame`](super::frame)s. Segments roll over at a
+//! configurable size; a torn final record (partial write at crash) is
+//! detected by length/CRC and truncated away on open, and a failed
+//! append is trimmed at once, so the next record lands where the failed
+//! one started.
 //!
 //! Logical overwrites (a caller appending a fresh record and forgetting
 //! the old `RecordId`) leave dead bytes behind; [`SegmentLog::compact`]
@@ -10,11 +12,11 @@
 //! old files. Segment numbering keeps climbing across compactions, so
 //! `RecordId`s never alias.
 
-use super::{crc32, sync_dir, FaultInjector};
-use bytes::{Buf, BufMut, BytesMut};
+use super::frame::{self, Frames};
+use super::{sync_dir, FaultInjector};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Stable address of one record in the log.
@@ -59,10 +61,23 @@ impl CompactionOutcome {
     }
 }
 
-const HEADER: usize = 8;
-
 fn segment_path(dir: &Path, n: u32) -> PathBuf {
     dir.join(format!("segment-{n:06}.log"))
+}
+
+/// The segment numbers present in `dir`, ascending.
+fn segments(dir: &Path) -> std::io::Result<Vec<u32>> {
+    let mut segments: Vec<u32> = fs::read_dir(dir)?
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            name.strip_prefix("segment-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    segments.sort_unstable();
+    Ok(segments)
 }
 
 impl SegmentLog {
@@ -71,24 +86,11 @@ impl SegmentLog {
     pub fn open(dir: impl Into<PathBuf>, max_segment_bytes: u64) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut segments: Vec<u32> = fs::read_dir(&dir)?
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                name.strip_prefix("segment-")?
-                    .strip_suffix(".log")?
-                    .parse()
-                    .ok()
-            })
-            .collect();
-        segments.sort_unstable();
+        let segments = segments(&dir)?;
         let active = segments.last().copied().unwrap_or(0);
 
-        let path = segment_path(&dir, active);
-        let valid_len = if path.exists() {
-            Self::validate_segment(&path)?
-        } else {
-            0
-        };
+        let (active_file, valid) = frame::open_trimmed(&segment_path(&dir, active))?;
+        let valid_len = valid.len() as u64;
         // Only the active (last-written) segment can carry a torn tail,
         // so older segments contribute their full on-disk size.
         let mut total_bytes = valid_len;
@@ -97,45 +99,16 @@ impl SegmentLog {
                 total_bytes += fs::metadata(segment_path(&dir, seg))?.len();
             }
         }
-        let active_file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false) // set_len below trims exactly the torn tail
-            .open(&path)?;
-        active_file.set_len(valid_len)?;
-        let mut f = active_file;
-        f.seek(SeekFrom::End(0))?;
 
         Ok(SegmentLog {
             dir,
             max_segment_bytes,
             active,
-            active_file: f,
+            active_file,
             active_len: valid_len,
             total_bytes,
             fault: FaultInjector::new(),
         })
-    }
-
-    /// Scan a segment and return the byte length of its valid prefix.
-    fn validate_segment(path: &Path) -> std::io::Result<u64> {
-        let mut buf = Vec::new();
-        File::open(path)?.read_to_end(&mut buf)?;
-        let mut pos = 0usize;
-        loop {
-            if pos + HEADER > buf.len() {
-                return Ok(pos as u64);
-            }
-            let mut hdr = &buf[pos..pos + HEADER];
-            let len = hdr.get_u32_le() as usize;
-            let crc = hdr.get_u32_le();
-            let end = pos + HEADER + len;
-            if end > buf.len() || crc32(&buf[pos + HEADER..end]) != crc {
-                return Ok(pos as u64);
-            }
-            pos = end;
-        }
     }
 
     /// Append one record; returns its stable address.
@@ -152,7 +125,7 @@ impl SegmentLog {
         payload: &[u8],
         point: &'static str,
     ) -> std::io::Result<RecordId> {
-        if self.active_len + (HEADER + payload.len()) as u64 > self.max_segment_bytes
+        if self.active_len + (frame::HEADER + payload.len()) as u64 > self.max_segment_bytes
             && self.active_len > 0
         {
             self.roll()?;
@@ -161,13 +134,17 @@ impl SegmentLog {
             segment: self.active,
             offset: self.active_len,
         };
-        let mut frame = BytesMut::with_capacity(HEADER + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(payload));
-        frame.put_slice(payload);
-        self.fault.write_all(point, &mut self.active_file, &frame)?;
-        self.active_len += frame.len() as u64;
-        self.total_bytes += frame.len() as u64;
+        let framed = frame::append(
+            &self.fault,
+            &mut self.active_file,
+            self.active_len,
+            payload,
+            point,
+            None,
+            "log.append.trim",
+        )?;
+        self.active_len += framed;
+        self.total_bytes += framed;
         Ok(id)
     }
 
@@ -204,24 +181,7 @@ impl SegmentLog {
     /// Read one record by address, verifying its CRC.
     pub fn read(&self, id: RecordId) -> std::io::Result<Vec<u8>> {
         let mut f = File::open(segment_path(&self.dir, id.segment))?;
-        f.seek(SeekFrom::Start(id.offset))?;
-        let mut hdr = [0u8; HEADER];
-        f.read_exact(&mut hdr)?;
-        let mut h = &hdr[..];
-        let len = h.get_u32_le() as usize;
-        let crc = h.get_u32_le();
-        let mut payload = vec![0u8; len];
-        f.read_exact(&mut payload)?;
-        // Short-read faults shrink the payload here; the CRC check
-        // below is what turns that into a typed error.
-        self.fault.post_read("log.read", &mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "CRC mismatch",
-            ));
-        }
-        Ok(payload)
+        frame::read_at(&self.fault, &mut f, id.offset, "log.read")
     }
 
     /// Visit every valid record in log order as `(id, payload)` without
@@ -234,25 +194,15 @@ impl SegmentLog {
             if !path.exists() {
                 continue;
             }
-            let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            let mut pos = 0usize;
-            while pos + HEADER <= buf.len() {
-                let mut hdr = &buf[pos..pos + HEADER];
-                let len = hdr.get_u32_le() as usize;
-                let crc = hdr.get_u32_le();
-                let end = pos + HEADER + len;
-                if end > buf.len() || crc32(&buf[pos + HEADER..end]) != crc {
-                    break;
-                }
+            let buf = fs::read(&path)?;
+            for (offset, payload) in Frames::new(&buf) {
                 visit(
                     RecordId {
                         segment: seg,
-                        offset: pos as u64,
+                        offset,
                     },
-                    &buf[pos + HEADER..end],
+                    payload,
                 );
-                pos = end;
             }
         }
         Ok(())
@@ -289,16 +239,7 @@ impl SegmentLog {
     /// next compaction.
     pub fn compact(&mut self, live: &HashSet<RecordId>) -> std::io::Result<CompactionOutcome> {
         let bytes_before = self.total_bytes;
-        let mut old_segments: Vec<u32> = fs::read_dir(&self.dir)?
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                name.strip_prefix("segment-")?
-                    .strip_suffix(".log")?
-                    .parse()
-                    .ok()
-            })
-            .collect();
-        old_segments.sort_unstable();
+        let old_segments = segments(&self.dir)?;
 
         // Open a fresh tail after the current active segment, then copy
         // the live set across in log order (preserving relative record
@@ -309,28 +250,18 @@ impl SegmentLog {
         let mut remap = HashMap::with_capacity(live.len());
         let mut dropped = 0usize;
         for &seg in &old_segments {
-            let mut buf = Vec::new();
-            File::open(segment_path(&self.dir, seg))?.read_to_end(&mut buf)?;
-            let mut pos = 0usize;
-            while pos + HEADER <= buf.len() {
-                let mut hdr = &buf[pos..pos + HEADER];
-                let len = hdr.get_u32_le() as usize;
-                let crc = hdr.get_u32_le();
-                let end = pos + HEADER + len;
-                if end > buf.len() || crc32(&buf[pos + HEADER..end]) != crc {
-                    break;
-                }
+            let buf = fs::read(segment_path(&self.dir, seg))?;
+            for (offset, payload) in Frames::new(&buf) {
                 let id = RecordId {
                     segment: seg,
-                    offset: pos as u64,
+                    offset,
                 };
                 if live.contains(&id) {
-                    let new_id = self.append(&buf[pos + HEADER..end])?;
+                    let new_id = self.append(payload)?;
                     remap.insert(id, new_id);
                 } else {
                     dropped += 1;
                 }
-                pos = end;
             }
         }
         // Durability barrier before the point of no return: the copies

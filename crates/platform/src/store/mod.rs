@@ -1,8 +1,15 @@
-//! Embedded storage: segment log, chat store, sharded KV store.
+//! Embedded storage: segment log, chat store, KV store.
+//!
+//! Both logs — the chat store's segments and the KV write-ahead log —
+//! write one record frame, `[len u32 LE][crc32 u32 LE][payload]`, and
+//! only `frame.rs` encodes, scans, appends or reads it: appends land
+//! at the log's tracked end and a failed one is trimmed, and a scan
+//! stops at the first short or CRC-failing frame (the torn tail that
+//! opening a log truncates).
 //!
 //! Three layers, each crash-safe on its own terms:
 //!
-//! * [`SegmentLog`] — a CRC-framed append-only log split across
+//! * [`SegmentLog`] — an append-only log of frames split across
 //!   size-bounded segments. Torn tails are truncated on open;
 //!   [`SegmentLog::compact`] rewrites live records into fresh segments
 //!   and deletes the old ones, reclaiming bytes left behind by
@@ -11,23 +18,24 @@
 //!   scan-built index, a read-through decoded-record cache, and
 //!   live/dead byte accounting that drives [`ChatStore::compact`]
 //!   (re-crawled videos orphan their previous records).
-//! * [`KvStore`] — the refined red-dot / model state: prefix-sharded
-//!   JSON snapshots fronted by an fsynced write-ahead log. Writes are
-//!   O(op) — a merge logs only its JSON Merge Patch; snapshots hold
-//!   materialized values and their rewrites are amortized by op/byte
+//! * [`KvStore`] — the refined red-dot state: one JSON snapshot
+//!   fronted by an fsynced write-ahead log. Writes are O(op) — a merge
+//!   logs only its JSON Merge Patch; the snapshot holds materialized
+//!   values and its rewrites are amortized by fixed op/byte
 //!   thresholds; a corrupt snapshot is an error, never a silently
 //!   empty store.
 
 mod chatstore;
 mod fault;
 pub mod format;
+mod frame;
 mod kv;
 mod log;
 
 pub use chatstore::{ChatStore, CompactStats};
 pub use fault::{Fault, FaultInjector, FaultKind};
 pub use format::TokenizedRecord;
-pub use kv::{KvConfig, KvStats, KvStore, SHARD_COUNT};
+pub use kv::{KvStats, KvStore};
 pub use log::{CompactionOutcome, RecordId, SegmentLog};
 
 /// `fsync` a directory so just-renamed/created/deleted entries inside
@@ -101,6 +109,40 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn both_logs_write_the_pinned_frame_bytes() {
+        // `[len u32 LE][crc32 u32 LE][payload]`, byte for byte: data
+        // dirs written by earlier builds must stay readable.
+        let dir = std::env::temp_dir().join(format!(
+            "lightor-frame-golden-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let mut log = SegmentLog::open(dir.join("log"), 1 << 20).unwrap();
+        log.append(b"hello").unwrap();
+        log.sync().unwrap();
+        let mut kv = KvStore::open(dir.join("kv")).unwrap();
+        kv.put("k", &1u64).unwrap();
+        let segment = std::fs::read(dir.join("log/segment-000000.log"));
+        let wal = std::fs::read(dir.join("kv/wal.log"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            segment.unwrap(),
+            [&[5, 0, 0, 0, 0x86, 0xA6, 0x10, 0x36][..], b"hello"].concat()
+        );
+        assert_eq!(
+            wal.unwrap(),
+            [
+                &[11, 0, 0, 0, 0xDC, 0xDD, 0x30, 0x74][..],
+                br#"["p","k",1]"#
+            ]
+            .concat()
+        );
+    }
 
     #[test]
     fn crc32_known_vectors() {

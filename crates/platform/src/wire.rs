@@ -128,7 +128,10 @@ pub struct RouteStatsDto {
 }
 
 /// `GET /stats` response: serving counters for dashboards.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// [`LightorService::stats`](crate::LightorService::stats) fills the
+/// service fields; the HTTP front end adds `accept_errors`, the
+/// `stream_*` counters and `http`.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsResponse {
     /// Videos with chat stored.
     pub stored_videos: usize,
@@ -153,11 +156,11 @@ pub struct StatsResponse {
     /// Chat records decoded from the log.
     pub record_cache_misses: u64,
     /// Bytes pending in the KV write-ahead log (durable, not yet
-    /// folded into shard snapshots).
+    /// folded into the snapshot).
     pub kv_wal_bytes: u64,
     /// KV WAL appends since open.
     pub kv_wal_appends: u64,
-    /// KV shard snapshot rewrites since open.
+    /// KV snapshot rewrites since open.
     pub kv_shard_rewrites: u64,
     /// Chat-log bytes orphaned by re-crawls, not yet compacted.
     pub chat_dead_bytes: u64,
@@ -193,36 +196,6 @@ pub struct StatsResponse {
     /// Per-route HTTP counters, when an HTTP front end is serving.
     /// Empty for embedded (in-process) deployments.
     pub http: Vec<RouteStatsDto>,
-}
-
-impl From<crate::service::ServiceStats> for StatsResponse {
-    fn from(s: crate::service::ServiceStats) -> Self {
-        StatsResponse {
-            stored_videos: s.stored_videos,
-            tracked_videos: s.tracked_videos,
-            corpus_cache_hits: s.corpus_cache_hits,
-            corpus_cache_misses: s.corpus_cache_misses,
-            tokenized_hits: s.tokenized_hits,
-            tokenized_misses: s.tokenized_misses,
-            tokenized_lazy_upgrades: s.tokenized_lazy_upgrades,
-            train_boot_ms: s.train_boot_ms,
-            record_cache_hits: s.record_cache_hits,
-            record_cache_misses: s.record_cache_misses,
-            kv_wal_bytes: s.kv_wal_bytes,
-            kv_wal_appends: s.kv_wal_appends,
-            kv_shard_rewrites: s.kv_shard_rewrites,
-            chat_dead_bytes: s.chat_dead_bytes,
-            chat_reclaimed_bytes: s.chat_reclaimed_bytes,
-            degraded: s.degraded,
-            accept_errors: 0,
-            stream_lines_accepted: 0,
-            stream_lines_rejected: 0,
-            stream_batches_folded: 0,
-            stream_batches_replayed: 0,
-            stream_open: 0,
-            http: Vec::new(),
-        }
-    }
 }
 
 /// One backend shard as the router's `GET /stats` reports it.
@@ -373,12 +346,15 @@ pub struct BundleEntryDto {
     pub tokenized_hex: Option<String>,
 }
 
+/// The bundle layout this build writes and accepts. Version 2 added
+/// the per-entry tokenized section and folded it into the CRC.
+pub const BUNDLE_FORMAT_VERSION: u32 = 2;
+
 /// A consistent migration bundle: the `POST /admin/export` response,
 /// shippable verbatim as the `POST /admin/import` request body.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BundleDto {
-    /// Bundle layout version (currently 2; version 2 added the
-    /// per-entry tokenized section and folded it into the CRC).
+    /// Bundle layout version ([`BUNDLE_FORMAT_VERSION`]).
     pub format_version: u32,
     /// The source's KV op watermark at export time — pass as
     /// `since_seq` on the next delta export to ship only what changed
@@ -818,7 +794,7 @@ mod tests {
 
     #[test]
     fn stats_response_round_trips() {
-        let stats = crate::service::ServiceStats {
+        let dto = StatsResponse {
             stored_videos: 3,
             tracked_videos: 2,
             corpus_cache_hits: 10,
@@ -835,8 +811,8 @@ mod tests {
             chat_dead_bytes: 4096,
             chat_reclaimed_bytes: 8192,
             degraded: true,
+            ..Default::default()
         };
-        let dto: StatsResponse = stats.into();
         let js = serde_json::to_string(&dto).unwrap();
         let back: StatsResponse = serde_json::from_str(&js).unwrap();
         assert_eq!(dto, back);
@@ -928,13 +904,10 @@ mod tests {
                     probe_failures: 0,
                     breaker_trips: 0,
                     unreachable: false,
-                    stats: Some(
-                        crate::service::ServiceStats {
-                            stored_videos: 1,
-                            ..Default::default()
-                        }
-                        .into(),
-                    ),
+                    stats: Some(StatsResponse {
+                        stored_videos: 1,
+                        ..Default::default()
+                    }),
                 },
                 BackendStatsDto {
                     addr: "127.0.0.1:7880".into(),

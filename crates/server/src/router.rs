@@ -8,7 +8,7 @@
 //! | `POST /video/{id}/rescore` | [`RescoreRequest`] → [`DotsResponse`] | `rescore_video` |
 //! | `POST /sessions` | [`SessionUpload`] → [`SessionAccepted`] | `refine_batch` |
 //! | `POST /sessions/stream` | NDJSON [`StreamBatchDto`] lines → [`StreamAccepted`] | `refine_batch` per line |
-//! | `GET /stats` | [`StatsResponse`] | `stats` + HTTP counters |
+//! | `GET /stats` | [`StatsResponse`](lightor_platform::wire::StatsResponse) | `stats` + HTTP counters |
 //! | `POST /admin/compact` | [`CompactResponse`] | `compact_storage` |
 //! | `POST /admin/export` | [`ExportRequest`] → [`BundleDto`] | `export_bundle` |
 //! | `POST /admin/import` | [`BundleDto`] → [`ImportResponse`](lightor_platform::wire::ImportResponse) | `import_bundle` |
@@ -25,7 +25,7 @@ use crate::metrics::{HttpMetrics, RouteKey};
 use crate::server::{BodySource, Handler, OneChunk, StreamBodyError};
 use lightor_platform::wire::{
     BundleDto, CompactResponse, DotsResponse, ExportRequest, LineRejectDto, RescoreRequest,
-    SessionUpload, StatsResponse, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
+    SessionUpload, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
 };
 use lightor_platform::LightorService;
 use lightor_types::VideoId;
@@ -572,7 +572,7 @@ fn handle_sessions(svc: &LightorService, metrics: &HttpMetrics, body: &[u8]) -> 
 }
 
 fn handle_stats(svc: &LightorService, metrics: &HttpMetrics) -> Response {
-    let mut stats = StatsResponse::from(svc.stats());
+    let mut stats = svc.stats();
     stats.http = metrics.snapshot();
     stats.accept_errors = metrics.accept_errors();
     stats.stream_lines_accepted = metrics.stream.lines_accepted();

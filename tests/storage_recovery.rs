@@ -86,7 +86,7 @@ fn wal_only_state_survives_restart() {
     assert_eq!(svc2.video_state(vid).unwrap(), before);
 }
 
-/// `compact_storage` folds the WAL into shard snapshots and compacts
+/// `compact_storage` folds the WAL into the KV snapshot and compacts
 /// the chat log; the new counters surface all of it.
 #[test]
 fn compact_storage_snapshots_kv_and_reports_counters() {

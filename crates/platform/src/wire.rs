@@ -706,8 +706,9 @@ pub struct LineRejectDto {
 
 /// `POST /sessions/stream` success ack (200): per-stream totals plus
 /// every rejected line. Rejected lines do not fail the stream until
-/// the error budget is exhausted.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// the error budget is exhausted. `Default` is the zero-line ack of
+/// an empty or all-blank stream.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamAccepted {
     /// NDJSON lines accepted and folded (or recognized as replays).
     pub lines_accepted: u64,

@@ -32,12 +32,16 @@
 //! posted addresses. Addresses the router already knows carry their
 //! `Backend` over — health state, connection pool, counters —
 //! while new addresses are admitted in `Recovering` and must earn
-//! `Healthy` through the ordinary state machine. For a bounded
-//! overlap window after a swap ([`ClusterConfig::ring_overlap`]) the
-//! previous epoch is kept: reads that fail on the new owner
-//! (5xx/404) are double-routed to the old owner, so a request racing
-//! the cutover never observes a gap; writes always go to the new
-//! owner, where the migrated state lives and future reads will look.
+//! `Healthy` through the ordinary state machine.
+//!
+//! Every request is routed by exactly one epoch, the current one: a
+//! swap replaces the epoch wholesale and the outgoing one is dropped.
+//! Reads and writes for a video both go to its one current owner, so
+//! a read never falls back to an old owner whose copy stopped taking
+//! writes at the cutover. When that owner is unreachable the read
+//! fails (`502`, or `503` once its breaker trips) instead of serving
+//! state older than an acknowledged write. Migrated state must
+//! therefore be imported before the swap.
 //!
 //! # Failure policy
 //!
@@ -64,7 +68,7 @@ use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
 use crate::retry::{RetryBudget, RetryPolicy, XorShift64};
 use crate::router::{resolve, Route};
-use crate::server::{BodySource, Handler, OneChunk, StreamBodyError};
+use crate::server::{BodySource, Handler, OneChunk};
 use lightor_platform::wire::{
     BackendHealthDto, BackendStatsDto, CompactResponse, RingUpdateRequest, RingUpdateResponse,
     RouterHealthzResponse, RouterStatsResponse, SessionUpload, StatsResponse, StreamAccepted,
@@ -92,9 +96,6 @@ pub struct ClusterConfig {
     pub health: HealthPolicy,
     /// Retry shape for idempotent GETs.
     pub retry: RetryPolicy,
-    /// How long after a ring swap the previous epoch keeps serving as
-    /// a read fallback (and its backends keep being probed).
-    pub ring_overlap: Duration,
 }
 
 impl ClusterConfig {
@@ -108,7 +109,6 @@ impl ClusterConfig {
             probe_timeout: Duration::from_millis(500),
             health: HealthPolicy::default(),
             retry: RetryPolicy::default(),
-            ring_overlap: Duration::from_secs(2),
         }
     }
 }
@@ -233,25 +233,11 @@ struct RingEpoch {
     ring: Ring,
 }
 
-impl RingEpoch {
-    fn owner(&self, video: u64) -> &Arc<Backend> {
-        &self.backends[self.ring.owner(video)]
-    }
-}
-
-/// The live topology: the current epoch, plus — for a bounded window
-/// after a swap — the previous one as a read fallback.
-struct Topology {
-    current: RingEpoch,
-    /// `(epoch, expires_at)`; dropped lazily once expired.
-    previous: Option<(RingEpoch, Instant)>,
-}
-
 /// The routing tier: versioned ring + per-backend state + retry
 /// budget. Serves HTTP through its [`Handler`] impl (see
 /// [`RouterServer`]).
 pub struct Cluster {
-    topo: RwLock<Topology>,
+    topo: RwLock<RingEpoch>,
     cfg: ClusterConfig,
     budget: RetryBudget,
     rng: Mutex<XorShift64>,
@@ -275,14 +261,11 @@ impl Cluster {
         let bases: Vec<u64> = cfg.backends.iter().map(addr_base).collect();
         let ring = Ring::build_from_bases(&bases, cfg.vnodes.max(1));
         Cluster {
-            topo: RwLock::new(Topology {
-                current: RingEpoch {
-                    version: 1,
-                    backends,
-                    bases,
-                    ring,
-                },
-                previous: None,
+            topo: RwLock::new(RingEpoch {
+                version: 1,
+                backends,
+                bases,
+                ring,
             }),
             budget: RetryBudget::default(),
             rng: Mutex::new(XorShift64::new(0x1D0_71E5)),
@@ -293,30 +276,30 @@ impl Cluster {
         }
     }
 
-    fn topo(&self) -> std::sync::RwLockReadGuard<'_, Topology> {
+    fn topo(&self) -> std::sync::RwLockReadGuard<'_, RingEpoch> {
         self.topo.read().expect("topology lock poisoned")
     }
 
     /// The current ring's version (boot = 1; `POST /admin/ring` bumps).
     pub fn ring_version(&self) -> u64 {
-        self.topo().current.version
+        self.topo().version
     }
 
-    /// Index of the backend owning `video` in the *current* epoch
+    /// Index of the backend owning `video` in the current epoch
     /// (exposed for tests and the chaos harness, which must know which
     /// shard to kill).
     pub fn shard_for(&self, video: u64) -> usize {
-        self.topo().current.ring.owner(video)
+        self.topo().ring.owner(video)
     }
 
     /// Address of backend `idx` in the current epoch.
     pub fn backend_addr(&self, idx: usize) -> SocketAddr {
-        self.topo().current.backends[idx].addr
+        self.topo().backends[idx].addr
     }
 
     /// Current health state of backend `idx` in the current epoch.
     pub fn backend_health(&self, idx: usize) -> HealthState {
-        let b = self.topo().current.backends[idx].clone();
+        let b = self.topo().backends[idx].clone();
         let health = self.lock_health(&b);
         health.state()
     }
@@ -324,11 +307,12 @@ impl Cluster {
     /// Swap in a new ring built from `addrs` (version = current + 1).
     /// Known addresses keep their `Backend` — health, pool, counters
     /// — across the swap; new addresses are admitted in `Recovering`.
-    /// The outgoing epoch stays behind as a read fallback until
-    /// [`ClusterConfig::ring_overlap`] elapses.
+    /// The outgoing epoch is dropped: from the moment this returns,
+    /// every request routes by the new ring alone, so a range must be
+    /// imported into its new owner before the swap.
     ///
-    /// **Substitutions preserve ownership.** An address already in a
-    /// live epoch keeps the hash base (and so the exact key range) it
+    /// **Substitutions preserve ownership.** An address already in the
+    /// current epoch keeps the hash base (and so the exact key range) it
     /// had there, and a brand-new address that one-for-one replaces a
     /// single departed member inherits the departed slot's base. That
     /// is the failover/replacement contract: a standby promoted over a
@@ -352,114 +336,52 @@ impl Cluster {
         }
         let now = Instant::now();
         let mut topo = self.topo.write().expect("topology lock poisoned");
-        let known: std::collections::HashMap<SocketAddr, Arc<Backend>> = topo
-            .current
+        // Known addresses keep their `Backend` and slot base; a single
+        // unknown address that one-for-one replaces a single departed
+        // member inherits the departed slot's base (see the method
+        // docs); any other newcomer is admitted and hashed fresh.
+        let known: std::collections::HashMap<SocketAddr, (Arc<Backend>, u64)> = topo
             .backends
             .iter()
-            .chain(topo.previous.iter().flat_map(|(e, _)| e.backends.iter()))
-            .map(|b| (b.addr, b.clone()))
+            .zip(&topo.bases)
+            .map(|(b, &base)| (b.addr, (b.clone(), base)))
             .collect();
-        let backends: Vec<Arc<Backend>> = addrs
+        let departed: Vec<u64> = known
             .iter()
-            .map(|&addr| {
-                known
-                    .get(&addr)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(Backend::admitted(addr, self.cfg.health, now)))
+            .filter(|(addr, _)| !addrs.contains(addr))
+            .map(|(_, &(_, base))| base)
+            .collect();
+        let unknown = addrs.iter().filter(|a| !known.contains_key(a)).count();
+        let inherited = (unknown == 1 && departed.len() == 1).then(|| departed[0]);
+        let (backends, bases): (Vec<Arc<Backend>>, Vec<u64>) = addrs
+            .iter()
+            .map(|&addr| match known.get(&addr) {
+                Some((b, base)) => (b.clone(), *base),
+                None => (
+                    Arc::new(Backend::admitted(addr, self.cfg.health, now)),
+                    inherited.unwrap_or_else(|| addr_base(&addr)),
+                ),
             })
-            .collect();
-        // Slot bases: live addresses keep theirs (current epoch wins
-        // over the overlap fallback); a single unknown address that
-        // one-for-one replaces a single departed member inherits the
-        // departed slot's base (see the method docs); anything else
-        // hashes fresh.
-        let known_bases: std::collections::HashMap<SocketAddr, u64> = topo
-            .previous
-            .iter()
-            .flat_map(|(e, _)| e.backends.iter().zip(&e.bases))
-            .chain(topo.current.backends.iter().zip(&topo.current.bases))
-            .map(|(b, &base)| (b.addr, base))
-            .collect();
-        let departed: Vec<u64> = topo
-            .current
-            .backends
-            .iter()
-            .zip(&topo.current.bases)
-            .filter(|(b, _)| !addrs.contains(&b.addr))
-            .map(|(_, &base)| base)
-            .collect();
-        let unknown = addrs
-            .iter()
-            .filter(|a| !known_bases.contains_key(a))
-            .count();
-        let bases: Vec<u64> = addrs
-            .iter()
-            .map(|addr| match known_bases.get(addr) {
-                Some(&base) => base,
-                None if unknown == 1 && departed.len() == 1 => departed[0],
-                None => addr_base(addr),
-            })
-            .collect();
+            .unzip();
         let ring = Ring::build_from_bases(&bases, self.cfg.vnodes.max(1));
-        let version = topo.current.version + 1;
-        let outgoing = std::mem::replace(
-            &mut topo.current,
-            RingEpoch {
-                version,
-                backends,
-                bases,
-                ring,
-            },
-        );
-        topo.previous = Some((outgoing, now + self.cfg.ring_overlap));
+        let version = topo.version + 1;
+        *topo = RingEpoch {
+            version,
+            backends,
+            bases,
+            ring,
+        };
         Ok(RingUpdateResponse {
             version,
             backends: addrs.iter().map(ToString::to_string).collect(),
         })
     }
 
-    /// Drop the previous epoch once its overlap window has passed.
-    fn maybe_expire_overlap(&self) {
-        let expired = match &self.topo().previous {
-            Some((_, until)) => Instant::now() >= *until,
-            None => return,
-        };
-        if expired {
-            self.topo.write().expect("topology lock poisoned").previous = None;
-        }
-    }
-
-    /// The owners of `video`: current epoch's, plus the previous
-    /// epoch's while the overlap window is open and the owner actually
-    /// differs.
-    fn owners(&self, video: u64) -> (Arc<Backend>, Option<Arc<Backend>>) {
+    /// The backend owning `video` in the current epoch — the one
+    /// lookup every proxied per-video route goes through.
+    fn owner(&self, video: u64) -> Arc<Backend> {
         let topo = self.topo();
-        let cur = topo.current.owner(video).clone();
-        let prev = topo
-            .previous
-            .as_ref()
-            .filter(|(_, until)| Instant::now() < *until)
-            .map(|(e, _)| e.owner(video))
-            .filter(|b| b.addr != cur.addr)
-            .cloned();
-        (cur, prev)
-    }
-
-    /// Every distinct backend in the current epoch plus the (unexpired)
-    /// previous one — the probe sweep's working set during overlap.
-    fn all_backends(&self) -> Vec<Arc<Backend>> {
-        let topo = self.topo();
-        let mut out: Vec<Arc<Backend>> = topo.current.backends.to_vec();
-        if let Some((prev, until)) = &topo.previous {
-            if Instant::now() < *until {
-                for b in &prev.backends {
-                    if !out.iter().any(|c| c.addr == b.addr) {
-                        out.push(b.clone());
-                    }
-                }
-            }
-        }
-        out
+        topo.backends[topo.ring.owner(video)].clone()
     }
 
     fn lock_health<'a>(&self, b: &'a Backend) -> std::sync::MutexGuard<'a, BackendHealth> {
@@ -577,34 +499,9 @@ impl Cluster {
         }
     }
 
-    /// Route a read: the current owner first; on a gap answer (5xx, or
-    /// 404 from a shard that may not have the video yet) retry the
-    /// previous epoch's owner while the overlap window is open. A
-    /// request racing a ring swap never observes the handoff.
-    fn route_read(&self, video: u64, path: &str) -> Response {
-        self.maybe_expire_overlap();
-        let (cur, prev) = self.owners(video);
-        let resp = self.proxy_get(&cur, path);
-        if resp.status < 500 && resp.status != 404 {
-            return resp;
-        }
-        if let Some(prev) = prev {
-            let fallback = self.proxy_get(&prev, path);
-            if fallback.status < 400 {
-                return fallback;
-            }
-        }
-        resp
-    }
-
-    /// Route a write: always the current owner — that is where the
-    /// migrated state lives and where every future read will look.
-    /// (Falling back to the old owner would strand the write on an
-    /// epoch about to be dropped.)
+    /// Route a write to the owner of `video`.
     fn route_write(&self, video: u64, path: &str, body: &[u8]) -> Response {
-        self.maybe_expire_overlap();
-        let (cur, _) = self.owners(video);
-        self.proxy_write(&cur, path, body)
+        self.proxy_write(&self.owner(video), path, body)
     }
 
     /// Proxy a write to `b`: fresh connection, one attempt, never
@@ -688,14 +585,14 @@ impl Cluster {
             match body.next_chunk() {
                 Ok(Some(data)) => prefix.extend_from_slice(&data),
                 Ok(None) => ended = true,
-                Err(e) => return stream_pull_error(e),
+                Err(e) => return e.response(),
             }
         };
         let first_line = prefix[line_start..line_end].trim_ascii();
         if first_line.is_empty() {
             // Nothing but blank lines: same zero-line ack a backend
             // would give, no shard involved.
-            return empty_stream_ack();
+            return Response::json(200, &StreamAccepted::default());
         }
         let batch: StreamBatchDto = match serde_json::from_slice(first_line) {
             Ok(b) => b,
@@ -704,8 +601,7 @@ impl Cluster {
             }
         };
 
-        self.maybe_expire_overlap();
-        let (owner, _) = self.owners(batch.video);
+        let owner = self.owner(batch.video);
         if let Some(resp) = self.gate(&owner) {
             return resp;
         }
@@ -739,7 +635,7 @@ impl Cluster {
                     // The *client* side failed; dropping `conn` cuts
                     // the backend stream, which loses only what was
                     // never acknowledged.
-                    Err(e) => return stream_pull_error(e),
+                    Err(e) => return e.response(),
                 }
             }
         }
@@ -800,7 +696,7 @@ impl Cluster {
             dropped_records: 0,
             live_records: 0,
         };
-        let backends = self.topo().current.backends.to_vec();
+        let backends = self.topo().backends.to_vec();
         for b in &backends {
             let resp = match self.write_once(b, "/admin/compact", &[]) {
                 Ok(resp) => resp,
@@ -832,7 +728,7 @@ impl Cluster {
     fn healthz(&self) -> Response {
         let (ring_version, snapshot) = {
             let topo = self.topo();
-            (topo.current.version, topo.current.backends.to_vec())
+            (topo.version, topo.backends.to_vec())
         };
         let now = Instant::now();
         let backends: Vec<BackendHealthDto> = snapshot
@@ -865,7 +761,7 @@ impl Cluster {
     fn stats(&self, metrics: &HttpMetrics) -> Response {
         let (ring_version, snapshot) = {
             let topo = self.topo();
-            (topo.current.version, topo.current.backends.to_vec())
+            (topo.version, topo.backends.to_vec())
         };
         let backends: Vec<BackendStatsDto> = snapshot
             .iter()
@@ -909,13 +805,14 @@ impl Cluster {
         )
     }
 
-    /// One probe sweep at `now`: actively probe every backend whose
-    /// probe is due — across both epochs during overlap, so a shard
-    /// being migrated away from stays watched until the window closes.
-    /// Returns how many probes ran.
+    /// One probe sweep: actively probe every backend of the current
+    /// epoch whose probe is due. A backend the last swap dropped is no
+    /// longer routed to, so it is no longer watched either. Returns
+    /// how many probes ran.
     fn probe_due_backends(&self) -> usize {
         let mut probed = 0;
-        for b in &self.all_backends() {
+        let backends = self.topo().backends.to_vec();
+        for b in &backends {
             if !self.lock_health(b).probe_due(Instant::now()) {
                 continue;
             }
@@ -938,7 +835,6 @@ impl Cluster {
     /// The prober loop: sweep due probes until shutdown.
     fn probe_loop(self: &Arc<Self>) {
         while !self.shutdown.load(Ordering::SeqCst) {
-            self.maybe_expire_overlap();
             self.probe_due_backends();
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -961,7 +857,7 @@ impl Handler for Cluster {
         let response = match route {
             Route::Healthz => self.healthz(),
             Route::Stats => self.stats(metrics),
-            Route::Dots(id) => self.route_read(id, &req.path),
+            Route::Dots(id) => self.proxy_get(&self.owner(id), &req.path),
             Route::Rescore(id) => self.route_write(id, &req.path, &req.body),
             Route::Sessions => self.route_session(&req.body),
             Route::SessionsStream => unreachable!("answered by handle_stream above"),
@@ -1000,44 +896,6 @@ impl Handler for Cluster {
             self.errors_5xx.fetch_add(1, Ordering::Relaxed);
         }
         (RouteKey::SessionsStream, response)
-    }
-}
-
-/// The zero-line `POST /sessions/stream` ack (an empty or all-blank
-/// stream), identical at the router and a backend.
-fn empty_stream_ack() -> Response {
-    Response::json(
-        200,
-        &StreamAccepted {
-            lines_accepted: 0,
-            lines_rejected: 0,
-            batches_folded: 0,
-            batches_replayed: 0,
-            plays_buffered: 0,
-            dots_refined: 0,
-            last_seq: 0,
-            rejected: Vec::new(),
-        },
-    )
-}
-
-/// Map a failed pull from the *client's* stream to the response the
-/// client (if still there) should see.
-fn stream_pull_error(e: StreamBodyError) -> Response {
-    match e {
-        StreamBodyError::Timeout => Response::error(
-            408,
-            "request_timeout",
-            "stream stalled past the progress deadline",
-        ),
-        StreamBodyError::TooLarge => {
-            Response::error(413, "body_too_large", "stream buffer overflowed its bound")
-        }
-        StreamBodyError::Malformed(m) => Response::error(400, "bad_request", m),
-        // Nobody is left to read this; the server skips the write.
-        StreamBodyError::Disconnected => {
-            Response::error(400, "bad_request", "client disconnected mid-stream")
-        }
     }
 }
 
@@ -1247,33 +1105,5 @@ mod tests {
         dup.push(dup[0]);
         assert!(cluster.apply_ring(dup).is_err());
         assert_eq!(cluster.ring_version(), 1, "rejected updates don't bump");
-    }
-
-    #[test]
-    fn overlap_window_keeps_the_old_owner_as_read_fallback() {
-        let cfg = ClusterConfig {
-            ring_overlap: Duration::from_millis(80),
-            ..ClusterConfig::new(addrs(2))
-        };
-        let cluster = Cluster::new(cfg);
-        cluster.apply_ring(addrs(3)).unwrap();
-
-        // Some video must be owned differently across the two epochs.
-        let old_ring = Ring::build(&addrs(2), 64);
-        let moved = (0..500u64)
-            .find(|&v| {
-                cluster.shard_for(v) == 2 && old_ring.owner(v) < 2 // moved to the new backend
-            })
-            .expect("some video moved to the new backend");
-        let (cur, prev) = cluster.owners(moved);
-        assert_eq!(cur.addr, addrs(3)[2]);
-        let prev = prev.expect("old owner is the fallback during overlap");
-        assert_eq!(prev.addr, addrs(3)[old_ring.owner(moved)]);
-
-        // Past the window the fallback expires.
-        std::thread::sleep(Duration::from_millis(100));
-        cluster.maybe_expire_overlap();
-        let (_, prev) = cluster.owners(moved);
-        assert!(prev.is_none(), "overlap fallback expired");
     }
 }

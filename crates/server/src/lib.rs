@@ -131,10 +131,13 @@
 //! `as_of_seq` and a small `freeze_ms` (the sub-second write-freeze
 //! window), import that delta, and `POST /admin/ring` on the router
 //! with the full new address list. The router bumps the ring version,
-//! admits the new address in `recovering`, and keeps the outgoing
-//! epoch as a read fallback for a bounded overlap window — reads never
-//! observe a gap, and writes resume the moment the swap lands (the new
-//! owner was never frozen).
+//! admits the new address in `recovering`, and from that moment routes
+//! every read and write by the new ring alone — the outgoing epoch is
+//! dropped, so the state must be imported *before* the swap. Writes
+//! resume the moment the swap lands (the new owner was never frozen).
+//! A read whose new owner is down is not answered from the old one
+//! (whose copy stopped taking writes at the cutover): it fails `502`,
+//! or `503` with a `Retry-After` once the shard's breaker trips.
 //!
 //! **Replacing a crashed shard.** The dead process's data dir is all
 //! that is needed: boot a replacement with
@@ -168,7 +171,7 @@
 //!
 //! * *Progress deadlines.* A streamed body must make progress — each
 //!   read window is bounded by [`ServerConfig`]'s `body_progress`
-//!   (default 2 s; per-route override via `Handler::body_progress`).
+//!   (default 2 s, the same for every route).
 //!   A stalled uploader (slowloris) gets a clean `408
 //!   request_timeout` naming the deadline, never a hung worker. Raise
 //!   it only for uploaders that legitimately pause between batches;

@@ -28,7 +28,7 @@ use lightor_platform::wire::{
     SessionUpload, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
 };
 use lightor_platform::LightorService;
-use lightor_types::VideoId;
+use lightor_types::{RedDot, VideoId};
 use serde::{Deserialize, Serialize};
 
 /// A resolved route, ids parsed out of the path.
@@ -212,24 +212,10 @@ impl Handler for LightorService {
                     ingest.finish();
                     break ingest.response();
                 }
-                Err(StreamBodyError::Timeout) => {
-                    break Response::error(
-                        408,
-                        "request_timeout",
-                        "stream stalled past the progress deadline",
-                    )
-                }
-                Err(StreamBodyError::TooLarge) => {
-                    break Response::error(
-                        413,
-                        "body_too_large",
-                        "stream buffer overflowed its bound",
-                    )
-                }
-                Err(StreamBodyError::Malformed(m)) => break Response::error(400, "bad_request", m),
                 // The peer is gone; the server will not write this
                 // response, but the ingest totals still count.
                 Err(StreamBodyError::Disconnected) => break ingest.response(),
+                Err(e) => break e.response(),
             }
         };
         metrics.stream.stream_completed();
@@ -374,15 +360,8 @@ impl<'a> NdjsonIngest<'a> {
         // cleanly: acknowledged batches stay durable, the 503 carries
         // the Retry-After, and the client resumes past the cutover
         // from its last acknowledged sequence.
-        if let Some(remaining) = self.svc.frozen_for(video) {
-            self.terminal = Some(
-                Response::error(
-                    503,
-                    "frozen",
-                    "this video is mid-migration; retry after the cutover",
-                )
-                .with_header("Retry-After", remaining.as_secs().max(1).to_string()),
-            );
+        if let Some(resp) = gate_frozen(self.svc, video) {
+            self.terminal = Some(resp);
             return;
         }
         match self.svc.refine_batch(video, seq, &session) {
@@ -464,19 +443,38 @@ fn gate_write(svc: &LightorService) -> Option<Response> {
     })
 }
 
+/// `Some(503 frozen)` with a `Retry-After` covering the rest of the
+/// window while `video` is mid-migration, `None` when it may be
+/// written.
+fn gate_frozen(svc: &LightorService, video: VideoId) -> Option<Response> {
+    svc.frozen_for(video).map(|remaining| {
+        Response::error(
+            503,
+            "frozen",
+            "this video is mid-migration; retry after the cutover",
+        )
+        .with_header("Retry-After", remaining.as_secs().max(1).to_string())
+    })
+}
+
+/// The `200` body of every route that answers a video's dots.
+fn dots_response(id: u64, dots: Vec<RedDot>) -> Response {
+    Response::json(
+        200,
+        &DotsResponse {
+            video: id,
+            dots: dots.into_iter().map(Into::into).collect(),
+        },
+    )
+}
+
 fn handle_dots(svc: &LightorService, id: u64) -> Response {
     if svc.is_degraded() {
         // Read-only mode: serve what memory already holds, never touch
         // the failing store. Cold videos would need a crawl + persist,
         // which is exactly what cannot run right now.
         return match svc.cached_dots(VideoId(id)) {
-            Some(dots) => Response::json(
-                200,
-                &DotsResponse {
-                    video: id,
-                    dots: dots.into_iter().map(Into::into).collect(),
-                },
-            ),
+            Some(dots) => dots_response(id, dots),
             None => Response::error(
                 503,
                 "degraded",
@@ -486,13 +484,7 @@ fn handle_dots(svc: &LightorService, id: u64) -> Response {
         };
     }
     match svc.open_video(VideoId(id)) {
-        Ok(Some(dots)) => Response::json(
-            200,
-            &DotsResponse {
-                video: id,
-                dots: dots.into_iter().map(Into::into).collect(),
-            },
-        ),
+        Ok(Some(dots)) => dots_response(id, dots),
         Ok(None) => Response::error(
             404,
             "unknown_video",
@@ -517,13 +509,7 @@ fn handle_rescore(svc: &LightorService, id: u64, body: &[u8]) -> Response {
         return Response::error(422, "bad_k", "k must be at least 1");
     }
     match svc.rescore_video(VideoId(id), k) {
-        Ok(Some(dots)) => Response::json(
-            200,
-            &DotsResponse {
-                video: id,
-                dots: dots.into_iter().map(Into::into).collect(),
-            },
-        ),
+        Ok(Some(dots)) => dots_response(id, dots),
         Ok(None) => Response::error(404, "unknown_video", "no chat stored for this video"),
         Err(e) => storage_error(&e),
     }
@@ -541,13 +527,8 @@ fn handle_sessions(svc: &LightorService, metrics: &HttpMetrics, body: &[u8]) -> 
     // Migration cutover: while a video is frozen, its refinement
     // writes 503 with a Retry-After covering the rest of the window,
     // so the exporter's final WAL-tail delta is complete.
-    if let Some(remaining) = svc.frozen_for(video) {
-        return Response::error(
-            503,
-            "frozen",
-            "this video is mid-migration; retry after the cutover",
-        )
-        .with_header("Retry-After", remaining.as_secs().max(1).to_string());
+    if let Some(resp) = gate_frozen(svc, video) {
+        return resp;
     }
     // The buffered path folds through the same incremental unit as the
     // streamed one, so both produce bit-identical refinement state.

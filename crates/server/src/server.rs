@@ -44,11 +44,10 @@ pub struct ServerConfig {
     /// How long shutdown waits for a partially received request to
     /// finish arriving before the connection is dropped.
     pub drain_grace: Duration,
-    /// Default body-progress deadline: once a request's head is
-    /// complete, its body must make progress (buffered: any bytes;
-    /// streamed: a decoded chunk) at least this often or the request
-    /// is answered `408` and the connection closed. Routes can
-    /// override via [`Handler::body_progress`].
+    /// Body-progress deadline: once a request's head is complete, its
+    /// body must make progress (buffered: any bytes; streamed: a
+    /// decoded chunk) at least this often or the request is answered
+    /// `408` and the connection closed.
     pub body_progress: Duration,
 }
 
@@ -89,15 +88,6 @@ pub trait Handler: Send + Sync + 'static {
         false
     }
 
-    /// Per-route body-progress deadline override; `None` uses
-    /// [`ServerConfig::body_progress`]. Streaming routes that expect
-    /// naturally slow clients (a live session dribbling events in real
-    /// time) return a larger window here without loosening the guard
-    /// for every buffered route.
-    fn body_progress(&self, _method: &str, _path: &str) -> Option<Duration> {
-        None
-    }
-
     /// Handle a streamed-body request: `head` carries the parsed head
     /// (empty body) and `body` yields decoded body chunks as they
     /// arrive. The default answers `501` — a handler that returns
@@ -132,6 +122,29 @@ pub enum StreamBodyError {
     /// The peer closed or the socket died; there is usually nobody
     /// left to answer.
     Disconnected,
+}
+
+impl StreamBodyError {
+    /// The response this failure answers with. A handler that still
+    /// has something to say to a vanished peer (the ingest totals, say)
+    /// handles [`StreamBodyError::Disconnected`] itself first; nobody
+    /// reads that answer either way.
+    pub fn response(self) -> Response {
+        match self {
+            StreamBodyError::Timeout => Response::error(
+                408,
+                "request_timeout",
+                "stream stalled past the progress deadline",
+            ),
+            StreamBodyError::TooLarge => {
+                Response::error(413, "body_too_large", "stream buffer overflowed its bound")
+            }
+            StreamBodyError::Malformed(m) => Response::error(400, "bad_request", m),
+            StreamBodyError::Disconnected => {
+                Response::error(400, "bad_request", "client disconnected mid-stream")
+            }
+        }
+    }
 }
 
 /// A streamed request body, pulled chunk by chunk.
@@ -325,7 +338,7 @@ fn answer_parse_error(stream: &mut TcpStream, ctx: &Ctx, e: HttpError) {
 struct SocketBody<'a> {
     stream: &'a mut TcpStream,
     parser: &'a mut RequestParser,
-    /// Per-chunk progress deadline (route override or server default).
+    /// Per-chunk progress deadline ([`ServerConfig::body_progress`]).
     progress: Duration,
     shutdown: &'a AtomicBool,
     grace: Duration,
@@ -399,25 +412,20 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
     let mut last_activity = Instant::now();
     // Last time any request bytes arrived: the body-progress clock for
     // buffered requests (408 when a header-complete request's body
-    // stalls past the route's deadline).
+    // stalls past the progress deadline).
     let mut last_progress = Instant::now();
     // Set once the shutdown flag is observed with bytes still in
     // flight: the worker keeps reading until the request completes or
     // this deadline passes.
     let mut drain_deadline: Option<Instant> = None;
     // The in-flight request's route policy, read off its head once:
-    // (streamed?, body-progress deadline).
-    let mut route: Option<(bool, Duration)> = None;
+    // is its body streamed?
+    let mut streamed: Option<bool> = None;
 
     loop {
         match parser.peek_head() {
-            Ok(Some((head, _))) if route.is_none() => {
-                route = Some((
-                    ctx.handler.wants_stream(&head.method, &head.path),
-                    ctx.handler
-                        .body_progress(&head.method, &head.path)
-                        .unwrap_or(ctx.cfg.body_progress),
-                ));
+            Ok(Some((head, _))) if streamed.is_none() => {
+                streamed = Some(ctx.handler.wants_stream(&head.method, &head.path));
             }
             Ok(_) => {}
             Err(e) => {
@@ -429,8 +437,8 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
         // The head is parsed; its body is either streamed to the
         // handler (which takes over before the body exists) or
         // buffered through the same decoder until complete.
-        let answered = match route {
-            Some((true, progress)) => {
+        let answered = match streamed {
+            Some(true) => {
                 let head = parser
                     .begin_stream()
                     .ok()
@@ -440,7 +448,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let mut body = SocketBody {
                     stream: &mut stream,
                     parser: &mut parser,
-                    progress,
+                    progress: ctx.cfg.body_progress,
                     shutdown: &ctx.shutdown,
                     grace: ctx.cfg.drain_grace,
                     shutdown_deadline: None,
@@ -459,7 +467,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let keep_alive = head.keep_alive && body.drained;
                 Some((key, response, started, keep_alive))
             }
-            Some((false, _)) => match parser.try_next() {
+            Some(false) => match parser.try_next() {
                 Ok(Some(req)) => {
                     let started = Instant::now();
                     let (key, response) = ctx.handler.handle(&req, &ctx.metrics);
@@ -483,7 +491,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
-            route = None;
+            streamed = None;
             last_activity = Instant::now();
             last_progress = Instant::now();
             continue;
@@ -505,9 +513,9 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
             }
         } else {
             // A header-complete request whose body has stalled past the
-            // route's progress deadline gets a clean 408 — not a silent
-            // close at keep-alive expiry.
-            if route.is_some_and(|(_, progress)| last_progress.elapsed() > progress) {
+            // progress deadline gets a clean 408 — not a silent close at
+            // keep-alive expiry.
+            if streamed.is_some() && last_progress.elapsed() > ctx.cfg.body_progress {
                 answer_parse_error(&mut stream, ctx, HttpError::RequestTimeout);
                 return;
             }

@@ -2,6 +2,8 @@
 //! router in front of in-process backends — proxying, aggregation,
 //! failover to `down`, and recovery — all driven through HTTP.
 
+mod harness;
+
 use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
@@ -438,4 +440,83 @@ fn live_migration_hands_ownership_to_a_new_backend() {
     for b in old {
         b.shutdown();
     }
+}
+
+/// After a ring swap the router routes by the new ring alone. Once the
+/// new owner has acknowledged a refinement, a read must never be
+/// answered from the old owner, whose copy stopped taking writes at
+/// the cutover — not even while the new owner is down. Such a read
+/// fails instead of silently dropping the acknowledged write.
+#[test]
+fn ring_swap_never_serves_the_old_owners_pre_write_dots() {
+    let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("epoch{i}"))).collect();
+    let a = backend(&dirs[0].0, "127.0.0.1:0".parse().unwrap());
+    let router = router(vec![a.local_addr()]);
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
+    let vid = catalog()[0];
+    let dots_path = format!("/video/{vid}/dots");
+
+    // Warm the video on A: these are the dots A will keep.
+    let resp = client.get(&dots_path).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let pre_write: DotsResponse = resp.json().unwrap();
+    assert!(!pre_write.dots.is_empty());
+
+    // Migrate A's state into a fresh C, then swap the ring to [C].
+    let c = backend(&dirs[1].0, "127.0.0.1:0".parse().unwrap());
+    let mut from_a = HttpClient::connect(a.local_addr()).unwrap();
+    let req = ExportRequest {
+        videos: vec![],
+        since_seq: 0,
+        freeze_ms: 0,
+    };
+    let resp = from_a
+        .post_json("/admin/export", &serde_json::to_string(&req).unwrap())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let mut to_c = HttpClient::connect(c.local_addr()).unwrap();
+    let resp = to_c.post_json("/admin/import", resp.body_str()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let req = RingUpdateRequest {
+        backends: vec![c.local_addr().to_string()],
+    };
+    let resp = client
+        .post_json("/admin/ring", &serde_json::to_string(&req).unwrap())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+
+    // Refine through the router until the dots move: C acknowledged a
+    // write that A never saw.
+    let mut moved = false;
+    for i in 0..200u64 {
+        let dot_at = pre_write.dots[(i as usize) % pre_write.dots.len()].at_seconds;
+        let resp = client
+            .post_json("/sessions", &harness::refining_upload(vid, i, dot_at))
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let now: DotsResponse = client.get(&dots_path).unwrap().json().unwrap();
+        if now != pre_write {
+            moved = true;
+            break;
+        }
+    }
+    assert!(moved, "refinement through the new owner never moved a dot");
+
+    // The new owner goes away. The read fails; it is never answered
+    // with A's pre-write dots.
+    c.shutdown();
+    let resp = client.get(&dots_path).unwrap();
+    assert!(
+        resp.status >= 500,
+        "a read whose owner is down must fail, got {}: {}",
+        resp.status,
+        resp.body_str()
+    );
+    let stale = resp
+        .json::<DotsResponse>()
+        .is_ok_and(|dots| dots == pre_write);
+    assert!(!stale, "the router served the old owner's pre-write dots");
+
+    router.shutdown();
+    a.shutdown();
 }

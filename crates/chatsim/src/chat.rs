@@ -18,7 +18,7 @@
 //!
 //! # Allocation-free generation, pinned determinism
 //!
-//! The event-process walk is written once ([`ChatGenerator::synthesize`])
+//! The event-process walk is written once (`ChatGenerator::synthesize`)
 //! against a small sink trait, and instantiated twice:
 //!
 //! * the **fast path** ([`ChatGenerator::generate`]) appends message

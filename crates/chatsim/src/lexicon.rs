@@ -591,8 +591,9 @@ impl CompiledLexicon {
     /// of [`generate`]; identical text for an identical RNG state).
     ///
     /// One 64-bit draw mapped onto the class's precomposed pool, one
-    /// contiguous copy. The bot pool is exact; the sampled pools are
-    /// the finite-table approximation documented on [`MessagePool`].
+    /// contiguous copy. The bot pool is exact; the sampled pools
+    /// approximate their distribution with a finite table of
+    /// precomposed messages.
     #[inline]
     pub fn write_message<R: Rng + ?Sized>(
         &self,
@@ -633,7 +634,7 @@ impl CompiledLexicon {
     }
 
     /// Total fragment ids a decomposition can reference: every interned
-    /// span plus the synthetic [`CODE_TAGS`] suffixes.
+    /// span plus the three synthetic `codeN` bot suffixes.
     pub fn fragment_count(&self) -> usize {
         self.spans.len() + CODE_TAGS.len()
     }
@@ -711,8 +712,8 @@ impl CompiledLexicon {
         Self::trim_last_space(out);
     }
 
-    /// Sample a burst's focus tokens (the writer analog of
-    /// [`hype_focus`]: three game-specific picks plus one emote).
+    /// Sample a burst's focus tokens: three game-specific picks plus
+    /// one emote.
     pub fn sample_focus<R: Rng + ?Sized>(&self, rng: &mut R, game: GameKind) -> FocusSet {
         let specific = self.specific(game);
         FocusSet([
@@ -723,8 +724,8 @@ impl CompiledLexicon {
         ])
     }
 
-    /// Append one focused reaction-burst message (the writer analog of
-    /// [`hype_with_focus`]).
+    /// Append one reaction-burst message concentrated on the `focus`
+    /// tokens of [`Self::sample_focus`].
     pub fn write_hype_focused<R: Rng + ?Sized>(
         &self,
         rng: &mut R,

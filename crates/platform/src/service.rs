@@ -82,8 +82,6 @@ pub struct ServiceConfig {
     pub top_k: usize,
     /// Minimum buffered plays before a dot runs a refinement round.
     pub min_plays_per_round: usize,
-    /// Per-video tokenized corpora kept hot (LRU).
-    pub corpus_cache_cap: usize,
 }
 
 impl Default for ServiceConfig {
@@ -91,10 +89,12 @@ impl Default for ServiceConfig {
         ServiceConfig {
             top_k: 5,
             min_plays_per_round: 8,
-            corpus_cache_cap: 32,
         }
     }
 }
+
+/// Per-video tokenized corpora kept hot (LRU).
+const CORPUS_CACHE_CAP: usize = 32;
 
 /// Persistent per-dot refinement state.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -346,14 +346,11 @@ impl LightorService {
         }
         Ok(LightorService {
             models,
-            cfg: ServiceConfig {
-                corpus_cache_cap: cfg.corpus_cache_cap.max(1),
-                ..cfg
-            },
+            cfg,
             platform,
             stores: Mutex::new(Stores { chat, kv }),
             videos: RwLock::new(videos),
-            corpora: Mutex::new(LruCache::new(cfg.corpus_cache_cap.max(1))),
+            corpora: Mutex::new(LruCache::new(CORPUS_CACHE_CAP)),
             vocab: Arc::new(GlobalVocab::new()),
             absorbed: Mutex::new(std::collections::HashSet::new()),
             tok_hits: AtomicU64::new(0),

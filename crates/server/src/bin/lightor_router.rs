@@ -93,7 +93,6 @@ fn main() -> std::io::Result<()> {
         cluster_cfg,
         ServerConfig {
             workers: args.workers.max(1),
-            ..ServerConfig::default()
         },
     )?;
     // The readiness line smoke tests grep for.

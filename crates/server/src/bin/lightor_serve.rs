@@ -160,7 +160,6 @@ fn main() -> std::io::Result<()> {
         svc,
         ServerConfig {
             workers: args.workers.max(1),
-            ..ServerConfig::default()
         },
     )?;
     // The readiness line smoke tests grep for.

@@ -8,17 +8,16 @@
 //! lightor-supervisor --router HOST:PORT
 //!                    --pair PRIMARY,STANDBY[,DATA_DIR]
 //!                    [--pair ...] [--port N] [--workers N]
-//!                    [--tick-ms N] [--down-dwell-ms N]
-//!                    [--request-timeout-ms N]
+//!                    [--tick-ms N] [--request-timeout-ms N]
 //! ```
 //!
-//! Defaults: port 7990, 2 workers, 250 ms tick, 0 ms down dwell,
-//! 2000 ms per-request deadline. `DATA_DIR` is the primary's data
-//! directory when it is reachable from this process — the zero-loss
-//! final-delta path for a primary that dies without answering a last
-//! export. Prints one `listening on http://…` line once bound (smoke
-//! tests grep for it), then reconciles until killed. `GET /stats`
-//! reports per-range lag, phases, and promotions.
+//! Defaults: port 7990, 2 workers, 250 ms tick, 2000 ms per-request
+//! deadline. `DATA_DIR` is the primary's data directory when it is
+//! reachable from this process — the zero-loss final-delta path for a
+//! primary that dies without answering a last export. Prints one
+//! `listening on http://…` line once bound (smoke tests grep for it),
+//! then reconciles until killed. `GET /stats` reports per-range lag,
+//! phases, and promotions.
 
 use lightor_server::replicate::ReplicaPair;
 use lightor_server::supervisor::{SupervisorConfig, SupervisorServer};
@@ -32,7 +31,6 @@ struct Args {
     router: Option<SocketAddr>,
     pairs: Vec<ReplicaPair>,
     tick: Duration,
-    down_dwell: Duration,
     request_timeout: Duration,
 }
 
@@ -43,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         router: None,
         pairs: Vec::new(),
         tick: Duration::from_millis(250),
-        down_dwell: Duration::ZERO,
         request_timeout: Duration::from_millis(2000),
     };
     let mut it = std::env::args().skip(1);
@@ -75,13 +72,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--tick-ms: {e}"))?,
                 )
             }
-            "--down-dwell-ms" => {
-                args.down_dwell = Duration::from_millis(
-                    value("--down-dwell-ms")?
-                        .parse()
-                        .map_err(|e| format!("--down-dwell-ms: {e}"))?,
-                )
-            }
             "--request-timeout-ms" => {
                 args.request_timeout = Duration::from_millis(
                     value("--request-timeout-ms")?
@@ -110,7 +100,7 @@ fn main() -> std::io::Result<()> {
                 "usage: lightor-supervisor --router HOST:PORT \
                  --pair PRIMARY,STANDBY[,DATA_DIR] [--pair ...] \
                  [--port N] [--workers N] [--tick-ms N] \
-                 [--down-dwell-ms N] [--request-timeout-ms N]"
+                 [--request-timeout-ms N]"
             );
             std::process::exit(2);
         }
@@ -118,7 +108,6 @@ fn main() -> std::io::Result<()> {
 
     let cfg = SupervisorConfig {
         tick_interval: args.tick,
-        down_dwell: args.down_dwell,
         request_timeout: args.request_timeout,
         ..SupervisorConfig::new(args.router.expect("validated above"), args.pairs)
     };
@@ -127,7 +116,6 @@ fn main() -> std::io::Result<()> {
         cfg,
         ServerConfig {
             workers: args.workers.max(1),
-            ..ServerConfig::default()
         },
     )?;
     // The readiness line smoke tests grep for.

@@ -48,8 +48,12 @@
 //! Every proxied request runs under a deadline. Idempotent GETs may
 //! retry on *transport* errors only (see
 //! [`ClientError::is_transport`]), with jittered exponential backoff,
-//! bounded by [`RetryPolicy`] and by a cluster-wide [`RetryBudget`] so
-//! a down shard cannot amplify load. Writes never retry: they go out
+//! at most three attempts (see [`crate::retry`]) and a cluster-wide
+//! [`RetryBudget`] so a down shard cannot amplify load. A GET that
+//! finds its pooled connection already closed by the backend (the
+//! backend drops a keep-alive connection after 5 s idle) is redone
+//! once on a fresh connection; that is not a retry and not a failure.
+//! Writes never retry: they go out
 //! on a fresh connection (never a pooled keep-alive one, whose silent
 //! death after the bytes left would make "did it apply?" ambiguous and
 //! tempt a replay), so the common failure — connect refused, shard
@@ -63,10 +67,10 @@
 //! tracking the next probe, and probes back off exponentially.
 
 use crate::client::{ClientError, ClientResponse, HttpClient};
-use crate::health::{BackendHealth, HealthPolicy, HealthState};
+use crate::health::{BackendHealth, HealthState};
 use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
-use crate::retry::{RetryBudget, RetryPolicy, XorShift64};
+use crate::retry::{backoff, RetryBudget, XorShift64, MAX_ATTEMPTS};
 use crate::router::{resolve, Route};
 use crate::server::{BodySource, Handler, OneChunk};
 use lightor_platform::wire::{
@@ -79,23 +83,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Router tuning knobs.
+/// Router settings: the boot ring and the per-request deadline. The
+/// rest of the router's tuning is constants of this module and of
+/// [`crate::health`] and [`crate::retry`].
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Backend addresses, in ring order.
     pub backends: Vec<SocketAddr>,
-    /// Virtual nodes per backend on the hash ring.
-    pub vnodes: usize,
-    /// TCP connect timeout towards a backend.
-    pub connect_timeout: Duration,
     /// End-to-end deadline per proxied request (spans all retries).
     pub request_timeout: Duration,
-    /// Deadline for one active health probe.
-    pub probe_timeout: Duration,
-    /// Health state-machine thresholds and probe cadence.
-    pub health: HealthPolicy,
-    /// Retry shape for idempotent GETs.
-    pub retry: RetryPolicy,
 }
 
 impl ClusterConfig {
@@ -103,15 +99,17 @@ impl ClusterConfig {
     pub fn new(backends: Vec<SocketAddr>) -> Self {
         ClusterConfig {
             backends,
-            vnodes: 64,
-            connect_timeout: Duration::from_millis(500),
             request_timeout: Duration::from_secs(2),
-            probe_timeout: Duration::from_millis(500),
-            health: HealthPolicy::default(),
-            retry: RetryPolicy::default(),
         }
     }
 }
+
+/// Virtual nodes per backend on the hash ring.
+const VNODES: usize = 64;
+/// TCP connect timeout towards a backend.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Deadline for one active health probe (connect included).
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One backend's connection pool, health, and counters. Shared by
 /// `Arc` across ring epochs: a ring swap that keeps an address keeps
@@ -140,14 +138,14 @@ impl Backend {
     }
 
     /// A boot-ring backend, assumed healthy until proven otherwise.
-    fn boot(addr: SocketAddr, policy: HealthPolicy, now: Instant) -> Self {
-        Self::with_health(addr, BackendHealth::new(policy, now))
+    fn boot(addr: SocketAddr, now: Instant) -> Self {
+        Self::with_health(addr, BackendHealth::new(now))
     }
 
     /// A backend first seen in a ring update: admitted in `Recovering`,
     /// it takes trial traffic but must earn `Healthy`.
-    fn admitted(addr: SocketAddr, policy: HealthPolicy, now: Instant) -> Self {
-        Self::with_health(addr, BackendHealth::new_recovering(policy, now))
+    fn admitted(addr: SocketAddr, now: Instant) -> Self {
+        Self::with_health(addr, BackendHealth::new_recovering(now))
     }
 }
 
@@ -170,7 +168,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A consistent-hash ring: `vnodes` points per backend, sorted. A key
+/// A consistent-hash ring: [`VNODES`] points per backend, sorted. A key
 /// maps to the first point clockwise from its hash. Adding or removing
 /// one backend moves only ~1/N of the key space.
 struct Ring {
@@ -190,19 +188,19 @@ impl Ring {
     /// boot ring does via [`Cluster::new`]; kept for tests that need a
     /// reference ring without a `Cluster`.
     #[cfg(test)]
-    fn build(backends: &[SocketAddr], vnodes: usize) -> Self {
+    fn build(backends: &[SocketAddr]) -> Self {
         let bases: Vec<u64> = backends.iter().map(addr_base).collect();
-        Self::build_from_bases(&bases, vnodes)
+        Self::build_from_bases(&bases)
     }
 
     /// Build from explicit per-slot hash bases. A slot's vnode points
     /// are a pure function of its base, so two rings sharing a base
     /// place that slot's points identically — the stability guarantee
     /// that makes an address substitution ownership-preserving.
-    fn build_from_bases(bases: &[u64], vnodes: usize) -> Self {
-        let mut points = Vec::with_capacity(bases.len() * vnodes);
+    fn build_from_bases(bases: &[u64]) -> Self {
+        let mut points = Vec::with_capacity(bases.len() * VNODES);
         for (idx, &base) in bases.iter().enumerate() {
-            for v in 0..vnodes as u64 {
+            for v in 0..VNODES as u64 {
                 points.push((splitmix64(base ^ splitmix64(v)), idx));
             }
         }
@@ -256,10 +254,10 @@ impl Cluster {
         let backends = cfg
             .backends
             .iter()
-            .map(|&addr| Arc::new(Backend::boot(addr, cfg.health, now)))
+            .map(|&addr| Arc::new(Backend::boot(addr, now)))
             .collect();
         let bases: Vec<u64> = cfg.backends.iter().map(addr_base).collect();
-        let ring = Ring::build_from_bases(&bases, cfg.vnodes.max(1));
+        let ring = Ring::build_from_bases(&bases);
         Cluster {
             topo: RwLock::new(RingEpoch {
                 version: 1,
@@ -358,12 +356,12 @@ impl Cluster {
             .map(|&addr| match known.get(&addr) {
                 Some((b, base)) => (b.clone(), *base),
                 None => (
-                    Arc::new(Backend::admitted(addr, self.cfg.health, now)),
+                    Arc::new(Backend::admitted(addr, now)),
                     inherited.unwrap_or_else(|| addr_base(&addr)),
                 ),
             })
             .unzip();
-        let ring = Ring::build_from_bases(&bases, self.cfg.vnodes.max(1));
+        let ring = Ring::build_from_bases(&bases);
         let version = topo.version + 1;
         *topo = RingEpoch {
             version,
@@ -416,9 +414,10 @@ impl Cluster {
         )
     }
 
-    /// One proxied exchange on the pooled connection (creating it on
-    /// demand). The connection goes back to the pool only after a
-    /// fully read, keep-alive response; every error path drops it.
+    /// One proxied exchange on the pooled connection, or on a fresh one
+    /// when the pool is empty or its connection turns out closed. The
+    /// connection goes back to the pool only after a fully read,
+    /// keep-alive response; every error path drops it.
     fn exchange(
         &self,
         b: &Backend,
@@ -428,15 +427,28 @@ impl Cluster {
         deadline: Instant,
     ) -> Result<ClientResponse, ClientError> {
         let pooled = b.conn.lock().expect("conn lock poisoned").take();
-        let mut conn = match pooled {
-            Some(c) => c,
-            None => HttpClient::connect_with(
-                b.addr,
-                self.cfg.connect_timeout,
-                self.cfg.request_timeout,
-            )?,
+        let reused = match pooled {
+            Some(mut conn) => match conn.request_deadline(method, path, body, deadline) {
+                Ok(resp) => Some((conn, resp)),
+                // The backend closes a connection that sat idle past
+                // its keep-alive timeout, so a pooled one may be dead
+                // before the request left. A failure before any
+                // response head then says nothing about the backend:
+                // redo the exchange once on a fresh connection.
+                Err(ClientError::Io(_) | ClientError::ClosedBeforeHead) => None,
+                Err(e) => return Err(e),
+            },
+            None => None,
         };
-        let resp = conn.request_deadline(method, path, body, deadline)?;
+        let (conn, resp) = match reused {
+            Some(done) => done,
+            None => {
+                let mut conn =
+                    HttpClient::connect_with(b.addr, CONNECT_TIMEOUT, self.cfg.request_timeout)?;
+                let resp = conn.request_deadline(method, path, body, deadline)?;
+                (conn, resp)
+            }
+        };
         if !resp.closed() {
             let mut slot = b.conn.lock().expect("conn lock poisoned");
             if slot.is_none() {
@@ -465,7 +477,7 @@ impl Cluster {
             match self.exchange(b, "GET", path, None, deadline) {
                 Ok(resp) => {
                     self.mark_success(b);
-                    if resp.status == 503 && attempt < self.cfg.retry.max_attempts {
+                    if resp.status == 503 && attempt < MAX_ATTEMPTS {
                         if let Some(wait) = resp.retry_after() {
                             if Instant::now() + wait < deadline && self.budget.try_withdraw() {
                                 b.retries.fetch_add(1, Ordering::Relaxed);
@@ -480,11 +492,11 @@ impl Cluster {
                     self.mark_failure(b, false);
                     let backoff = {
                         let mut rng = self.rng.lock().expect("rng lock poisoned");
-                        self.cfg.retry.backoff(attempt, &mut rng)
+                        backoff(attempt, &mut rng)
                     };
                     let out_of_time = Instant::now() + backoff >= deadline;
                     if !e.is_transport()
-                        || attempt >= self.cfg.retry.max_attempts
+                        || attempt >= MAX_ATTEMPTS
                         || out_of_time
                         || self.lock_health(b).state() == HealthState::Down
                         || !self.budget.try_withdraw()
@@ -504,30 +516,38 @@ impl Cluster {
         self.proxy_write(&self.owner(video), path, body)
     }
 
-    /// Proxy a write to `b`: fresh connection, one attempt, never
-    /// retried (see the module docs). `Err` carries the ready
-    /// client-facing failure (shard down, bad gateway).
-    fn write_once(&self, b: &Backend, path: &str, body: &[u8]) -> Result<ClientResponse, Response> {
+    /// Open a fresh write connection to `b` (see the module docs):
+    /// the breaker gate, the attempt counters, then the connect. `Err`
+    /// carries the ready client-facing failure (shard down, bad
+    /// gateway).
+    fn open_write(&self, b: &Backend) -> Result<HttpClient, Response> {
         if let Some(resp) = self.gate(b) {
             return Err(resp);
         }
         b.proxied.fetch_add(1, Ordering::Relaxed);
         self.budget.record_attempt();
+        HttpClient::connect_with(b.addr, CONNECT_TIMEOUT, self.cfg.request_timeout)
+            .map_err(|e| self.write_failed(b, &e))
+    }
+
+    /// Account a failed write exchange with `b` and build its `502`.
+    fn write_failed(&self, b: &Backend, e: &ClientError) -> Response {
+        self.mark_failure(b, false);
+        b.proxy_errors.fetch_add(1, Ordering::Relaxed);
+        Response::error(502, "bad_gateway", &e.to_string())
+    }
+
+    /// Proxy a write to `b`: fresh connection, one attempt, never
+    /// retried (see the module docs). `Err` carries the ready
+    /// client-facing failure (shard down, bad gateway).
+    fn write_once(&self, b: &Backend, path: &str, body: &[u8]) -> Result<ClientResponse, Response> {
         let deadline = Instant::now() + self.cfg.request_timeout;
-        let result =
-            HttpClient::connect_with(b.addr, self.cfg.connect_timeout, self.cfg.request_timeout)
-                .and_then(|mut conn| conn.request_deadline("POST", path, Some(body), deadline));
-        match result {
-            Ok(resp) => {
-                self.mark_success(b);
-                Ok(resp)
-            }
-            Err(e) => {
-                self.mark_failure(b, false);
-                b.proxy_errors.fetch_add(1, Ordering::Relaxed);
-                Err(Response::error(502, "bad_gateway", &e.to_string()))
-            }
-        }
+        let mut conn = self.open_write(b)?;
+        let resp = conn
+            .request_deadline("POST", path, Some(body), deadline)
+            .map_err(|e| self.write_failed(b, &e))?;
+        self.mark_success(b);
+        Ok(resp)
     }
 
     /// [`Cluster::write_once`] relayed straight to the client.
@@ -602,22 +622,9 @@ impl Cluster {
         };
 
         let owner = self.owner(batch.video);
-        if let Some(resp) = self.gate(&owner) {
-            return resp;
-        }
-        owner.proxied.fetch_add(1, Ordering::Relaxed);
-        self.budget.record_attempt();
-        let mut conn = match HttpClient::connect_with(
-            owner.addr,
-            self.cfg.connect_timeout,
-            self.cfg.request_timeout,
-        ) {
+        let mut conn = match self.open_write(&owner) {
             Ok(conn) => conn,
-            Err(e) => {
-                self.mark_failure(&owner, false);
-                owner.proxy_errors.fetch_add(1, Ordering::Relaxed);
-                return Response::error(502, "bad_gateway", &e.to_string());
-            }
+            Err(resp) => return resp,
         };
         let mut send_result = conn
             .start_chunked("POST", "/sessions/stream")
@@ -652,11 +659,7 @@ impl Cluster {
                 self.mark_success(&owner);
                 Response::relay(resp.status, resp.into_wire())
             }
-            Err(e) => {
-                self.mark_failure(&owner, false);
-                owner.proxy_errors.fetch_add(1, Ordering::Relaxed);
-                Response::error(502, "bad_gateway", &e.to_string())
-            }
+            Err(e) => self.write_failed(&owner, &e),
         }
     }
 
@@ -771,7 +774,7 @@ impl Cluster {
                     (h.state().name().to_string(), h.is_available())
                 };
                 let stats: Option<StatsResponse> = if available {
-                    let deadline = Instant::now() + self.cfg.probe_timeout;
+                    let deadline = Instant::now() + PROBE_TIMEOUT;
                     self.exchange(b, "GET", "/stats", None, deadline)
                         .ok()
                         .filter(|r| r.status == 200)
@@ -817,12 +820,11 @@ impl Cluster {
                 continue;
             }
             probed += 1;
-            let deadline = Instant::now() + self.cfg.probe_timeout;
-            let ok =
-                HttpClient::connect_with(b.addr, self.cfg.probe_timeout, self.cfg.probe_timeout)
-                    .and_then(|mut conn| conn.request_deadline("GET", "/healthz", None, deadline))
-                    .map(|resp| resp.status == 200)
-                    .unwrap_or(false);
+            let deadline = Instant::now() + PROBE_TIMEOUT;
+            let ok = HttpClient::connect_with(b.addr, PROBE_TIMEOUT, PROBE_TIMEOUT)
+                .and_then(|mut conn| conn.request_deadline("GET", "/healthz", None, deadline))
+                .map(|resp| resp.status == 200)
+                .unwrap_or(false);
             if ok {
                 self.mark_success(b);
             } else {
@@ -973,8 +975,8 @@ mod tests {
 
     #[test]
     fn ring_is_deterministic_and_total() {
-        let ring = Ring::build(&addrs(3), 64);
-        assert_eq!(ring.points.len(), 3 * 64);
+        let ring = Ring::build(&addrs(3));
+        assert_eq!(ring.points.len(), 3 * VNODES);
         for video in 0..1000u64 {
             let a = ring.owner(video);
             assert_eq!(a, ring.owner(video), "owner must be stable");
@@ -984,7 +986,7 @@ mod tests {
 
     #[test]
     fn ring_spreads_keys_across_backends() {
-        let ring = Ring::build(&addrs(3), 64);
+        let ring = Ring::build(&addrs(3));
         let mut counts = [0usize; 3];
         for video in 0..3000u64 {
             counts[ring.owner(video)] += 1;
@@ -998,8 +1000,8 @@ mod tests {
 
     #[test]
     fn ring_reshuffles_minimally_when_a_backend_joins() {
-        let three = Ring::build(&addrs(3), 64);
-        let four = Ring::build(&addrs(4), 64);
+        let three = Ring::build(&addrs(3));
+        let four = Ring::build(&addrs(4));
         let moved = (0..3000u64)
             .filter(|&v| {
                 let before = three.owner(v);
@@ -1015,7 +1017,7 @@ mod tests {
     #[test]
     fn cluster_routes_videos_like_the_ring() {
         let cluster = Cluster::new(ClusterConfig::new(addrs(3)));
-        let ring = Ring::build(&addrs(3), 64);
+        let ring = Ring::build(&addrs(3));
         for video in 0..100 {
             assert_eq!(cluster.shard_for(video), ring.owner(video));
         }
@@ -1045,7 +1047,7 @@ mod tests {
         assert_eq!(cluster.backend_health(1), HealthState::Healthy);
         assert_eq!(cluster.backend_health(2), HealthState::Recovering);
         // The current ring routes exactly like a fresh 3-backend ring.
-        let fresh = Ring::build(&addrs(3), 64);
+        let fresh = Ring::build(&addrs(3));
         for video in 0..200 {
             assert_eq!(cluster.shard_for(video), fresh.owner(video));
         }

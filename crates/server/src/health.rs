@@ -3,13 +3,13 @@
 //! backoff on probes to a down shard.
 //!
 //! ```text
-//!            failure                 #failures ≥ down_after
+//!            failure                 #failures ≥ DOWN_AFTER
 //!  Healthy ──────────▶ Suspect ───────────────────────────▶ Down
 //!     ▲                   │ success                            │ probe success
 //!     │                   ▼                                    ▼
 //!     │◀────────────── Healthy                            Recovering
 //!     │                                                        │
-//!     └────── #successes ≥ recover_after ──────────────────────┘
+//!     └────── #successes ≥ RECOVER_AFTER ──────────────────────┘
 //!                        (any failure → Down again)
 //! ```
 //!
@@ -18,6 +18,11 @@
 //! fire for request failures as for probe failures, which is what makes
 //! the machine double as a circuit breaker: a burst of transport errors
 //! trips the shard to `Down` without waiting for the prober to notice.
+//!
+//! The thresholds and probe cadence are this module's constants: 3
+//! failures trip a shard, 2 successes recover it, probes run every
+//! 500 ms while it is up and back off from 250 ms to 4 s while it is
+//! down.
 
 use crate::retry::XorShift64;
 use std::time::{Duration, Instant};
@@ -48,39 +53,22 @@ impl HealthState {
     }
 }
 
-/// Thresholds and probe cadence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Consecutive failures that trip `Suspect` → `Down`.
-    pub down_after: u32,
-    /// Consecutive successes that promote `Recovering` → `Healthy`.
-    pub recover_after: u32,
-    /// Probe cadence while not down.
-    pub probe_interval: Duration,
-    /// First probe delay after tripping down (doubles per failed
-    /// probe, jittered).
-    pub probe_backoff_base: Duration,
-    /// Probe-delay ceiling while down.
-    pub probe_backoff_max: Duration,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            down_after: 3,
-            recover_after: 2,
-            probe_interval: Duration::from_millis(500),
-            probe_backoff_base: Duration::from_millis(250),
-            probe_backoff_max: Duration::from_secs(4),
-        }
-    }
-}
+/// Consecutive failures that trip `Suspect` → `Down`.
+const DOWN_AFTER: u32 = 3;
+/// Consecutive successes that promote `Recovering` → `Healthy`.
+const RECOVER_AFTER: u32 = 2;
+/// Probe cadence while not down.
+const PROBE_INTERVAL: Duration = Duration::from_millis(500);
+/// First probe delay after tripping down (doubles per failed probe,
+/// jittered).
+const PROBE_BACKOFF_BASE: Duration = Duration::from_millis(250);
+/// Probe-delay ceiling while down.
+const PROBE_BACKOFF_MAX: Duration = Duration::from_secs(4);
 
 /// Health ledger of one backend. All methods take `now` explicitly so
 /// tests drive the clock instead of sleeping.
 #[derive(Debug)]
 pub struct BackendHealth {
-    policy: HealthPolicy,
     state: HealthState,
     consecutive_failures: u32,
     consecutive_successes: u32,
@@ -89,18 +77,16 @@ pub struct BackendHealth {
     next_probe_at: Instant,
     probe_failures: u64,
     breaker_trips: u64,
-    /// When `state` last changed (construction counts). A supervisor
-    /// deciding whether "down" warrants a promotion needs the dwell
-    /// time, not just the state name.
+    /// When `state` last changed (construction counts), reported as
+    /// each `/healthz` row's dwell time.
     last_transition: Instant,
 }
 
 impl BackendHealth {
     /// A backend assumed healthy at `now`, due for its first probe
     /// immediately.
-    pub fn new(policy: HealthPolicy, now: Instant) -> Self {
+    pub fn new(now: Instant) -> Self {
         BackendHealth {
-            policy,
             state: HealthState::Healthy,
             consecutive_failures: 0,
             consecutive_successes: 0,
@@ -115,13 +101,13 @@ impl BackendHealth {
     /// A backend admitted in `Recovering` at `now` — how a ring update
     /// introduces an address the router has never health-checked. It
     /// takes trial traffic immediately but must string together
-    /// `recover_after` successes before it counts as healthy, and a
+    /// `RECOVER_AFTER` successes before it counts as healthy, and a
     /// single failure re-trips it to `Down` — a misconfigured address
     /// in a ring update never lingers as "healthy by assumption".
-    pub fn new_recovering(policy: HealthPolicy, now: Instant) -> Self {
+    pub fn new_recovering(now: Instant) -> Self {
         BackendHealth {
             state: HealthState::Recovering,
-            ..Self::new(policy, now)
+            ..Self::new(now)
         }
     }
 
@@ -170,7 +156,7 @@ impl BackendHealth {
     /// Record a successful request or probe at `now`.
     pub fn record_success(&mut self, now: Instant) {
         self.consecutive_failures = 0;
-        self.next_probe_at = now + self.policy.probe_interval;
+        self.next_probe_at = now + PROBE_INTERVAL;
         match self.state {
             HealthState::Healthy => {}
             HealthState::Suspect => {
@@ -193,7 +179,7 @@ impl BackendHealth {
     }
 
     fn maybe_recover(&mut self, now: Instant) {
-        if self.consecutive_successes >= self.policy.recover_after {
+        if self.consecutive_successes >= RECOVER_AFTER {
             self.state = HealthState::Healthy;
             self.last_transition = now;
             self.consecutive_successes = 0;
@@ -209,12 +195,12 @@ impl BackendHealth {
             HealthState::Healthy => {
                 self.state = HealthState::Suspect;
                 self.last_transition = now;
-                if self.consecutive_failures >= self.policy.down_after {
+                if self.consecutive_failures >= DOWN_AFTER {
                     self.trip(now, rng);
                 }
             }
             HealthState::Suspect => {
-                if self.consecutive_failures >= self.policy.down_after {
+                if self.consecutive_failures >= DOWN_AFTER {
                     self.trip(now, rng);
                 }
             }
@@ -250,11 +236,9 @@ impl BackendHealth {
     /// backend even at maximum jitter bad luck.
     fn probe_backoff(&self, rng: &mut XorShift64) -> Duration {
         let exp = self.down_probes.min(16);
-        let ceiling = self
-            .policy
-            .probe_backoff_base
+        let ceiling = PROBE_BACKOFF_BASE
             .saturating_mul(1u32 << exp)
-            .min(self.policy.probe_backoff_max);
+            .min(PROBE_BACKOFF_MAX);
         let half = ceiling / 2;
         half + Duration::from_micros(rng.below(half.as_micros() as u64 + 1))
     }
@@ -266,11 +250,7 @@ mod tests {
 
     fn fixture() -> (BackendHealth, XorShift64, Instant) {
         let t0 = Instant::now();
-        (
-            BackendHealth::new(HealthPolicy::default(), t0),
-            XorShift64::new(99),
-            t0,
-        )
+        (BackendHealth::new(t0), XorShift64::new(99), t0)
     }
 
     #[test]
@@ -299,7 +279,7 @@ mod tests {
         h.record_failure(t0, &mut rng);
         h.record_success(t0);
         assert_eq!(h.state(), HealthState::Healthy);
-        // The failure streak reset: it takes down_after fresh failures
+        // The failure streak reset: it takes DOWN_AFTER fresh failures
         // to trip.
         h.record_failure(t0, &mut rng);
         h.record_failure(t0, &mut rng);
@@ -319,7 +299,7 @@ mod tests {
         assert!(h.is_available(), "recovering takes trial traffic");
 
         h.record_success(t0);
-        assert_eq!(h.state(), HealthState::Healthy, "recover_after=2 met");
+        assert_eq!(h.state(), HealthState::Healthy, "RECOVER_AFTER=2 met");
         assert_eq!(h.breaker_trips(), 1);
     }
 
@@ -338,31 +318,30 @@ mod tests {
 
     #[test]
     fn probe_backoff_doubles_and_caps_while_down() {
-        let policy = HealthPolicy::default();
         let (mut h, mut rng, t0) = fixture();
         for _ in 0..3 {
             h.record_failure(t0, &mut rng);
         }
         // Just tripped: first probe within [base/2, base].
         let delay0 = h.next_probe_at - t0;
-        assert!(delay0 >= policy.probe_backoff_base / 2);
-        assert!(delay0 <= policy.probe_backoff_base);
+        assert!(delay0 >= PROBE_BACKOFF_BASE / 2);
+        assert!(delay0 <= PROBE_BACKOFF_BASE);
         assert!(!h.probe_due(t0));
-        assert!(h.probe_due(t0 + policy.probe_backoff_base));
+        assert!(h.probe_due(t0 + PROBE_BACKOFF_BASE));
 
         // Each failed probe doubles the ceiling...
         h.record_probe_failure(t0, &mut rng);
         let delay1 = h.next_probe_at - t0;
-        assert!(delay1 <= policy.probe_backoff_base * 2);
-        assert!(delay1 >= policy.probe_backoff_base);
+        assert!(delay1 <= PROBE_BACKOFF_BASE * 2);
+        assert!(delay1 >= PROBE_BACKOFF_BASE);
 
         // ...up to the cap.
         for _ in 0..10 {
             h.record_probe_failure(t0, &mut rng);
         }
         let capped = h.next_probe_at - t0;
-        assert!(capped <= policy.probe_backoff_max);
-        assert!(capped >= policy.probe_backoff_max / 2);
+        assert!(capped <= PROBE_BACKOFF_MAX);
+        assert!(capped >= PROBE_BACKOFF_MAX / 2);
         assert_eq!(h.probe_failures(), 11);
         // Still exactly one trip: failed probes while down do not re-trip.
         assert_eq!(h.breaker_trips(), 1);
@@ -387,19 +366,18 @@ mod tests {
 
     #[test]
     fn healthy_probe_cadence_follows_interval() {
-        let policy = HealthPolicy::default();
         let (mut h, _rng, t0) = fixture();
         assert!(h.probe_due(t0), "first probe immediate");
         h.record_success(t0);
-        assert!(!h.probe_due(t0 + policy.probe_interval / 2));
-        assert!(h.probe_due(t0 + policy.probe_interval));
+        assert!(!h.probe_due(t0 + PROBE_INTERVAL / 2));
+        assert!(h.probe_due(t0 + PROBE_INTERVAL));
     }
 
     #[test]
     fn recovering_admission_must_earn_healthy() {
         let t0 = Instant::now();
         let mut rng = XorShift64::new(7);
-        let mut h = BackendHealth::new_recovering(HealthPolicy::default(), t0);
+        let mut h = BackendHealth::new_recovering(t0);
         assert_eq!(h.state(), HealthState::Recovering);
         assert!(h.is_available(), "admitted shards take trial traffic");
         assert!(h.probe_due(t0), "first probe immediate");
@@ -408,8 +386,8 @@ mod tests {
         h.record_failure(t0, &mut rng);
         assert_eq!(h.state(), HealthState::Down);
 
-        // A fresh admission walks to healthy on recover_after successes.
-        let mut h = BackendHealth::new_recovering(HealthPolicy::default(), t0);
+        // A fresh admission walks to healthy on RECOVER_AFTER successes.
+        let mut h = BackendHealth::new_recovering(t0);
         h.record_success(t0);
         assert_eq!(h.state(), HealthState::Recovering);
         h.record_success(t0);
@@ -438,8 +416,7 @@ mod tests {
         assert_eq!(h.state(), HealthState::Suspect);
         assert_eq!(h.last_transition_ms(t1 + Duration::from_millis(40)), 40);
 
-        // The trip to Down restamps — this is the dwell time the
-        // supervisor reads before promoting.
+        // The trip to Down restamps.
         let t2 = t1 + Duration::from_millis(500);
         h.record_failure(t2, &mut rng);
         assert_eq!(h.state(), HealthState::Down);

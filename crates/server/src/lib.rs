@@ -86,9 +86,9 @@
 //!   `GET /healthz` prober with jittered exponential backoff. Down
 //!   shards fast-fail `503` + `Retry-After` instead of eating a
 //!   connect timeout per request.
-//! * [`retry`] — [`RetryPolicy`] (per-request deadline, bounded
-//!   attempts, jittered backoff) and a global [`RetryBudget`] so a
-//!   flapping shard can't amplify load. Only idempotent GETs are
+//! * [`retry`] — bounded attempts (three per request, under the
+//!   request deadline), jittered backoff, and a global [`RetryBudget`]
+//!   so a flapping shard can't amplify load. Only idempotent GETs are
 //!   retried; writes never re-run on a fresh connection, because an
 //!   acknowledged-but-disconnected `POST /sessions` may already have
 //!   refined the model.
@@ -169,13 +169,12 @@
 //! a long-lived uploader holds one connection, not one buffered body.
 //! What to know when operating it:
 //!
-//! * *Progress deadlines.* A streamed body must make progress — each
-//!   read window is bounded by [`ServerConfig`]'s `body_progress`
-//!   (default 2 s, the same for every route).
-//!   A stalled uploader (slowloris) gets a clean `408
-//!   request_timeout` naming the deadline, never a hung worker. Raise
-//!   it only for uploaders that legitimately pause between batches;
-//!   prefer client-side keep-alive batches over a long deadline.
+//! * *Progress deadlines.* A streamed body must make progress: each
+//!   read window is bounded by a fixed 2 s body-progress deadline, the
+//!   same for every route. A stalled uploader (slowloris) gets a clean
+//!   `408 request_timeout` naming the deadline, never a hung worker.
+//!   An uploader that pauses between batches sends blank-line
+//!   keep-alive heartbeats.
 //! * *Budgets.* Lines over 256 KiB are rejected (and skipped to the
 //!   next newline without buffering); a connection accumulating more
 //!   than 16 rejected lines is terminated with `422
@@ -224,9 +223,8 @@
 //! seeds each standby with one bulk bundle, then ships deltas every
 //! tick (`--tick-ms`, default 250) using the `since_seq`/`as_of_seq`
 //! watermarks, tracking lag in ops and milliseconds. When the router's
-//! `/healthz` reports a primary `down` (optionally dwelling
-//! `--down-dwell-ms` first; each health row carries
-//! `last_transition_ms` for exactly this), it promotes unattended:
+//! `/healthz` reports a primary `down` (the router's own failure
+//! threshold has already debounced the signal), it promotes unattended:
 //! final delta from the primary if it still answers, else a WAL-tail
 //! rebuild from `DATA_DIR` (the zero-acknowledged-loss path for a
 //! SIGKILLed shard), then a ring update with the standby substituted.
@@ -255,14 +253,14 @@ pub mod supervisor;
 
 pub use client::{ClientError, ClientResponse, HttpClient};
 pub use cluster::{Cluster, ClusterConfig, RouterServer};
-pub use health::{BackendHealth, HealthPolicy, HealthState};
+pub use health::{BackendHealth, HealthState};
 pub use http::{Framing, HttpError, Limits, Request, RequestParser, Response, StreamChunk};
 pub use lightor_platform::wire;
 pub use lightor_platform::LightorService;
 pub use metrics::{HttpMetrics, RouteKey, StreamMetrics, ROUTE_NAMES};
 pub use pool::ThreadPool;
-pub use replicate::{ReplicaPair, ReplicaTracker, SyncTimeouts};
-pub use retry::{RetryBudget, RetryPolicy, XorShift64};
+pub use replicate::{ReplicaPair, ReplicaTracker};
+pub use retry::{RetryBudget, XorShift64};
 pub use router::{Route, RouteError, SessionAccepted};
 pub use server::{BodySource, Handler, HttpServer, ServerConfig, StreamBodyError};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorServer};

@@ -17,7 +17,7 @@
 //! distance between the watermark the standby has and the watermark
 //! the primary reports.
 
-use crate::client::{ClientError, HttpClient};
+use crate::client::{ClientError, ClientResponse, HttpClient};
 use lightor_platform::wire::BundleDto;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -109,23 +109,8 @@ impl ReplicaTracker {
     }
 }
 
-/// Connect/request budgets for one sync hop.
-#[derive(Clone, Copy, Debug)]
-pub struct SyncTimeouts {
-    /// TCP connect budget per hop.
-    pub connect: Duration,
-    /// End-to-end budget per request (export or import).
-    pub request: Duration,
-}
-
-impl Default for SyncTimeouts {
-    fn default() -> Self {
-        SyncTimeouts {
-            connect: Duration::from_millis(500),
-            request: Duration::from_secs(2),
-        }
-    }
-}
+/// TCP connect budget per control-plane call.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// What one successful sync did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,28 +132,32 @@ pub enum SyncOutcome {
     Noop,
 }
 
-/// POST `path` on `addr` with a JSON body and parse the response
-/// body as `T` on 2xx; non-2xx statuses surface as
-/// [`ClientError::MalformedHead`]-free I/O errors so callers treat
-/// "backend said no" and "backend unreachable" uniformly.
-fn post<T: serde::Deserialize>(
+/// One control-plane call: send `method path` to `addr` on a fresh
+/// connection under the `request` deadline and parse the JSON answer
+/// as `T`. A non-2xx status or an unparseable body is a
+/// [`ClientError::Io`], so callers treat "peer said no" and "peer
+/// unreachable" alike. The response comes back too, for a caller that
+/// needs the raw body bytes.
+pub(crate) fn call_json<T: serde::Deserialize>(
     addr: SocketAddr,
+    method: &str,
     path: &str,
-    body: &[u8],
-    t: SyncTimeouts,
-) -> Result<T, ClientError> {
-    let mut conn = HttpClient::connect_with(addr, t.connect, t.request)?;
-    let deadline = Instant::now() + t.request;
-    let resp = conn.request_deadline("POST", path, Some(body), deadline)?;
+    body: Option<&[u8]>,
+    request: Duration,
+) -> Result<(T, ClientResponse), ClientError> {
+    let mut conn = HttpClient::connect_with(addr, CONNECT_TIMEOUT, request)?;
+    let resp = conn.request_deadline(method, path, body, Instant::now() + request)?;
     if !(200..300).contains(&resp.status) {
         return Err(ClientError::Io(std::io::Error::other(format!(
-            "{path} on {addr} answered {}: {}",
+            "{method} {path} on {addr} answered {}: {}",
             resp.status,
             resp.body_str()
         ))));
     }
-    resp.json()
-        .map_err(|e| ClientError::Io(std::io::Error::other(format!("{path} body: {e}"))))
+    let parsed = resp
+        .json()
+        .map_err(|e| ClientError::Io(std::io::Error::other(format!("{path} body: {e}"))))?;
+    Ok((parsed, resp))
 }
 
 /// Export a bundle from `primary` since `since_seq`, returning the
@@ -177,22 +166,16 @@ fn post<T: serde::Deserialize>(
 pub fn fetch_bundle(
     primary: SocketAddr,
     since_seq: u64,
-    t: SyncTimeouts,
+    request: Duration,
 ) -> Result<(BundleDto, Vec<u8>), ClientError> {
     let req = format!("{{\"videos\":[],\"since_seq\":{since_seq},\"freeze_ms\":0}}");
-    let mut conn = HttpClient::connect_with(primary, t.connect, t.request)?;
-    let deadline = Instant::now() + t.request;
-    let resp = conn.request_deadline("POST", "/admin/export", Some(req.as_bytes()), deadline)?;
-    if resp.status != 200 {
-        return Err(ClientError::Io(std::io::Error::other(format!(
-            "export on {primary} answered {}: {}",
-            resp.status,
-            resp.body_str()
-        ))));
-    }
-    let bundle: BundleDto = resp
-        .json()
-        .map_err(|e| ClientError::Io(std::io::Error::other(format!("export body: {e}"))))?;
+    let (bundle, resp) = call_json(
+        primary,
+        "POST",
+        "/admin/export",
+        Some(req.as_bytes()),
+        request,
+    )?;
     Ok((bundle, resp.body))
 }
 
@@ -200,9 +183,9 @@ pub fn fetch_bundle(
 pub fn ship_bundle(
     standby: SocketAddr,
     raw: &[u8],
-    t: SyncTimeouts,
+    request: Duration,
 ) -> Result<lightor_platform::wire::ImportResponse, ClientError> {
-    post(standby, "/admin/import", raw, t)
+    call_json(standby, "POST", "/admin/import", Some(raw), request).map(|(ack, _)| ack)
 }
 
 /// One sync step for `pair`: export from the primary at the
@@ -210,21 +193,22 @@ pub fn ship_bundle(
 /// carries anything, and advance the ledger. Bulk when the standby
 /// was never seeded, delta afterwards. On error the ledger keeps its
 /// last good state (except `primary_seq`, which advances whenever
-/// the export succeeded) and the caller retries next tick.
+/// the export succeeded) and the caller retries next tick. Each call
+/// runs under the `request` deadline.
 pub fn sync_pair(
     pair: &ReplicaPair,
     tracker: &mut ReplicaTracker,
-    t: SyncTimeouts,
+    request: Duration,
 ) -> Result<SyncOutcome, ClientError> {
     let since = tracker.synced_seq.unwrap_or(0);
     let bulk = tracker.synced_seq.is_none();
-    let (bundle, raw) = fetch_bundle(pair.primary, since, t)?;
+    let (bundle, raw) = fetch_bundle(pair.primary, since, request)?;
     tracker.primary_seq = bundle.as_of_seq;
     let outcome = if bundle.entries.is_empty() && !bulk {
         // Nothing to ship; the export already told us the watermark.
         SyncOutcome::Noop
     } else {
-        ship_bundle(pair.standby, &raw, t)?;
+        ship_bundle(pair.standby, &raw, request)?;
         if bulk {
             tracker.bulk_syncs += 1;
             SyncOutcome::Bulk {

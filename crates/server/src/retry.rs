@@ -9,9 +9,10 @@
 //!   not). A response that arrived, whatever its status, is final.
 //! * **bounded amplification** — [`RetryBudget`] caps retries to a
 //!   fraction of recent first attempts (Finagle-style token bucket), so
-//!   a down shard costs ~1.1× the offered load, not `max_attempts`×.
-//! * **decorrelation** — backoff is exponential with full jitter
-//!   ([`RetryPolicy::backoff`]), so a burst of failures does not
+//!   a down shard costs ~1.1× the offered load, not 3× (three attempts
+//!   per request at most).
+//! * **decorrelation** — backoff is exponential with full jitter (10 ms
+//!   doubling to a 200 ms ceiling), so a burst of failures does not
 //!   resynchronize into retry waves.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -57,39 +58,20 @@ impl XorShift64 {
     }
 }
 
-/// Attempt/backoff shape for one logical request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per request (first try + retries).
-    pub max_attempts: u32,
-    /// Backoff before retry #1 (doubles per subsequent retry).
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+/// Total attempts per proxied GET (first try + retries).
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before retry #1 (doubles per subsequent retry).
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Full-jitter backoff before retry number `retry` (1-based): a
-    /// uniform draw from `[0, min(base · 2^(retry-1), max)]`.
-    pub fn backoff(&self, retry: u32, rng: &mut XorShift64) -> Duration {
-        let exp = retry.saturating_sub(1).min(16);
-        let ceiling = self
-            .base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff);
-        let micros = ceiling.as_micros() as u64;
-        Duration::from_micros(rng.below(micros.saturating_add(1)))
-    }
+/// Full-jitter backoff before retry number `retry` (1-based): a uniform
+/// draw from `[0, min(BASE_BACKOFF · 2^(retry-1), MAX_BACKOFF)]`.
+pub(crate) fn backoff(retry: u32, rng: &mut XorShift64) -> Duration {
+    let exp = retry.saturating_sub(1).min(16);
+    let ceiling = BASE_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
+    let micros = ceiling.as_micros() as u64;
+    Duration::from_micros(rng.below(micros.saturating_add(1)))
 }
 
 /// Token buckets are integer-denominated; this scale gives the ratio
@@ -193,18 +175,16 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::default();
         let mut rng = XorShift64::new(7);
         // Ceilings: retry 1 → 10ms, retry 2 → 20ms, retry 5+ → 200ms cap.
         for _ in 0..200 {
-            assert!(p.backoff(1, &mut rng) <= Duration::from_millis(10));
-            assert!(p.backoff(2, &mut rng) <= Duration::from_millis(20));
-            assert!(p.backoff(50, &mut rng) <= Duration::from_millis(200));
+            assert!(backoff(1, &mut rng) <= Duration::from_millis(10));
+            assert!(backoff(2, &mut rng) <= Duration::from_millis(20));
+            assert!(backoff(50, &mut rng) <= Duration::from_millis(200));
         }
         // Jitter actually varies (full jitter, not fixed steps).
-        let draws: std::collections::HashSet<u128> = (0..32)
-            .map(|_| p.backoff(3, &mut rng).as_micros())
-            .collect();
+        let draws: std::collections::HashSet<u128> =
+            (0..32).map(|_| backoff(3, &mut rng).as_micros()).collect();
         assert!(draws.len() > 1, "backoff draws never varied");
     }
 
@@ -246,7 +226,7 @@ mod tests {
         let mut attempts = 0u64;
         let mut granted = 0u64;
         for cycle in 0..2 {
-            // Flap: every request fails and wants max_attempts retries.
+            // Flap: every request fails and wants MAX_ATTEMPTS - 1 retries.
             let mut denied_this_flap = 0;
             for _ in 0..100 {
                 b.record_attempt();

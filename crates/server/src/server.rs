@@ -28,41 +28,37 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Server tuning knobs.
+/// Server settings: only the worker count varies between deployments;
+/// everything else is a constant of this module.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Worker threads (each owns one connection at a time).
     pub workers: usize,
-    /// Bounded accept backlog: connections queued past the busy
-    /// workers before the acceptor sheds load with `503`.
-    pub backlog: usize,
-    /// Parser limits (431/413 thresholds).
-    pub limits: Limits,
-    /// Idle keep-alive timeout: a connection with no request in flight
-    /// for this long is closed.
-    pub keep_alive: Duration,
-    /// How long shutdown waits for a partially received request to
-    /// finish arriving before the connection is dropped.
-    pub drain_grace: Duration,
-    /// Body-progress deadline: once a request's head is complete, its
-    /// body must make progress (buffered: any bytes; streamed: a
-    /// decoded chunk) at least this often or the request is answered
-    /// `408` and the connection closed.
-    pub body_progress: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            backlog: 64,
-            limits: Limits::default(),
-            keep_alive: Duration::from_secs(5),
-            drain_grace: Duration::from_secs(2),
-            body_progress: Duration::from_secs(2),
-        }
+        ServerConfig { workers: 4 }
     }
 }
+
+/// Bounded accept backlog: connections queued past the busy workers
+/// before the acceptor sheds load with `503`.
+const BACKLOG: usize = 64;
+
+/// Idle keep-alive timeout: a connection with no request in flight for
+/// this long is closed.
+const KEEP_ALIVE: Duration = Duration::from_secs(5);
+
+/// How long shutdown waits for a partially received request to finish
+/// arriving before the connection is dropped.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// Body-progress deadline: once a request's head is complete, its body
+/// must make progress (buffered: any bytes; streamed: a decoded chunk)
+/// at least this often or the request is answered `408` and the
+/// connection closed.
+const BODY_PROGRESS: Duration = Duration::from_secs(2);
 
 /// How often a worker wakes from a blocked read to check the shutdown
 /// flag and the idle deadline.
@@ -181,7 +177,6 @@ struct Ctx {
     handler: Arc<dyn Handler>,
     metrics: Arc<HttpMetrics>,
     shutdown: AtomicBool,
-    cfg: ServerConfig,
 }
 
 /// A running HTTP front end over one [`LightorService`].
@@ -216,9 +211,8 @@ impl HttpServer {
             handler,
             metrics: Arc::new(HttpMetrics::new()),
             shutdown: AtomicBool::new(false),
-            cfg,
         });
-        let pool = Arc::new(ThreadPool::new(cfg.workers, cfg.backlog));
+        let pool = Arc::new(ThreadPool::new(cfg.workers, BACKLOG));
         let acceptor = {
             let ctx = ctx.clone();
             let pool = pool.clone();
@@ -338,10 +332,7 @@ fn answer_parse_error(stream: &mut TcpStream, ctx: &Ctx, e: HttpError) {
 struct SocketBody<'a> {
     stream: &'a mut TcpStream,
     parser: &'a mut RequestParser,
-    /// Per-chunk progress deadline ([`ServerConfig::body_progress`]).
-    progress: Duration,
     shutdown: &'a AtomicBool,
-    grace: Duration,
     /// Armed when the shutdown flag is first seen mid-stream.
     shutdown_deadline: Option<Instant>,
     /// The body reached its clean end (`StreamChunk::End`).
@@ -373,13 +364,13 @@ impl BodySource for SocketBody<'_> {
             // Nothing decodable buffered: wait for socket bytes, under
             // the progress deadline (and the drain grace once the
             // server is shutting down).
-            if started.elapsed() > self.progress {
+            if started.elapsed() > BODY_PROGRESS {
                 return Err(StreamBodyError::Timeout);
             }
             if self.shutdown.load(Ordering::SeqCst) {
                 let deadline = *self
                     .shutdown_deadline
-                    .get_or_insert_with(|| Instant::now() + self.grace);
+                    .get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
                 if Instant::now() > deadline {
                     return Err(StreamBodyError::Timeout);
                 }
@@ -407,7 +398,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut parser = RequestParser::new(ctx.cfg.limits);
+    let mut parser = RequestParser::new(Limits::default());
     let mut read_buf = [0u8; 16 * 1024];
     let mut last_activity = Instant::now();
     // Last time any request bytes arrived: the body-progress clock for
@@ -448,9 +439,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let mut body = SocketBody {
                     stream: &mut stream,
                     parser: &mut parser,
-                    progress: ctx.cfg.body_progress,
                     shutdown: &ctx.shutdown,
-                    grace: ctx.cfg.drain_grace,
                     shutdown_deadline: None,
                     drained: false,
                     disconnected: false,
@@ -505,8 +494,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + ctx.cfg.drain_grace);
+            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             if Instant::now() > deadline {
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
@@ -515,11 +503,11 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
             // A header-complete request whose body has stalled past the
             // progress deadline gets a clean 408 — not a silent close at
             // keep-alive expiry.
-            if streamed.is_some() && last_progress.elapsed() > ctx.cfg.body_progress {
+            if streamed.is_some() && last_progress.elapsed() > BODY_PROGRESS {
                 answer_parse_error(&mut stream, ctx, HttpError::RequestTimeout);
                 return;
             }
-            if last_activity.elapsed() > ctx.cfg.keep_alive {
+            if last_activity.elapsed() > KEEP_ALIVE {
                 // Idle keep-alive expiry — and, because `last_activity`
                 // only resets when a *response* completes, also the
                 // overall deadline for one request to finish arriving.

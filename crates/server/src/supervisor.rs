@@ -9,7 +9,7 @@
 //!            ┌───────────── observe ─────────────┐
 //!            │  GET router /healthz:             │
 //!            │  ring members, health states,     │
-//!            │  dwell times, ring_version        │
+//!            │  ring_version                     │
 //!            └────────────────┬──────────────────┘
 //!                             ▼
 //!            ┌────────────── plan ───────────────┐
@@ -22,7 +22,7 @@
 //!            └────────────────┬──────────────────┘
 //!                             ▼
 //!            ┌────────────── act ────────────────┐
-//!            │  bounded actions per tick;        │
+//!            │  ≤ 2 expensive actions per tick;  │
 //!            │  failures retry next tick         │
 //!            └───────────────────────────────────┘
 //! ```
@@ -44,10 +44,10 @@
 //! the standby substituted for the primary. The router admits the
 //! standby through the existing `recovering` trial path.
 
-use crate::client::{ClientError, HttpClient};
+use crate::client::ClientError;
 use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
-use crate::replicate::{sync_pair, ReplicaPair, ReplicaTracker, SyncTimeouts};
+use crate::replicate::{call_json, ship_bundle, sync_pair, ReplicaPair, ReplicaTracker};
 use crate::retry::XorShift64;
 use crate::router::{resolve, Route};
 use crate::server::Handler;
@@ -61,7 +61,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Supervisor tuning knobs.
+/// Supervisor settings: what to watch, how often, and the deadline of
+/// each control-plane request. The rest is constants of this module.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// The router whose `/healthz` is observed and whose
@@ -72,23 +73,9 @@ pub struct SupervisorConfig {
     /// Base reconciliation cadence (each tick syncs deltas and checks
     /// health).
     pub tick_interval: Duration,
-    /// Uniform jitter added to each tick's sleep so co-scheduled
-    /// supervisors don't thundering-herd the same primaries.
-    pub tick_jitter: Duration,
-    /// TCP connect budget per sync/observe hop.
-    pub connect_timeout: Duration,
-    /// End-to-end budget per request (export, import, ring swap).
+    /// End-to-end budget per request (observe, export, import, ring
+    /// swap).
     pub request_timeout: Duration,
-    /// Minimum time a primary must have dwelt in `down` before a
-    /// promotion fires — 0 promotes on first sight (the router's own
-    /// `down_after` threshold already debounced the signal).
-    pub down_dwell: Duration,
-    /// Expensive actions (syncs, promotions) allowed per tick; the
-    /// rest wait for the next tick. Promotions are planned ahead of
-    /// syncs so a dead primary never queues behind bulk copies.
-    pub max_actions_per_tick: usize,
-    /// Seed for the jitter RNG (fixed default; tests override).
-    pub jitter_seed: u64,
 }
 
 impl SupervisorConfig {
@@ -98,22 +85,22 @@ impl SupervisorConfig {
             router,
             pairs,
             tick_interval: Duration::from_millis(250),
-            tick_jitter: Duration::from_millis(50),
-            connect_timeout: Duration::from_millis(500),
             request_timeout: Duration::from_secs(2),
-            down_dwell: Duration::ZERO,
-            max_actions_per_tick: 2,
-            jitter_seed: 0x5eed_5eed,
-        }
-    }
-
-    fn sync_timeouts(&self) -> SyncTimeouts {
-        SyncTimeouts {
-            connect: self.connect_timeout,
-            request: self.request_timeout,
         }
     }
 }
+
+/// Uniform jitter added to each tick's sleep so co-scheduled
+/// supervisors don't thundering-herd the same primaries.
+const TICK_JITTER: Duration = Duration::from_millis(50);
+
+/// Expensive actions (syncs, promotions) allowed per tick; the rest
+/// wait for the next tick. Promotions are planned ahead of syncs so a
+/// dead primary never queues behind bulk copies.
+const MAX_ACTIONS_PER_TICK: usize = 2;
+
+/// Seed for the tick-jitter RNG.
+const JITTER_SEED: u64 = 0x5eed_5eed;
 
 /// One range's lifecycle phase (the wire names live in
 /// [`ReplicaStatusDto::phase`]).
@@ -153,8 +140,6 @@ pub struct ObservedBackend {
     /// Health-state name (`"healthy"`, `"suspect"`, `"down"`,
     /// `"recovering"`).
     pub health: String,
-    /// Milliseconds the backend has dwelt in that state.
-    pub last_transition_ms: u64,
 }
 
 /// A snapshot of the router's view of the cluster — everything the
@@ -180,8 +165,8 @@ impl Observation {
 }
 
 /// One planned step, targeting a range by config index. Note actions
-/// are free bookkeeping; the rest do network I/O and count against
-/// [`SupervisorConfig::max_actions_per_tick`].
+/// are free bookkeeping; the rest do network I/O, and at most two of
+/// them run per tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     /// The standby is already in the ring — record the range as done.
@@ -272,7 +257,7 @@ impl Supervisor {
                 phase: Phase::Bootstrapping,
             })
             .collect();
-        let rng = XorShift64::new(cfg.jitter_seed);
+        let rng = XorShift64::new(JITTER_SEED);
         Supervisor {
             cfg,
             ranges: Mutex::new(ranges),
@@ -287,7 +272,7 @@ impl Supervisor {
 
     /// The configured tick cadence plus a fresh jitter draw.
     pub fn next_sleep(&self) -> Duration {
-        let jitter_us = self.cfg.tick_jitter.as_micros() as u64;
+        let jitter_us = TICK_JITTER.as_micros() as u64;
         let draw = self
             .rng
             .lock()
@@ -301,19 +286,13 @@ impl Supervisor {
     /// (they can only come from a router speaking a different wire
     /// dialect; the planner must not act on them).
     pub fn observe(&self) -> Result<Observation, ClientError> {
-        let t = self.cfg.sync_timeouts();
-        let mut conn = HttpClient::connect_with(self.cfg.router, t.connect, t.request)?;
-        let deadline = Instant::now() + t.request;
-        let resp = conn.request_deadline("GET", "/healthz", None, deadline)?;
-        if resp.status != 200 {
-            return Err(ClientError::Io(std::io::Error::other(format!(
-                "router /healthz answered {}",
-                resp.status
-            ))));
-        }
-        let dto: RouterHealthzResponse = resp
-            .json()
-            .map_err(|e| ClientError::Io(std::io::Error::other(format!("healthz body: {e}"))))?;
+        let (dto, _): (RouterHealthzResponse, _) = call_json(
+            self.cfg.router,
+            "GET",
+            "/healthz",
+            None,
+            self.cfg.request_timeout,
+        )?;
         Ok(Observation {
             ring_version: dto.ring_version,
             backends: dto
@@ -323,7 +302,6 @@ impl Supervisor {
                     Some(ObservedBackend {
                         addr: b.addr.parse().ok()?,
                         health: b.health,
-                        last_transition_ms: b.last_transition_ms,
                     })
                 })
                 .collect(),
@@ -332,8 +310,7 @@ impl Supervisor {
 
     /// Derive this tick's actions from `obs` — pure (no I/O, no state
     /// writes), deterministic in config order, promotions ahead of
-    /// syncs, expensive actions bounded by
-    /// [`SupervisorConfig::max_actions_per_tick`].
+    /// syncs, at most two expensive actions.
     pub fn plan(&self, obs: &Observation) -> Vec<Action> {
         let ranges = self.ranges.lock().expect("ranges lock poisoned");
         let mut notes = Vec::new();
@@ -354,9 +331,7 @@ impl Supervisor {
                 notes.push(Action::NoteRetired { range });
                 continue;
             };
-            let down_long_enough = primary.health == "down"
-                && Duration::from_millis(primary.last_transition_ms) >= self.cfg.down_dwell;
-            if down_long_enough || st.phase == Phase::Promoting {
+            if primary.health == "down" || st.phase == Phase::Promoting {
                 promotes.push(Action::Promote { range });
             } else if st.tracker.synced_seq.is_none() {
                 syncs.push(Action::BulkSync { range });
@@ -365,7 +340,7 @@ impl Supervisor {
             }
         }
         let mut plan = notes;
-        let mut budget = self.cfg.max_actions_per_tick;
+        let mut budget = MAX_ACTIONS_PER_TICK;
         for a in promotes.into_iter().chain(syncs) {
             if budget == 0 {
                 break;
@@ -438,7 +413,7 @@ impl Supervisor {
             let st = &ranges[range];
             (st.pair.clone(), st.tracker.clone())
         };
-        let ok = sync_pair(&pair, &mut tracker, self.cfg.sync_timeouts()).is_ok();
+        let ok = sync_pair(&pair, &mut tracker, self.cfg.request_timeout).is_ok();
         let mut ranges = self.ranges.lock().expect("ranges lock poisoned");
         let st = &mut ranges[range];
         st.tracker = tracker;
@@ -462,8 +437,8 @@ impl Supervisor {
             let st = &ranges[range];
             (st.pair.clone(), st.tracker.clone())
         };
-        let t = self.cfg.sync_timeouts();
-        let source = if sync_pair(&pair, &mut tracker, t).is_ok() {
+        let request = self.cfg.request_timeout;
+        let source = if sync_pair(&pair, &mut tracker, request).is_ok() {
             "live"
         } else {
             pair.primary_data_dir
@@ -471,7 +446,7 @@ impl Supervisor {
                 .and_then(|dir| {
                     let bundle = LightorService::bundle_from_dir(dir).ok()?;
                     let raw = serde_json::to_string(&bundle).ok()?;
-                    crate::replicate::ship_bundle(pair.standby, raw.as_bytes(), t).ok()?;
+                    ship_bundle(pair.standby, raw.as_bytes(), request).ok()?;
                     tracker.synced_seq =
                         Some(bundle.as_of_seq.max(tracker.synced_seq.unwrap_or(0)));
                     tracker.primary_seq = bundle.as_of_seq.max(tracker.primary_seq);
@@ -519,20 +494,13 @@ impl Supervisor {
         let body =
             serde_json::to_string(&lightor_platform::wire::RingUpdateRequest { backends: desired })
                 .expect("ring request serializes");
-        let t = self.cfg.sync_timeouts();
-        let mut conn = HttpClient::connect_with(self.cfg.router, t.connect, t.request)?;
-        let deadline = Instant::now() + t.request;
-        let resp = conn.request_deadline("POST", "/admin/ring", Some(body.as_bytes()), deadline)?;
-        if resp.status != 200 {
-            return Err(ClientError::Io(std::io::Error::other(format!(
-                "ring swap answered {}: {}",
-                resp.status,
-                resp.body_str()
-            ))));
-        }
-        let applied: RingUpdateResponse = resp
-            .json()
-            .map_err(|e| ClientError::Io(std::io::Error::other(format!("ring body: {e}"))))?;
+        let (applied, _): (RingUpdateResponse, _) = call_json(
+            self.cfg.router,
+            "POST",
+            "/admin/ring",
+            Some(body.as_bytes()),
+            self.cfg.request_timeout,
+        )?;
         Ok(applied.version)
     }
 
@@ -715,15 +683,14 @@ mod tests {
         }
     }
 
-    fn observation(rows: &[(u16, &str, u64)]) -> Observation {
+    fn observation(rows: &[(u16, &str)]) -> Observation {
         Observation {
             ring_version: 1,
             backends: rows
                 .iter()
-                .map(|&(port, health, dwell)| ObservedBackend {
+                .map(|&(port, health)| ObservedBackend {
                     addr: format!("127.0.0.1:{port}").parse().unwrap(),
                     health: health.to_string(),
-                    last_transition_ms: dwell,
                 })
                 .collect(),
         }
@@ -737,7 +704,7 @@ mod tests {
     #[test]
     fn plan_bootstraps_then_deltas_a_healthy_pair() {
         let sup = supervisor(vec![pair(7801, 7901)]);
-        let obs = observation(&[(7801, "healthy", 5_000), (7802, "healthy", 5_000)]);
+        let obs = observation(&[(7801, "healthy"), (7802, "healthy")]);
         assert_eq!(sup.plan(&obs), vec![Action::BulkSync { range: 0 }]);
 
         // Pretend the bulk seed landed.
@@ -750,29 +717,20 @@ mod tests {
     }
 
     #[test]
-    fn plan_promotes_a_down_primary_and_respects_dwell() {
-        let mut cfg = SupervisorConfig::new("127.0.0.1:1".parse().unwrap(), vec![pair(7801, 7901)]);
-        cfg.down_dwell = Duration::from_millis(200);
-        let sup = Supervisor::new(cfg);
+    fn plan_promotes_a_down_primary_but_not_a_suspect_one() {
+        let sup = supervisor(vec![pair(7801, 7901)]);
         {
             let mut ranges = sup.ranges.lock().unwrap();
             ranges[0].tracker.synced_seq = Some(40);
             ranges[0].phase = Phase::Replicating;
         }
 
-        // Down, but not long enough: keep replicating (the export
-        // will fail against a dead primary, but that is a harmless
-        // failed sync, not a premature promotion).
-        let blip = observation(&[(7801, "down", 80), (7802, "healthy", 5_000)]);
-        assert_eq!(sup.plan(&blip), vec![Action::DeltaSync { range: 0 }]);
-
-        // Past the dwell: promote.
-        let dead = observation(&[(7801, "down", 900), (7802, "healthy", 5_000)]);
+        let dead = observation(&[(7801, "down"), (7802, "healthy")]);
         assert_eq!(sup.plan(&dead), vec![Action::Promote { range: 0 }]);
 
         // A suspect primary is NOT promoted — the router still routes
         // to it.
-        let wobbly = observation(&[(7801, "suspect", 900), (7802, "healthy", 5_000)]);
+        let wobbly = observation(&[(7801, "suspect"), (7802, "healthy")]);
         assert_eq!(sup.plan(&wobbly), vec![Action::DeltaSync { range: 0 }]);
     }
 
@@ -782,7 +740,7 @@ mod tests {
         // that already contains the standby must conclude "promoted",
         // never re-promote.
         let sup = supervisor(vec![pair(7801, 7901)]);
-        let swapped = observation(&[(7901, "recovering", 50), (7802, "healthy", 5_000)]);
+        let swapped = observation(&[(7901, "recovering"), (7802, "healthy")]);
         assert_eq!(sup.plan(&swapped), vec![Action::NotePromoted { range: 0 }]);
         assert!(sup.act(Action::NotePromoted { range: 0 }));
         assert_eq!(sup.phase(0), Phase::Promoted);
@@ -795,7 +753,7 @@ mod tests {
         let sup = supervisor(vec![pair(7801, 7901)]);
         // Neither primary nor standby in the ring: an operator
         // re-rung the cluster around the supervisor.
-        let rerung = observation(&[(7803, "healthy", 5_000), (7804, "healthy", 5_000)]);
+        let rerung = observation(&[(7803, "healthy"), (7804, "healthy")]);
         assert_eq!(sup.plan(&rerung), vec![Action::NoteRetired { range: 0 }]);
         assert!(sup.act(Action::NoteRetired { range: 0 }));
         assert_eq!(sup.phase(0), Phase::Retired);
@@ -804,12 +762,7 @@ mod tests {
 
     #[test]
     fn plan_bounds_expensive_actions_and_prioritizes_promotions() {
-        let mut cfg = SupervisorConfig::new(
-            "127.0.0.1:1".parse().unwrap(),
-            vec![pair(7801, 7901), pair(7802, 7902), pair(7803, 7903)],
-        );
-        cfg.max_actions_per_tick = 2;
-        let sup = Supervisor::new(cfg);
+        let sup = supervisor(vec![pair(7801, 7901), pair(7802, 7902), pair(7803, 7903)]);
         {
             let mut ranges = sup.ranges.lock().unwrap();
             for r in ranges.iter_mut() {
@@ -820,11 +773,7 @@ mod tests {
         // Range 2's primary is down; ranges 0 and 1 want deltas. The
         // promote must not queue behind the syncs, and only 2 of the
         // 3 actions run this tick.
-        let obs = observation(&[
-            (7801, "healthy", 5_000),
-            (7802, "healthy", 5_000),
-            (7803, "down", 900),
-        ]);
+        let obs = observation(&[(7801, "healthy"), (7802, "healthy"), (7803, "down")]);
         let plan = sup.plan(&obs);
         assert_eq!(
             plan,

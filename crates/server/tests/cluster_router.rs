@@ -15,9 +15,7 @@ use lightor_platform::wire::{
 };
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::cluster::{ClusterConfig, RouterServer};
-use lightor_server::{
-    HealthPolicy, HealthState, HttpClient, HttpServer, RetryPolicy, ServerConfig,
-};
+use lightor_server::{HealthState, HttpClient, HttpServer, ServerConfig};
 use lightor_types::GameKind;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -79,24 +77,11 @@ fn backend(dir: &Path, addr: SocketAddr) -> HttpServer {
     HttpServer::bind(addr, svc, ServerConfig::default()).unwrap()
 }
 
-/// A router over `backends` with test-fast probing and retries.
+/// A router over `backends` with a generous per-request deadline for
+/// debug builds.
 fn router(backends: Vec<SocketAddr>) -> RouterServer {
     let cfg = ClusterConfig {
-        connect_timeout: Duration::from_millis(250),
         request_timeout: Duration::from_secs(5),
-        probe_timeout: Duration::from_millis(250),
-        health: HealthPolicy {
-            down_after: 3,
-            recover_after: 2,
-            probe_interval: Duration::from_millis(50),
-            probe_backoff_base: Duration::from_millis(50),
-            probe_backoff_max: Duration::from_millis(200),
-        },
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(40),
-        },
         ..ClusterConfig::new(backends)
     };
     RouterServer::bind(("127.0.0.1", 0), cfg, ServerConfig::default()).unwrap()
@@ -519,4 +504,52 @@ fn ring_swap_never_serves_the_old_owners_pre_write_dots() {
 
     router.shutdown();
     a.shutdown();
+}
+
+/// A backend closes a keep-alive connection after 5 s idle, which
+/// leaves the router's pooled connection to it dead. Reusing that
+/// connection says nothing about the backend: the read must not count
+/// a failure or a retry, and the `/stats` sweep must not report the
+/// backend unreachable.
+#[test]
+fn a_pooled_connection_the_backend_closed_is_not_a_failure() {
+    let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("idle{i}"))).collect();
+    let backends: Vec<HttpServer> = dirs
+        .iter()
+        .map(|d| backend(&d.0, "127.0.0.1:0".parse().unwrap()))
+        .collect();
+    let router = router(backends.iter().map(|b| b.local_addr()).collect());
+    let vid = catalog()[0];
+
+    // Pool a connection to every backend: a dots read and the /stats
+    // sweep.
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
+    let resp = client.get(&format!("/video/{vid}/dots")).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let stats: RouterStatsResponse = client.get("/stats").unwrap().json().unwrap();
+    assert!(stats.backends.iter().all(|b| !b.unreachable));
+
+    // Outlast the backends' keep-alive timeout. The router closes the
+    // idle client connection too, so reconnect.
+    std::thread::sleep(Duration::from_millis(5_500));
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
+
+    let resp = client.get(&format!("/video/{vid}/dots")).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let stats: RouterStatsResponse = client.get("/stats").unwrap().json().unwrap();
+    for (i, b) in stats.backends.iter().enumerate() {
+        assert!(
+            !b.unreachable && b.stats.is_some(),
+            "backend {i} reported unreachable after idling"
+        );
+        assert_eq!(b.retries, 0, "backend {i}: an idle close cost a retry");
+        assert_eq!(b.health, "healthy", "backend {i}");
+    }
+    let hz: RouterHealthzResponse = client.get("/healthz").unwrap().json().unwrap();
+    assert_eq!(hz.status, "ok");
+
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
 }

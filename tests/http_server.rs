@@ -497,33 +497,26 @@ fn restart_recovers_refined_state_over_http() {
 
 #[test]
 fn backlog_overflow_sheds_load_with_503() {
-    // A server with one worker and a tiny backlog: occupy the worker
-    // with an idle keep-alive connection, fill the queue, and the next
+    // A server with one worker: occupy the worker with an idle
+    // keep-alive connection, fill the 64-slot queue, and the next
     // connection must be answered 503 at the door.
     let dir = TempDir::new("backlog");
     let platform = SimPlatform::top_channels(GameKind::Dota2, 1, 1, 4060);
     let svc = Arc::new(
         LightorService::open(&dir.0, models(4061), platform, ServiceConfig::default()).unwrap(),
     );
-    let server = HttpServer::bind(
-        ("127.0.0.1", 0),
-        svc,
-        ServerConfig {
-            workers: 1,
-            backlog: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = HttpServer::bind(("127.0.0.1", 0), svc, ServerConfig { workers: 1 }).unwrap();
     let addr = server.local_addr();
 
     // Connection A occupies the single worker (idle keep-alive).
     let mut a = HttpClient::connect(addr).unwrap();
     assert_eq!(a.get("/healthz").unwrap().status, 200);
-    // Connection B sits in the queue (never picked up while A lives).
-    let _b = HttpClient::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    // Connection C must be shed.
+    // Connections B fill the queue (never picked up while A lives).
+    let _b: Vec<HttpClient> = (0..64)
+        .map(|_| HttpClient::connect(addr).unwrap())
+        .collect();
+    // Connection C must be shed: the acceptor takes connections in
+    // arrival order, so every B is queued before C is seen.
     let mut c = HttpClient::connect(addr).unwrap();
     let resp = c.get("/healthz").unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body_str());
@@ -588,18 +581,11 @@ fn stalled_bodies_time_out_with_408() {
     let svc = Arc::new(
         LightorService::open(&dir.0, models(4091), platform, ServiceConfig::default()).unwrap(),
     );
-    let server = HttpServer::bind(
-        ("127.0.0.1", 0),
-        svc,
-        ServerConfig {
-            body_progress: Duration::from_millis(200),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = HttpServer::bind(("127.0.0.1", 0), svc, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
-    // Buffered route: the declared body never arrives.
+    // Buffered route: the declared body never arrives. The server
+    // answers once the 2 s body-progress deadline passes.
     let mut c = HttpClient::connect(addr).unwrap();
     let resp = c
         .send_raw(b"POST /sessions HTTP/1.1\r\nHost: h\r\nContent-Length: 64\r\n\r\n")

@@ -25,10 +25,9 @@ fn bench_window_features(c: &mut Criterion) {
             }
         })
     });
-    // Incremental rolling pass over the tokenize-once corpus (single
-    // chunk: isolates the algorithmic win from thread fan-out).
+    // Incremental rolling pass over the tokenize-once corpus.
     g.bench_function("all_windows_incremental", |b| {
-        b.iter(|| black_box(corpus.featurize_windows_chunked(&windows, 5.0, 1)))
+        b.iter(|| black_box(corpus.featurize_windows(&windows, 5.0)))
     });
     // Corpus construction itself (amortized once per video).
     g.bench_function("corpus_build", |b| {

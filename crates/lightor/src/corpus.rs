@@ -16,9 +16,11 @@
 //!   token-count window ([`LooWindow`]) by adding entering messages and
 //!   removing leaving ones. `msg_num`/`msg_len` come from pointer
 //!   arithmetic and prefix sums in O(1); `msg_sim` reuses the rolling
-//!   counts; the message peak is computed from the same pass. Windows
-//!   are fanned out across threads in contiguous chunks, so results are
-//!   byte-identical to the sequential order regardless of thread count.
+//!   counts; the message peak is computed from the same pass. The pass
+//!   runs on the caller's thread: a video's windows cost a few hundred
+//!   microseconds, less than fanning them out would, and the callers
+//!   already run in parallel one level up (the request pool when
+//!   serving, one task per video in training and the experiments).
 //!
 //! Equivalence with the naive path is exact, not approximate: every
 //! aggregate that depends on summation order is accumulated in integers
@@ -31,7 +33,6 @@ use crate::vocab::{FragmentTable, GlobalVocab, VocabDelta};
 use lightor_mlcore::text::Vocab;
 use lightor_mlcore::LooWindow;
 use lightor_types::{ChatLog, ChatLogView, FragRuns, Sec, TimeRange};
-use rayon::prelude::*;
 
 /// A chat log tokenized exactly once, with the aggregates window
 /// featurization needs.
@@ -77,12 +78,12 @@ impl TokenizedChat {
         )
     }
 
-    /// Tokenize straight out of a zero-copy [`ChatLogView`] — the
-    /// serving path's cold start. Message texts are interned directly
-    /// from the view's shared buffer, skipping the per-message `String`
+    /// Tokenize straight out of a zero-copy [`ChatLogView`]. Message
+    /// texts are interned directly from the view's shared buffer (see
+    /// [`ChatLogView::ts_texts`]), skipping the per-message `String`
     /// materialization an owned [`ChatLog`] would cost.
     pub fn build_from_view(view: &ChatLogView) -> Self {
-        Self::build_from_iter(view.len(), view.iter().map(|m| (m.ts.0, m.text)))
+        Self::build_from_iter(view.len(), view.ts_texts())
     }
 
     /// Tokenize from any `(timestamp, text)` stream. Messages must
@@ -133,7 +134,9 @@ impl TokenizedChat {
     /// tokenizer pass that interns its terms), returning the corpus plus the
     /// [`VocabDelta`] of terms this video introduced (the unit worth
     /// persisting). The resulting corpus scores bit-exactly like the
-    /// per-corpus build — see the pins in [`crate::vocab`].
+    /// per-corpus build — see the pins in [`crate::vocab`]. Texts and
+    /// timestamps come from [`ChatLogView::ts_texts`], like
+    /// [`TokenizedChat::build_from_view`].
     pub fn build_from_view_global(view: &ChatLogView, vocab: &GlobalVocab) -> (Self, VocabDelta) {
         let n = view.len();
         let mut sess = vocab.session();
@@ -146,9 +149,9 @@ impl TokenizedChat {
         let mut idx: Vec<u32> = Vec::new();
         word_prefix.push(0u64);
         offsets.push(0u32);
-        for m in view.iter() {
+        for (t, text) in view.ts_texts() {
             idx.clear();
-            let wc = sess.tokenize_into(&m.text, &mut idx) as u32;
+            let wc = sess.tokenize_into(&text, &mut idx) as u32;
             idx.sort_unstable();
             idx.dedup();
             if let Some(&hi) = idx.last() {
@@ -158,7 +161,7 @@ impl TokenizedChat {
             offsets.push(token_ids.len() as u32);
             word_counts.push(wc);
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
-            ts.push(m.ts.0);
+            ts.push(t);
         }
         let delta = sess.finish();
         let corpus = TokenizedChat {
@@ -346,39 +349,13 @@ impl TokenizedChat {
         self.word_prefix[hi] - self.word_prefix[lo]
     }
 
-    /// Featurize every window (and locate its message peak) with the
-    /// incremental rolling pass, fanned out across threads in
-    /// contiguous chunks. Output is index-aligned with `windows` and
-    /// byte-identical to the sequential pass for any thread count.
+    /// Featurize every window (and locate its message peak) with one
+    /// incremental rolling pass on the caller's thread. Output is
+    /// index-aligned with `windows`.
     ///
     /// `peak_bin` is the histogram bin width used for peak location
     /// (see [`crate::initializer::window_peak`]).
     pub fn featurize_windows(&self, windows: &[TimeRange], peak_bin: f64) -> Vec<FeaturizedWindow> {
-        let threads = rayon::current_num_threads();
-        self.featurize_windows_chunked(windows, peak_bin, threads)
-    }
-
-    /// [`TokenizedChat::featurize_windows`] with an explicit chunk
-    /// count — exposed so tests can prove thread-count independence.
-    pub fn featurize_windows_chunked(
-        &self,
-        windows: &[TimeRange],
-        peak_bin: f64,
-        chunks: usize,
-    ) -> Vec<FeaturizedWindow> {
-        if windows.is_empty() {
-            return Vec::new();
-        }
-        let chunk_len = windows.len().div_ceil(chunks.max(1));
-        let nested: Vec<Vec<FeaturizedWindow>> = windows
-            .par_chunks(chunk_len)
-            .map(|span| self.featurize_span(span, peak_bin))
-            .collect();
-        nested.into_iter().flatten().collect()
-    }
-
-    /// Sequential rolling pass over one contiguous span of windows.
-    fn featurize_span(&self, windows: &[TimeRange], peak_bin: f64) -> Vec<FeaturizedWindow> {
         let mut roll = RollingWindow::new(self);
         let mut peak_bins: Vec<u32> = Vec::new();
         windows
@@ -547,6 +524,73 @@ mod tests {
         assert_eq!(from_view.vocab().len(), from_log.vocab().len());
     }
 
+    /// Assert both view builds equal the per-message lossy decode
+    /// (`ChatLogView::text` for every message) column for column and
+    /// feature for feature.
+    fn check_view_builds_match_lossy_reference(view: &ChatLogView) {
+        let reference = TokenizedChat::build_from_iter(
+            view.len(),
+            (0..view.len()).map(|i| (view.ts(i).0, view.text(i))),
+        );
+        let (global, _) = TokenizedChat::build_from_view_global(view, &GlobalVocab::new());
+        let windows =
+            crate::window::sliding_windows_from_ts(reference.timestamps(), Sec(60.0), 8.0, 0.5);
+        let expected = reference.featurize_windows(&windows, 5.0);
+        for built in [TokenizedChat::build_from_view(view), global] {
+            assert_eq!(built.timestamps(), reference.timestamps());
+            assert_eq!(built.word_counts(), reference.word_counts());
+            assert_eq!(built.token_ids(), reference.token_ids());
+            assert_eq!(built.token_ends(), reference.token_ends());
+            assert_eq!(built.dim(), reference.dim());
+            assert_eq!(built.featurize_windows(&windows, 5.0), expected);
+        }
+    }
+
+    #[test]
+    fn view_builds_decode_multibyte_text_like_the_reference() {
+        let c = chat(&[
+            (1.0, "Straße ＡＢＣ gg"),
+            (2.0, "消息 ✓ pog 消息"),
+            (2.0, "İ\u{85}ß\u{A0}e\u{301}"),
+            (7.5, "\u{1F600} pog ǅ"),
+            (9.0, ""),
+            (12.0, "ＡＢＣ straße"),
+        ]);
+        let view = ChatLogView::from_chat_log(&c);
+        assert!(std::str::from_utf8(view.text_section()).is_ok());
+        check_view_builds_match_lossy_reference(&view);
+    }
+
+    #[test]
+    fn view_builds_decode_invalid_utf8_like_the_reference() {
+        let c = chat(&[
+            (1.0, "gg wp"),
+            (2.0, "消息 pog"),
+            (4.0, "kill kill"),
+            (9.0, "what a play"),
+        ]);
+        let view = ChatLogView::from_chat_log(&c);
+        let mut raw = view.buffer().to_vec();
+        let text_off = raw.len() - view.text_section().len();
+        // A stray byte in the first message, and the lead byte of the
+        // second message's "消" overwritten so its tail bytes dangle.
+        raw[text_off + 2] = 0xFF;
+        raw[text_off + 5] = b'x';
+        let layout = lightor_types::ColumnarLayout {
+            n: view.len(),
+            ts_off: 0,
+            user_off: 8 * view.len(),
+            ends_off: 16 * view.len(),
+            text_off,
+            text_len: view.text_section().len(),
+        };
+        let corrupt = ChatLogView::new(raw.into(), layout).unwrap();
+        assert!(std::str::from_utf8(corrupt.text_section()).is_err());
+        assert!(corrupt.text(0).contains('\u{FFFD}'));
+        assert!(corrupt.text(1).contains('\u{FFFD}'));
+        check_view_builds_match_lossy_reference(&corrupt);
+    }
+
     fn chat(messages: &[(f64, &str)]) -> ChatLog {
         ChatLog::new(
             messages
@@ -590,7 +634,7 @@ mod tests {
             TimeRange::from_secs(15.0, 25.0), // empty
             TimeRange::from_secs(25.0, 30.0), // single message
         ];
-        let fast = tc.featurize_windows_chunked(&windows, 5.0, 1);
+        let fast = tc.featurize_windows(&windows, 5.0);
         for (f, w) in fast.iter().zip(&windows) {
             assert_eq!(f.features, naive_features(&c, *w), "window {w}");
             assert_eq!(f.peak, window_peak(&c, *w, 5.0), "peak {w}");
@@ -616,7 +660,7 @@ mod tests {
             TimeRange::from_secs(45.0, 55.0),
             TimeRange::from_secs(0.0, 60.0),
         ];
-        let fast = tc.featurize_windows_chunked(&windows, 5.0, 1);
+        let fast = tc.featurize_windows(&windows, 5.0);
         for (f, w) in fast.iter().zip(&windows) {
             assert_eq!(f.features, naive_features(&c, *w), "window {w}");
         }
@@ -651,7 +695,7 @@ mod tests {
             );
             let tc = TokenizedChat::build(&c);
             let windows = sliding_windows(&c, lightor_types::Sec(300.0), 25.0, 0.5);
-            let fast = tc.featurize_windows_chunked(&windows, 5.0, 1);
+            let fast = tc.featurize_windows(&windows, 5.0);
             prop_assert_eq!(fast.len(), windows.len());
             for (f, w) in fast.iter().zip(&windows) {
                 let naive = naive_features(&c, *w);
@@ -659,28 +703,6 @@ mod tests {
                 // within 1e-9.
                 prop_assert_eq!(f.features, naive, "window {}", w);
                 prop_assert_eq!(f.peak, window_peak(&c, *w, 5.0), "peak {}", w);
-            }
-        }
-
-        #[test]
-        fn chunking_never_changes_results(
-            times in proptest::collection::vec(0.0..200.0f64, 0..80),
-        ) {
-            let c = ChatLog::new(
-                times
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &t)| {
-                        ChatMessage::new(t, UserId(i as u64), if i % 2 == 0 { "gg wp" } else { "kill it now" })
-                    })
-                    .collect(),
-            );
-            let tc = TokenizedChat::build(&c);
-            let windows = sliding_windows(&c, lightor_types::Sec(200.0), 25.0, 0.5);
-            let reference = tc.featurize_windows_chunked(&windows, 5.0, 1);
-            for chunks in [2, 3, 5, 8, 64] {
-                let chunked = tc.featurize_windows_chunked(&windows, 5.0, chunks);
-                prop_assert_eq!(&chunked, &reference, "chunks = {}", chunks);
             }
         }
     }

@@ -128,7 +128,7 @@ impl HighlightInitializer {
                     cfg.window_len,
                     cfg.stride_frac,
                 );
-                let feats = corpus.featurize_windows_chunked(&windows, cfg.peak_bin, 1);
+                let feats = corpus.featurize_windows(&windows, cfg.peak_bin);
                 let mut rows = Vec::with_capacity(feats.len());
                 let mut labels = Vec::with_capacity(feats.len());
                 for f in &feats {
@@ -196,8 +196,8 @@ impl HighlightInitializer {
 
     /// Score every window of a pre-tokenized video, most probable first.
     ///
-    /// The fast path: incremental rolling featurization fanned out
-    /// across threads, peaks from the same pass, then the (cheap)
+    /// The fast path: incremental rolling featurization on the
+    /// caller's thread, peaks from the same pass, then the (cheap)
     /// logistic scoring. Output is byte-identical to
     /// [`HighlightInitializer::score_windows_naive`].
     pub fn score_corpus(&self, corpus: &TokenizedChat, duration: Sec) -> Vec<ScoredWindow> {
@@ -476,29 +476,6 @@ mod tests {
             assert_eq!(fast, naive, "scored windows diverge");
             assert!(!fast.is_empty());
         }
-    }
-
-    #[test]
-    fn scoring_is_thread_count_independent() {
-        let (init, data) = trained(2, 49);
-        let sv = &data.videos[2];
-        let tc = TokenizedChat::build_from_view(&sv.video.chat);
-        let windows = sliding_windows_from_ts(
-            tc.timestamps(),
-            sv.video.meta.duration,
-            init.config().window_len,
-            init.config().stride_frac,
-        );
-        let base = tc.featurize_windows_chunked(&windows, init.config().peak_bin, 1);
-        for chunks in [2, 4, 7, 16] {
-            let alt = tc.featurize_windows_chunked(&windows, init.config().peak_bin, chunks);
-            assert_eq!(alt, base, "chunks = {chunks}");
-        }
-        // And the public scoring API (which picks its own chunking from
-        // the thread pool) agrees with the single-chunk pass.
-        let scored = init.score_corpus(&tc, sv.video.meta.duration);
-        let naive = init.score_windows_naive(&sv.video.chat.to_chat_log(), sv.video.meta.duration);
-        assert_eq!(scored, naive);
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! dense count array covers the largest id. The proptests in this
 //! module pin that equivalence on arbitrary unicode chat.
 //!
+//! Hash and lock: the table is a [`Vocab`], which hashes terms with a
+//! keyed folded-multiply hash under a random per-process key (chat
+//! text is outside input) but assigns ids in first-seen order. Two
+//! processes fed the same token stream therefore assign the same ids,
+//! whatever their keys. Every build takes the table's write lock once
+//! for its whole run (see [`GlobalVocab::session`]).
+//!
 //! Persistence note: a [`VocabDelta`] records terms in *id order*, so
 //! replaying deltas in write order reconstructs the exact table. After
 //! a crash-and-restart the store may replay deltas in a different
@@ -37,38 +44,21 @@
 //! `dim`), and absorbing deltas is purely a warm-up for *future*
 //! builds.
 
-use lightor_mlcore::text::Tokenizer;
-use std::collections::HashMap;
+use lightor_mlcore::text::{Tokenizer, Vocab};
 use std::sync::{RwLock, RwLockWriteGuard};
 
 /// A process-wide append-only term table with stable u32 ids.
 ///
-/// Cheap to share (`Arc<GlobalVocab>`); readers and concurrent corpus
-/// builds synchronize on an internal [`RwLock`]. Interning goes
-/// through [`GlobalVocab::session`] so a whole corpus build takes the
-/// write lock once.
+/// Cheap to share (`Arc<GlobalVocab>`). The table is a [`Vocab`] — the
+/// same keyed-hash interner a per-corpus build uses, so ids are
+/// assigned in first-seen order whatever the process's hash key is —
+/// behind one [`RwLock`]. Readers share the lock; interning goes
+/// through [`GlobalVocab::session`], so a whole corpus build takes the
+/// write lock once, not once per token, and concurrent builds
+/// serialize on it.
 #[derive(Debug, Default)]
 pub struct GlobalVocab {
-    inner: RwLock<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    index: HashMap<String, u32>,
-    /// Term text by id; `terms[id as usize]` is the interned spelling.
-    terms: Vec<String>,
-}
-
-impl Inner {
-    fn intern(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.index.get(token) {
-            return id;
-        }
-        let id = self.terms.len() as u32;
-        self.terms.push(token.to_owned());
-        self.index.insert(token.to_owned(), id);
-        id
-    }
+    inner: RwLock<Vocab>,
 }
 
 impl GlobalVocab {
@@ -79,7 +69,7 @@ impl GlobalVocab {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("vocab lock poisoned").terms.len()
+        self.inner.read().expect("vocab lock poisoned").len()
     }
 
     /// True when no terms are interned.
@@ -89,12 +79,7 @@ impl GlobalVocab {
 
     /// Look up a term's id without interning.
     pub fn get(&self, token: &str) -> Option<u32> {
-        self.inner
-            .read()
-            .expect("vocab lock poisoned")
-            .index
-            .get(token)
-            .copied()
+        self.inner.read().expect("vocab lock poisoned").get(token)
     }
 
     /// The interned spelling of `id`, if assigned.
@@ -102,9 +87,8 @@ impl GlobalVocab {
         self.inner
             .read()
             .expect("vocab lock poisoned")
-            .terms
-            .get(id as usize)
-            .cloned()
+            .term(id)
+            .map(str::to_owned)
     }
 
     /// Begin an interning session: takes the write lock once and holds
@@ -112,7 +96,7 @@ impl GlobalVocab {
     /// Use one session per corpus build.
     pub fn session(&self) -> VocabSession<'_> {
         let guard = self.inner.write().expect("vocab lock poisoned");
-        let base = guard.terms.len() as u32;
+        let base = guard.len() as u32;
         VocabSession { guard, base }
     }
 
@@ -123,11 +107,11 @@ impl GlobalVocab {
     /// the module docs for why that is sound.
     pub fn absorb<S: AsRef<str>>(&self, terms: &[S]) -> usize {
         let mut inner = self.inner.write().expect("vocab lock poisoned");
-        let before = inner.terms.len();
+        let before = inner.len();
         for t in terms {
             inner.intern(t.as_ref());
         }
-        inner.terms.len() - before
+        inner.len() - before
     }
 }
 
@@ -137,7 +121,7 @@ impl GlobalVocab {
 /// short (one corpus build) and never hold one across another lock
 /// acquisition.
 pub struct VocabSession<'a> {
-    guard: RwLockWriteGuard<'a, Inner>,
+    guard: RwLockWriteGuard<'a, Vocab>,
     /// Table length when the session opened — the delta base.
     base: u32,
 }
@@ -153,28 +137,31 @@ impl VocabSession<'_> {
     /// text's whitespace word count (counted by the tokenizer in the
     /// same pass).
     pub fn tokenize_into(&mut self, text: &str, out: &mut Vec<u32>) -> usize {
-        let guard = &mut *self.guard;
+        let vocab = &mut *self.guard;
         Tokenizer.for_each_token(text, |tok| {
-            out.push(guard.intern(tok));
+            out.push(vocab.intern(tok));
         })
     }
 
     /// Current table length (terms interned so far, globally).
     pub fn len(&self) -> usize {
-        self.guard.terms.len()
+        self.guard.len()
     }
 
     /// True when no term has ever been interned into the table.
     pub fn is_empty(&self) -> bool {
-        self.guard.terms.is_empty()
+        self.guard.is_empty()
     }
 
     /// Close the session, returning the terms it added (in id order)
     /// as a persistable [`VocabDelta`].
     pub fn finish(self) -> VocabDelta {
+        let end = self.guard.len() as u32;
         VocabDelta {
             base: self.base,
-            terms: self.guard.terms[self.base as usize..].to_vec(),
+            terms: (self.base..end)
+                .map(|id| self.guard.term(id).expect("id below len").to_owned())
+                .collect(),
         }
     }
 }
@@ -415,8 +402,8 @@ mod tests {
             // and peaks despite the id remap.
             let windows = crate::window::sliding_windows(
                 &c, lightor_types::Sec(40.0), 8.0, 0.5);
-            let a = oracle.featurize_windows_chunked(&windows, 5.0, 1);
-            let b = global.featurize_windows_chunked(&windows, 5.0, 1);
+            let a = oracle.featurize_windows(&windows, 5.0);
+            let b = global.featurize_windows(&windows, 5.0);
             prop_assert_eq!(a, b);
         }
     }

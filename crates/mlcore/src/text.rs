@@ -5,6 +5,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 /// Lowercasing, punctuation-stripping whitespace tokenizer.
 ///
@@ -151,10 +153,23 @@ impl Tokenizer {
     }
 }
 
-/// A token → dense-index vocabulary built over a corpus.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// A token → dense-id interner: ids are assigned in first-seen order,
+/// and every id keeps its spelling ([`Vocab::term`]).
+///
+/// This is the one term table of the workspace: a per-corpus
+/// vocabulary on its own, and the table behind the serving path's
+/// shared `GlobalVocab`. A known token is looked up without
+/// allocating; only a new token is copied, once. Nothing iterates the
+/// hash map, so ids never depend on the hash key.
+///
+/// Tokens come from chat text, which is outside input, so the map
+/// hashes with a keyed folded-multiply hash whose key is drawn once
+/// per process: collisions cannot be crafted ahead of time.
+#[derive(Clone, Debug, Default)]
 pub struct Vocab {
-    index: HashMap<String, u32>,
+    index: HashMap<Arc<str>, u32, TermHashKey>,
+    /// Term text by id; `terms[id as usize]` is the interned spelling.
+    terms: Vec<Arc<str>>,
 }
 
 impl Vocab {
@@ -177,8 +192,14 @@ impl Vocab {
 
     /// Get or assign the index of `token`.
     pub fn intern(&mut self, token: &str) -> u32 {
-        let next = self.index.len() as u32;
-        *self.index.entry(token.to_owned()).or_insert(next)
+        if let Some(&id) = self.index.get(token) {
+            return id;
+        }
+        let id = u32::try_from(self.terms.len()).expect("vocabulary exceeds u32 ids");
+        let term: Arc<str> = Arc::from(token);
+        self.index.insert(term.clone(), id);
+        self.terms.push(term);
+        id
     }
 
     /// Look up a token without inserting.
@@ -186,14 +207,19 @@ impl Vocab {
         self.index.get(token).copied()
     }
 
+    /// The interned spelling of `id`, if assigned.
+    pub fn term(&self, id: u32) -> Option<&str> {
+        self.terms.get(id as usize).map(|t| &**t)
+    }
+
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.terms.len()
     }
 
     /// True when no tokens are interned.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.terms.is_empty()
     }
 
     /// Encode a text into a binary bag-of-words vector over this
@@ -221,6 +247,111 @@ impl Vocab {
         idx.sort_unstable();
         idx.dedup();
         (BowVector { indices: idx }, words)
+    }
+}
+
+/// The hash key of every [`Vocab`] in this process: two random words
+/// drawn once from std's [`RandomState`].
+fn process_key() -> [u64; 2] {
+    static KEY: OnceLock<[u64; 2]> = OnceLock::new();
+    *KEY.get_or_init(|| {
+        let state = RandomState::new();
+        [state.hash_one(PI_0), state.hash_one(PI_1)]
+    })
+}
+
+/// First fractional digits of pi: nothing-up-my-sleeve constants.
+const PI_0: u64 = 0x243f_6a88_85a3_08d3;
+const PI_1: u64 = 0x1319_8a2e_0370_7344;
+/// The PCG multiplier, which mixes a word in one multiply.
+const MUL: u64 = 0x5851_f42d_4c95_7f2d;
+
+/// Builds a [`TermHasher`] per lookup from the process key.
+#[derive(Clone, Copy, Debug)]
+struct TermHashKey([u64; 2]);
+
+impl Default for TermHashKey {
+    fn default() -> Self {
+        TermHashKey(process_key())
+    }
+}
+
+impl BuildHasher for TermHashKey {
+    type Hasher = TermHasher;
+
+    fn build_hasher(&self) -> TermHasher {
+        TermHasher {
+            acc: self.0[0],
+            key: self.0[1],
+        }
+    }
+}
+
+/// The low and high halves of the 128-bit product, folded by XOR.
+#[inline]
+fn folded_multiply(x: u64, y: u64) -> u64 {
+    let full = u128::from(x) * u128::from(y);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+fn read_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+fn read_u32(b: &[u8]) -> u64 {
+    u64::from(u32::from_le_bytes(b[..4].try_into().expect("4 bytes")))
+}
+
+/// A keyed folded-multiply hash for short strings, in the style of
+/// aHash's fallback and foldhash: each 16-byte block costs one
+/// 64×64→128-bit multiply of the block's halves, each mixed with the
+/// key and the running state. Chat tokens are mostly 1–16 bytes, one
+/// block. Much cheaper than std's SipHash-1-3 per lookup, and still
+/// keyed, unlike an Fx or FNV hash.
+#[derive(Clone, Copy, Debug)]
+struct TermHasher {
+    acc: u64,
+    key: u64,
+}
+
+impl Hasher for TermHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let len = bytes.len();
+        let mut acc = self.acc.wrapping_add(len as u64).wrapping_mul(MUL);
+        let (a, b) = match len {
+            0 => (0, 0),
+            1..=3 => {
+                let (x, y, z) = (bytes[0], bytes[len / 2], bytes[len - 1]);
+                (u64::from(x) | u64::from(y) << 8 | u64::from(z) << 16, 0)
+            }
+            4..=8 => (read_u32(bytes), read_u32(&bytes[len - 4..])),
+            9..=16 => (read_u64(bytes), read_u64(&bytes[len - 8..])),
+            _ => {
+                let mut rest = bytes;
+                while rest.len() > 16 {
+                    acc = folded_multiply(read_u64(rest) ^ acc, read_u64(&rest[8..]) ^ self.key);
+                    rest = &rest[16..];
+                }
+                (read_u64(&bytes[len - 16..]), read_u64(&bytes[len - 8..]))
+            }
+        };
+        self.acc = folded_multiply(a ^ acc, b ^ self.key);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.acc = folded_multiply(self.acc ^ i, MUL ^ self.key);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        folded_multiply(self.acc, self.key ^ PI_1).rotate_left((self.acc & 63) as u32)
     }
 }
 
@@ -375,6 +506,41 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.get("kill"), Some(a));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn ids_do_not_depend_on_the_hash_key() {
+        // Enough distinct tokens to grow the table several times, of
+        // every length class the hasher branches on.
+        let stream: Vec<String> = (0..4000u32)
+            .map(|i| {
+                let n = (i * 7919) % 1213;
+                "x".repeat((n % 40) as usize) + &n.to_string()
+            })
+            .collect();
+        let ids_under = |key: [u64; 2]| {
+            let mut v = Vocab {
+                index: HashMap::with_hasher(TermHashKey(key)),
+                terms: Vec::new(),
+            };
+            let ids: Vec<u32> = stream.iter().map(|t| v.intern(t)).collect();
+            (ids, v)
+        };
+        let (a, va) = ids_under([1, 2]);
+        let (b, _) = ids_under([0x9e37_79b9_7f4a_7c15, 0xdead_beef]);
+        let mut process = Vocab::new();
+        let c: Vec<u32> = stream.iter().map(|t| process.intern(t)).collect();
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        assert_eq!(va.len(), 1213);
+        // First-seen order: id i is the i-th distinct token.
+        assert_eq!(va.term(0), Some(stream[0].as_str()));
+        assert_eq!(va.get(&stream[5]), Some(a[5]));
+        // The key really keys the hash.
+        assert_ne!(
+            TermHashKey([1, 2]).hash_one("pogchamp"),
+            TermHashKey([3, 4]).hash_one("pogchamp")
+        );
     }
 
     #[test]

@@ -240,6 +240,9 @@ pub struct RouterStatsResponse {
     /// Version of the ring currently routing (bumps on every applied
     /// `POST /admin/ring`).
     pub ring_version: u64,
+    /// Retries the router's retry budget denied because it was empty:
+    /// a rising count means failures are not being retried.
+    pub retries_denied: u64,
     /// One entry per configured backend, in ring order.
     pub backends: Vec<BackendStatsDto>,
 }
@@ -895,6 +898,7 @@ mod tests {
             errors_5xx: 3,
             accept_errors: 1,
             ring_version: 2,
+            retries_denied: 4,
             backends: vec![
                 BackendStatsDto {
                     addr: "127.0.0.1:7879".into(),

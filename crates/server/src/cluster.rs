@@ -803,6 +803,7 @@ impl Cluster {
                 errors_5xx: self.errors_5xx.load(Ordering::Relaxed),
                 accept_errors: metrics.accept_errors(),
                 ring_version,
+                retries_denied: self.budget.exhausted_count(),
                 backends,
             },
         )

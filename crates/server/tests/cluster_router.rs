@@ -15,7 +15,10 @@ use lightor_platform::wire::{
 };
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::cluster::{ClusterConfig, RouterServer};
-use lightor_server::{HealthState, HttpClient, HttpServer, ServerConfig};
+use lightor_server::{
+    Handler, HealthState, HttpClient, HttpMetrics, HttpServer, Request, Response, RouteKey,
+    ServerConfig,
+};
 use lightor_types::GameKind;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -552,4 +555,51 @@ fn a_pooled_connection_the_backend_closed_is_not_a_failure() {
     for b in backends {
         b.shutdown();
     }
+}
+
+/// A backend that passes the router's health probes but answers every
+/// other request `503` with `Retry-After: 0`: each read through the
+/// router asks for every retry it may take, immediately.
+struct Overloaded;
+
+impl Handler for Overloaded {
+    fn handle(&self, req: &Request, _metrics: &HttpMetrics) -> (RouteKey, Response) {
+        if req.path == "/healthz" {
+            return (RouteKey::Healthz, Response::text(200, "ok"));
+        }
+        let resp = Response::error(503, "overloaded", "try again").with_header("Retry-After", "0");
+        (RouteKey::Other, resp)
+    }
+}
+
+#[test]
+fn router_stats_count_retries_the_budget_denied() {
+    let backend =
+        HttpServer::bind_handler("127.0.0.1:0", Arc::new(Overloaded), ServerConfig::default())
+            .unwrap();
+    let router = router(vec![backend.local_addr()]);
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
+
+    let stats: RouterStatsResponse = client.get("/stats").unwrap().json().unwrap();
+    assert_eq!(stats.retries_denied, 0);
+
+    // The default budget holds a 10-retry burst and earns 0.1 retry per
+    // read, so 20 reads earn at most 12 retries. A read that is not
+    // denied takes two (three attempts in all); every other read is
+    // denied exactly once. So at least 14 of the 20 are denied.
+    let reads = 20;
+    for _ in 0..reads {
+        let resp = client.get("/video/1/dots").unwrap();
+        assert_eq!(resp.status, 503, "{}", resp.body_str());
+    }
+    let stats: RouterStatsResponse = client.get("/stats").unwrap().json().unwrap();
+    assert!(
+        (14..=reads).contains(&stats.retries_denied),
+        "retries_denied = {}",
+        stats.retries_denied
+    );
+    assert!(stats.backends[0].retries <= 12);
+
+    router.shutdown();
+    backend.shutdown();
 }

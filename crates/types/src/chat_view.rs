@@ -521,6 +521,33 @@ impl ChatLogView {
         (0..self.layout.n).map(move |i| self.get(i))
     }
 
+    /// Iterate `(timestamp, text)` of every message in stored order,
+    /// skipping the user column — what tokenizing a corpus reads.
+    ///
+    /// The text blob is checked as UTF-8 once and each message is then
+    /// sliced out of it by the end-offset column, borrowing. A message
+    /// falls back to [`ChatLogView::text`]'s per-message lossy decode
+    /// only when the blob is not valid UTF-8 or the message's offsets
+    /// split a character, so every text equals `self.text(i)`.
+    pub fn ts_texts(&self) -> impl Iterator<Item = (f64, Cow<'_, str>)> + '_ {
+        let blob = self.text_section();
+        let valid = std::str::from_utf8(blob).ok();
+        let mut start = 0usize;
+        self.ts_section()
+            .chunks_exact(8)
+            .zip(self.ends_section().chunks_exact(4))
+            .map(move |(t, e)| {
+                let t = f64::from_le_bytes(t.try_into().expect("chunks_exact(8)"));
+                let end = u32::from_le_bytes(e.try_into().expect("chunks_exact(4)")) as usize;
+                let text = match valid.and_then(|s| s.get(start..end)) {
+                    Some(s) => Cow::Borrowed(s),
+                    None => String::from_utf8_lossy(&blob[start..end]),
+                };
+                start = end;
+                (t, text)
+            })
+    }
+
     /// Message index range `[lo, hi)` covered by a closed time range
     /// (the same inclusive-endpoints semantics as [`ChatLog::slice`]).
     pub fn msg_range(&self, range: TimeRange) -> (usize, usize) {
@@ -761,6 +788,39 @@ mod tests {
         let corrupt = ChatLogView::new(raw.into(), view.layout).unwrap();
         let text = corrupt.text(0);
         assert!(text.contains('\u{FFFD}'), "lossy replacement expected");
+    }
+
+    #[test]
+    fn ts_texts_equal_per_message_decode() {
+        let check = |view: &ChatLogView| {
+            let got: Vec<(f64, Cow<'_, str>)> = view.ts_texts().collect();
+            assert_eq!(got.len(), view.len());
+            for (i, (t, text)) in got.iter().enumerate() {
+                assert_eq!(t.to_bits(), view.ts(i).0.to_bits());
+                assert_eq!(*text, view.text(i), "message {i}");
+            }
+        };
+        let view = ChatLogView::from_chat_log(&sample());
+        check(&view);
+        assert!(view.ts_texts().all(|(_, t)| matches!(t, Cow::Borrowed(_))));
+
+        // An invalid blob: every message takes the lossy decode.
+        let mut raw = view.buffer().to_vec();
+        raw[view.layout.text_off + 6] = 0xFF;
+        check(&ChatLogView::new(raw.into(), view.layout).unwrap());
+
+        // A valid blob whose end offsets split a character: "é" is two
+        // bytes, and the first message ends after its first byte.
+        let split = ChatLogView::from_chat_log(&ChatLog::new(vec![
+            ChatMessage::new(1.0, UserId(1), "é"),
+            ChatMessage::new(2.0, UserId(2), "x"),
+        ]));
+        let mut raw = split.buffer().to_vec();
+        raw[split.layout.ends_off..split.layout.ends_off + 4].copy_from_slice(&1u32.to_le_bytes());
+        let split = ChatLogView::new(raw.into(), split.layout).unwrap();
+        assert!(std::str::from_utf8(split.text_section()).is_ok());
+        check(&split);
+        assert_eq!(split.text(0), "\u{FFFD}");
     }
 
     #[test]

@@ -34,10 +34,8 @@
 //! * `corpus_persist` — the cold-scoring fix at store level: rebuild a
 //!   scoring corpus by re-tokenizing the stored replay's raw text
 //!   (`rebuild_raw`, the pre-v3 cold path) vs decoding the persisted
-//!   v3 tokenized section into the same corpus (`load_v3_first_touch`
-//!   pays the once-per-process vocab-term strings; `load_v3` is the
-//!   steady-state columns-only decode); the `rebuild_raw` / `load_v3`
-//!   ratio is the persistence win;
+//!   v3 tokenized section into the same corpus (`load_v3`); the
+//!   `rebuild_raw` / `load_v3` ratio is the persistence win;
 //! * `chat_generation` — one video's chat replay: the bump-buffer
 //!   fast path (compiled-lexicon pools straight into a columnar
 //!   `ChatLogView`) vs the owned-`String`-per-message reference sink
@@ -262,7 +260,7 @@ fn bench_segmentlog_compact(c: &mut Criterion) {
 }
 
 fn bench_corpus_persist(c: &mut Criterion) {
-    use lightor::{GlobalVocab, TokenizedChat};
+    use lightor::TokenizedChat;
     use lightor_platform::store::TokenizedRecord;
 
     let dir = std::env::temp_dir().join(format!("lightor-bench-corpus-{}", std::process::id()));
@@ -278,8 +276,7 @@ fn bench_corpus_persist(c: &mut Criterion) {
         .put_chat(vid, &data.videos[0].video.chat.to_chat_log())
         .unwrap();
     let view = store.get_chat_view(vid).unwrap().unwrap();
-    let vocab = GlobalVocab::new();
-    let (corpus, delta) = TokenizedChat::build_from_view_global(&view, &vocab);
+    let corpus = TokenizedChat::build_from_view(&view);
     store
         .put_tokenized(&TokenizedRecord {
             video: vid,
@@ -287,47 +284,25 @@ fn bench_corpus_persist(c: &mut Criterion) {
             token_ends: corpus.token_ends().to_vec(),
             token_ids: corpus.token_ids().to_vec(),
             word_counts: corpus.word_counts().to_vec(),
-            vocab_base: delta.base,
-            vocab_terms: delta.terms.clone(),
         })
         .unwrap();
 
     let mut g = c.benchmark_group("corpus_persist");
     g.throughput(Throughput::Elements(view.len() as u64));
     // Pre-v3 cold path: read the replay, re-tokenize every message
-    // (steady state: the global vocab is already warm).
+    // with the service's one build.
     g.bench_function("rebuild_raw", |b| {
         b.iter(|| {
             let view = store.get_chat_view(vid).unwrap().unwrap();
-            black_box(TokenizedChat::build_from_view_global(&view, &vocab))
+            black_box(TokenizedChat::build_from_view(&view))
         })
     });
-    // v3 first touch: full decode including the vocab-term strings the
-    // service absorbs into its shared vocabulary once per process.
-    g.bench_function("load_v3_first_touch", |b| {
-        b.iter(|| {
-            let view = store.get_chat_view(vid).unwrap().unwrap();
-            let rec = store.get_tokenized(vid).unwrap().unwrap();
-            let ts: Vec<f64> = (0..view.len()).map(|i| view.ts(i).0).collect();
-            black_box(
-                TokenizedChat::from_columns(
-                    ts,
-                    rec.word_counts,
-                    &rec.token_ends,
-                    &rec.token_ids,
-                    rec.dim as usize,
-                )
-                .expect("persisted columns are consistent"),
-            )
-        })
-    });
-    // v3 steady-state cold path: columns-only decode (terms validated
-    // but not materialized), reassemble the corpus — no tokenizer, no
-    // per-term allocation.
+    // v3 cold path: decode the persisted columns and reassemble the
+    // corpus — no tokenizer.
     g.bench_function("load_v3", |b| {
         b.iter(|| {
             let view = store.get_chat_view(vid).unwrap().unwrap();
-            let rec = store.get_tokenized_columns(vid).unwrap().unwrap();
+            let rec = store.get_tokenized(vid).unwrap().unwrap();
             let ts: Vec<f64> = (0..view.len()).map(|i| view.ts(i).0).collect();
             black_box(
                 TokenizedChat::from_columns(

@@ -50,8 +50,8 @@ use crate::video::VideoSpec;
 use lightor_simkit::dist::{coin, uniform, uniform_index, PoissonProcess, TruncNormal};
 use lightor_simkit::SimRng;
 use lightor_types::{
-    ts_order_key, ChatLog, ChatLogBuilder, ChatLogView, ChatMessage, FragRuns, GameKind,
-    LabeledVideo, TimeRange, UserId,
+    ts_order_key, ChatLog, ChatLogBuilder, ChatLogView, ChatMessage, GameKind, LabeledVideo,
+    TimeRange, UserId,
 };
 use rand::Rng;
 use rand_distr::{Distribution, Poisson};
@@ -119,11 +119,7 @@ trait ChatSink {
 }
 
 /// The allocation-free sink: compiled-lexicon writers over a bump
-/// buffer. When the builder was created with
-/// [`ChatLogBuilder::recording_frags`], every message's fragment
-/// decomposition is recorded through the `*_with_frags` writer
-/// variants — identical draws, identical bytes (pinned in tests), so
-/// recording never perturbs determinism.
+/// buffer.
 struct FastSink {
     builder: ChatLogBuilder,
     lexicon: &'static CompiledLexicon,
@@ -144,24 +140,14 @@ impl ChatSink for FastSink {
         game: GameKind,
         rng: &mut SimRng,
     ) {
-        let (text, frags) = self.builder.text_and_frags();
-        match frags {
-            Some(f) => self
-                .lexicon
-                .write_message_with_frags(rng, kind, game, text, f),
-            None => self.lexicon.write_message(rng, kind, game, text),
-        }
+        self.lexicon
+            .write_message(rng, kind, game, self.builder.text_buf());
         self.builder.commit(ts, user);
     }
 
     fn hype_focused(&mut self, ts: f64, user: UserId, focus: &FocusSet, rng: &mut SimRng) {
-        let (text, frags) = self.builder.text_and_frags();
-        match frags {
-            Some(f) => self
-                .lexicon
-                .write_hype_focused_with_frags(rng, focus, text, f),
-            None => self.lexicon.write_hype_focused(rng, focus, text),
-        }
+        self.lexicon
+            .write_hype_focused(rng, focus, self.builder.text_buf());
         self.builder.commit(ts, user);
     }
 }
@@ -229,28 +215,6 @@ impl ChatGenerator {
         let chat = sink.builder.finish_sorted();
         debug_assert!(chat.iter().all(|m| m.ts.0 >= 0.0 && m.ts.0 <= dur));
         Self::assemble(spec, chat, response_ranges, reaction_delays)
-    }
-
-    /// [`ChatGenerator::generate`] plus the per-message fragment-id
-    /// runs (see [`FragRuns`]): the same draw stream and bit-identical
-    /// chat (pinned in tests), with each message's compiled-lexicon
-    /// decomposition recorded so downstream corpus construction can
-    /// tokenize by fragment-table lookup instead of word-splitting.
-    pub fn generate_tokenized(&self, spec: VideoSpec, rng: &mut SimRng) -> (SimVideo, FragRuns) {
-        let dur = spec.meta.duration.0;
-        let est_msgs = (spec.background_rate * dur * 1.6) as usize + 64;
-        let mut sink = FastSink {
-            builder: ChatLogBuilder::recording_frags(est_msgs, est_msgs * 32),
-            lexicon: self.lexicon,
-        };
-        let (response_ranges, reaction_delays) = self.synthesize(&spec, &mut sink, rng);
-        let (chat, runs) = sink.builder.finish_sorted_with_runs();
-        debug_assert!(chat.iter().all(|m| m.ts.0 >= 0.0 && m.ts.0 <= dur));
-        debug_assert_eq!(runs.len(), chat.len());
-        (
-            Self::assemble(spec, chat, response_ranges, reaction_delays),
-            runs,
-        )
     }
 
     /// The owned-materialization generator: per-message `String`s
@@ -604,38 +568,6 @@ mod tests {
             assert_eq!(fast.video.chat, reference.video.chat);
             assert_eq!(fast.response_ranges, reference.response_ranges);
             assert_eq!(fast.reaction_delays, reference.reaction_delays);
-        }
-    }
-
-    #[test]
-    fn tokenized_path_pins_to_plain_generation() {
-        // Fragment recording must not perturb the draw stream: the
-        // tokenized generator's chat is bit-identical to `generate`,
-        // and every message's recorded run rebuilds its exact text.
-        let lex = CompiledLexicon::shared();
-        for (profile, seed) in [(GameProfile::dota2(), 30), (GameProfile::lol(), 31)] {
-            let profile = Arc::new(profile);
-            let vg = VideoGenerator::new(profile.clone());
-            let cg = ChatGenerator::new(profile);
-            let root = SeedTree::new(seed);
-            let spec = {
-                let mut vrng = root.child("video").rng();
-                vg.generate(VideoId(0), ChannelId(0), &mut vrng)
-            };
-            let plain = cg.generate(spec.clone(), &mut root.child("chat").rng());
-            let (tok, runs) = cg.generate_tokenized(spec, &mut root.child("chat").rng());
-            assert_eq!(plain.video.chat, tok.video.chat);
-            assert_eq!(plain.response_ranges, tok.response_ranges);
-            assert_eq!(runs.len(), tok.video.chat.len());
-            for (i, m) in tok.video.chat.iter().enumerate() {
-                let joined = runs
-                    .run(i)
-                    .iter()
-                    .map(|&id| lex.fragment_text(id))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                assert_eq!(joined, m.text, "message {i}");
-            }
         }
     }
 

@@ -364,62 +364,26 @@ const FIXED_COPY: usize = 16;
 /// enough to stay cache-resident.
 const POOL_SIZE: usize = 8192;
 
-/// Synthetic fragment texts for the bot "codeN" cache-buster suffix:
-/// the bot message body is a template fragment plus one of these, so
-/// fragment-id decompositions can name the suffix without it living in
-/// the interned span table. Their ids are `spans.len() + index`.
-const CODE_TAGS: [&str; 3] = ["code0", "code1", "code2"];
-
 /// A pool of fully precomposed messages: sampling one message is a
 /// single 64-bit draw plus one contiguous copy — the alias-table
 /// endgame of build-once/sample-many text generation.
-///
-/// Each precomposed message also stores its *fragment decomposition*
-/// (which lexicon fragment ids were concatenated to write it), so
-/// tokenize-by-lookup consumers can replay the composition without
-/// re-splitting the text.
 #[derive(Debug, Default)]
 struct MessagePool {
     blob: String,
     spans: Vec<(u32, u32)>,
-    /// Flat fragment ids, message-major (see [`CompiledLexicon::fragment_text`]).
-    frag_ids: Vec<u32>,
-    /// Cumulative end of each message's decomposition in `frag_ids`.
-    frag_ends: Vec<u32>,
 }
 
 impl MessagePool {
-    fn push(&mut self, write: impl FnOnce(&mut String, &mut Vec<u32>)) {
+    fn push(&mut self, write: impl FnOnce(&mut String)) {
         let s = self.blob.len() as u32;
-        write(&mut self.blob, &mut self.frag_ids);
+        write(&mut self.blob);
         self.spans.push((s, self.blob.len() as u32));
-        self.frag_ends.push(self.frag_ids.len() as u32);
     }
 
     #[inline]
     fn write_one<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut String) {
         let (s, e) = self.spans[uniform_index(rng, self.spans.len())];
         out.push_str(&self.blob[s as usize..e as usize]);
-    }
-
-    /// Same single draw as [`MessagePool::write_one`], additionally
-    /// appending the sampled message's fragment decomposition.
-    #[inline]
-    fn write_one_with_frags<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        out: &mut String,
-        frags: &mut Vec<u32>,
-    ) {
-        let i = uniform_index(rng, self.spans.len());
-        let (s, e) = self.spans[i];
-        out.push_str(&self.blob[s as usize..e as usize]);
-        let fs = if i == 0 {
-            0
-        } else {
-            self.frag_ends[i - 1] as usize
-        };
-        frags.extend_from_slice(&self.frag_ids[fs..self.frag_ends[i] as usize]);
     }
 }
 
@@ -497,28 +461,22 @@ impl CompiledLexicon {
         let mut bg = MessagePool::default();
         let mut off = MessagePool::default();
         for _ in 0..POOL_SIZE {
-            bg.push(|out, frags| {
-                lex.write_pool_words(&mut pool_rng, lex.background.clone(), 4..=14, out, frags)
-            });
-            off.push(|out, frags| {
-                lex.write_pool_words(&mut pool_rng, lex.background.clone(), 2..=6, out, frags)
-            });
+            bg.push(|out| lex.write_pool_words(&mut pool_rng, lex.background.clone(), 4..=14, out));
+            off.push(|out| lex.write_pool_words(&mut pool_rng, lex.background.clone(), 2..=6, out));
         }
         let mut hype_d = MessagePool::default();
         let mut hype_l = MessagePool::default();
         for _ in 0..POOL_SIZE / 2 {
-            hype_d.push(|out, frags| lex.write_hype(&mut pool_rng, GameKind::Dota2, out, frags));
-            hype_l.push(|out, frags| lex.write_hype(&mut pool_rng, GameKind::Lol, out, frags));
+            hype_d.push(|out| lex.write_hype(&mut pool_rng, GameKind::Dota2, out));
+            hype_l.push(|out| lex.write_hype(&mut pool_rng, GameKind::Lol, out));
         }
         let mut bots = MessagePool::default();
         for template in lex.bot_templates.clone() {
             for tag in 0..3u8 {
-                bots.push(|out, frags| {
+                bots.push(|out| {
                     out.push_str(lex.frag(template));
                     out.push_str(" code");
                     out.push((b'0' + tag) as char);
-                    frags.push(template as u32);
-                    frags.push((lex.spans.len() + tag as usize) as u32);
                 });
             }
         }
@@ -612,60 +570,14 @@ impl CompiledLexicon {
         pool.write_one(rng, out);
     }
 
-    /// [`CompiledLexicon::write_message`] plus the message's fragment
-    /// decomposition (same single draw, same bytes — pinned in tests).
-    #[inline]
-    pub fn write_message_with_frags<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        kind: MessageKind,
-        game: GameKind,
-        out: &mut String,
-        frags: &mut Vec<u32>,
-    ) {
-        let pool = match (kind, game) {
-            (MessageKind::Background, _) => &self.background_pool,
-            (MessageKind::OffTopic, _) => &self.offtopic_pool,
-            (MessageKind::Bot, _) => &self.bot_pool,
-            (MessageKind::Hype, GameKind::Dota2) => &self.hype_pool_dota2,
-            (MessageKind::Hype, GameKind::Lol) => &self.hype_pool_lol,
-        };
-        pool.write_one_with_frags(rng, out, frags);
-    }
-
-    /// Total fragment ids a decomposition can reference: every interned
-    /// span plus the three synthetic `codeN` bot suffixes.
-    pub fn fragment_count(&self) -> usize {
-        self.spans.len() + CODE_TAGS.len()
-    }
-
-    /// The text of fragment `id` (no trailing separator). Panics when
-    /// `id >= fragment_count()`.
-    pub fn fragment_text(&self, id: u32) -> &str {
-        let id = id as usize;
-        if id < self.spans.len() {
-            self.frag(id)
-        } else {
-            CODE_TAGS[id - self.spans.len()]
-        }
-    }
-
-    /// Every fragment's text, in id order — the input for a
-    /// tokenize-once fragment table.
-    pub fn fragment_texts(&self) -> impl Iterator<Item = &str> {
-        (0..self.fragment_count() as u32).map(move |id| self.fragment_text(id))
-    }
-
     /// Background / off-topic body: `n` uniform picks from one pool
-    /// (compile-time pool precompose only, so it also records the
-    /// fragment decomposition).
+    /// (compile-time pool precompose only).
     fn write_pool_words<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         pool: Range<usize>,
         n_range: std::ops::RangeInclusive<usize>,
         out: &mut String,
-        frags: &mut Vec<u32>,
     ) {
         // Word count via the same multiply map as fragment picks (the
         // modulo in `gen_range` is a hardware divide).
@@ -674,18 +586,11 @@ impl CompiledLexicon {
         for _ in 0..n {
             let id = self.pick(rng, pool.clone());
             self.write_frag(id, out);
-            frags.push(id as u32);
         }
         Self::trim_last_space(out);
     }
 
-    fn write_hype<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        game: GameKind,
-        out: &mut String,
-        frags: &mut Vec<u32>,
-    ) {
+    fn write_hype<R: Rng + ?Sized>(&self, rng: &mut R, game: GameKind, out: &mut String) {
         let n = rng.gen_range(1..=3);
         for _ in 0..n {
             let roll: f64 = rng.gen();
@@ -702,11 +607,9 @@ impl CompiledLexicon {
             }
             let id = self.pick(rng, class);
             self.write_frag(id, out);
-            frags.push(id as u32);
             // Repetition: sometimes double the token.
             if rng.gen_bool(0.3) {
                 self.write_frag(id, out);
-                frags.push(id as u32);
             }
         }
         Self::trim_last_space(out);
@@ -732,28 +635,6 @@ impl CompiledLexicon {
         focus: &FocusSet,
         out: &mut String,
     ) {
-        self.write_hype_focused_impl(rng, focus, out, None);
-    }
-
-    /// [`CompiledLexicon::write_hype_focused`] plus the fragment
-    /// decomposition (same draws, same bytes).
-    pub fn write_hype_focused_with_frags<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        focus: &FocusSet,
-        out: &mut String,
-        frags: &mut Vec<u32>,
-    ) {
-        self.write_hype_focused_impl(rng, focus, out, Some(frags));
-    }
-
-    fn write_hype_focused_impl<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        focus: &FocusSet,
-        out: &mut String,
-        mut frags: Option<&mut Vec<u32>>,
-    ) {
         let n = rng.gen_range(1..=3);
         for _ in 0..n {
             let id = if rng.gen_bool(0.85) {
@@ -763,14 +644,8 @@ impl CompiledLexicon {
                 self.pick(rng, self.hype_common.clone())
             };
             self.write_frag(id, out);
-            if let Some(f) = frags.as_deref_mut() {
-                f.push(id as u32);
-            }
             if rng.gen_bool(0.35) {
                 self.write_frag(id, out);
-                if let Some(f) = frags.as_deref_mut() {
-                    f.push(id as u32);
-                }
             }
         }
         Self::trim_last_space(out);
@@ -952,90 +827,6 @@ mod tests {
             lex.frag(lex.bot_templates.end - 1),
             BOT_TEMPLATES[BOT_TEMPLATES.len() - 1]
         );
-    }
-
-    #[test]
-    fn frag_decompositions_reproduce_message_text() {
-        // Joining a message's recorded fragment texts with single
-        // spaces must rebuild the exact message bytes — the invariant
-        // that makes tokenize-by-lookup equal tokenize-by-word-split.
-        let lex = CompiledLexicon::shared();
-        let mut rng = SeedTree::new(77).rng();
-        let mut text = String::new();
-        let mut frags: Vec<u32> = Vec::new();
-        for kind in [
-            MessageKind::Background,
-            MessageKind::Hype,
-            MessageKind::Bot,
-            MessageKind::OffTopic,
-        ] {
-            for game in [GameKind::Dota2, GameKind::Lol] {
-                for _ in 0..200 {
-                    text.clear();
-                    frags.clear();
-                    lex.write_message_with_frags(&mut rng, kind, game, &mut text, &mut frags);
-                    assert!(!frags.is_empty());
-                    let joined = frags
-                        .iter()
-                        .map(|&id| lex.fragment_text(id))
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    assert_eq!(joined, text, "{kind:?}/{game}");
-                }
-            }
-        }
-        // Focused bursts too.
-        let focus = lex.sample_focus(&mut rng, GameKind::Dota2);
-        for _ in 0..200 {
-            text.clear();
-            frags.clear();
-            lex.write_hype_focused_with_frags(&mut rng, &focus, &mut text, &mut frags);
-            let joined = frags
-                .iter()
-                .map(|&id| lex.fragment_text(id))
-                .collect::<Vec<_>>()
-                .join(" ");
-            assert_eq!(joined, text);
-        }
-    }
-
-    #[test]
-    fn frag_recording_writers_preserve_bytes_and_draws() {
-        // The *_with_frags variants must consume the identical RNG
-        // stream and produce identical bytes as the plain writers —
-        // recording is free w.r.t. determinism.
-        let lex = CompiledLexicon::shared();
-        let mut a = SeedTree::new(88).rng();
-        let mut b = SeedTree::new(88).rng();
-        let (mut ta, mut tb) = (String::new(), String::new());
-        let mut frags: Vec<u32> = Vec::new();
-        for i in 0..400 {
-            let kind = match i % 4 {
-                0 => MessageKind::Background,
-                1 => MessageKind::Hype,
-                2 => MessageKind::Bot,
-                _ => MessageKind::OffTopic,
-            };
-            ta.clear();
-            tb.clear();
-            frags.clear();
-            lex.write_message(&mut a, kind, GameKind::Lol, &mut ta);
-            lex.write_message_with_frags(&mut b, kind, GameKind::Lol, &mut tb, &mut frags);
-            assert_eq!(ta, tb, "message {i}");
-        }
-        let fa = lex.sample_focus(&mut a, GameKind::Lol);
-        let fb = lex.sample_focus(&mut b, GameKind::Lol);
-        assert_eq!(fa, fb);
-        for i in 0..200 {
-            ta.clear();
-            tb.clear();
-            frags.clear();
-            lex.write_hype_focused(&mut a, &fa, &mut ta);
-            lex.write_hype_focused_with_frags(&mut b, &fb, &mut tb, &mut frags);
-            assert_eq!(ta, tb, "focused {i}");
-        }
-        // Post-loop streams still aligned: one more shared draw agrees.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

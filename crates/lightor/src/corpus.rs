@@ -6,11 +6,13 @@
 //! vector per window; at corpus scale that dominates the whole pipeline.
 //! This module makes featurization incremental:
 //!
-//! * [`TokenizedChat`] — built **once** per [`ChatLog`]: a corpus-level
-//!   [`Vocab`], every message's sorted-unique token ids stored in one
-//!   flat CSR column, cached word counts (returned by the tokenizer in
-//!   the same pass, never re-split), and prefix sums over word counts.
-//!   Index-aligned with `ChatLog::messages()`.
+//! * [`TokenizedChat`] — built **once** per chat log by one kernel
+//!   ([`TokenizedChat::build_from_iter`]; [`TokenizedChat::build`] and
+//!   [`TokenizedChat::build_from_view`] feed it): every message's
+//!   sorted-unique token ids stored in one flat CSR column, cached word
+//!   counts (returned by the tokenizer in the same pass, never
+//!   re-split), and prefix sums over word counts. Index-aligned with
+//!   `ChatLog::messages()`.
 //! * [`TokenizedChat::featurize_windows`] — slides over a sorted window
 //!   list with two monotone message pointers, maintaining a sparse
 //!   token-count window ([`LooWindow`]) by adding entering messages and
@@ -22,28 +24,35 @@
 //!   already run in parallel one level up (the request pool when
 //!   serving, one task per video in training and the experiments).
 //!
+//! # Corpus-local term ids
+//!
+//! Each build interns into a fresh [`Vocab`], so term ids are dense and
+//! local to the corpus: `0..dim`, where `dim` is the corpus's
+//! distinct-term count. A video's scoring memory (one count per term in
+//! [`LooWindow`]) therefore depends only on its own chat, never on what
+//! else the process has tokenized; live chat has an open vocabulary
+//! (usernames, typos, new emotes), and nothing is shared or kept
+//! between builds. The same term may get different ids in two corpora,
+//! and nothing outside a corpus reads them: persisted ids (the store's
+//! v3 records, [`TokenizedChat::from_columns`]) are only ever read back
+//! as the corpus they were written from.
+//!
 //! Equivalence with the naive path is exact, not approximate: every
 //! aggregate that depends on summation order is accumulated in integers
-//! (see [`lightor_mlcore::kmeans`]), so the property tests in this
-//! module assert *bit-identical* features, and `red_dots` output is
-//! unchanged whichever path scored the windows.
+//! over term counts (see [`lightor_mlcore::kmeans`]), which also makes
+//! the features invariant under any one-to-one id remapping. The
+//! property tests in this module assert *bit-identical* features, and
+//! `red_dots` output is unchanged whichever path scored the windows.
 
 use crate::features::WindowFeatures;
-use crate::vocab::{FragmentTable, GlobalVocab, VocabDelta};
-use lightor_mlcore::text::Vocab;
+use lightor_mlcore::text::{Tokenizer, Vocab};
 use lightor_mlcore::LooWindow;
-use lightor_types::{ChatLog, ChatLogView, FragRuns, Sec, TimeRange};
+use lightor_types::{ChatLog, ChatLogView, Sec, TimeRange};
 
 /// A chat log tokenized exactly once, with the aggregates window
 /// featurization needs.
 #[derive(Clone, Debug, Default)]
 pub struct TokenizedChat {
-    /// Per-corpus vocabulary — populated only by the original
-    /// word-split builds. Corpora built against a [`GlobalVocab`]
-    /// (or decoded from persisted columns) leave this empty: their
-    /// term ids live in the shared table and scoring needs only
-    /// [`TokenizedChat::dim`].
-    vocab: Vocab,
     /// Flat CSR token storage: every message's sorted-unique token ids
     /// concatenated; message `i` owns `token_ids[offsets[i]..offsets[i+1]]`.
     /// One allocation for the whole corpus instead of one `Vec` per
@@ -58,19 +67,17 @@ pub struct TokenizedChat {
     word_prefix: Vec<u64>,
     /// Message timestamps (sorted, mirrors `ChatLog` order).
     ts: Vec<f64>,
-    /// Dense term-space size: every vector index is `< dim`. For
-    /// per-corpus builds this equals `vocab.len()`; for global-vocab
-    /// builds it is the largest used id + 1. Feeds the rolling
+    /// Dense term-space size: every vector index is `< dim`. A build
+    /// sets it to the corpus's distinct-term count (ids are
+    /// corpus-local, see the module docs). Feeds the rolling
     /// count-array size, under which features are invariant to any
     /// injective id remapping.
     dim: usize,
 }
 
 impl TokenizedChat {
-    /// Tokenize and index a chat log. One pass: each message is
-    /// tokenized exactly once, interning into the corpus vocabulary and
-    /// producing its binary bag-of-words vector; its word count comes
-    /// from the same tokenizer pass.
+    /// Tokenize and index a chat log (see
+    /// [`TokenizedChat::build_from_iter`]).
     pub fn build(chat: &ChatLog) -> Self {
         Self::build_from_iter(
             chat.len(),
@@ -79,15 +86,20 @@ impl TokenizedChat {
     }
 
     /// Tokenize straight out of a zero-copy [`ChatLogView`]. Message
-    /// texts are interned directly from the view's shared buffer (see
+    /// texts are borrowed from the view's shared buffer (see
     /// [`ChatLogView::ts_texts`]), skipping the per-message `String`
     /// materialization an owned [`ChatLog`] would cost.
     pub fn build_from_view(view: &ChatLogView) -> Self {
         Self::build_from_iter(view.len(), view.ts_texts())
     }
 
-    /// Tokenize from any `(timestamp, text)` stream. Messages must
-    /// arrive in non-decreasing timestamp order (both [`ChatLog`] and
+    /// The one build kernel: tokenize a `(timestamp, text)` stream in
+    /// one pass. Each message is tokenized exactly once, interning its
+    /// terms into a fresh corpus-local [`Vocab`]; its ids are collected
+    /// in one scratch buffer reused across messages, sorted and
+    /// deduplicated into its binary bag-of-words vector, and its word
+    /// count comes from the same tokenizer pass. Messages must arrive
+    /// in non-decreasing timestamp order (both [`ChatLog`] and
     /// store-written views guarantee this).
     pub fn build_from_iter<S, I>(n_hint: usize, messages: I) -> Self
     where
@@ -100,14 +112,17 @@ impl TokenizedChat {
         let mut word_counts = Vec::with_capacity(n_hint);
         let mut word_prefix = Vec::with_capacity(n_hint + 1);
         let mut ts = Vec::with_capacity(n_hint);
+        let mut idx: Vec<u32> = Vec::new();
         word_prefix.push(0u64);
         offsets.push(0u32);
         for (t, text) in messages {
-            let text = text.as_ref();
-            let (v, words) = vocab.intern_text(text);
-            token_ids.extend_from_slice(v.indices());
-            offsets.push(token_ids.len() as u32);
+            idx.clear();
+            let words = Tokenizer.for_each_token(text.as_ref(), |tok| idx.push(vocab.intern(tok)));
             let wc = words as u32;
+            idx.sort_unstable();
+            idx.dedup();
+            token_ids.extend_from_slice(&idx);
+            offsets.push(token_ids.len() as u32);
             word_counts.push(wc);
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
             debug_assert!(
@@ -116,113 +131,13 @@ impl TokenizedChat {
             );
             ts.push(t);
         }
-        let dim = vocab.len();
         TokenizedChat {
-            vocab,
             token_ids,
             offsets,
             word_counts,
             word_prefix,
             ts,
-            dim,
-        }
-    }
-
-    /// Tokenize a view against a shared [`GlobalVocab`] instead of a
-    /// fresh per-corpus table: one [`crate::vocab::VocabSession`] for
-    /// the whole build (each message's word count comes from the same
-    /// tokenizer pass that interns its terms), returning the corpus plus the
-    /// [`VocabDelta`] of terms this video introduced (the unit worth
-    /// persisting). The resulting corpus scores bit-exactly like the
-    /// per-corpus build — see the pins in [`crate::vocab`]. Texts and
-    /// timestamps come from [`ChatLogView::ts_texts`], like
-    /// [`TokenizedChat::build_from_view`].
-    pub fn build_from_view_global(view: &ChatLogView, vocab: &GlobalVocab) -> (Self, VocabDelta) {
-        let n = view.len();
-        let mut sess = vocab.session();
-        let mut token_ids = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut word_counts = Vec::with_capacity(n);
-        let mut word_prefix = Vec::with_capacity(n + 1);
-        let mut ts = Vec::with_capacity(n);
-        let mut max_id: Option<u32> = None;
-        let mut idx: Vec<u32> = Vec::new();
-        word_prefix.push(0u64);
-        offsets.push(0u32);
-        for (t, text) in view.ts_texts() {
-            idx.clear();
-            let wc = sess.tokenize_into(&text, &mut idx) as u32;
-            idx.sort_unstable();
-            idx.dedup();
-            if let Some(&hi) = idx.last() {
-                max_id = Some(max_id.map_or(hi, |m| m.max(hi)));
-            }
-            token_ids.extend_from_slice(&idx);
-            offsets.push(token_ids.len() as u32);
-            word_counts.push(wc);
-            word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
-            ts.push(t);
-        }
-        let delta = sess.finish();
-        let corpus = TokenizedChat {
-            vocab: Vocab::new(),
-            token_ids,
-            offsets,
-            word_counts,
-            word_prefix,
-            ts,
-            dim: max_id.map_or(0, |m| m as usize + 1),
-        };
-        (corpus, delta)
-    }
-
-    /// Tokenize generated chat by fragment-table lookup: no
-    /// word-splitting at all. `runs` records which fragments composed
-    /// each message (see [`FragRuns`]) and `table` maps each fragment
-    /// to its global token ids and word count. Must be index-aligned
-    /// with `view` (one run per message).
-    pub fn build_from_frag_runs(
-        view: &ChatLogView,
-        runs: &FragRuns,
-        table: &FragmentTable,
-    ) -> Self {
-        let n = view.len();
-        assert_eq!(runs.len(), n, "one fragment run per message required");
-        let mut token_ids = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut word_counts = Vec::with_capacity(n);
-        let mut word_prefix = Vec::with_capacity(n + 1);
-        let mut ts = Vec::with_capacity(n);
-        let mut max_id: Option<u32> = None;
-        let mut idx: Vec<u32> = Vec::new();
-        word_prefix.push(0u64);
-        offsets.push(0u32);
-        for i in 0..n {
-            idx.clear();
-            let mut wc = 0u32;
-            for &frag in runs.run(i) {
-                idx.extend_from_slice(table.tokens(frag));
-                wc += table.word_count(frag);
-            }
-            idx.sort_unstable();
-            idx.dedup();
-            if let Some(&hi) = idx.last() {
-                max_id = Some(max_id.map_or(hi, |m| m.max(hi)));
-            }
-            token_ids.extend_from_slice(&idx);
-            offsets.push(token_ids.len() as u32);
-            word_counts.push(wc);
-            word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
-            ts.push(view.ts(i).0);
-        }
-        TokenizedChat {
-            vocab: Vocab::new(),
-            token_ids,
-            offsets,
-            word_counts,
-            word_prefix,
-            ts,
-            dim: max_id.map_or(0, |m| m as usize + 1),
+            dim: vocab.len(),
         }
     }
 
@@ -275,7 +190,6 @@ impl TokenizedChat {
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
         }
         Some(TokenizedChat {
-            vocab: Vocab::new(),
             token_ids: token_ids.to_vec(),
             offsets,
             word_counts,
@@ -294,12 +208,6 @@ impl TokenizedChat {
     /// True when the corpus holds no messages.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The corpus-level vocabulary (empty for global-vocab builds —
-    /// see the field docs).
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
     }
 
     /// Dense term-space size (every vector index is `< dim`).
@@ -497,6 +405,29 @@ impl<'a> RollingWindow<'a> {
     }
 }
 
+/// An empty stand-in for the process-wide vocabulary that corpus builds
+/// no longer use. It exists only for the in-process replay of the
+/// standalone `loadbench` package, which still calls
+/// [`TokenizedChat::build_from_view_global`], and goes with the next
+/// change to that benchmark. Nothing else should name it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GlobalVocab;
+
+impl GlobalVocab {
+    /// The stand-in value (see the type docs).
+    pub fn new() -> Self {
+        GlobalVocab
+    }
+}
+
+impl TokenizedChat {
+    /// [`TokenizedChat::build_from_view`] under its former name, kept
+    /// only for `loadbench`'s replay (see [`GlobalVocab`]).
+    pub fn build_from_view_global(view: &ChatLogView, _vocab: &GlobalVocab) -> (Self, ()) {
+        (Self::build_from_view(view), ())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,10 +452,10 @@ mod tests {
         assert_eq!(from_view.word_counts(), from_log.word_counts());
         assert_eq!(from_view.token_ids(), from_log.token_ids());
         assert_eq!(from_view.token_ends(), from_log.token_ends());
-        assert_eq!(from_view.vocab().len(), from_log.vocab().len());
+        assert_eq!(from_view.dim(), from_log.dim());
     }
 
-    /// Assert both view builds equal the per-message lossy decode
+    /// Assert the view build equals the per-message lossy decode
     /// (`ChatLogView::text` for every message) column for column and
     /// feature for feature.
     fn check_view_builds_match_lossy_reference(view: &ChatLogView) {
@@ -532,18 +463,16 @@ mod tests {
             view.len(),
             (0..view.len()).map(|i| (view.ts(i).0, view.text(i))),
         );
-        let (global, _) = TokenizedChat::build_from_view_global(view, &GlobalVocab::new());
         let windows =
             crate::window::sliding_windows_from_ts(reference.timestamps(), Sec(60.0), 8.0, 0.5);
         let expected = reference.featurize_windows(&windows, 5.0);
-        for built in [TokenizedChat::build_from_view(view), global] {
-            assert_eq!(built.timestamps(), reference.timestamps());
-            assert_eq!(built.word_counts(), reference.word_counts());
-            assert_eq!(built.token_ids(), reference.token_ids());
-            assert_eq!(built.token_ends(), reference.token_ends());
-            assert_eq!(built.dim(), reference.dim());
-            assert_eq!(built.featurize_windows(&windows, 5.0), expected);
-        }
+        let built = TokenizedChat::build_from_view(view);
+        assert_eq!(built.timestamps(), reference.timestamps());
+        assert_eq!(built.word_counts(), reference.word_counts());
+        assert_eq!(built.token_ids(), reference.token_ids());
+        assert_eq!(built.token_ends(), reference.token_ends());
+        assert_eq!(built.dim(), reference.dim());
+        assert_eq!(built.featurize_windows(&windows, 5.0), expected);
     }
 
     #[test]
@@ -614,7 +543,7 @@ mod tests {
         assert_eq!(tc.words_in(1, 2), 1);
         assert_eq!(tc.msg_range(TimeRange::from_secs(0.0, 2.0)), (0, 2));
         assert_eq!(tc.msg_range(TimeRange::from_secs(2.0, 40.0)), (1, 3));
-        assert_eq!(tc.vocab().len(), 6); // gg wp kill what a play
+        assert_eq!(tc.dim(), 6); // gg wp kill what a play
     }
 
     #[test]
@@ -702,6 +631,39 @@ mod tests {
                 // Integer accumulation makes the match exact, not just
                 // within 1e-9.
                 prop_assert_eq!(f.features, naive, "window {}", w);
+                prop_assert_eq!(f.peak, window_peak(&c, *w, 5.0), "peak {}", w);
+            }
+        }
+    }
+
+    proptest! {
+        /// The view build (the one the service scores with) against the
+        /// naive per-window path on arbitrary unicode chat: identical
+        /// word counts, a `dim` equal to the chat's distinct-term count,
+        /// and bit-identical features and peaks in every window.
+        #[test]
+        fn view_build_features_bit_equal_naive_on_unicode(
+            texts in proptest::collection::vec("\\PC{0,24}", 0..40),
+        ) {
+            let msgs: Vec<(f64, &str)> =
+                texts.iter().enumerate().map(|(i, s)| (i as f64, s.as_str())).collect();
+            let c = chat(&msgs);
+            let tc = TokenizedChat::build_from_view(&ChatLogView::from_chat_log(&c));
+
+            prop_assert_eq!(tc.len(), c.len());
+            for (i, m) in c.messages().iter().enumerate() {
+                prop_assert_eq!(tc.word_counts()[i] as usize, m.word_count());
+            }
+            let distinct: std::collections::HashSet<String> = texts
+                .iter()
+                .flat_map(|t| lightor_mlcore::text::Tokenizer.tokenize(t))
+                .collect();
+            prop_assert_eq!(tc.dim(), distinct.len());
+
+            let windows = sliding_windows(&c, Sec(40.0), 8.0, 0.5);
+            let fast = tc.featurize_windows(&windows, 5.0);
+            for (f, w) in fast.iter().zip(&windows) {
+                prop_assert_eq!(f.features, naive_features(&c, *w), "window {}", w);
                 prop_assert_eq!(f.peak, window_peak(&c, *w, 5.0), "peak {}", w);
             }
         }

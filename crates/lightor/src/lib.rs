@@ -36,14 +36,13 @@ pub mod filter;
 pub mod initializer;
 pub mod model;
 pub mod pipeline;
-pub mod vocab;
 pub mod window;
 
 pub use adjust::learn_adjustment;
 pub use aggregate::{aggregate_type1, aggregate_type2};
 pub use classify::{play_position_features, DotType, PlayPositionFeatures, TypeClassifier};
 pub use config::{ExtractorConfig, InitializerConfig};
-pub use corpus::{FeaturizedWindow, TokenizedChat};
+pub use corpus::{FeaturizedWindow, GlobalVocab, TokenizedChat};
 pub use extractor::{DotProgress, HighlightExtractor, IterationRecord, Refined};
 pub use features::{FeatureSet, WindowFeatures};
 pub use filter::filter_plays;
@@ -52,5 +51,4 @@ pub use initializer::{
 };
 pub use model::ModelBundle;
 pub use pipeline::{ExtractedHighlight, Lightor};
-pub use vocab::{FragmentTable, GlobalVocab, VocabDelta, VocabSession};
 pub use window::{sliding_windows, sliding_windows_from_ts};

@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Lowercasing, punctuation-stripping whitespace tokenizer.
 ///
@@ -154,22 +154,20 @@ impl Tokenizer {
 }
 
 /// A token → dense-id interner: ids are assigned in first-seen order,
-/// and every id keeps its spelling ([`Vocab::term`]).
+/// `0..len()`.
 ///
-/// This is the one term table of the workspace: a per-corpus
-/// vocabulary on its own, and the table behind the serving path's
-/// shared `GlobalVocab`. A known token is looked up without
-/// allocating; only a new token is copied, once. Nothing iterates the
-/// hash map, so ids never depend on the hash key.
+/// This is the one term table of the workspace; every corpus build
+/// interns into a fresh one, so ids are local to that corpus. A known
+/// token is looked up without allocating; only a new token is copied,
+/// once. Nothing iterates the hash map, so ids never depend on the hash
+/// key.
 ///
 /// Tokens come from chat text, which is outside input, so the map
 /// hashes with a keyed folded-multiply hash whose key is drawn once
 /// per process: collisions cannot be crafted ahead of time.
 #[derive(Clone, Debug, Default)]
 pub struct Vocab {
-    index: HashMap<Arc<str>, u32, TermHashKey>,
-    /// Term text by id; `terms[id as usize]` is the interned spelling.
-    terms: Vec<Arc<str>>,
+    index: HashMap<Box<str>, u32, TermHashKey>,
 }
 
 impl Vocab {
@@ -195,10 +193,8 @@ impl Vocab {
         if let Some(&id) = self.index.get(token) {
             return id;
         }
-        let id = u32::try_from(self.terms.len()).expect("vocabulary exceeds u32 ids");
-        let term: Arc<str> = Arc::from(token);
-        self.index.insert(term.clone(), id);
-        self.terms.push(term);
+        let id = u32::try_from(self.index.len()).expect("vocabulary exceeds u32 ids");
+        self.index.insert(Box::from(token), id);
         id
     }
 
@@ -207,19 +203,14 @@ impl Vocab {
         self.index.get(token).copied()
     }
 
-    /// The interned spelling of `id`, if assigned.
-    pub fn term(&self, id: u32) -> Option<&str> {
-        self.terms.get(id as usize).map(|t| &**t)
-    }
-
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.index.len()
     }
 
     /// True when no tokens are interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.index.is_empty()
     }
 
     /// Encode a text into a binary bag-of-words vector over this
@@ -234,19 +225,6 @@ impl Vocab {
         idx.sort_unstable();
         idx.dedup();
         BowVector { indices: idx }
-    }
-
-    /// Intern every token of `text` and encode it in the same pass —
-    /// the tokenize-once entry point for corpus construction. Unlike
-    /// [`Vocab::encode`], unknown tokens extend the vocabulary instead
-    /// of being dropped. Also returns the text's whitespace word count,
-    /// which the tokenizer counts in the same pass.
-    pub fn intern_text(&mut self, text: &str) -> (BowVector, usize) {
-        let mut idx: Vec<u32> = Vec::new();
-        let words = Tokenizer.for_each_token(text, |t| idx.push(self.intern(t)));
-        idx.sort_unstable();
-        idx.dedup();
-        (BowVector { indices: idx }, words)
     }
 }
 
@@ -521,7 +499,6 @@ mod tests {
         let ids_under = |key: [u64; 2]| {
             let mut v = Vocab {
                 index: HashMap::with_hasher(TermHashKey(key)),
-                terms: Vec::new(),
             };
             let ids: Vec<u32> = stream.iter().map(|t| v.intern(t)).collect();
             (ids, v)
@@ -534,7 +511,7 @@ mod tests {
         assert_eq!(a, c);
         assert_eq!(va.len(), 1213);
         // First-seen order: id i is the i-th distinct token.
-        assert_eq!(va.term(0), Some(stream[0].as_str()));
+        assert_eq!(va.get(&stream[0]), Some(0));
         assert_eq!(va.get(&stream[5]), Some(a[5]));
         // The key really keys the hash.
         assert_ne!(

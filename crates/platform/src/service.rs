@@ -64,7 +64,7 @@ use crate::wire::{
     self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse, StatsResponse,
     BUNDLE_FORMAT_VERSION,
 };
-use lightor::{DotProgress, GlobalVocab, ModelBundle, TokenizedChat, VocabDelta};
+use lightor::{DotProgress, ModelBundle, TokenizedChat};
 use lightor_chatsim::SimPlatform;
 use lightor_types::{Play, PlaySet, RedDot, Sec, Session, VideoId};
 use parking_lot::{Mutex, RwLock};
@@ -275,16 +275,6 @@ pub struct LightorService {
     stores: Mutex<Stores>,
     videos: RwLock<HashMap<VideoId, Arc<VideoEntry>>>,
     corpora: Mutex<LruCache<VideoId, Arc<TokenizedChat>>>,
-    /// Process-wide interned vocabulary: every corpus build and every
-    /// absorbed v3 vocab delta shares it, so a term is tokenized at
-    /// most once per process (and, with v3 companions, once *ever*).
-    vocab: Arc<GlobalVocab>,
-    /// Videos whose persisted vocab delta has been absorbed into
-    /// `vocab` this process (or whose build fed it directly). Decodes
-    /// of these skip term materialization entirely — the terms are
-    /// warm-up data, needed at most once per process per video. Leaf
-    /// lock, taken only inside `corpus_for`.
-    absorbed: Mutex<std::collections::HashSet<VideoId>>,
     /// Corpus loads decoded from persisted v3 records (no tokenizing).
     tok_hits: AtomicU64,
     /// Corpus loads that re-tokenized chat (then upgraded lazily).
@@ -351,8 +341,6 @@ impl LightorService {
             stores: Mutex::new(Stores { chat, kv }),
             videos: RwLock::new(videos),
             corpora: Mutex::new(LruCache::new(CORPUS_CACHE_CAP)),
-            vocab: Arc::new(GlobalVocab::new()),
-            absorbed: Mutex::new(std::collections::HashSet::new()),
             tok_hits: AtomicU64::new(0),
             tok_misses: AtomicU64::new(0),
             tok_upgrades: AtomicU64::new(0),
@@ -444,13 +432,15 @@ impl LightorService {
     ///
     /// Resolution order — each step strictly cheaper than the next:
     /// LRU hit (no storage) → persisted v3 tokenized record (decode
-    /// only, zero re-tokenization) → tokenize the chat view against the
-    /// shared vocabulary and lazily persist the result as a v3
-    /// companion so no future load (this process or the next) pays the
-    /// tokenization again. Companion write failures are swallowed: the
-    /// corpus is correct either way, and the upgrade retries on the
-    /// next cold load — a read path must not flip the service into
-    /// degraded mode over an optional cache write.
+    /// only, zero re-tokenization) → tokenize the chat view (corpus-local
+    /// ids, see [`lightor::corpus`]) and lazily persist the result as a
+    /// v3 companion so no future load (this process or the next) pays
+    /// the tokenization again. A record the decoder refuses (corrupt, or
+    /// written with process-wide ids) takes the last step and is
+    /// overwritten. Companion write failures are swallowed: the corpus
+    /// is correct either way, and the upgrade retries on the next cold
+    /// load — a read path must not flip the service into degraded mode
+    /// over an optional cache write.
     fn corpus_for(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
         let meta_duration = self.platform.video_meta(video).map(|m| m.duration);
         if let Some(corpus) = self.corpora.lock().get(&video) {
@@ -458,22 +448,10 @@ impl LightorService {
                 .unwrap_or_else(|| Sec(corpus.timestamps().last().copied().unwrap_or(0.0)));
             return Ok(Some((corpus, duration)));
         }
-        // A record's vocab terms are pure warm-up for the shared
-        // vocabulary — needed at most once per process per video. After
-        // the first absorb, decode the cheap columns-only variant and
-        // skip one String allocation per term.
-        let need_terms = !self.absorbed.lock().contains(&video);
         let (view, tok) = {
             let stores = self.stores.lock();
             match stores.chat.get_chat_view(video)? {
-                Some(v) => {
-                    let tok = if need_terms {
-                        stores.chat.get_tokenized(video)?
-                    } else {
-                        stores.chat.get_tokenized_columns(video)?
-                    };
-                    (v, tok)
-                }
+                Some(v) => (v, stores.chat.get_tokenized(video)?),
                 None => return Ok(None),
             }
         };
@@ -483,14 +461,6 @@ impl LightorService {
             // mismatched message count means corruption — reject and
             // rebuild rather than serve misaligned columns.
             if rec.len() == view.len() {
-                // Re-warm the shared vocabulary with the delta this
-                // record carried, so later cold builds re-use its terms
-                // (ids may differ across processes; each record's ids
-                // are self-consistent, which is all scoring needs).
-                if need_terms {
-                    self.vocab.absorb(&rec.vocab_terms);
-                    self.absorbed.lock().insert(video);
-                }
                 let ts: Vec<f64> = (0..view.len()).map(|i| view.ts(i).0).collect();
                 if let Some(corpus) = TokenizedChat::from_columns(
                     ts,
@@ -507,26 +477,17 @@ impl LightorService {
             }
         }
         self.tok_misses.fetch_add(1, Ordering::Relaxed);
-        let (corpus, delta) = TokenizedChat::build_from_view_global(&view, &self.vocab);
-        let corpus = Arc::new(corpus);
-        let record = Self::tokenized_record(video, &corpus, &delta);
+        let corpus = Arc::new(TokenizedChat::build_from_view(&view));
+        let record = Self::tokenized_record(video, &corpus);
         if self.stores.lock().chat.put_tokenized(&record).is_ok() {
             self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
         }
-        // The build fed the shared vocab directly; the record we just
-        // wrote never needs its terms re-read in this process.
-        self.absorbed.lock().insert(video);
         self.corpora.lock().insert(video, corpus.clone());
         Ok(Some((corpus, duration)))
     }
 
-    /// Flatten a freshly built corpus (plus the vocab delta its build
-    /// produced) into the v3 persistence columns.
-    fn tokenized_record(
-        video: VideoId,
-        corpus: &TokenizedChat,
-        delta: &VocabDelta,
-    ) -> TokenizedRecord {
+    /// Flatten a freshly built corpus into the v3 persistence columns.
+    fn tokenized_record(video: VideoId, corpus: &TokenizedChat) -> TokenizedRecord {
         TokenizedRecord {
             video,
             dim: corpus.dim() as u32,
@@ -534,8 +495,6 @@ impl LightorService {
             token_ends: corpus.token_ends().to_vec(),
             token_ids: corpus.token_ids().to_vec(),
             word_counts: corpus.word_counts().to_vec(),
-            vocab_base: delta.base,
-            vocab_terms: delta.terms.clone(),
         }
     }
 
@@ -1108,7 +1067,7 @@ mod tests {
     };
     use lightor_chatsim::dota2_dataset;
     use lightor_crowdsim::Campaign;
-    use lightor_types::GameKind;
+    use lightor_types::{ChatLog, ChatMessage, GameKind, UserId};
     use std::path::PathBuf;
 
     struct TempDir(PathBuf);
@@ -1325,6 +1284,85 @@ mod tests {
         );
         // Unknown video.
         assert!(svc.rescore_video(VideoId(999_999), 5).unwrap().is_none());
+    }
+
+    #[test]
+    fn each_corpus_sizes_its_term_space_by_its_own_chat() {
+        // Term ids are corpus-local: a video's `dim` is its own
+        // distinct-term count, however many terms the service has
+        // tokenized before it.
+        let dir = TempDir::new("local-ids");
+        let svc = service(&dir.0);
+        let fresh: Vec<ChatMessage> = (0..2000u64)
+            .map(|i| ChatMessage::new(i as f64, UserId(i), format!("user{i} typo{i}x gg")))
+            .collect();
+        let small = ChatLog::new(vec![
+            ChatMessage::new(1.0, UserId(1), "gg wp"),
+            ChatMessage::new(2.0, UserId(2), "what a PLAY!!"),
+            ChatMessage::new(3.0, UserId(3), "gg"),
+        ]);
+        let (big_vid, small_vid) = (VideoId(1_000_001), VideoId(1_000_002));
+        {
+            let mut stores = svc.stores.lock();
+            stores.chat.put_chat(big_vid, &ChatLog::new(fresh)).unwrap();
+            stores.chat.put_chat(small_vid, &small).unwrap();
+        }
+        let (big, _) = svc.corpus_for(big_vid).unwrap().unwrap();
+        assert_eq!(big.dim(), 2 * 2000 + 1);
+        let (corpus, _) = svc.corpus_for(small_vid).unwrap().unwrap();
+        assert_eq!(corpus.dim(), 5, "gg wp what a play");
+        // The persisted companion loads with the same term space.
+        svc.clear_corpus_cache();
+        let hits = svc.stats().tokenized_hits;
+        let (loaded, _) = svc.corpus_for(small_vid).unwrap().unwrap();
+        assert_eq!(svc.stats().tokenized_hits, hits + 1);
+        assert_eq!(loaded.dim(), 5);
+    }
+
+    #[test]
+    fn a_companion_with_process_wide_ids_is_retokenized_once() {
+        // A v3 record whose trailer carries a vocab delta was written
+        // with ids from a process-wide table. The first load
+        // re-tokenizes the chat and overwrites the record; the next
+        // load decodes the rewritten record.
+        let dir = TempDir::new("legacy-v3");
+        let svc = service(&dir.0);
+        let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = platform.recent_videos(platform.channels()[0].id)[0];
+        let dots = svc.open_video(vid).unwrap().unwrap();
+        {
+            let mut stores = svc.stores.lock();
+            let mut raw = stores.chat.export_tokenized(vid).unwrap().unwrap();
+            // The header holds n at byte 16 and the token total at
+            // byte 24; the trailer follows the token ends, the ids and
+            // the word counts.
+            let word = |off: usize| u32::from_le_bytes(raw[off..off + 4].try_into().unwrap());
+            let trailer = 28 + 4 * (2 * word(16) + word(24)) as usize;
+            raw.truncate(trailer);
+            // base 7, one term ending at byte 2, a 2-byte blob: "gg".
+            for w in [7u32, 1, 2, 2] {
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+            raw.extend_from_slice(b"gg");
+            stores.chat.import_tokenized(vid, raw).unwrap();
+        }
+        let k = ServiceConfig::default().top_k;
+        svc.clear_corpus_cache();
+        let before = svc.stats();
+        assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
+        let after = svc.stats();
+        assert_eq!(after.tokenized_misses, before.tokenized_misses + 1);
+        assert_eq!(
+            after.tokenized_lazy_upgrades,
+            before.tokenized_lazy_upgrades + 1
+        );
+        assert_eq!(after.tokenized_hits, before.tokenized_hits);
+
+        svc.clear_corpus_cache();
+        assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
+        let again = svc.stats();
+        assert_eq!(again.tokenized_hits, after.tokenized_hits + 1);
+        assert_eq!(again.tokenized_misses, after.tokenized_misses);
     }
 
     #[test]

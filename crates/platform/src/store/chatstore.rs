@@ -316,24 +316,6 @@ impl ChatStore {
         }
     }
 
-    /// [`ChatStore::get_tokenized`] minus the vocab-term strings: same
-    /// validation, `vocab_terms` left empty. The service's hot reload
-    /// path uses this once a record's vocab delta has already been
-    /// absorbed, skipping one `String` allocation per term.
-    pub fn get_tokenized_columns(
-        &self,
-        video: VideoId,
-    ) -> std::io::Result<Option<TokenizedRecord>> {
-        match self.tok_index.get(&video) {
-            Some(entry) => Ok(self
-                .log
-                .read(entry.id)
-                .ok()
-                .and_then(|p| format::decode_v3_columns(&p))),
-            None => Ok(None),
-        }
-    }
-
     /// Whether a live tokenized companion exists for `video`.
     pub fn has_tokenized(&self, video: VideoId) -> bool {
         self.tok_index.contains_key(&video)
@@ -785,8 +767,6 @@ mod tests {
             token_ends: vec![2, 3, 5],
             token_ids: vec![0, 1, 2, 3, 0],
             word_counts: vec![2, 1, 2],
-            vocab_base: 0,
-            vocab_terms: vec!["first".into(), "message".into()],
         }
     }
 

@@ -20,35 +20,42 @@
 //!
 //! **v3 (tokenized corpus, companion record)** — not a chat format: a
 //! v3 record rides in the same log *next to* a video's v2 chat record
-//! and persists the tokenized corpus (interned term ids) so reopening
-//! a store never re-tokenizes raw text. Layout (all little-endian):
+//! and persists the tokenized corpus (its term ids) so reopening a
+//! store never re-tokenizes raw text. Layout (all little-endian):
 //!
 //! ```text
 //! [magic: u32 = "LTv3"][version: u16 = 3][flags: u16 = 0]
 //! [video_id: u64][n: u32][dim: u32][token_total: u32]
 //! [token_end: u32 × n][token_id: u32 × token_total][word_count: u32 × n]
-//! [vocab_base: u32][vocab_count: u32][term_end: u32 × vocab_count]
-//! [blob_len: u32][utf8 term blob]
+//! [vocab_base: u32 = 0][vocab_count: u32 = 0][blob_len: u32 = 0]
 //! ```
 //!
 //! `token_end[i]` is the cumulative end offset of message `i`'s term
 //! ids in the `token_id` array (same framing idea as v2's `text_end`);
 //! `dim` is the dense feature dimension the ids were built against
-//! (every id < `dim`). The trailing *vocab delta* carries the terms the
-//! global vocabulary interned while tokenizing this record —
-//! `vocab_base` is the id of the first delta term, `term_end` frames
-//! each term's UTF-8 slice in the blob — so a fresh process can replay
-//! deltas in log order and rebuild a vocabulary consistent with every
-//! persisted record (see `lightor::vocab::GlobalVocab::absorb`).
+//! (every id < `dim`). Term ids are corpus-local (see
+//! `lightor::corpus`): dense from 0, assigned by the one tokenizer
+//! build, and meaningful only inside their own record.
+//!
+//! The trailer is always empty. Records written before ids became
+//! corpus-local used it for a *vocab delta*: `vocab_count` term ends
+//! (`u32` each) followed by a UTF-8 term blob, naming the terms a
+//! process-wide vocabulary interned while tokenizing the record. Those
+//! records still sniff as v3, so existing data dirs and migration
+//! bundles index, orphan, compact and import as before, but
+//! [`decode_v3`] returns `None` for any trailer that is not empty:
+//! their ids came from a shared table, so the service re-tokenizes the
+//! chat record once and overwrites the companion. The companion is a
+//! cache of the chat record, so it is rebuilt, not migrated.
 //!
 //! v3 records are written **lazily**: the first time a corpus is built
 //! from a v2 chat record (a "cold" tokenization), the service persists
 //! the result as a v3 companion. Re-crawling a video orphans its v3
 //! record (the chat bytes changed, so the tokenization is stale);
 //! the store's scan enforces that by log order. Decoding a v3 record
-//! validates every length equation, offset monotonicity, id bound and
-//! UTF-8 term slice — a corrupt record decodes to `None` and the
-//! service falls back to re-tokenizing the chat record.
+//! validates every length equation, offset monotonicity and the id
+//! bound — a corrupt record decodes to `None` and the service falls
+//! back to re-tokenizing the chat record.
 //!
 //! Format detection ([`sniff`]) accepts a payload as v2 or v3 only when
 //! its magic, version and exact length equations all hold; anything
@@ -199,10 +206,7 @@ pub fn decode_v2(payload: &Arc<[u8]>) -> Option<(VideoId, ChatLogView)> {
 /// Columns mirror `lightor::TokenizedChat::from_columns` inputs:
 /// `token_ends[i]` frames message `i`'s slice of `token_ids`, every id
 /// is `< dim`, and `word_counts[i]` is the message's whitespace word
-/// count (the paper's message-length feature). The vocab delta
-/// (`vocab_base` + `vocab_terms`) is what the global vocabulary
-/// interned while producing this record; replaying deltas in log order
-/// reconstructs a vocabulary consistent with all persisted ids.
+/// count (the paper's message-length feature).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TokenizedRecord {
     /// The video whose corpus this record persists.
@@ -215,10 +219,6 @@ pub struct TokenizedRecord {
     pub token_ids: Vec<u32>,
     /// Per-message whitespace word counts (length n).
     pub word_counts: Vec<u32>,
-    /// Id of the first term in `vocab_terms`.
-    pub vocab_base: u32,
-    /// Terms this record's tokenization added to the global vocabulary.
-    pub vocab_terms: Vec<String>,
 }
 
 impl TokenizedRecord {
@@ -233,7 +233,7 @@ impl TokenizedRecord {
     }
 }
 
-/// Encode a tokenized corpus as a v3 record.
+/// Encode a tokenized corpus as a v3 record, with an empty trailer.
 pub fn encode_v3(record: &TokenizedRecord) -> Vec<u8> {
     let n = record.token_ends.len();
     debug_assert_eq!(record.word_counts.len(), n);
@@ -241,10 +241,7 @@ pub fn encode_v3(record: &TokenizedRecord) -> Vec<u8> {
         record.token_ends.last().copied().unwrap_or(0) as usize,
         record.token_ids.len()
     );
-    let blob_len: usize = record.vocab_terms.iter().map(|t| t.len()).sum();
-    let mut buf = BytesMut::with_capacity(
-        V3_HEADER + 4 * (2 * n + record.token_ids.len() + record.vocab_terms.len()) + 12 + blob_len,
-    );
+    let mut buf = BytesMut::with_capacity(V3_HEADER + 4 * (2 * n + record.token_ids.len()) + 12);
     buf.put_u32_le(V3_MAGIC);
     buf.put_u16_le(V3_VERSION);
     buf.put_u16_le(0); // flags, reserved
@@ -261,17 +258,10 @@ pub fn encode_v3(record: &TokenizedRecord) -> Vec<u8> {
     for &wc in &record.word_counts {
         buf.put_u32_le(wc);
     }
-    buf.put_u32_le(record.vocab_base);
-    buf.put_u32_le(record.vocab_terms.len() as u32);
-    let mut end = 0u32;
-    for t in &record.vocab_terms {
-        end += t.len() as u32;
-        buf.put_u32_le(end);
-    }
-    buf.put_u32_le(blob_len as u32);
-    for t in &record.vocab_terms {
-        buf.put_slice(t.as_bytes());
-    }
+    // The empty trailer: vocab base, vocab count and blob length.
+    buf.put_u32_le(0);
+    buf.put_u32_le(0);
+    buf.put_u32_le(0);
     buf.to_vec()
 }
 
@@ -286,11 +276,9 @@ struct V3Layout {
     ends_off: usize,
     ids_off: usize,
     wc_off: usize,
-    vocab_off: usize,
-    vocab_count: usize,
-    term_ends_off: usize,
-    blob_off: usize,
-    blob_len: usize,
+    /// Whether the trailer is empty (base, count and blob length all
+    /// 0), as every record written with corpus-local ids has it.
+    empty_trailer: bool,
 }
 
 fn v3_layout(payload: &[u8]) -> Option<V3Layout> {
@@ -333,11 +321,7 @@ fn v3_layout(payload: &[u8]) -> Option<V3Layout> {
         ends_off,
         ids_off,
         wc_off,
-        vocab_off,
-        vocab_count,
-        term_ends_off,
-        blob_off,
-        blob_len,
+        empty_trailer: read_u32_at(payload, vocab_off) == 0 && vocab_count == 0 && blob_len == 0,
     })
 }
 
@@ -349,26 +333,16 @@ fn read_u32s(payload: &[u8], off: usize, count: usize) -> Vec<u32> {
 
 /// Decode (and fully validate) a v3 tokenized-corpus record.
 ///
-/// Beyond the layout equations this checks offset monotonicity, the
-/// `id < dim` bound and each term's UTF-8 — a record that fails any
-/// check decodes to `None`, and callers fall back to re-tokenizing
-/// the chat record.
+/// Beyond the layout equations this checks offset monotonicity and the
+/// `id < dim` bound. A record that fails any check decodes to `None`,
+/// and so does one with a non-empty trailer (its ids came from a
+/// process-wide vocabulary, see the module docs); callers fall back to
+/// re-tokenizing the chat record.
 pub fn decode_v3(payload: &[u8]) -> Option<TokenizedRecord> {
-    decode_v3_impl(payload, true)
-}
-
-/// [`decode_v3`] minus the vocab-term materialization: every validation
-/// still runs (term-end monotonicity, per-term UTF-8, the exact length
-/// equations), but `vocab_terms` comes back empty instead of paying one
-/// `String` per term. The hot reload path uses this once a record's
-/// delta has already been absorbed into the process vocabulary — the
-/// terms are only ever needed once per process.
-pub fn decode_v3_columns(payload: &[u8]) -> Option<TokenizedRecord> {
-    decode_v3_impl(payload, false)
-}
-
-fn decode_v3_impl(payload: &[u8], with_terms: bool) -> Option<TokenizedRecord> {
     let l = v3_layout(payload)?;
+    if !l.empty_trailer {
+        return None;
+    }
     let token_ends = read_u32s(payload, l.ends_off, l.n);
     let mut prev = 0u32;
     for &end in &token_ends {
@@ -384,34 +358,12 @@ fn decode_v3_impl(payload: &[u8], with_terms: bool) -> Option<TokenizedRecord> {
     if token_ids.iter().any(|&id| id >= l.dim) {
         return None;
     }
-    let word_counts = read_u32s(payload, l.wc_off, l.n);
-    let vocab_base = read_u32_at(payload, l.vocab_off);
-    let term_ends = read_u32s(payload, l.term_ends_off, l.vocab_count);
-    let mut vocab_terms = Vec::with_capacity(if with_terms { l.vocab_count } else { 0 });
-    let mut start = 0usize;
-    for &end in &term_ends {
-        let end = end as usize;
-        if end < start || end > l.blob_len {
-            return None;
-        }
-        let slice = &payload[l.blob_off + start..l.blob_off + end];
-        let term = std::str::from_utf8(slice).ok()?;
-        if with_terms {
-            vocab_terms.push(term.to_owned());
-        }
-        start = end;
-    }
-    if start != l.blob_len {
-        return None;
-    }
     Some(TokenizedRecord {
         video: l.video,
         dim: l.dim,
         token_ends,
         token_ids,
-        word_counts,
-        vocab_base,
-        vocab_terms,
+        word_counts: read_u32s(payload, l.wc_off, l.n),
     })
 }
 
@@ -511,15 +463,34 @@ mod tests {
             token_ends: vec![2, 2, 5],
             token_ids: vec![0, 3, 6, 6, 1],
             word_counts: vec![2, 0, 3],
-            vocab_base: 4,
-            vocab_terms: vec!["pog".into(), "消息".into(), "gg".into()],
         }
+    }
+
+    /// `record` encoded with the trailer of a record written against a
+    /// process-wide vocabulary: `base`, then `terms` framed by their
+    /// ends and followed by their UTF-8 blob.
+    fn with_vocab_delta(record: &TokenizedRecord, base: u32, terms: &[&str]) -> Vec<u8> {
+        let mut raw = encode_v3(record);
+        raw.truncate(raw.len() - 12);
+        raw.extend_from_slice(&base.to_le_bytes());
+        raw.extend_from_slice(&(terms.len() as u32).to_le_bytes());
+        let mut end = 0u32;
+        for t in terms {
+            end += t.len() as u32;
+            raw.extend_from_slice(&end.to_le_bytes());
+        }
+        raw.extend_from_slice(&end.to_le_bytes());
+        for t in terms {
+            raw.extend_from_slice(t.as_bytes());
+        }
+        raw
     }
 
     #[test]
     fn v3_round_trip() {
         let rec = sample_tokenized();
         let payload = encode_v3(&rec);
+        assert_eq!(payload[payload.len() - 12..], [0; 12], "empty trailer");
         assert_eq!(decode_v3(&payload), Some(rec.clone()));
         assert_eq!(
             sniff(&payload),
@@ -528,49 +499,41 @@ mod tests {
                 format: Format::V3,
             })
         );
-        // An empty corpus (zero messages, no delta) round-trips too.
+        // An empty corpus (zero messages) round-trips too.
         let empty = TokenizedRecord {
             video: VideoId(7),
             dim: 0,
             token_ends: vec![],
             token_ids: vec![],
             word_counts: vec![],
-            vocab_base: 0,
-            vocab_terms: vec![],
         };
         assert_eq!(decode_v3(&encode_v3(&empty)), Some(empty));
     }
 
     #[test]
-    fn v3_columns_decode_matches_full_minus_terms() {
+    fn v3_with_a_vocab_delta_sniffs_but_does_not_decode() {
+        // Records written against a process-wide vocabulary stay
+        // records of this store (index, orphan, compact, import), but
+        // their ids are not corpus-local, so they never decode.
         let rec = sample_tokenized();
-        let payload = encode_v3(&rec);
-        let cols = decode_v3_columns(&payload).expect("valid record");
-        assert_eq!(
-            cols,
-            TokenizedRecord {
-                vocab_terms: vec![],
-                ..rec.clone()
-            }
-        );
-        // Same strictness as the full decode: every truncation and the
-        // same corruptions must be rejected, not silently tolerated.
-        for cut in 1..payload.len() {
-            assert!(
-                decode_v3_columns(&payload[..payload.len() - cut]).is_none(),
-                "cut {cut}"
+        for (base, terms) in [
+            (4, &["pog", "消息", "gg"][..]),
+            (0, &["pog"][..]),
+            (9, &[][..]),
+        ] {
+            let raw = with_vocab_delta(&rec, base, terms);
+            assert_eq!(
+                sniff(&raw),
+                Some(RecordInfo {
+                    video: VideoId(42),
+                    format: Format::V3,
+                }),
+                "base {base}, terms {terms:?}"
             );
+            assert!(decode_v3(&raw).is_none(), "base {base}, terms {terms:?}");
         }
-        let mut bad = rec.clone();
-        bad.token_ends = vec![3, 2, 5];
-        assert!(decode_v3_columns(&encode_v3(&bad)).is_none());
-        let mut raw = payload.clone();
-        let n = raw.len();
-        raw[n - 1] = 0xFF;
-        assert!(
-            decode_v3_columns(&raw).is_none(),
-            "bad UTF-8 must fail even without term materialization"
-        );
+        // The same bytes with the empty trailer are the current encoding.
+        assert_eq!(with_vocab_delta(&rec, 0, &[]), encode_v3(&rec));
     }
 
     #[test]
@@ -596,10 +559,9 @@ mod tests {
         let mut bad = sample_tokenized();
         bad.dim = 5; // ids contain 6
         assert!(decode_v3(&encode_v3(&bad)).is_none());
-        // Invalid UTF-8 in the term blob.
+        // Bytes after the empty trailer.
         let mut raw = encode_v3(&sample_tokenized());
-        let n = raw.len();
-        raw[n - 1] = 0xFF;
+        raw.push(0);
         assert!(decode_v3(&raw).is_none());
     }
 

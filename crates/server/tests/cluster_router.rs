@@ -190,27 +190,43 @@ fn router_proxies_routes_and_aggregates_stats() {
 
 #[test]
 fn router_trips_a_dead_shard_and_recovers_it() {
-    let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("trip{i}"))).collect();
-    let mut backends: Vec<Option<HttpServer>> = dirs
-        .iter()
-        .map(|d| Some(backend(&d.0, "127.0.0.1:0".parse().unwrap())))
-        .collect();
-    let addrs: Vec<SocketAddr> = backends
-        .iter()
-        .map(|b| b.as_ref().unwrap().local_addr())
-        .collect();
-    let router = router(addrs.clone());
-    let mut client = HttpClient::connect(router.local_addr()).unwrap();
-
-    // Find one video per shard (the ring is deterministic; the fixture
-    // catalog covers both shards).
+    // One video per shard. The ring places each backend by its address,
+    // and port-0 binds pick the ports, so some bindings put the whole
+    // catalog on one shard: re-bind both backends until the catalog
+    // spans them.
+    const BIND_ATTEMPTS: usize = 20;
     let ids = catalog();
     let victim_vid = ids[0];
-    let victim = router.cluster().shard_for(victim_vid);
-    let survivor_vid = *ids
-        .iter()
-        .find(|&&v| router.cluster().shard_for(v) != victim)
-        .expect("catalog must span both shards");
+    let mut attempts = 0;
+    let (dirs, mut backends, addrs, router, victim, survivor_vid) = loop {
+        attempts += 1;
+        let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("trip{i}"))).collect();
+        let backends: Vec<Option<HttpServer>> = dirs
+            .iter()
+            .map(|d| Some(backend(&d.0, "127.0.0.1:0".parse().unwrap())))
+            .collect();
+        let addrs: Vec<SocketAddr> = backends
+            .iter()
+            .map(|b| b.as_ref().unwrap().local_addr())
+            .collect();
+        let router = router(addrs.clone());
+        let victim = router.cluster().shard_for(victim_vid);
+        if let Some(&survivor_vid) = ids
+            .iter()
+            .find(|&&v| router.cluster().shard_for(v) != victim)
+        {
+            break (dirs, backends, addrs, router, victim, survivor_vid);
+        }
+        router.shutdown();
+        for b in backends.into_iter().flatten() {
+            b.shutdown();
+        }
+        assert!(
+            attempts < BIND_ATTEMPTS,
+            "no binding in {attempts} attempts spread the catalog over both shards"
+        );
+    };
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
 
     // Warm both shards (initializes + persists the dots).
     let before: DotsResponse = client

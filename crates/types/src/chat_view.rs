@@ -102,47 +102,6 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("bounds checked"))
 }
 
-/// Per-message fragment-id runs, parallel to a [`ChatLogView`]'s
-/// message order.
-///
-/// A *fragment id* is an opaque `u32` whose meaning belongs to the
-/// producer (e.g. a compiled-lexicon span id in `lightor-chatsim`):
-/// message `i` was written as the concatenation of `run(i)`'s
-/// fragments, in order. Consumers that can map a fragment id to its
-/// token ids (a table lookup) can tokenize a whole generated corpus
-/// without ever re-splitting the message text into words.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FragRuns {
-    /// Flat fragment ids, message-major.
-    ids: Vec<u32>,
-    /// Cumulative end offset of each message's run inside `ids`
-    /// (length = number of messages).
-    ends: Vec<u32>,
-}
-
-impl FragRuns {
-    /// Number of messages covered.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// True when no message has a recorded run.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// The fragment ids message `i` was written from, in write order.
-    pub fn run(&self, i: usize) -> &[u32] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.ids[start..self.ends[i] as usize]
-    }
-
-    /// Iterate every message's run, in message order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len()).map(move |i| self.run(i))
-    }
-}
-
 /// An append-only chat accumulator that finishes into a [`ChatLogView`].
 ///
 /// Message text is written *incrementally* into one shared blob:
@@ -152,12 +111,6 @@ impl FragRuns {
 /// order; [`ChatLogBuilder::finish_sorted`] applies a stable
 /// timestamp sort (ties keep insertion order — the same contract as
 /// [`ChatLog::new`]) while laying out the final columnar buffer.
-///
-/// Builders created with [`ChatLogBuilder::recording_frags`] also
-/// accumulate a [`FragRuns`] — producers push the fragment ids each
-/// message was composed from ([`ChatLogBuilder::push_frag`]) and
-/// [`ChatLogBuilder::finish_sorted_with_runs`] returns the runs in the
-/// same final (sorted) message order as the view.
 #[derive(Clone, Debug, Default)]
 pub struct ChatLogBuilder {
     ts: Vec<f64>,
@@ -165,8 +118,6 @@ pub struct ChatLogBuilder {
     /// Cumulative end offset of each committed message inside `text`.
     ends: Vec<u32>,
     text: String,
-    /// Fragment-run accumulator, present only when recording.
-    frags: Option<FragRuns>,
 }
 
 impl ChatLogBuilder {
@@ -183,42 +134,7 @@ impl ChatLogBuilder {
             users: Vec::with_capacity(messages),
             ends: Vec::with_capacity(messages),
             text: String::with_capacity(text_bytes),
-            frags: None,
         }
-    }
-
-    /// Like [`ChatLogBuilder::with_capacity`], but also records the
-    /// fragment-id run of every message (see [`FragRuns`]). Producers
-    /// push ids through [`ChatLogBuilder::push_frag`] or the vector
-    /// handed out by [`ChatLogBuilder::text_and_frags`]; runs are
-    /// sealed by the same [`ChatLogBuilder::commit`] as the text.
-    pub fn recording_frags(messages: usize, text_bytes: usize) -> Self {
-        let mut b = ChatLogBuilder::with_capacity(messages, text_bytes);
-        b.frags = Some(FragRuns {
-            ids: Vec::with_capacity(messages * 2),
-            ends: Vec::with_capacity(messages),
-        });
-        b
-    }
-
-    /// True when this builder records fragment runs.
-    pub fn records_frags(&self) -> bool {
-        self.frags.is_some()
-    }
-
-    /// Append one fragment id to the in-progress message's run.
-    /// No-op on builders that are not recording.
-    pub fn push_frag(&mut self, id: u32) {
-        if let Some(f) = &mut self.frags {
-            f.ids.push(id);
-        }
-    }
-
-    /// Borrow-split accessor: the text blob tail plus (when recording)
-    /// the flat fragment-id accumulator, so writers can append to both
-    /// without fighting the borrow checker.
-    pub fn text_and_frags(&mut self) -> (&mut String, Option<&mut Vec<u32>>) {
-        (&mut self.text, self.frags.as_mut().map(|f| &mut f.ids))
     }
 
     /// The blob tail for the message currently being written. Append
@@ -244,9 +160,6 @@ impl ChatLogBuilder {
         self.ts.push(ts);
         self.users.push(user.0);
         self.ends.push(self.text.len() as u32);
-        if let Some(f) = &mut self.frags {
-            f.ends.push(f.ids.len() as u32);
-        }
     }
 
     /// Convenience: append a whole message at once.
@@ -269,41 +182,16 @@ impl ChatLogBuilder {
     /// keep insertion order, matching [`ChatLog::new`]). One pass lays
     /// the ts/user/end columns and the reordered blob into a single
     /// contiguous buffer.
-    pub fn finish_sorted(mut self) -> ChatLogView {
+    pub fn finish_sorted(self) -> ChatLogView {
         // Committed-in-order logs (the chat generator sorts its event
         // layout before writing text) skip the permutation entirely:
         // the columns and blob are already final, so finishing is one
         // sequential serialization pass.
         if self.ts.windows(2).all(|w| w[0] <= w[1]) {
-            self.frags = None;
             return self.finish_ordered();
         }
         let order = self.sort_order();
         self.finish_permuted(&order)
-    }
-
-    /// Like [`ChatLogBuilder::finish_sorted`], but also returns the
-    /// recorded [`FragRuns`] permuted into the same final message
-    /// order as the view. Runs are empty when the builder was not
-    /// created with [`ChatLogBuilder::recording_frags`].
-    pub fn finish_sorted_with_runs(mut self) -> (ChatLogView, FragRuns) {
-        let frags = self.frags.take().unwrap_or_default();
-        if self.ts.windows(2).all(|w| w[0] <= w[1]) {
-            return (self.finish_ordered(), frags);
-        }
-        let order = self.sort_order();
-        if frags.is_empty() {
-            return (self.finish_permuted(&order), frags);
-        }
-        let mut permuted = FragRuns {
-            ids: Vec::with_capacity(frags.ids.len()),
-            ends: Vec::with_capacity(frags.ends.len()),
-        };
-        for &i in &order {
-            permuted.ids.extend_from_slice(frags.run(i as usize));
-            permuted.ends.push(permuted.ids.len() as u32);
-        }
-        (self.finish_permuted(&order), permuted)
     }
 
     /// Stable timestamp sort order over the committed messages.

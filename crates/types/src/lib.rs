@@ -22,9 +22,7 @@ mod time;
 mod video;
 
 pub use chat::{ChatLog, ChatMessage, UserId};
-pub use chat_view::{
-    ts_order_key, ChatLogBuilder, ChatLogView, ChatMessageRef, ColumnarLayout, FragRuns,
-};
+pub use chat_view::{ts_order_key, ChatLogBuilder, ChatLogView, ChatMessageRef, ColumnarLayout};
 pub use interaction::{Interaction, Play, PlaySet, Session};
 pub use time::{Sec, TimeRange};
 pub use video::{ChannelId, GameKind, Highlight, LabeledVideo, RedDot, VideoId, VideoMeta};

@@ -36,6 +36,33 @@ fn assert_corpora_identical(a: &[SimVideo], b: &[SimVideo], what: &str) {
     }
 }
 
+/// FNV-1a over every video's timestamp bits, user ids, text end
+/// offsets and text blob, in the columnar view's byte order.
+fn corpus_digest(videos: &[SimVideo]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in videos {
+        let chat = &v.video.chat;
+        for section in [
+            chat.ts_section(),
+            chat.user_section(),
+            chat.ends_section(),
+            chat.text_section(),
+        ] {
+            for &b in section {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Generator output for the baseline corpora below, recorded from the
+/// generator as it stood before its fragment-recording writers were
+/// removed: a change to the generated bytes or to the RNG draws fails
+/// here.
+const DOTA2_DIGEST: u64 = 0x112a_7675_402e_ec90;
+const LOL_DIGEST: u64 = 0x0ff8_4769_9a8b_25ba;
+
 #[test]
 fn generated_corpora_identical_across_thread_counts() {
     const SEED: u64 = 0xDA7A5E7;
@@ -43,6 +70,9 @@ fn generated_corpora_identical_across_thread_counts() {
     // Baseline with whatever the environment provides.
     let dota = dota2_dataset(6, SEED);
     let lol = lol_dataset(4, SEED ^ 1);
+    // Golden pin across commits: the same seeds give the same bytes.
+    assert_eq!(corpus_digest(&dota.videos), DOTA2_DIGEST, "dota2 digest");
+    assert_eq!(corpus_digest(&lol.videos), LOL_DIGEST, "lol digest");
     let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 3, SEED ^ 2);
 
     // Sweep worker counts through the rayon stub's env knob: corpora

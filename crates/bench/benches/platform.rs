@@ -35,7 +35,11 @@
 //!   scoring corpus by re-tokenizing the stored replay's raw text
 //!   (`rebuild_raw`, the pre-v3 cold path) vs decoding the persisted
 //!   v3 tokenized section into the same corpus (`load_v3`); the
-//!   `rebuild_raw` / `load_v3` ratio is the persistence win;
+//!   `rebuild_raw` / `load_v3` ratio is the persistence win. A third
+//!   row, `tokenize_per_token_reference`, builds the same columns
+//!   with the kernel's old per-token loop (`for_each_token` +
+//!   `Vocab::intern` + sort/dedup); `rebuild_raw` / reference is the
+//!   raw-word table's win (budget: ≤ 0.9×);
 //! * `chat_generation` — one video's chat replay: the bump-buffer
 //!   fast path (compiled-lexicon pools straight into a columnar
 //!   `ChatLogView`) vs the owned-`String`-per-message reference sink
@@ -297,19 +301,40 @@ fn bench_corpus_persist(c: &mut Criterion) {
             black_box(TokenizedChat::build_from_view(&view))
         })
     });
+    // The build kernel without its raw-word table: every token
+    // normalized and interned one by one. Its columns equal the
+    // kernel's (asserted once, outside the timing), so the
+    // `rebuild_raw` / reference ratio is the table's win.
+    let reference = per_token_columns(&view);
+    assert_eq!(
+        reference,
+        (
+            corpus.token_ids().to_vec(),
+            corpus.token_ends().to_vec(),
+            corpus.word_counts().to_vec(),
+            corpus.dim(),
+        ),
+        "the per-token reference must build the kernel's columns"
+    );
+    g.bench_function("tokenize_per_token_reference", |b| {
+        b.iter(|| {
+            let view = store.get_chat_view(vid).unwrap().unwrap();
+            black_box(per_token_columns(&view))
+        })
+    });
     // v3 cold path: decode the persisted columns and reassemble the
     // corpus — no tokenizer.
     g.bench_function("load_v3", |b| {
         b.iter(|| {
             let view = store.get_chat_view(vid).unwrap().unwrap();
-            let rec = store.get_tokenized(vid).unwrap().unwrap();
+            let rec = store.get_tokenized(vid).unwrap();
             let ts: Vec<f64> = (0..view.len()).map(|i| view.ts(i).0).collect();
             black_box(
                 TokenizedChat::from_columns(
                     ts,
                     rec.word_counts,
                     &rec.token_ends,
-                    &rec.token_ids,
+                    rec.token_ids,
                     rec.dim as usize,
                 )
                 .expect("persisted columns are consistent"),
@@ -318,6 +343,27 @@ fn bench_corpus_persist(c: &mut Criterion) {
     });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corpus's `(token_ids, token_ends, word_counts, dim)` built the way
+/// the kernel was before its raw-word table: each message through
+/// `Tokenizer::for_each_token`, each token through `Vocab::intern`,
+/// then sort and dedup per message.
+fn per_token_columns(view: &ChatLogView) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
+    use lightor_mlcore::text::{Tokenizer, Vocab};
+    let mut vocab = Vocab::new();
+    let (mut ids, mut ends, mut words) = (Vec::new(), Vec::new(), Vec::new());
+    let mut idx: Vec<u32> = Vec::new();
+    for (_, text) in view.ts_texts() {
+        idx.clear();
+        let n = Tokenizer.for_each_token(&text, |tok| idx.push(vocab.intern(tok)));
+        idx.sort_unstable();
+        idx.dedup();
+        ids.extend_from_slice(&idx);
+        ends.push(ids.len() as u32);
+        words.push(n as u32);
+    }
+    (ids, ends, words, vocab.len())
 }
 
 fn bench_http_serve(c: &mut Criterion) {

@@ -12,10 +12,12 @@
 //! Every task gets a [`SeedTree`] node derived from the campaign seed
 //! and a monotone task counter; every response slot within a task gets
 //! its own child RNG. Sessions are therefore independent of *how* they
-//! are executed: [`Campaign::run_task`] fans response slots out across
-//! threads (and [`Campaign::run_tasks`] additionally fans out across
-//! tasks), and the results are bit-identical to a sequential run for
-//! any thread count.
+//! are executed. [`Campaign::run_task`] runs one task's slots on the
+//! caller's thread: a task of a dozen or so sessions costs a few
+//! microseconds, less than spawning workers for it would. A caller with
+//! a whole round to run uses [`Campaign::run_tasks`], which fans every
+//! `(task, slot)` pair out across threads; its results are
+//! bit-identical to a sequential run for any thread count.
 //!
 //! Respondent sampling draws `n` distinct workers with a partial
 //! Fisher–Yates walk — O(n) RNG draws instead of shuffling the whole
@@ -137,14 +139,15 @@ impl Campaign {
     }
 
     /// Publish one task: `n_responses` distinct workers watch `video`
-    /// around `dot` and their interactions are logged. Response slots
-    /// run in parallel; output is bit-identical for any thread count.
+    /// around `dot` and their interactions are logged. The slots run on
+    /// the caller's thread (see the module docs); the sessions equal
+    /// those [`Campaign::run_tasks`] gives the same task.
     pub fn run_task(&mut self, video: &LabeledVideo, dot: Sec, n_responses: usize) -> TaskResult {
         let (task_node, picks) = self.prepare_task(n_responses);
-        let slots: Vec<(usize, usize)> = picks.into_iter().enumerate().collect();
-        let sessions: Vec<Session> = slots
-            .par_iter()
-            .map(|&(slot, wi)| self.simulate_slot(&task_node, video, dot, slot, wi))
+        let sessions: Vec<Session> = picks
+            .into_iter()
+            .enumerate()
+            .map(|(slot, wi)| self.simulate_slot(&task_node, video, dot, slot, wi))
             .collect();
         Self::collect_result(sessions)
     }

@@ -26,8 +26,9 @@
 //!
 //! # Corpus-local term ids
 //!
-//! Each build interns into a fresh [`Vocab`], so term ids are dense and
-//! local to the corpus: `0..dim`, where `dim` is the corpus's
+//! Each build interns into a fresh [`WordInterner`] (a raw-word table
+//! in front of a fresh term table), so term ids are dense and local to
+//! the corpus: `0..dim`, where `dim` is the corpus's
 //! distinct-term count. A video's scoring memory (one count per term in
 //! [`LooWindow`]) therefore depends only on its own chat, never on what
 //! else the process has tokenized; live chat has an open vocabulary
@@ -45,7 +46,7 @@
 //! `red_dots` output is unchanged whichever path scored the windows.
 
 use crate::features::WindowFeatures;
-use lightor_mlcore::text::{Tokenizer, Vocab};
+use lightor_mlcore::text::WordInterner;
 use lightor_mlcore::LooWindow;
 use lightor_types::{ChatLog, ChatLogView, Sec, TimeRange};
 
@@ -94,19 +95,22 @@ impl TokenizedChat {
     }
 
     /// The one build kernel: tokenize a `(timestamp, text)` stream in
-    /// one pass. Each message is tokenized exactly once, interning its
-    /// terms into a fresh corpus-local [`Vocab`]; its ids are collected
-    /// in one scratch buffer reused across messages, sorted and
-    /// deduplicated into its binary bag-of-words vector, and its word
-    /// count comes from the same tokenizer pass. Messages must arrive
-    /// in non-decreasing timestamp order (both [`ChatLog`] and
-    /// store-written views guarantee this).
+    /// one pass. Each message is tokenized exactly once through a
+    /// fresh corpus-local [`WordInterner`], which normalizes and
+    /// interns each distinct raw word once and serves every repeat
+    /// from one table lookup; the ids are those interning every token
+    /// in a fresh [`Vocab`](lightor_mlcore::text::Vocab) would give.
+    /// A message's ids are collected in one scratch buffer reused
+    /// across messages, sorted and deduplicated into its binary
+    /// bag-of-words vector, and its word count comes from the same
+    /// pass. Messages must arrive in non-decreasing timestamp order
+    /// (both [`ChatLog`] and store-written views guarantee this).
     pub fn build_from_iter<S, I>(n_hint: usize, messages: I) -> Self
     where
         S: AsRef<str>,
         I: Iterator<Item = (f64, S)>,
     {
-        let mut vocab = Vocab::new();
+        let mut words = WordInterner::new();
         let mut token_ids = Vec::new();
         let mut offsets = Vec::with_capacity(n_hint + 1);
         let mut word_counts = Vec::with_capacity(n_hint);
@@ -117,8 +121,7 @@ impl TokenizedChat {
         offsets.push(0u32);
         for (t, text) in messages {
             idx.clear();
-            let words = Tokenizer.for_each_token(text.as_ref(), |tok| idx.push(vocab.intern(tok)));
-            let wc = words as u32;
+            let wc = words.for_each_id(text.as_ref(), |id| idx.push(id)) as u32;
             idx.sort_unstable();
             idx.dedup();
             token_ids.extend_from_slice(&idx);
@@ -137,14 +140,16 @@ impl TokenizedChat {
             word_counts,
             word_prefix,
             ts,
-            dim: vocab.len(),
+            dim: words.len(),
         }
     }
 
     /// Reassemble a corpus from persisted columns (the v3 tokenized
     /// record decode path). `token_offsets` is the cumulative end of
     /// each message's sorted-unique token ids inside `token_ids`
-    /// (length `n`); timestamps come from the paired chat view.
+    /// (length `n`); timestamps come from the paired chat view. The
+    /// decoded id column is taken by value and kept as the corpus's
+    /// own, so a load copies it once, in the decode.
     /// Returns `None` when the columns are mutually inconsistent, when
     /// any id is `>= dim`, or when a message's ids are not strictly
     /// increasing (the writer persists sorted-unique ids, so anything
@@ -153,7 +158,7 @@ impl TokenizedChat {
         ts: Vec<f64>,
         word_counts: Vec<u32>,
         token_offsets: &[u32],
-        token_ids: &[u32],
+        token_ids: Vec<u32>,
         dim: usize,
     ) -> Option<Self> {
         let n = ts.len();
@@ -166,6 +171,9 @@ impl TokenizedChat {
         if n == 0 && !token_ids.is_empty() {
             return None;
         }
+        if token_ids.iter().max().is_some_and(|&id| id as usize >= dim) {
+            return None;
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut start = 0usize;
@@ -174,11 +182,7 @@ impl TokenizedChat {
             if end < start || end > token_ids.len() {
                 return None;
             }
-            let slice = &token_ids[start..end];
-            if slice.iter().any(|&id| id as usize >= dim) {
-                return None;
-            }
-            if slice.windows(2).any(|w| w[0] >= w[1]) {
+            if token_ids[start..end].windows(2).any(|w| w[0] >= w[1]) {
                 return None;
             }
             offsets.push(end as u32);
@@ -190,7 +194,7 @@ impl TokenizedChat {
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
         }
         Some(TokenizedChat {
-            token_ids: token_ids.to_vec(),
+            token_ids,
             offsets,
             word_counts,
             word_prefix,
@@ -534,6 +538,48 @@ mod tests {
     }
 
     #[test]
+    fn from_columns_takes_a_builds_columns_and_rejects_inconsistent_ones() {
+        let c = chat(&[(1.0, "gg wp gg"), (2.0, ""), (3.0, "kill gg")]);
+        let built = TokenizedChat::build(&c);
+        let load = |ends: &[u32], ids: Vec<u32>, dim: usize| {
+            TokenizedChat::from_columns(
+                built.timestamps().to_vec(),
+                built.word_counts().to_vec(),
+                ends,
+                ids,
+                dim,
+            )
+        };
+        let loaded = load(built.token_ends(), built.token_ids().to_vec(), built.dim()).unwrap();
+        assert_eq!(loaded.token_ids(), built.token_ids());
+        assert_eq!(loaded.token_ends(), built.token_ends());
+        assert_eq!(loaded.words_in(0, 3), built.words_in(0, 3));
+        // ids [0 1] [] [0 2], dim 3.
+        assert_eq!(built.token_ids(), &[0, 1, 0, 2]);
+        assert!(load(&[2, 2, 4], vec![0, 1, 0, 2], 2).is_none(), "id >= dim");
+        assert!(
+            load(&[2, 2, 4], vec![1, 0, 0, 2], 3).is_none(),
+            "not increasing"
+        );
+        assert!(
+            load(&[2, 2, 4], vec![0, 0, 0, 2], 3).is_none(),
+            "duplicate id"
+        );
+        assert!(
+            load(&[2, 1, 4], vec![0, 1, 0, 2], 3).is_none(),
+            "ends go back"
+        );
+        assert!(
+            load(&[2, 2, 5], vec![0, 1, 0, 2], 3).is_none(),
+            "ends past ids"
+        );
+        assert!(
+            load(&[2, 4], vec![0, 1, 0, 2], 3).is_none(),
+            "one end short"
+        );
+    }
+
+    #[test]
     fn corpus_indexes_align_with_chat() {
         let c = chat(&[(1.0, "gg wp"), (2.0, "kill"), (30.0, "what a play")]);
         let tc = TokenizedChat::build(&c);
@@ -633,6 +679,55 @@ mod tests {
                 prop_assert_eq!(f.features, naive, "window {}", w);
                 prop_assert_eq!(f.peak, window_peak(&c, *w, 5.0), "peak {}", w);
             }
+        }
+    }
+
+    /// The build kernel before the raw-word table: every token through
+    /// `for_each_token` and `Vocab::intern`, then sort and dedup. The
+    /// oracle the kernel must match column for column.
+    fn per_token_reference(texts: &[String]) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
+        use lightor_mlcore::text::{Tokenizer, Vocab};
+        let mut vocab = Vocab::new();
+        let (mut ids, mut ends, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        let mut idx: Vec<u32> = Vec::new();
+        for text in texts {
+            idx.clear();
+            let n = Tokenizer.for_each_token(text, |tok| idx.push(vocab.intern(tok)));
+            idx.sort_unstable();
+            idx.dedup();
+            ids.extend_from_slice(&idx);
+            ends.push(ids.len() as u32);
+            words.push(n as u32);
+        }
+        (ids, ends, words, vocab.len())
+    }
+
+    proptest! {
+        /// The kernel against the per-token reference on chat whose
+        /// words repeat, run past 16 bytes, normalize to nothing, and
+        /// are split by Unicode whitespace.
+        #[test]
+        fn kernel_columns_equal_the_per_token_reference(
+            picks in proptest::collection::vec(proptest::collection::vec(0usize..14, 0..10), 0..60),
+        ) {
+            const WORDS: [&str; 14] = [
+                "gg", "GG", "gg!!", "PogChamp", "<3", ":-)", "!!!",
+                "supercalifragilistic", "SUPERCALIFRAGILISTIC?", "ＡＢＣＤＥＦＧ",
+                "Straße", "İstanbul", "\u{85}", "\u{3000}",
+            ];
+            let texts: Vec<String> = picks
+                .iter()
+                .map(|p| p.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" "))
+                .collect();
+            let built = TokenizedChat::build_from_iter(
+                texts.len(),
+                texts.iter().enumerate().map(|(i, t)| (i as f64, t.as_str())),
+            );
+            let (ids, ends, words, dim) = per_token_reference(&texts);
+            prop_assert_eq!(built.token_ids(), &ids[..]);
+            prop_assert_eq!(built.token_ends(), &ends[..]);
+            prop_assert_eq!(built.word_counts(), &words[..]);
+            prop_assert_eq!(built.dim(), dim);
         }
     }
 

@@ -29,4 +29,4 @@ pub use kmeans::{cosine_similarity, mean_loo_similarity, one_cluster_kmeans, Loo
 pub use logreg::{LogisticRegression, TrainConfig};
 pub use metrics::{accuracy, confusion, f1_score, precision, recall, Confusion};
 pub use scale::MinMaxScaler;
-pub use text::{BowVector, Tokenizer, Vocab};
+pub use text::{BowVector, Tokenizer, Vocab, WordInterner};

@@ -1,4 +1,5 @@
-//! Text vectorization for chat messages: tokenizer, vocabulary and binary
+//! Text vectorization for chat messages: tokenizer, vocabulary, the
+//! raw-word interner corpus builds tokenize through, and binary
 //! bag-of-words vectors (paper Section IV-C2, the message-similarity
 //! feature: "We use Bag of Words to represent each message as a binary
 //! vector").
@@ -21,24 +22,17 @@ use std::sync::OnceLock;
 /// 4. drop words left empty.
 ///
 /// Emote tokens like `PogChamp` or `<3` survive as `pogchamp` and `3`.
-/// [`Tokenizer::for_each_token`] also returns the whitespace word count
-/// (what `split_whitespace().count()` gives), counted in the same pass,
+///
+/// The rule is two functions, each written once: the word splitter
+/// ([`Tokenizer::for_each_word`], steps 1 and the word count) and the
+/// word normalizer ([`Tokenizer::normalize_word`], steps 2–4). A token
+/// is therefore a pure function of its raw word, which is what lets
+/// [`WordInterner`] normalize each distinct raw word once.
+/// [`Tokenizer::for_each_token`] is the two composed; it also returns
+/// the whitespace word count (what `split_whitespace().count()` gives),
 /// which is the paper's message-length feature.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tokenizer;
-
-/// How one character of a word is treated.
-#[derive(Clone, Copy)]
-enum CharClass {
-    /// Ends the current word.
-    Space,
-    /// Kept, and already its own lowercase.
-    Kept,
-    /// Kept, but its lowercase mapping differs.
-    Lowered,
-    /// Not alphanumeric: dropped from the token.
-    Dropped,
-}
 
 impl Tokenizer {
     /// Split `text` into normalized tokens.
@@ -49,118 +43,126 @@ impl Tokenizer {
     }
 
     /// Visit each normalized token in order and return the whitespace
-    /// word count, in one pass over `text`'s bytes.
-    ///
-    /// Each character takes one of two branches. An ASCII byte is
-    /// classified and lowercased with byte operations, and the loop
-    /// tests first for the common byte: a lowercase letter or digit
-    /// that extends the current token. The ASCII whitespace set is
-    /// exactly `\t \n \x0B \x0C \r` and space, as in
-    /// [`char::is_whitespace`] (which, unlike
-    /// [`u8::is_ascii_whitespace`], includes `\x0B`). A non-ASCII
-    /// character is decoded and goes through [`char::is_whitespace`],
-    /// [`char::is_alphanumeric`] and [`char::to_lowercase`].
-    ///
-    /// Nothing is allocated per token: a token made of one contiguous
-    /// run of already-lowercase characters is handed out as a slice of
-    /// `text`, and any other token is built in one scratch buffer
-    /// reused across the text.
+    /// word count: every word of [`Tokenizer::for_each_word`] through
+    /// [`Tokenizer::normalize_word`], skipping the ones left empty.
+    /// Nothing is allocated per token; a rewritten token is built in
+    /// one scratch buffer reused across the text.
     pub fn for_each_token(self, text: &str, mut f: impl FnMut(&str)) -> usize {
-        let bytes = text.as_bytes();
         let mut buf = String::new();
+        self.for_each_word(text, |word| {
+            let tok = self.normalize_word(word, &mut buf);
+            if !tok.is_empty() {
+                f(tok);
+            }
+        })
+    }
+
+    /// Visit each whitespace-delimited word of `text` in order (never
+    /// empty) and return how many there were.
+    ///
+    /// A word is scanned eight bytes at a time: one load and a few
+    /// integer operations find the first byte that may end it (ASCII
+    /// space or control, or non-ASCII), so a typical chat word costs
+    /// one step. Only such a byte is classified on its own. An ASCII
+    /// byte is whitespace exactly when it is `\t \n \x0B \x0C \r`
+    /// or space, as in [`char::is_whitespace`] (which, unlike
+    /// [`u8::is_ascii_whitespace`], includes `\x0B`); a non-ASCII
+    /// character is decoded and goes through [`char::is_whitespace`].
+    pub fn for_each_word(self, text: &str, mut f: impl FnMut(&str)) -> usize {
+        let bytes = text.as_bytes();
         let mut words = 0usize;
-        let mut in_word = false;
-        // The current token is `text[start..end]` until a char needs
-        // rewriting, or a kept char follows a dropped one; from then on
-        // (`owned`) it lives in `buf`. An empty token sits where the
-        // next char starts, so a kept char extends it iff `end == i`.
-        let (mut start, mut end, mut owned) = (0usize, 0usize, false);
         let mut i = 0usize;
         loop {
-            let b = bytes.get(i).copied();
-            if end == i && !owned && matches!(b, Some(b'a'..=b'z' | b'0'..=b'9')) {
-                end = i + 1;
-                words += usize::from(!in_word);
-                in_word = true;
-                i += 1;
-                continue;
-            }
-            let (c, len, class) = match b {
-                // The end of the text closes the last word.
-                None => (' ', 0, CharClass::Space),
-                Some(b) if b.is_ascii() => {
-                    let class = match b {
-                        b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' => CharClass::Space,
-                        b'a'..=b'z' | b'0'..=b'9' => CharClass::Kept,
-                        b'A'..=b'Z' => CharClass::Lowered,
-                        _ => CharClass::Dropped,
-                    };
-                    (char::from(b), 1, class)
-                }
-                Some(_) => {
-                    let c = text[i..].chars().next().expect("i is on a char boundary");
-                    let class = if c.is_whitespace() {
-                        CharClass::Space
-                    } else if !c.is_alphanumeric() {
-                        CharClass::Dropped
-                    } else {
-                        let mut lower = c.to_lowercase();
-                        if lower.len() == 1 && lower.next() == Some(c) {
-                            CharClass::Kept
-                        } else {
-                            CharClass::Lowered
-                        }
-                    };
-                    (c, c.len_utf8(), class)
+            let start = loop {
+                let Some(&b) = bytes.get(i) else {
+                    return words;
+                };
+                match char_at(text, i, b) {
+                    (true, len) => i += len,
+                    (false, _) => break i,
                 }
             };
-            match class {
-                CharClass::Space => {
-                    if in_word {
-                        let tok = if owned { &buf } else { &text[start..end] };
-                        if !tok.is_empty() {
-                            f(tok);
-                        }
-                        (owned, in_word) = (false, false);
-                    }
-                    if len == 0 {
-                        return words;
-                    }
-                    (start, end) = (i + len, i + len);
-                }
-                CharClass::Dropped if start == end => (start, end) = (i + len, i + len),
-                CharClass::Dropped => {}
-                CharClass::Kept if !owned && end == i => end = i + len,
-                CharClass::Kept | CharClass::Lowered => {
-                    if !owned {
-                        buf.clear();
-                        buf.push_str(&text[start..end]);
-                        owned = true;
-                    }
-                    match class {
-                        CharClass::Kept => buf.push(c),
-                        _ if c.is_ascii() => buf.push(c.to_ascii_lowercase()),
-                        _ => buf.extend(c.to_lowercase()),
+            let end = loop {
+                if let Some(chunk) = bytes.get(i..i + 8) {
+                    let run = printable_ascii_run(chunk.try_into().expect("8 bytes"));
+                    i += run;
+                    if run == 8 {
+                        continue;
                     }
                 }
-            }
-            if !matches!(class, CharClass::Space) {
-                words += usize::from(!in_word);
-                in_word = true;
-            }
-            i += len;
+                match bytes.get(i) {
+                    None => break i,
+                    Some(&b) => match char_at(text, i, b) {
+                        (true, _) => break i,
+                        (false, len) => i += len,
+                    },
+                }
+            };
+            f(&text[start..end]);
+            words += 1;
         }
     }
+
+    /// The token one whitespace-free `word` contributes: its
+    /// alphanumeric characters, lowercased, or `""` when none survive.
+    ///
+    /// A word made only of lowercase ASCII letters and digits is its
+    /// own token and is returned as is; any other word is rewritten
+    /// into `buf`. ASCII characters are classified and lowercased with
+    /// byte operations; the rest go through [`char::is_alphanumeric`]
+    /// and [`char::to_lowercase`].
+    pub fn normalize_word<'a>(self, word: &'a str, buf: &'a mut String) -> &'a str {
+        if word.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9')) {
+            return word;
+        }
+        buf.clear();
+        for c in word.chars() {
+            match c {
+                'a'..='z' | '0'..='9' => buf.push(c),
+                'A'..='Z' => buf.push(c.to_ascii_lowercase()),
+                _ if c.is_ascii() => {}
+                _ if c.is_alphanumeric() => buf.extend(c.to_lowercase()),
+                _ => {}
+            }
+        }
+        buf
+    }
+}
+
+/// Whether the character starting at byte `i` of `text` (whose first
+/// byte is `b`) is whitespace, and its length in bytes.
+#[inline]
+fn char_at(text: &str, i: usize, b: u8) -> (bool, usize) {
+    if b.is_ascii() {
+        (matches!(b, b'\t'..=b'\r' | b' '), 1)
+    } else {
+        let c = text[i..].chars().next().expect("i is on a char boundary");
+        (c.is_whitespace(), c.len_utf8())
+    }
+}
+
+/// How many leading bytes of `chunk` lie in `0x21..=0x7F`, none of
+/// which can end a word: the index of the first byte below `0x21` or
+/// at least `0x80`, found without a branch per byte. Subtracting `0x21` from every byte sets the high bit of the first
+/// byte below `0x21` (a borrow only ever moves the flag to higher
+/// bytes); OR-ing the bytes themselves flags every byte `≥ 0x80`.
+#[inline]
+fn printable_ascii_run(chunk: [u8; 8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let x = u64::from_le_bytes(chunk);
+    let stops = (x.wrapping_sub(0x21 * ONES) & !x | x) & HIGH;
+    (stops.trailing_zeros() / 8) as usize
 }
 
 /// A token → dense-id interner: ids are assigned in first-seen order,
 /// `0..len()`.
 ///
 /// This is the one term table of the workspace; every corpus build
-/// interns into a fresh one, so ids are local to that corpus. A known
-/// token is looked up without allocating; only a new token is copied,
-/// once. Nothing iterates the hash map, so ids never depend on the hash
-/// key.
+/// interns into a fresh one (through a [`WordInterner`]), so ids are
+/// local to that corpus. A known token is looked up without
+/// allocating; only a new token is copied, once. Nothing iterates the
+/// hash map, so ids never depend on the hash key.
 ///
 /// Tokens come from chat text, which is outside input, so the map
 /// hashes with a keyed folded-multiply hash whose key is drawn once
@@ -228,6 +230,166 @@ impl Vocab {
     }
 }
 
+/// Words at most this long are held inline in a [`WordInterner`] slot.
+const INLINE_WORD: usize = 16;
+
+/// A slot's id for a raw word whose token is empty.
+const NO_TERM: u32 = u32::MAX;
+
+/// One [`WordInterner`] slot: a raw word of at most [`INLINE_WORD`]
+/// bytes, held as the two words [`short_words`] folds it into plus its
+/// length (`len == 0` marks a free slot; words are never empty), and
+/// the term id its token interned to.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordSlot {
+    lo: u64,
+    hi: u64,
+    len: u32,
+    id: u32,
+}
+
+/// Term ids straight from raw text: the tokenizer front end of a
+/// corpus build.
+///
+/// A token is a pure function of its whitespace-delimited raw word
+/// (see [`Tokenizer`]), and live chat repeats a few hundred distinct
+/// words thousands of times. So each raw word is looked up as it
+/// stands in an open-addressing table, and only a word seen for the
+/// first time is normalized ([`Tokenizer::normalize_word`]) and
+/// interned in the [`Vocab`]; the slot then maps the word to that term
+/// id, or to "no term" when it normalizes to nothing. A slot holds its
+/// word inline, as two `u64`s and the length, so a lookup compares
+/// three integers and chases no pointer. Words longer than 16 bytes
+/// are rare and skip the table: they are normalized and interned every
+/// time.
+///
+/// Ids come from the [`Vocab`], in the first-seen order of *tokens*,
+/// exactly as interning every token would assign them; the table only
+/// caches them, so ids never depend on its hash key. The table hashes
+/// with the same keyed folded multiply and process key as the
+/// [`Vocab`].
+#[derive(Clone, Debug)]
+pub struct WordInterner {
+    vocab: Vocab,
+    /// Power-of-two length, at most half full.
+    slots: Vec<WordSlot>,
+    /// Occupied slots.
+    words: usize,
+    key: TermHashKey,
+    /// Normalization scratch for first-seen and long words.
+    buf: String,
+}
+
+impl Default for WordInterner {
+    fn default() -> Self {
+        Self::with_key(TermHashKey::default())
+    }
+}
+
+impl WordInterner {
+    /// An empty interner over a fresh [`Vocab`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn with_key(key: TermHashKey) -> Self {
+        WordInterner {
+            vocab: Vocab {
+                index: HashMap::with_hasher(key),
+            },
+            slots: vec![WordSlot::default(); 256],
+            words: 0,
+            key,
+            buf: String::new(),
+        }
+    }
+
+    /// Visit the term id of each token of `text` in order and return
+    /// the whitespace word count: the ids
+    /// [`Tokenizer::for_each_token`] followed by [`Vocab::intern`]
+    /// would give, at one table lookup per word.
+    pub fn for_each_id(&mut self, text: &str, mut f: impl FnMut(u32)) -> usize {
+        Tokenizer.for_each_word(text, |word| {
+            if let Some(id) = self.word_id(word) {
+                f(id);
+            }
+        })
+    }
+
+    /// The term id of one raw (whitespace-free) word's token, or `None`
+    /// when the word normalizes to nothing.
+    fn word_id(&mut self, word: &str) -> Option<u32> {
+        let bytes = word.as_bytes();
+        if bytes.len() > INLINE_WORD {
+            return self.intern_word(word);
+        }
+        let (lo, hi) = short_words(bytes);
+        let len = bytes.len() as u32;
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot_hash(len, lo, hi) & mask;
+        loop {
+            let s = self.slots[i];
+            if s.len == len && s.lo == lo && s.hi == hi {
+                return (s.id != NO_TERM).then_some(s.id);
+            }
+            if s.len == 0 {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.intern_word(word);
+        self.slots[i] = WordSlot {
+            lo,
+            hi,
+            len,
+            id: id.unwrap_or(NO_TERM),
+        };
+        self.words += 1;
+        if 2 * self.words > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Normalize `word` and intern its token (`None` if it is empty).
+    fn intern_word(&mut self, word: &str) -> Option<u32> {
+        let tok = Tokenizer.normalize_word(word, &mut self.buf);
+        (!tok.is_empty()).then(|| self.vocab.intern(tok))
+    }
+
+    /// The slot a word hashes to: one keyed folded multiply (the
+    /// hasher's short-string step), whose low bits pick the slot.
+    fn slot_hash(&self, len: u32, lo: u64, hi: u64) -> usize {
+        let mut h = self.key.build_hasher();
+        h.write_short(len as usize, lo, hi);
+        h.acc as usize
+    }
+
+    /// Double the table and re-place every occupied slot.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![WordSlot::default(); 2 * old.len()];
+        let mask = self.slots.len() - 1;
+        for s in old.into_iter().filter(|s| s.len != 0) {
+            let mut i = self.slot_hash(s.len, s.lo, s.hi) & mask;
+            while self.slots[i].len != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = s;
+        }
+    }
+
+    /// Number of distinct terms interned so far: a corpus's `dim`.
+    pub fn len(&self) -> usize {
+        self.vocab.len()
+    }
+
+    /// True when no term is interned yet.
+    pub fn is_empty(&self) -> bool {
+        self.vocab.is_empty()
+    }
+}
+
 /// The hash key of every [`Vocab`] in this process: two random words
 /// drawn once from std's [`RandomState`].
 fn process_key() -> [u64; 2] {
@@ -292,28 +454,50 @@ struct TermHasher {
     key: u64,
 }
 
+impl TermHasher {
+    /// Absorb a string of at most 16 bytes given as its length and the
+    /// two words [`short_words`] folds it into: one multiply.
+    #[inline]
+    fn write_short(&mut self, len: usize, a: u64, b: u64) {
+        let acc = self.acc.wrapping_add(len as u64).wrapping_mul(MUL);
+        self.acc = folded_multiply(a ^ acc, b ^ self.key);
+    }
+}
+
+/// The two words a string of at most 16 bytes folds into. Each length
+/// class reads windows that together cover every byte (the first,
+/// middle and last byte; the first and last 4; the first and last 8),
+/// so the words plus the length determine the string exactly.
+#[inline]
+fn short_words(bytes: &[u8]) -> (u64, u64) {
+    let len = bytes.len();
+    match len {
+        0 => (0, 0),
+        1..=3 => {
+            let (x, y, z) = (bytes[0], bytes[len / 2], bytes[len - 1]);
+            (u64::from(x) | u64::from(y) << 8 | u64::from(z) << 16, 0)
+        }
+        4..=8 => (read_u32(bytes), read_u32(&bytes[len - 4..])),
+        _ => (read_u64(bytes), read_u64(&bytes[len - 8..])),
+    }
+}
+
 impl Hasher for TermHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let len = bytes.len();
+        if len <= INLINE_WORD {
+            let (a, b) = short_words(bytes);
+            self.write_short(len, a, b);
+            return;
+        }
         let mut acc = self.acc.wrapping_add(len as u64).wrapping_mul(MUL);
-        let (a, b) = match len {
-            0 => (0, 0),
-            1..=3 => {
-                let (x, y, z) = (bytes[0], bytes[len / 2], bytes[len - 1]);
-                (u64::from(x) | u64::from(y) << 8 | u64::from(z) << 16, 0)
-            }
-            4..=8 => (read_u32(bytes), read_u32(&bytes[len - 4..])),
-            9..=16 => (read_u64(bytes), read_u64(&bytes[len - 8..])),
-            _ => {
-                let mut rest = bytes;
-                while rest.len() > 16 {
-                    acc = folded_multiply(read_u64(rest) ^ acc, read_u64(&rest[8..]) ^ self.key);
-                    rest = &rest[16..];
-                }
-                (read_u64(&bytes[len - 16..]), read_u64(&bytes[len - 8..]))
-            }
-        };
+        let mut rest = bytes;
+        while rest.len() > 16 {
+            acc = folded_multiply(read_u64(rest) ^ acc, read_u64(&rest[8..]) ^ self.key);
+            rest = &rest[16..];
+        }
+        let (a, b) = (read_u64(&bytes[len - 16..]), read_u64(&bytes[len - 8..]));
         self.acc = folded_multiply(a ^ acc, b ^ self.key);
     }
 
@@ -433,6 +617,23 @@ mod tests {
         assert_eq!(words, text.split_whitespace().count(), "words of {text:?}");
     }
 
+    /// Assert that a [`WordInterner`] gives every message of `texts`
+    /// the ids, and the word count, that the oracle's tokens interned
+    /// one by one into a fresh [`Vocab`] give.
+    fn check_interner_against_oracle(texts: &[&str]) {
+        let mut vocab = Vocab::new();
+        let mut words = WordInterner::new();
+        for text in texts {
+            let mut expected = Vec::new();
+            oracle_for_each_token(text, |t| expected.push(vocab.intern(t)));
+            let mut got = Vec::new();
+            let n = words.for_each_id(text, |id| got.push(id));
+            assert_eq!(got, expected, "ids of {text:?}");
+            assert_eq!(n, text.split_whitespace().count(), "words of {text:?}");
+        }
+        assert_eq!(words.len(), vocab.len());
+    }
+
     #[test]
     fn kernel_matches_oracle_on_edge_cases() {
         for text in [
@@ -468,10 +669,37 @@ mod tests {
         ] {
             check_against_oracle(text);
         }
+        check_interner_against_oracle(&[
+            "PogChamp <3 :-) !!! gg GG gg! Straße",
+            "supercalifragilisticexpialidocious SUPERcalifragilisticEXPIALIDOCIOUS!",
+            "ＡＢＣＤＥＦ ａｂｃｄｅｆ ＡＢＣ",
+            "gg\u{85}wp\u{A0}gg\u{3000}wp\u{2028}İİİİİİİİİ",
+            "",
+            "   ",
+            "!!!!!!!!!!!!!!!!!!!! ?? 0123456789abcdef 0123456789abcdefg",
+        ]);
         assert_eq!(Tokenizer.for_each_token("a\x0Bb\u{A0}!!!", |_| {}), 3);
         assert_eq!(Tokenizer.tokenize("İ"), vec!["i\u{307}"]);
         assert_eq!(Tokenizer.tokenize("ＡＢＣ"), vec!["ａｂｃ"]);
         assert_eq!(Tokenizer.tokenize("PogChamp<3"), vec!["pogchamp3"]);
+    }
+
+    #[test]
+    fn printable_run_stops_at_exactly_the_first_possible_word_end() {
+        // Every byte value at every position, behind a run of letters
+        // and ahead of assorted bytes (a borrow must not move the stop).
+        for b in 0..=255u8 {
+            for pos in 0..8 {
+                for tail in [b'a', 0x00, 0x20, 0x21, 0x80, 0xFF] {
+                    let mut chunk = [b'x'; 8];
+                    chunk[pos] = b;
+                    chunk[pos + 1..].fill(tail);
+                    let stops = |c: u8| !(0x21..0x80).contains(&c);
+                    let expected = chunk.iter().position(|&c| stops(c)).unwrap_or(8);
+                    assert_eq!(printable_ascii_run(chunk), expected, "{chunk:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -513,6 +741,30 @@ mod tests {
         // First-seen order: id i is the i-th distinct token.
         assert_eq!(va.get(&stream[0]), Some(0));
         assert_eq!(va.get(&stream[5]), Some(a[5]));
+        // The raw-word table in front of it: raw spellings of the same
+        // tokens, short and long, under two keys and the process key,
+        // give the ids interning the tokens gives.
+        let raw: Vec<String> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, t)| match i % 3 {
+                0 => t.clone(),
+                1 => t.to_uppercase(),
+                _ => format!("{t}!"),
+            })
+            .collect();
+        let words_under = |mut words: WordInterner| -> Vec<Option<u32>> {
+            raw.iter().map(|w| words.word_id(w)).collect()
+        };
+        let wa = words_under(WordInterner::with_key(TermHashKey([1, 2])));
+        let wb = words_under(WordInterner::with_key(TermHashKey([
+            0x9e37_79b9_7f4a_7c15,
+            0xdead_beef,
+        ])));
+        let wc = words_under(WordInterner::new());
+        assert_eq!(wa, wb);
+        assert_eq!(wa, wc);
+        assert_eq!(wa, a.iter().map(|&id| Some(id)).collect::<Vec<_>>());
         // The key really keys the hash.
         assert_ne!(
             TermHashKey([1, 2]).hash_one("pogchamp"),
@@ -607,6 +859,53 @@ mod tests {
                 })
                 .collect();
             check_against_oracle(&text);
+        }
+
+        #[test]
+        fn interner_matches_oracle_on_repeated_unicode_words(
+            lexicon in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, any::<u32>()), 1..24),
+                1..12,
+            ),
+            messages in proptest::collection::vec(
+                proptest::collection::vec((any::<u32>(), 0u32..6), 0..12),
+                0..24,
+            ),
+        ) {
+            // A small lexicon of words, some over 16 bytes, some that
+            // normalize to nothing, joined by assorted whitespace, so
+            // words repeat (table hits) across messages.
+            const TRICKY: [char; 12] = [
+                'İ', 'ß', 'ǅ', 'Σ', 'Ａ', '٣', '\u{301}', '中', '∞', '\u{1F600}', 'é', 'Z',
+            ];
+            const SPACES: [&str; 6] = [" ", "\t", "\u{85}", "\u{A0}", "\u{3000}", "\x0B"];
+            let words: Vec<String> = lexicon
+                .iter()
+                .map(|chars| {
+                    chars
+                        .iter()
+                        .map(|&(kind, r)| match kind {
+                            0 | 1 => char::from(b"abcxyz019"[r as usize % 9]),
+                            2 => char::from(b"ABZ!?<-"[r as usize % 7]),
+                            3 => TRICKY[r as usize % TRICKY.len()],
+                            4 => char::from_u32(r % 0x1_0000)
+                                .filter(|c| !c.is_whitespace())
+                                .unwrap_or('x'),
+                            _ => char::from(b"!.:;()"[r as usize % 6]),
+                        })
+                        .collect()
+                })
+                .collect();
+            let texts: Vec<String> = messages
+                .iter()
+                .map(|msg| {
+                    msg.iter()
+                        .map(|&(w, sp)| format!("{}{}", words[w as usize % words.len()], SPACES[sp as usize]))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            check_interner_against_oracle(&refs);
         }
     }
 }

@@ -36,6 +36,20 @@ pub struct CrawlStats {
     pub reclaimed_bytes: u64,
 }
 
+/// What one online crawl ([`Crawler::crawl_video`]) did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OnlineCrawl {
+    /// The platform does not know the video.
+    Unknown,
+    /// The store already held the video's chat; nothing was written.
+    AlreadyStored,
+    /// The chat was fetched and stored, durably.
+    Stored {
+        /// Whether the tokenized companion landed with it.
+        companion: bool,
+    },
+}
+
 /// Crawls chat replays from the (simulated) platform into a [`ChatStore`].
 #[derive(Debug)]
 pub struct Crawler<'a> {
@@ -105,18 +119,27 @@ impl<'a> Crawler<'a> {
         Ok(stats)
     }
 
-    /// Online crawl of one video; returns `false` when the platform does
-    /// not know the video.
-    pub fn crawl_video(&self, video: VideoId, store: &mut ChatStore) -> std::io::Result<bool> {
+    /// Online crawl of one video, triggered by its first viewer: a video
+    /// the store already holds is not rewritten; otherwise its chat
+    /// replay is fetched and stored, with `companion` (the encoded v3
+    /// record of the corpus tokenized from this platform's replay of
+    /// `video`, if the caller built one) appended beside it under the
+    /// same single sync ([`ChatStore::put_chat_view_with_companion`]).
+    pub fn crawl_video(
+        &self,
+        video: VideoId,
+        store: &mut ChatStore,
+        companion: Option<&[u8]>,
+    ) -> std::io::Result<OnlineCrawl> {
         if store.contains(video) {
-            return Ok(true);
+            return Ok(OnlineCrawl::AlreadyStored);
         }
         match self.platform.fetch_chat(video) {
             Some(chat) => {
-                store.put_chat_view(video, chat)?;
-                Ok(true)
+                let companion = store.put_chat_view_with_companion(video, chat, companion)?;
+                Ok(OnlineCrawl::Stored { companion })
             }
-            None => Ok(false),
+            None => Ok(OnlineCrawl::Unknown),
         }
     }
 }
@@ -212,10 +235,25 @@ mod tests {
         let vid = platform.recent_videos(platform.channels()[0].id)[0];
 
         assert!(!store.contains(vid));
-        assert!(crawler.crawl_video(vid, &mut store).unwrap());
+        assert_eq!(
+            crawler.crawl_video(vid, &mut store, None).unwrap(),
+            OnlineCrawl::Stored { companion: false }
+        );
         assert!(store.contains(vid));
+        // A stored video is not rewritten.
+        let bytes = store.total_bytes();
+        assert_eq!(
+            crawler.crawl_video(vid, &mut store, None).unwrap(),
+            OnlineCrawl::AlreadyStored
+        );
+        assert_eq!(store.total_bytes(), bytes);
         // Unknown video.
-        assert!(!crawler.crawl_video(VideoId(424242), &mut store).unwrap());
+        assert_eq!(
+            crawler
+                .crawl_video(VideoId(424242), &mut store, None)
+                .unwrap(),
+            OnlineCrawl::Unknown
+        );
     }
 
     #[test]
@@ -225,7 +263,7 @@ mod tests {
         let mut store = ChatStore::open(&dir.0).unwrap();
         let crawler = Crawler::new(&platform);
         let vid = platform.recent_videos(platform.channels()[0].id)[0];
-        crawler.crawl_video(vid, &mut store).unwrap();
+        crawler.crawl_video(vid, &mut store, None).unwrap();
         let stored = store.get_chat(vid).unwrap().unwrap();
         assert_eq!(&stored, platform.fetch_chat(vid).unwrap());
     }

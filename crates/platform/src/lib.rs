@@ -24,7 +24,7 @@ pub mod store;
 pub mod wire;
 
 pub use cache::LruCache;
-pub use crawler::{CrawlStats, Crawler};
+pub use crawler::{CrawlStats, Crawler, OnlineCrawl};
 pub use service::{LightorService, ServiceConfig, VideoState};
 pub use store::{
     ChatStore, CompactStats, Fault, FaultInjector, FaultKind, KvStats, KvStore, SegmentLog,

@@ -24,7 +24,10 @@
 //!   refinement round folding a large batch cannot stall `GET
 //!   /video/{id}/dots`;
 //! * the storage pair (chat log + KV snapshots) sits behind a single
-//!   mutex, touched only on cold opens and state persistence;
+//!   mutex, touched only on cold opens and state persistence; a first
+//!   sight tokenizes the platform's replay before taking it, and holds
+//!   it only for the one crawl that stores the chat record and its
+//!   tokenized companion under a single chat-log sync;
 //! * per-video `Arc<TokenizedChat>` corpora are LRU-cached, so warm
 //!   re-scores ([`LightorService::rescore_video`]) never re-tokenize.
 //!
@@ -58,8 +61,8 @@
 //! does the next persist after a failed one.
 
 use crate::cache::LruCache;
-use crate::crawler::Crawler;
-use crate::store::{ChatStore, FaultInjector, KvStore, TokenizedRecord};
+use crate::crawler::{Crawler, OnlineCrawl};
+use crate::store::{format, ChatStore, FaultInjector, KvStore, TokenizedRecord};
 use crate::wire::{
     self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse, StatsResponse,
     BUNDLE_FORMAT_VERSION,
@@ -361,22 +364,19 @@ impl LightorService {
             return Ok(Some(entry.snapshot()));
         }
 
-        // First sight: crawl on miss, then load the corpus through the
-        // shared path (persisted v3 companion if one shipped in a
-        // bundle, tokenize-and-upgrade otherwise). The crawl's synced
-        // put leaves the written view in the record cache, so the
-        // corpus load reads no log bytes back, and tokenizing takes
-        // each message's word count from the same pass. The stores
-        // lock is scoped to the crawl; scoring runs without any
-        // service-wide lock held.
-        {
-            let mut stores = self.stores.lock();
-            let crawler = Crawler::new(&self.platform);
-            if !crawler.crawl_video(video, &mut stores.chat)? {
-                return Ok(None);
-            }
-        }
-        let (corpus, duration) = self.corpus_for(video)?.expect("just crawled");
+        // First sight: load the corpus through the shared path, or, for
+        // a video the store does not hold yet, crawl it: its replay is
+        // tokenized with no lock held, then one online crawl stores the
+        // chat record and its v3 companion under one sync (see
+        // `crawl_corpus`). Scoring runs without any service-wide lock
+        // held.
+        let loaded = match self.corpus_for(video)? {
+            Some(loaded) => Some(loaded),
+            None => self.crawl_corpus(video)?,
+        };
+        let Some((corpus, duration)) = loaded else {
+            return Ok(None);
+        };
         let dots = self
             .models
             .initializer
@@ -435,12 +435,13 @@ impl LightorService {
     /// only, zero re-tokenization) → tokenize the chat view (corpus-local
     /// ids, see [`lightor::corpus`]) and lazily persist the result as a
     /// v3 companion so no future load (this process or the next) pays
-    /// the tokenization again. A record the decoder refuses (corrupt, or
-    /// written with process-wide ids) takes the last step and is
-    /// overwritten. Companion write failures are swallowed: the corpus
-    /// is correct either way, and the upgrade retries on the next cold
-    /// load — a read path must not flip the service into degraded mode
-    /// over an optional cache write.
+    /// the tokenization again. A companion the store cannot read or the
+    /// decoder refuses (corrupt, or written with process-wide ids) is
+    /// absent to this path, which rebuilds and overwrites it. Companion
+    /// write failures are swallowed: the corpus is correct either way,
+    /// and the upgrade retries on the next cold load — a read path must
+    /// not flip the service into degraded mode over an optional cache
+    /// write.
     fn corpus_for(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
         let meta_duration = self.platform.video_meta(video).map(|m| m.duration);
         if let Some(corpus) = self.corpora.lock().get(&video) {
@@ -451,7 +452,7 @@ impl LightorService {
         let (view, tok) = {
             let stores = self.stores.lock();
             match stores.chat.get_chat_view(video)? {
-                Some(v) => (v, stores.chat.get_tokenized(video)?),
+                Some(v) => (v, stores.chat.get_tokenized(video)),
                 None => return Ok(None),
             }
         };
@@ -466,7 +467,7 @@ impl LightorService {
                     ts,
                     rec.word_counts,
                     &rec.token_ends,
-                    &rec.token_ids,
+                    rec.token_ids,
                     rec.dim as usize,
                 ) {
                     self.tok_hits.fetch_add(1, Ordering::Relaxed);
@@ -482,6 +483,52 @@ impl LightorService {
         if self.stores.lock().chat.put_tokenized(&record).is_ok() {
             self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
         }
+        self.corpora.lock().insert(video, corpus.clone());
+        Ok(Some((corpus, duration)))
+    }
+
+    /// First sight of a video the store does not hold: tokenize the
+    /// platform's replay with no lock held, then let one online crawl
+    /// ([`Crawler::crawl_video`]) store its chat record and the v3
+    /// companion of that corpus under one sync. The chat record is the
+    /// view's sections copied verbatim, so the corpus is exactly the
+    /// one a later load of the stored record would build. Counted like
+    /// any re-tokenization: one tokenized miss, plus one lazy upgrade
+    /// when the companion lands. `Ok(None)` when the platform does not
+    /// know the video.
+    fn crawl_corpus(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
+        let Some(view) = self.platform.fetch_chat(video) else {
+            return Ok(None);
+        };
+        let corpus = TokenizedChat::build_from_view(view);
+        let companion = format::encode_v3_columns(
+            video,
+            corpus.dim() as u32,
+            corpus.token_ends(),
+            corpus.token_ids(),
+            corpus.word_counts(),
+        );
+        let crawled = {
+            let mut stores = self.stores.lock();
+            Crawler::new(&self.platform).crawl_video(video, &mut stores.chat, Some(&companion))?
+        };
+        match crawled {
+            OnlineCrawl::Stored { companion } => {
+                self.tok_misses.fetch_add(1, Ordering::Relaxed);
+                if companion {
+                    self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            // A racing first sight stored it first: load what it stored.
+            OnlineCrawl::AlreadyStored => return self.corpus_for(video),
+            OnlineCrawl::Unknown => return Ok(None),
+        }
+        let duration = self
+            .platform
+            .video_meta(video)
+            .map(|m| m.duration)
+            .unwrap_or_else(|| view.last_ts().unwrap_or(Sec::ZERO));
+        let corpus = Arc::new(corpus);
         self.corpora.lock().insert(video, corpus.clone());
         Ok(Some((corpus, duration)))
     }
@@ -1061,6 +1108,7 @@ impl LightorService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Fault, FaultKind};
     use lightor::{
         DotType, ExtractorConfig, FeatureSet, HighlightExtractor, HighlightInitializer,
         InitializerConfig, PlayPositionFeatures, TrainingVideo, TypeClassifier,
@@ -1166,11 +1214,76 @@ mod tests {
             let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
             p.recent_videos(p.channels()[0].id)[0]
         };
-        let before = svc.stats().record_cache_misses;
+        let before = svc.stats();
         svc.open_video(vid).unwrap().unwrap();
-        // The crawl cached the view it wrote; the corpus load hit it.
-        assert_eq!(svc.stats().record_cache_misses, before);
-        assert!(svc.stats().record_cache_hits > 0);
+        // The first sight tokenized the platform's replay before the
+        // crawl stored it, so the record cache saw neither a hit nor a
+        // miss; the crawl left the view it stored there for later
+        // reads.
+        let after = svc.stats();
+        assert_eq!(after.record_cache_hits, before.record_cache_hits);
+        assert_eq!(after.record_cache_misses, before.record_cache_misses);
+        assert!(svc.stores.lock().chat.get_chat_view(vid).unwrap().is_some());
+        assert_eq!(svc.stats().record_cache_hits, before.record_cache_hits + 1);
+    }
+
+    #[test]
+    fn first_sight_syncs_the_chat_log_once() {
+        // The chat record and its companion share one sync: with the
+        // chat log's second sync armed to fail, a first sight never
+        // reaches it and still persists its companion.
+        let dir = TempDir::new("first-sight-sync");
+        let svc = service(&dir.0);
+        let vid = {
+            let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+            p.recent_videos(p.channels()[0].id)[0]
+        };
+        svc.fault_injector()
+            .arm(Fault::nth("log.sync", 1, FaultKind::Error));
+        svc.open_video(vid).unwrap().unwrap();
+        assert_eq!(svc.fault_injector().fired("log.sync"), 0);
+        let stats = svc.stats();
+        assert_eq!(stats.tokenized_misses, 1);
+        assert_eq!(stats.tokenized_lazy_upgrades, 1);
+        assert!(!svc.is_degraded());
+        assert!(svc.stores.lock().chat.has_tokenized(vid));
+    }
+
+    #[test]
+    fn an_unreadable_companion_is_retokenized_once() {
+        // A companion read that fails its CRC is a cache miss, not an
+        // I/O error: the corpus is rebuilt and the companion rewritten
+        // once, and the service stays healthy.
+        let dir = TempDir::new("short-read");
+        let svc = service(&dir.0);
+        let vid = {
+            let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+            p.recent_videos(p.channels()[0].id)[0]
+        };
+        let dots = svc.open_video(vid).unwrap().unwrap();
+        let k = ServiceConfig::default().top_k;
+        svc.clear_corpus_cache();
+        svc.fault_injector().arm(Fault::once(
+            "log.read",
+            FaultKind::ShortRead { drop_bytes: 4 },
+        ));
+        let before = svc.stats();
+        assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
+        assert_eq!(svc.fault_injector().fired("log.read"), 1);
+        let after = svc.stats();
+        assert_eq!(after.tokenized_misses, before.tokenized_misses + 1);
+        assert_eq!(after.tokenized_hits, before.tokenized_hits);
+        assert_eq!(
+            after.tokenized_lazy_upgrades,
+            before.tokenized_lazy_upgrades + 1
+        );
+        assert!(!svc.is_degraded());
+        // The rewritten companion decodes on the next cold load.
+        svc.clear_corpus_cache();
+        assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
+        let again = svc.stats();
+        assert_eq!(again.tokenized_hits, after.tokenized_hits + 1);
+        assert_eq!(again.tokenized_misses, after.tokenized_misses);
     }
 
     #[test]

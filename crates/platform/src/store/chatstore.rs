@@ -42,12 +42,23 @@
 //! cache of decoded views sits in front of the log, so repeated opens
 //! of a hot video cost a hash lookup plus an `Arc` bump. The owned
 //! [`ChatStore::get_chat`] materializes from the same view. Writes go
-//! through [`ChatStore::put_chat`], or [`ChatStore::put_chats`] to
-//! batch many videos into one `sync`. A single synced put (a crawl or
-//! an imported record) leaves the view of the bytes it wrote in the
-//! cache, so reading a just-written video never touches the log; a
-//! failed append or sync leaves the cache and index on the previous
-//! durable record. Batched puts evict instead.
+//! through [`ChatStore::put_chat`] and [`ChatStore::put_chat_view`],
+//! or [`ChatStore::put_chats`] to batch many videos into one `sync`.
+//! The online crawl writes with
+//! [`ChatStore::put_chat_view_with_companion`]: the chat record and
+//! the tokenized companion built from the same view, appended back to
+//! back under one `sync`. A single synced put (a crawl or an imported
+//! record) leaves the view of the bytes it wrote in the cache (for a
+//! view put, the caller's view itself, whose sections the record
+//! copies verbatim), so reading a just-written video never touches
+//! the log; a failed append or sync leaves the cache and index on the
+//! previous durable record. Batched puts evict instead.
+//!
+//! [`ChatStore::get_tokenized`] reads a companion from the log each
+//! time (the service caches the corpus it builds, not the record). The
+//! companion is a cache of the chat record, so a read that fails or a
+//! record that does not decode counts as absent, and the caller
+//! re-tokenizes.
 
 use super::format::{self, Format, TokenizedRecord};
 use super::frame;
@@ -176,11 +187,61 @@ impl ChatStore {
         self.put_one_synced(format::encode_v2(video, chat), video)
     }
 
-    /// Store (or replace) a video's chat replay from a zero-copy view —
-    /// the crawler's path: the view is already columnar, so encoding is
-    /// section copies with no per-message materialization.
+    /// Store (or replace) a video's chat replay from a zero-copy view:
+    /// [`ChatStore::put_chat_view_with_companion`] without a companion.
     pub fn put_chat_view(&mut self, video: VideoId, chat: &ChatLogView) -> std::io::Result<()> {
-        self.put_one_synced(format::encode_v2_view(video, chat), video)
+        self.put_chat_view_with_companion(video, chat, None)
+            .map(drop)
+    }
+
+    /// Store (or replace) a video's chat replay from a zero-copy view,
+    /// together with the tokenized companion built from that same view
+    /// (an encoded v3 payload for `video`, see
+    /// [`format::encode_v3_columns`]), under **one** `sync`: the online
+    /// crawl's write. The view is already columnar, so the chat record
+    /// is section copies with no per-message materialization. Returns
+    /// whether the companion landed.
+    ///
+    /// Failures keep the order of a chat put followed by a companion
+    /// put. A failed chat append is an error and writes nothing else.
+    /// A failed companion append is trimmed and swallowed: the
+    /// companion is a cache of the chat record, and the chat record is
+    /// still written. A failed sync is an error and indexes neither
+    /// record, leaving readers on the previous durable record.
+    ///
+    /// Once synced, the chat record's bytes are the view's sections
+    /// verbatim, so the view itself goes into the record cache: the
+    /// next read of the video is a cache hit, with no decode.
+    pub fn put_chat_view_with_companion(
+        &mut self,
+        video: VideoId,
+        chat: &ChatLogView,
+        companion: Option<&[u8]>,
+    ) -> std::io::Result<bool> {
+        if let Some(payload) = companion {
+            match format::sniff(payload) {
+                Some(info) if info.format == Format::V3 && info.video == video => {}
+                _ => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!("companion is not a tokenized record of video {}", video.0),
+                    ))
+                }
+            }
+        }
+        let payload = format::encode_v2_view(video, chat);
+        let id = self.log.append(&payload)?;
+        let tok = companion.and_then(|c| {
+            let id = self.log.append_with_point(c, "log.tok.write").ok()?;
+            Some((id, c.len()))
+        });
+        self.log.sync()?;
+        self.index_insert(video, id, payload.len());
+        if let Some((id, len)) = tok {
+            self.tok_index_insert(video, id, len);
+        }
+        self.cache.lock().insert(video, chat.clone());
+        Ok(tok.is_some())
     }
 
     /// Append one record and make it durable *before* publishing it in
@@ -287,7 +348,14 @@ impl ChatStore {
     fn put_tokenized_payload(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<()> {
         let id = self.log.append_with_point(&payload, "log.tok.write")?;
         self.log.sync()?;
-        let framed = payload.len() as u64 + FRAME_OVERHEAD;
+        self.tok_index_insert(video, id, payload.len());
+        Ok(())
+    }
+
+    /// Point a video's companion entry at a fresh record, keeping the
+    /// live-byte tally consistent (a replaced companion becomes dead).
+    fn tok_index_insert(&mut self, video: VideoId, id: RecordId, payload_len: usize) {
+        let framed = payload_len as u64 + FRAME_OVERHEAD;
         if let Some(old) = self.tok_index.insert(
             video,
             IndexEntry {
@@ -298,22 +366,19 @@ impl ChatStore {
             self.live_bytes -= old.framed_bytes;
         }
         self.live_bytes += framed;
-        Ok(())
     }
 
-    /// Fetch a video's tokenized-corpus companion, if one is live.
+    /// Fetch a video's tokenized-corpus companion, if one is live and
+    /// readable.
     ///
-    /// A record that fails CRC surfaces as an I/O error; one that fails
-    /// v3 validation decodes to `None` (callers re-tokenize the chat).
-    pub fn get_tokenized(&self, video: VideoId) -> std::io::Result<Option<TokenizedRecord>> {
-        match self.tok_index.get(&video) {
-            Some(entry) => Ok(self
-                .log
-                .read(entry.id)
-                .ok()
-                .and_then(|p| format::decode_v3(&p))),
-            None => Ok(None),
-        }
+    /// The companion is a cache of the chat record, so anything that
+    /// keeps it from being used counts as absent: a read that fails
+    /// (an I/O error, a CRC mismatch, a missing segment) and a record
+    /// the v3 decoder refuses both give `None`, and callers re-tokenize
+    /// the chat record.
+    pub fn get_tokenized(&self, video: VideoId) -> Option<TokenizedRecord> {
+        let entry = self.tok_index.get(&video)?;
+        format::decode_v3(&self.log.read(entry.id).ok()?)
     }
 
     /// Whether a live tokenized companion exists for `video`.
@@ -688,7 +753,7 @@ mod tests {
                     );
                 }
                 let rec = sample_tokenized(VideoId(2));
-                assert_eq!(store.get_tokenized(VideoId(2)).unwrap(), Some(rec.clone()));
+                assert_eq!(store.get_tokenized(VideoId(2)), Some(rec.clone()));
                 assert_eq!(store.dead_bytes(), 0, "{case}: failed frame trimmed");
 
                 // … and after a reopen.
@@ -697,8 +762,84 @@ mod tests {
                 assert_eq!(store.video_count(), 2, "{case}");
                 assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), sample_chat());
                 assert_eq!(store.get_chat(VideoId(2)).unwrap().unwrap(), sample_chat());
-                assert_eq!(store.get_tokenized(VideoId(2)).unwrap(), Some(rec));
+                assert_eq!(store.get_tokenized(VideoId(2)), Some(rec));
                 assert!(!store.has_tokenized(VideoId(1)), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crawl_and_its_companion_share_one_sync() {
+        let dir = TempDir::new("crawl-companion");
+        let mut store = ChatStore::open(&dir.0).unwrap();
+        let view = ChatLogView::from_chat_log(&sample_chat());
+        let rec = sample_tokenized(VideoId(1));
+        let companion = format::encode_v3(&rec);
+        store
+            .fault_injector()
+            .arm(Fault::nth("log.sync", 1, FaultKind::Error));
+        assert!(store
+            .put_chat_view_with_companion(VideoId(1), &view, Some(&companion))
+            .unwrap());
+        assert_eq!(store.fault_injector().fired("log.sync"), 0);
+        assert_eq!(store.get_tokenized(VideoId(1)), Some(rec.clone()));
+        // The stored view went into the record cache as it was given.
+        let cached = store.get_chat_view(VideoId(1)).unwrap().unwrap();
+        assert!(Arc::ptr_eq(cached.buffer(), view.buffer()));
+        assert_eq!(store.cache_stats(), (1, 0));
+        assert_eq!(store.dead_bytes(), 0);
+        drop(store);
+        let store = ChatStore::open(&dir.0).unwrap();
+        assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), sample_chat());
+        assert_eq!(store.get_tokenized(VideoId(1)), Some(rec));
+        // A companion of another video is refused before any write.
+        let mut store = store;
+        let bytes = store.total_bytes();
+        let err = store
+            .put_chat_view_with_companion(VideoId(2), &view, Some(&companion))
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(store.total_bytes(), bytes);
+    }
+
+    #[test]
+    fn crawl_with_companion_fails_in_the_order_of_two_puts() {
+        let view = ChatLogView::from_chat_log(&sample_chat());
+        let companion = format::encode_v3(&sample_tokenized(VideoId(1)));
+        for (point, kind) in [
+            ("log.append.write", FaultKind::Error),
+            ("log.tok.write", FaultKind::TornWrite { keep: 9 }),
+            ("log.sync", FaultKind::Error),
+        ] {
+            let dir = TempDir::new("crawl-faults");
+            let mut store = ChatStore::open(&dir.0).unwrap();
+            store.fault_injector().arm(Fault::once(point, kind));
+            let put = store.put_chat_view_with_companion(VideoId(1), &view, Some(&companion));
+            assert_eq!(store.fault_injector().fired(point), 1, "{point}");
+            match point {
+                // A torn companion is trimmed and swallowed; the chat
+                // record is written.
+                "log.tok.write" => {
+                    assert!(!put.unwrap(), "{point}");
+                    assert!(store.contains(VideoId(1)));
+                    assert!(!store.has_tokenized(VideoId(1)));
+                    assert_eq!(store.dead_bytes(), 0, "torn frame trimmed");
+                }
+                // A failed chat append writes nothing else; a failed
+                // sync indexes neither record.
+                _ => {
+                    assert!(put.is_err(), "{point}");
+                    assert!(!store.contains(VideoId(1)), "{point}");
+                    assert!(!store.has_tokenized(VideoId(1)), "{point}");
+                    assert!(store.get_chat_view(VideoId(1)).unwrap().is_none());
+                }
+            }
+            if point == "log.append.write" {
+                assert_eq!(
+                    store.total_bytes(),
+                    0,
+                    "no companion after a failed chat append"
+                );
             }
         }
     }
@@ -784,13 +925,13 @@ mod tests {
         store.put_tokenized(&rec).unwrap();
         assert!(store.has_tokenized(VideoId(1)));
         assert_eq!(store.tokenized_count(), 1);
-        assert_eq!(store.get_tokenized(VideoId(1)).unwrap().unwrap(), rec);
-        assert!(store.get_tokenized(VideoId(2)).unwrap().is_none());
+        assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), rec);
+        assert!(store.get_tokenized(VideoId(2)).is_none());
         // The companion is rebuilt from the scan on reopen, and the
         // chat record still reads as chat.
         drop(store);
         let store = ChatStore::open(&dir.0).unwrap();
-        assert_eq!(store.get_tokenized(VideoId(1)).unwrap().unwrap(), rec);
+        assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), rec);
         assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), sample_chat());
         assert_eq!(store.video_count(), 1);
     }
@@ -804,7 +945,7 @@ mod tests {
         // A re-crawl invalidates the tokenization, immediately...
         store.put_chat(VideoId(1), &ChatLog::empty()).unwrap();
         assert!(!store.has_tokenized(VideoId(1)));
-        assert!(store.get_tokenized(VideoId(1)).unwrap().is_none());
+        assert!(store.get_tokenized(VideoId(1)).is_none());
         // ...and across a reopen (scan order: chat record came later).
         drop(store);
         let store = ChatStore::open(&dir.0).unwrap();
@@ -827,11 +968,11 @@ mod tests {
         store.put_chat(VideoId(2), &sample_chat()).unwrap(); // dead bytes
         let stats = store.compact().unwrap();
         assert_eq!(stats.live_records, 3, "2 chat + 1 companion");
-        assert_eq!(store.get_tokenized(VideoId(1)).unwrap().unwrap(), rec);
+        assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), rec);
         assert_eq!(store.dead_bytes(), 0);
         drop(store);
         let store = ChatStore::open(&dir.0).unwrap();
-        assert_eq!(store.get_tokenized(VideoId(1)).unwrap().unwrap(), rec);
+        assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), rec);
         assert_eq!(store.get_chat(VideoId(2)).unwrap().unwrap(), sample_chat());
     }
 
@@ -867,7 +1008,7 @@ mod tests {
         store
             .import_tokenized(VideoId(1), format::encode_v3(&changed))
             .unwrap();
-        assert_eq!(store.get_tokenized(VideoId(1)).unwrap().unwrap(), changed);
+        assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), changed);
         assert!(store.total_bytes() > bytes_after_first);
         // Export ships exactly the live bytes.
         assert_eq!(

@@ -29,11 +29,13 @@
 //! | `log.tok.write` | tokenized-companion (v3) record `write_all` |
 //! | `log.append.trim` | `set_len` rollback after a failed segment append |
 //! | `log.sync` | segment `sync_data` |
+//! | `log.roll.dirsync` | directory fsync after a segment roll creates the next segment |
 //! | `log.read` | record read (post-read corruption) |
 
 use parking_lot::Mutex;
 use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -237,6 +239,14 @@ impl FaultInjector {
     pub fn sync_all(&self, point: &'static str, file: &File) -> std::io::Result<()> {
         match self.check(point) {
             None => file.sync_all(),
+            Some(_) => Err(injected(point)),
+        }
+    }
+
+    /// A directory fsync through the seam (a new entry made durable).
+    pub fn sync_dir(&self, point: &'static str, dir: &Path) -> std::io::Result<()> {
+        match self.check(point) {
+            None => super::sync_dir(dir),
             Some(_) => Err(injected(point)),
         }
     }

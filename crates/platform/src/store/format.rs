@@ -61,7 +61,7 @@
 //! its magic, version and exact length equations all hold; anything
 //! else is not a record of this store.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use lightor_types::{ChatLog, ChatLogView, ColumnarLayout, VideoId};
 use std::sync::Arc;
 
@@ -103,7 +103,7 @@ pub struct RecordInfo {
 pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
     let n = chat.len();
     let blob_len: usize = chat.messages().iter().map(|m| m.text.len()).sum();
-    let mut buf = BytesMut::with_capacity(V2_HEADER + 20 * n + 4 + blob_len);
+    let mut buf = Vec::with_capacity(V2_HEADER + 20 * n + 4 + blob_len);
     buf.put_u32_le(V2_MAGIC);
     buf.put_u16_le(V2_VERSION);
     buf.put_u16_le(0); // flags, reserved
@@ -124,7 +124,7 @@ pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
     for m in chat.messages() {
         buf.put_slice(m.text.as_bytes());
     }
-    buf.to_vec()
+    buf
 }
 
 /// Encode a zero-copy view as a v2 (columnar) record.
@@ -137,7 +137,7 @@ pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
 pub fn encode_v2_view(video: VideoId, chat: &ChatLogView) -> Vec<u8> {
     let n = chat.len();
     let text = chat.text_section();
-    let mut buf = BytesMut::with_capacity(V2_HEADER + 20 * n + 4 + text.len());
+    let mut buf = Vec::with_capacity(V2_HEADER + 20 * n + 4 + text.len());
     buf.put_u32_le(V2_MAGIC);
     buf.put_u16_le(V2_VERSION);
     buf.put_u16_le(0); // flags, reserved
@@ -148,7 +148,7 @@ pub fn encode_v2_view(video: VideoId, chat: &ChatLogView) -> Vec<u8> {
     buf.put_slice(chat.ends_section());
     buf.put_u32_le(text.len() as u32);
     buf.put_slice(text);
-    buf.to_vec()
+    buf
 }
 
 /// Compute the v2 layout of `payload` if (and only if) it is a valid v2
@@ -235,34 +235,48 @@ impl TokenizedRecord {
 
 /// Encode a tokenized corpus as a v3 record, with an empty trailer.
 pub fn encode_v3(record: &TokenizedRecord) -> Vec<u8> {
-    let n = record.token_ends.len();
-    debug_assert_eq!(record.word_counts.len(), n);
+    encode_v3_columns(
+        record.video,
+        record.dim,
+        &record.token_ends,
+        &record.token_ids,
+        &record.word_counts,
+    )
+}
+
+/// [`encode_v3`] from borrowed columns (a corpus's own), so persisting
+/// a freshly built corpus copies each column once, into the record.
+pub fn encode_v3_columns(
+    video: VideoId,
+    dim: u32,
+    token_ends: &[u32],
+    token_ids: &[u32],
+    word_counts: &[u32],
+) -> Vec<u8> {
+    let n = token_ends.len();
+    debug_assert_eq!(word_counts.len(), n);
     debug_assert_eq!(
-        record.token_ends.last().copied().unwrap_or(0) as usize,
-        record.token_ids.len()
+        token_ends.last().copied().unwrap_or(0) as usize,
+        token_ids.len()
     );
-    let mut buf = BytesMut::with_capacity(V3_HEADER + 4 * (2 * n + record.token_ids.len()) + 12);
+    let mut buf = Vec::with_capacity(V3_HEADER + 4 * (2 * n + token_ids.len()) + 12);
     buf.put_u32_le(V3_MAGIC);
     buf.put_u16_le(V3_VERSION);
     buf.put_u16_le(0); // flags, reserved
-    buf.put_u64_le(record.video.0);
+    buf.put_u64_le(video.0);
     buf.put_u32_le(n as u32);
-    buf.put_u32_le(record.dim);
-    buf.put_u32_le(record.token_ids.len() as u32);
-    for &end in &record.token_ends {
-        buf.put_u32_le(end);
-    }
-    for &id in &record.token_ids {
-        buf.put_u32_le(id);
-    }
-    for &wc in &record.word_counts {
-        buf.put_u32_le(wc);
+    buf.put_u32_le(dim);
+    buf.put_u32_le(token_ids.len() as u32);
+    for column in [token_ends, token_ids, word_counts] {
+        for &x in column {
+            buf.put_u32_le(x);
+        }
     }
     // The empty trailer: vocab base, vocab count and blob length.
     buf.put_u32_le(0);
     buf.put_u32_le(0);
     buf.put_u32_le(0);
-    buf.to_vec()
+    buf
 }
 
 /// Section offsets of a v3 record, computed (and bounds-checked)
@@ -325,9 +339,12 @@ fn v3_layout(payload: &[u8]) -> Option<V3Layout> {
     })
 }
 
+/// `count` little-endian `u32`s starting at `off` (bounds checked by
+/// the layout): one slice, then a loop the compiler can vectorize.
 fn read_u32s(payload: &[u8], off: usize, count: usize) -> Vec<u32> {
-    (0..count)
-        .map(|i| read_u32_at(payload, off + 4 * i))
+    payload[off..off + 4 * count]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
         .collect()
 }
 
@@ -355,7 +372,7 @@ pub fn decode_v3(payload: &[u8]) -> Option<TokenizedRecord> {
         return None;
     }
     let token_ids = read_u32s(payload, l.ids_off, l.token_total);
-    if token_ids.iter().any(|&id| id >= l.dim) {
+    if token_ids.iter().max().is_some_and(|&id| id >= l.dim) {
         return None;
     }
     Some(TokenizedRecord {

@@ -164,16 +164,24 @@ impl SegmentLog {
         self.fault = injector;
     }
 
+    /// Start the next segment. Its directory entry is fsynced before
+    /// any record goes into it, as a scan skips a missing segment: a
+    /// crash must not be able to drop the entry of a segment holding
+    /// synced records. The new segment becomes active only once that
+    /// fsync succeeded; after a failure the next append retries the
+    /// roll and reuses the empty file.
     fn roll(&mut self) -> std::io::Result<()> {
         self.sync()?;
-        self.active += 1;
-        let path = segment_path(&self.dir, self.active);
-        self.active_file = OpenOptions::new()
+        let next = self.active + 1;
+        let file = OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
             .truncate(false) // fresh segment; nothing to truncate
-            .open(path)?;
+            .open(segment_path(&self.dir, next))?;
+        self.fault.sync_dir("log.roll.dirsync", &self.dir)?;
+        self.active = next;
+        self.active_file = file;
         self.active_len = 0;
         Ok(())
     }
@@ -285,6 +293,7 @@ impl SegmentLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Fault, FaultKind};
 
     struct TempDir(PathBuf);
     impl TempDir {
@@ -331,6 +340,35 @@ mod tests {
         assert_eq!(all.len(), 10);
         assert_eq!(all[0].1, b"record-00-padding-padding");
         assert_eq!(all[9].1, b"record-09-padding-padding");
+    }
+
+    #[test]
+    fn a_roll_fsyncs_the_directory_before_using_the_segment() {
+        let dir = TempDir::new("roll-dirsync");
+        let mut log = SegmentLog::open(&dir.0, 64).unwrap();
+        let first = log.append(b"record-00-padding-padding-padding").unwrap();
+        log.fault_injector()
+            .arm(Fault::once("log.roll.dirsync", FaultKind::Error));
+        // The next record does not fit: the roll fails at the fsync and
+        // the append with it, and segment 0 stays active.
+        assert!(log.append(b"record-01-padding-padding-padding").is_err());
+        assert_eq!(log.fault_injector().fired("log.roll.dirsync"), 1);
+        assert_eq!(log.active_segment(), 0);
+        // The retry rolls into the (empty) segment the failed roll made.
+        let second = log.append(b"record-01-padding-padding-padding").unwrap();
+        assert_eq!(second.segment, 1);
+        log.sync().unwrap();
+        drop(log);
+        let log = SegmentLog::open(&dir.0, 64).unwrap();
+        assert_eq!(
+            log.read(first).unwrap(),
+            b"record-00-padding-padding-padding"
+        );
+        assert_eq!(
+            log.read(second).unwrap(),
+            b"record-01-padding-padding-padding"
+        );
+        assert_eq!(log.scan().unwrap().len(), 2);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Worker-thread-count independence of the scoring pipeline, driven
 //! through the rayon stub's `RAYON_NUM_THREADS` knob.
 //!
+//! Scoring one video runs on the caller's thread; the stub's parallel
+//! regions are one level up (training featurizes its videos with
+//! `par_iter`). The loop below pins that no thread count changes a
+//! video's dots, whichever layer a future change parallelizes.
+//!
 //! This lives in its own integration-test binary on purpose: it
 //! mutates the process environment, and `std::env::set_var` racing a
-//! concurrent `std::env::var` (which the rayon stub performs on every
-//! `featurize_windows` call) is undefined behaviour on glibc. A single
+//! concurrent `std::env::var` (which the rayon stub performs each time
+//! a parallel region starts) is undefined behaviour on glibc. A single
 //! `#[test]` in a dedicated binary means nothing else reads the
 //! variable while it is being written.
 

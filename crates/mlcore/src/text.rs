@@ -230,78 +230,48 @@ impl Vocab {
     }
 }
 
-/// Words at most this long are held inline in a [`WordInterner`] slot.
+/// Raw words at most this long are keys of a [`WordInterner`]'s table.
 const INLINE_WORD: usize = 16;
-
-/// A slot's id for a raw word whose token is empty.
-const NO_TERM: u32 = u32::MAX;
-
-/// One [`WordInterner`] slot: a raw word of at most [`INLINE_WORD`]
-/// bytes, held as the two words [`short_words`] folds it into plus its
-/// length (`len == 0` marks a free slot; words are never empty), and
-/// the term id its token interned to.
-#[derive(Clone, Copy, Debug, Default)]
-struct WordSlot {
-    lo: u64,
-    hi: u64,
-    len: u32,
-    id: u32,
-}
 
 /// Term ids straight from raw text: the tokenizer front end of a
 /// corpus build.
 ///
 /// A token is a pure function of its whitespace-delimited raw word
-/// (see [`Tokenizer`]), and live chat repeats a few hundred distinct
-/// words thousands of times. So each raw word is looked up as it
-/// stands in an open-addressing table, and only a word seen for the
-/// first time is normalized ([`Tokenizer::normalize_word`]) and
-/// interned in the [`Vocab`]; the slot then maps the word to that term
-/// id, or to "no term" when it normalizes to nothing. A slot holds its
-/// word inline, as two `u64`s and the length, so a lookup compares
-/// three integers and chases no pointer. Words longer than 16 bytes
-/// are rare and skip the table: they are normalized and interned every
+/// (see [`Tokenizer`]). So each raw word is looked up as it stands,
+/// and only a word seen for the first time is normalized
+/// ([`Tokenizer::normalize_word`]) and interned in the [`Vocab`]; the
+/// table then maps the word to that term id, or to "no term" when it
+/// normalizes to nothing. A word of up to 16 bytes is keyed by value,
+/// as the two `u64`s the keyed hasher folds it into plus its length,
+/// so a lookup hashes and compares integers and chases no pointer.
+/// Longer words skip the table: they are normalized and interned every
 /// time.
+///
+/// This pays off only when raw words repeat. The simulated chat does:
+/// the bench video has 265 distinct raw words in 14.7k, and its build
+/// takes 0.70x the CPU of normalizing and interning every token. On a
+/// chat of the same shape whose words are all distinct, each word pays
+/// for a lookup and an insert on top, and the build takes 1.2–1.3x;
+/// the two break even near half the words distinct.
 ///
 /// Ids come from the [`Vocab`], in the first-seen order of *tokens*,
 /// exactly as interning every token would assign them; the table only
 /// caches them, so ids never depend on its hash key. The table hashes
 /// with the same keyed folded multiply and process key as the
 /// [`Vocab`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WordInterner {
     vocab: Vocab,
-    /// Power-of-two length, at most half full.
-    slots: Vec<WordSlot>,
-    /// Occupied slots.
-    words: usize,
-    key: TermHashKey,
+    /// Raw word (its [`short_words`] and length) → its token's id.
+    words: HashMap<(u64, u64, u32), Option<u32>, TermHashKey>,
     /// Normalization scratch for first-seen and long words.
     buf: String,
-}
-
-impl Default for WordInterner {
-    fn default() -> Self {
-        Self::with_key(TermHashKey::default())
-    }
 }
 
 impl WordInterner {
     /// An empty interner over a fresh [`Vocab`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn with_key(key: TermHashKey) -> Self {
-        WordInterner {
-            vocab: Vocab {
-                index: HashMap::with_hasher(key),
-            },
-            slots: vec![WordSlot::default(); 256],
-            words: 0,
-            key,
-            buf: String::new(),
-        }
     }
 
     /// Visit the term id of each token of `text` in order and return
@@ -324,30 +294,12 @@ impl WordInterner {
             return self.intern_word(word);
         }
         let (lo, hi) = short_words(bytes);
-        let len = bytes.len() as u32;
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot_hash(len, lo, hi) & mask;
-        loop {
-            let s = self.slots[i];
-            if s.len == len && s.lo == lo && s.hi == hi {
-                return (s.id != NO_TERM).then_some(s.id);
-            }
-            if s.len == 0 {
-                break;
-            }
-            i = (i + 1) & mask;
+        let key = (lo, hi, bytes.len() as u32);
+        if let Some(&id) = self.words.get(&key) {
+            return id;
         }
         let id = self.intern_word(word);
-        self.slots[i] = WordSlot {
-            lo,
-            hi,
-            len,
-            id: id.unwrap_or(NO_TERM),
-        };
-        self.words += 1;
-        if 2 * self.words > self.slots.len() {
-            self.grow();
-        }
+        self.words.insert(key, id);
         id
     }
 
@@ -355,28 +307,6 @@ impl WordInterner {
     fn intern_word(&mut self, word: &str) -> Option<u32> {
         let tok = Tokenizer.normalize_word(word, &mut self.buf);
         (!tok.is_empty()).then(|| self.vocab.intern(tok))
-    }
-
-    /// The slot a word hashes to: one keyed folded multiply (the
-    /// hasher's short-string step), whose low bits pick the slot.
-    fn slot_hash(&self, len: u32, lo: u64, hi: u64) -> usize {
-        let mut h = self.key.build_hasher();
-        h.write_short(len as usize, lo, hi);
-        h.acc as usize
-    }
-
-    /// Double the table and re-place every occupied slot.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots = vec![WordSlot::default(); 2 * old.len()];
-        let mask = self.slots.len() - 1;
-        for s in old.into_iter().filter(|s| s.len != 0) {
-            let mut i = self.slot_hash(s.len, s.lo, s.hi) & mask;
-            while self.slots[i].len != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
     }
 
     /// Number of distinct terms interned so far: a corpus's `dim`.
@@ -454,16 +384,6 @@ struct TermHasher {
     key: u64,
 }
 
-impl TermHasher {
-    /// Absorb a string of at most 16 bytes given as its length and the
-    /// two words [`short_words`] folds it into: one multiply.
-    #[inline]
-    fn write_short(&mut self, len: usize, a: u64, b: u64) {
-        let acc = self.acc.wrapping_add(len as u64).wrapping_mul(MUL);
-        self.acc = folded_multiply(a ^ acc, b ^ self.key);
-    }
-}
-
 /// The two words a string of at most 16 bytes folds into. Each length
 /// class reads windows that together cover every byte (the first,
 /// middle and last byte; the first and last 4; the first and last 8),
@@ -486,18 +406,17 @@ impl Hasher for TermHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let len = bytes.len();
-        if len <= INLINE_WORD {
-            let (a, b) = short_words(bytes);
-            self.write_short(len, a, b);
-            return;
-        }
         let mut acc = self.acc.wrapping_add(len as u64).wrapping_mul(MUL);
-        let mut rest = bytes;
-        while rest.len() > 16 {
-            acc = folded_multiply(read_u64(rest) ^ acc, read_u64(&rest[8..]) ^ self.key);
-            rest = &rest[16..];
-        }
-        let (a, b) = (read_u64(&bytes[len - 16..]), read_u64(&bytes[len - 8..]));
+        let (a, b) = if len <= 16 {
+            short_words(bytes)
+        } else {
+            let mut rest = bytes;
+            while rest.len() > 16 {
+                acc = folded_multiply(read_u64(rest) ^ acc, read_u64(&rest[8..]) ^ self.key);
+                rest = &rest[16..];
+            }
+            (read_u64(&bytes[len - 16..]), read_u64(&bytes[len - 8..]))
+        };
         self.acc = folded_multiply(a ^ acc, b ^ self.key);
     }
 
@@ -756,11 +675,15 @@ mod tests {
         let words_under = |mut words: WordInterner| -> Vec<Option<u32>> {
             raw.iter().map(|w| words.word_id(w)).collect()
         };
-        let wa = words_under(WordInterner::with_key(TermHashKey([1, 2])));
-        let wb = words_under(WordInterner::with_key(TermHashKey([
-            0x9e37_79b9_7f4a_7c15,
-            0xdead_beef,
-        ])));
+        let keyed = |key: [u64; 2]| WordInterner {
+            vocab: Vocab {
+                index: HashMap::with_hasher(TermHashKey(key)),
+            },
+            words: HashMap::with_hasher(TermHashKey(key)),
+            buf: String::new(),
+        };
+        let wa = words_under(keyed([1, 2]));
+        let wb = words_under(keyed([0x9e37_79b9_7f4a_7c15, 0xdead_beef]));
         let wc = words_under(WordInterner::new());
         assert_eq!(wa, wb);
         assert_eq!(wa, wc);

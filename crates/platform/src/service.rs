@@ -62,14 +62,14 @@
 
 use crate::cache::LruCache;
 use crate::crawler::{Crawler, OnlineCrawl};
-use crate::store::{format, ChatStore, FaultInjector, KvStore, TokenizedRecord};
+use crate::store::{format, ChatStore, FaultInjector, KvStore};
 use crate::wire::{
     self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse, StatsResponse,
     BUNDLE_FORMAT_VERSION,
 };
 use lightor::{DotProgress, ModelBundle, TokenizedChat};
 use lightor_chatsim::SimPlatform;
-use lightor_types::{Play, PlaySet, RedDot, Sec, Session, VideoId};
+use lightor_types::{ChatLogView, Play, PlaySet, RedDot, Sec, Session, VideoId};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -443,10 +443,11 @@ impl LightorService {
     /// not flip the service into degraded mode over an optional cache
     /// write.
     fn corpus_for(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
-        let meta_duration = self.platform.video_meta(video).map(|m| m.duration);
         if let Some(corpus) = self.corpora.lock().get(&video) {
-            let duration = meta_duration
-                .unwrap_or_else(|| Sec(corpus.timestamps().last().copied().unwrap_or(0.0)));
+            let duration = self.platform.video_meta(video).map_or_else(
+                || Sec(corpus.timestamps().last().copied().unwrap_or(0.0)),
+                |m| m.duration,
+            );
             return Ok(Some((corpus, duration)));
         }
         let (view, tok) = {
@@ -456,7 +457,6 @@ impl LightorService {
                 None => return Ok(None),
             }
         };
-        let duration = meta_duration.unwrap_or_else(|| view.last_ts().unwrap_or(Sec::ZERO));
         if let Some(rec) = tok {
             // The store orphans companions on chat overwrite, so a
             // mismatched message count means corruption — reject and
@@ -471,20 +471,19 @@ impl LightorService {
                     rec.dim as usize,
                 ) {
                     self.tok_hits.fetch_add(1, Ordering::Relaxed);
-                    let corpus = Arc::new(corpus);
-                    self.corpora.lock().insert(video, corpus.clone());
-                    return Ok(Some((corpus, duration)));
+                    return Ok(Some(self.cache_corpus(video, corpus, &view)));
                 }
             }
         }
-        self.tok_misses.fetch_add(1, Ordering::Relaxed);
-        let corpus = Arc::new(TokenizedChat::build_from_view(&view));
-        let record = Self::tokenized_record(video, &corpus);
-        if self.stores.lock().chat.put_tokenized(&record).is_ok() {
-            self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
-        }
-        self.corpora.lock().insert(video, corpus.clone());
-        Ok(Some((corpus, duration)))
+        let corpus = TokenizedChat::build_from_view(&view);
+        let companion = Self::companion(video, &corpus);
+        let upgraded = self
+            .stores
+            .lock()
+            .chat
+            .put_companion(video, &companion)
+            .is_ok();
+        Ok(Some(self.retokenized(video, corpus, upgraded, &view)))
     }
 
     /// First sight of a video the store does not hold: tokenize the
@@ -493,56 +492,71 @@ impl LightorService {
     /// companion of that corpus under one sync. The chat record is the
     /// view's sections copied verbatim, so the corpus is exactly the
     /// one a later load of the stored record would build. Counted like
-    /// any re-tokenization: one tokenized miss, plus one lazy upgrade
-    /// when the companion lands. `Ok(None)` when the platform does not
-    /// know the video.
+    /// any re-tokenization. `Ok(None)` when the platform does not know
+    /// the video.
     fn crawl_corpus(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
         let Some(view) = self.platform.fetch_chat(video) else {
             return Ok(None);
         };
         let corpus = TokenizedChat::build_from_view(view);
-        let companion = format::encode_v3_columns(
-            video,
-            corpus.dim() as u32,
-            corpus.token_ends(),
-            corpus.token_ids(),
-            corpus.word_counts(),
-        );
+        let companion = Self::companion(video, &corpus);
         let crawled = {
             let mut stores = self.stores.lock();
             Crawler::new(&self.platform).crawl_video(video, &mut stores.chat, Some(&companion))?
         };
         match crawled {
             OnlineCrawl::Stored { companion } => {
-                self.tok_misses.fetch_add(1, Ordering::Relaxed);
-                if companion {
-                    self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
-                }
+                Ok(Some(self.retokenized(video, corpus, companion, view)))
             }
             // A racing first sight stored it first: load what it stored.
-            OnlineCrawl::AlreadyStored => return self.corpus_for(video),
-            OnlineCrawl::Unknown => return Ok(None),
+            OnlineCrawl::AlreadyStored => self.corpus_for(video),
+            OnlineCrawl::Unknown => Ok(None),
         }
+    }
+
+    /// A freshly built corpus as a v3 companion payload: the corpus CSR
+    /// layout is the v3 column layout.
+    fn companion(video: VideoId, corpus: &TokenizedChat) -> Vec<u8> {
+        format::encode_v3_columns(
+            video,
+            corpus.dim() as u32,
+            corpus.token_ends(),
+            corpus.token_ids(),
+            corpus.word_counts(),
+        )
+    }
+
+    /// Count a re-tokenization — one tokenized miss, plus one lazy
+    /// upgrade when its companion landed — and cache the corpus.
+    fn retokenized(
+        &self,
+        video: VideoId,
+        corpus: TokenizedChat,
+        upgraded: bool,
+        view: &ChatLogView,
+    ) -> (Arc<TokenizedChat>, Sec) {
+        self.tok_misses.fetch_add(1, Ordering::Relaxed);
+        if upgraded {
+            self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
+        }
+        self.cache_corpus(video, corpus, view)
+    }
+
+    /// Put a corpus loaded from `view` in the corpus cache. Its
+    /// duration is the platform's, or else the last message's time.
+    fn cache_corpus(
+        &self,
+        video: VideoId,
+        corpus: TokenizedChat,
+        view: &ChatLogView,
+    ) -> (Arc<TokenizedChat>, Sec) {
         let duration = self
             .platform
             .video_meta(video)
-            .map(|m| m.duration)
-            .unwrap_or_else(|| view.last_ts().unwrap_or(Sec::ZERO));
+            .map_or_else(|| view.last_ts().unwrap_or(Sec::ZERO), |m| m.duration);
         let corpus = Arc::new(corpus);
         self.corpora.lock().insert(video, corpus.clone());
-        Ok(Some((corpus, duration)))
-    }
-
-    /// Flatten a freshly built corpus into the v3 persistence columns.
-    fn tokenized_record(video: VideoId, corpus: &TokenizedChat) -> TokenizedRecord {
-        TokenizedRecord {
-            video,
-            dim: corpus.dim() as u32,
-            // The corpus CSR layout IS the v3 column layout.
-            token_ends: corpus.token_ends().to_vec(),
-            token_ids: corpus.token_ids().to_vec(),
-            word_counts: corpus.word_counts().to_vec(),
-        }
+        (corpus, duration)
     }
 
     /// Load every stored video's corpus, preferring persisted v3

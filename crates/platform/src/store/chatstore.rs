@@ -75,6 +75,9 @@ use std::sync::Arc;
 /// ~100 KB per decoded replay this bounds cache memory to a few MB.
 const RECORD_CACHE_CAP: usize = 64;
 
+/// Size at which the log starts a new segment.
+const SEGMENT_BYTES: u64 = 8 << 20;
+
 /// Frame overhead the log adds per record (length + CRC header).
 const FRAME_OVERHEAD: u64 = frame::HEADER as u64;
 
@@ -122,7 +125,14 @@ impl ChatStore {
     /// messages; later records win, so a re-crawl replaces a video's
     /// chat record.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let log = SegmentLog::open(dir, 8 << 20)?;
+        Self::open_with_segment_bytes(dir, SEGMENT_BYTES)
+    }
+
+    fn open_with_segment_bytes(
+        dir: impl Into<PathBuf>,
+        segment_bytes: u64,
+    ) -> std::io::Result<Self> {
+        let log = SegmentLog::open(dir, segment_bytes)?;
         let mut index: HashMap<VideoId, IndexEntry> = HashMap::new();
         let mut tok_index: HashMap<VideoId, IndexEntry> = HashMap::new();
         log.scan_with(|id, payload| {
@@ -207,7 +217,8 @@ impl ChatStore {
     /// A failed companion append is trimmed and swallowed: the
     /// companion is a cache of the chat record, and the chat record is
     /// still written. A failed sync is an error and indexes neither
-    /// record, leaving readers on the previous durable record.
+    /// record, leaving readers on the previous durable record; that
+    /// includes the sync of a segment roll between the two appends.
     ///
     /// Once synced, the chat record's bytes are the view's sections
     /// verbatim, so the view itself goes into the record cache: the
@@ -219,22 +230,21 @@ impl ChatStore {
         companion: Option<&[u8]>,
     ) -> std::io::Result<bool> {
         if let Some(payload) = companion {
-            match format::sniff(payload) {
-                Some(info) if info.format == Format::V3 && info.video == video => {}
-                _ => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("companion is not a tokenized record of video {}", video.0),
-                    ))
-                }
-            }
+            check_companion(video, payload)?;
         }
         let payload = format::encode_v2_view(video, chat);
         let id = self.log.append(&payload)?;
-        let tok = companion.and_then(|c| {
-            let id = self.log.append_with_point(c, "log.tok.write").ok()?;
-            Some((id, c.len()))
-        });
+        let tok = match companion {
+            Some(c) => {
+                // A roll here syncs the segment holding the chat record,
+                // so its error is this put's: only the companion's own
+                // write may fail quietly.
+                self.log.make_room(c.len())?;
+                let id = self.log.append_with_point(c, "log.tok.write").ok();
+                id.map(|id| (id, c.len()))
+            }
+            None => None,
+        };
         self.log.sync()?;
         self.index_insert(video, id, payload.len());
         if let Some((id, len)) = tok {
@@ -327,26 +337,34 @@ impl ChatStore {
     }
 
     /// Store (or replace) a video's tokenized-corpus companion record,
-    /// durably. The video's chat record must already be stored (a
-    /// companion without chat data is meaningless and would be dropped
-    /// on reopen anyway), and `record.video` must match.
+    /// durably: [`ChatStore::put_companion`] of its v3 encoding.
     pub fn put_tokenized(&mut self, record: &TokenizedRecord) -> std::io::Result<()> {
-        if !self.index.contains_key(&record.video) {
+        self.put_companion(record.video, &format::encode_v3(record))
+    }
+
+    /// Store (or replace) a video's tokenized companion, given as an
+    /// encoded v3 payload for `video` (see
+    /// [`format::encode_v3_columns`]), durably. The video's chat record
+    /// must already be stored: a companion without chat data is
+    /// meaningless and would be dropped on reopen anyway.
+    pub fn put_companion(&mut self, video: VideoId, payload: &[u8]) -> std::io::Result<()> {
+        if !self.index.contains_key(&video) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!(
                     "tokenized companion for video {} has no chat record",
-                    record.video.0
+                    video.0
                 ),
             ));
         }
-        self.put_tokenized_payload(record.video, format::encode_v3(record))
+        check_companion(video, payload)?;
+        self.put_tokenized_payload(video, payload)
     }
 
     /// Append a pre-encoded v3 payload for `video`, durably, replacing
     /// any companion the store already holds for it.
-    fn put_tokenized_payload(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<()> {
-        let id = self.log.append_with_point(&payload, "log.tok.write")?;
+    fn put_tokenized_payload(&mut self, video: VideoId, payload: &[u8]) -> std::io::Result<()> {
+        let id = self.log.append_with_point(payload, "log.tok.write")?;
         self.log.sync()?;
         self.tok_index_insert(video, id, payload.len());
         Ok(())
@@ -446,7 +464,7 @@ impl ChatStore {
                 return Ok(()); // byte-identical companion already live
             }
         }
-        self.put_tokenized_payload(video, payload)
+        self.put_tokenized_payload(video, &payload)
     }
 
     /// Fetch a video's chat replay as a zero-copy view, if crawled.
@@ -565,6 +583,17 @@ impl ChatStore {
             return Ok(None);
         }
         self.compact().map(Some)
+    }
+}
+
+/// Refuse a companion payload that is not a v3 record of `video`.
+fn check_companion(video: VideoId, payload: &[u8]) -> std::io::Result<()> {
+    match format::sniff(payload) {
+        Some(info) if info.format == Format::V3 && info.video == video => Ok(()),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("companion is not a tokenized record of video {}", video.0),
+        )),
     }
 }
 
@@ -842,6 +871,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_roll_between_crawl_and_companion_fails_the_put_on_a_failed_sync() {
+        // Segments sized so the chat record fits and its companion does
+        // not: the companion append rolls, and the roll syncs the
+        // segment holding the chat record.
+        let view = ChatLogView::from_chat_log(&sample_chat());
+        let companion = format::encode_v3(&sample_tokenized(VideoId(1)));
+        let chat_framed = format::encode_v2_view(VideoId(1), &view).len() as u64 + FRAME_OVERHEAD;
+        let segment_bytes = chat_framed + FRAME_OVERHEAD + companion.len() as u64 - 1;
+        let dir = TempDir::new("crawl-roll-sync");
+        let mut store = ChatStore::open_with_segment_bytes(&dir.0, segment_bytes).unwrap();
+        store
+            .fault_injector()
+            .arm(Fault::once("log.sync", FaultKind::Error));
+        let put = store.put_chat_view_with_companion(VideoId(1), &view, Some(&companion));
+        assert_eq!(store.fault_injector().fired("log.sync"), 1);
+        assert!(put.is_err());
+        assert!(!store.contains(VideoId(1)));
+        assert!(!store.has_tokenized(VideoId(1)));
+        assert!(store.get_chat_view(VideoId(1)).unwrap().is_none());
+        assert_eq!(store.log.active_segment(), 0, "no companion written");
+
+        // With the fault spent the same put rolls, lands both records
+        // and reads them back after a reopen.
+        assert!(store
+            .put_chat_view_with_companion(VideoId(1), &view, Some(&companion))
+            .unwrap());
+        assert!(store.log.active_segment() > 0);
+        drop(store);
+        let store = ChatStore::open_with_segment_bytes(&dir.0, segment_bytes).unwrap();
+        assert_eq!(store.get_chat(VideoId(1)).unwrap().unwrap(), sample_chat());
+        assert_eq!(
+            store.get_tokenized(VideoId(1)),
+            Some(sample_tokenized(VideoId(1)))
+        );
     }
 
     #[test]

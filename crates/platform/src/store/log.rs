@@ -125,11 +125,7 @@ impl SegmentLog {
         payload: &[u8],
         point: &'static str,
     ) -> std::io::Result<RecordId> {
-        if self.active_len + (frame::HEADER + payload.len()) as u64 > self.max_segment_bytes
-            && self.active_len > 0
-        {
-            self.roll()?;
-        }
+        self.make_room(payload.len())?;
         let id = RecordId {
             segment: self.active,
             offset: self.active_len,
@@ -146,6 +142,21 @@ impl SegmentLog {
         self.active_len += framed;
         self.total_bytes += framed;
         Ok(id)
+    }
+
+    /// Roll to a fresh segment if a record of `payload_len` bytes would
+    /// not fit in the active one (a record never starts a segment
+    /// early, so one larger than a segment gets a segment to itself).
+    /// A roll syncs the active segment first: a caller that appended
+    /// records it has not synced yet learns here whether they are
+    /// durable, before the next [`SegmentLog::append`] can roll.
+    pub fn make_room(&mut self, payload_len: usize) -> std::io::Result<()> {
+        if self.active_len + (frame::HEADER + payload_len) as u64 > self.max_segment_bytes
+            && self.active_len > 0
+        {
+            self.roll()?;
+        }
+        Ok(())
     }
 
     /// Force buffered data to the OS.

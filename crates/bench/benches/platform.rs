@@ -49,9 +49,10 @@
 //!   environment's thread count (the rayon fan-out win shows on
 //!   multi-core hosts).
 //!
-//! The two ratios CI gates on rows of this binary that run back to back
-//! — `cold_rescore` / `warm_rescore` and `rebuild_raw` /
-//! `tokenize_per_token_reference` — are sampled interleaved
+//! The ratios CI gates on rows of this binary — `cold_rescore` /
+//! `warm_rescore`, `rebuild_raw` / `tokenize_per_token_reference` and
+//! `ack_patch_300_clients` / `ack_full_state_300_clients` — and the
+//! `via_router` / `direct` ratio CI prints are sampled interleaved
 //! (`BenchmarkGroup::bench_pair`, 50 pairs even in quick mode), so a
 //! host that changes speed between two rows cannot trip them.
 
@@ -68,6 +69,7 @@ use lightor_types::{
     ChannelId, ChatLog, ChatLogView, ChatMessage, GameKind, Highlight, LabeledVideo, Sec, UserId,
     VideoId, VideoMeta,
 };
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -188,32 +190,46 @@ fn bench_kv_put_throughput(c: &mut Criterion) {
     // One ack on a video with 300 acknowledged clients (64-bit ids) and
     // real initializer dots: the watermark-only merge patch the service
     // logs, vs a put of the whole state. Both rows share one store, so
-    // they pay the same amortized snapshots.
+    // they pay the same amortized snapshots, and one client/sequence
+    // counter. CI gates their ratio, so their samples are interleaved,
+    // 50 pairs of them in quick mode too.
     let mut state = ack_state(&dir.join("svc"), 300);
-    let mut kv = KvStore::open(dir.join("acks")).unwrap();
-    kv.put("video:1", &state).unwrap();
-    let (mut n, mut seq) = (0usize, 1u64);
-    g.bench_function("ack_patch_300_clients", |b| {
-        b.iter(|| {
-            (n, seq) = ((n + 1) % state.sessions.len(), seq + 1);
-            let mark = (
-                state.sessions[n].client.to_string(),
-                serde_json::Value::U64(seq),
-            );
-            let patch = serde_json::Value::Map(vec![(
-                "sessions".to_owned(),
-                serde_json::Value::Map(vec![mark]),
-            )]);
-            kv.merge("video:1", patch).unwrap();
-        })
-    });
-    g.bench_function("ack_full_state_300_clients", |b| {
-        b.iter(|| {
-            (n, seq) = ((n + 1) % state.sessions.len(), seq + 1);
-            state.sessions[n].seq = seq;
-            kv.put("video:1", &state).unwrap();
-        })
-    });
+    let clients: Vec<String> = state
+        .sessions
+        .iter()
+        .map(|s| s.client.to_string())
+        .collect();
+    let kv = RefCell::new(KvStore::open(dir.join("acks")).unwrap());
+    kv.borrow_mut().put("video:1", &state).unwrap();
+    let (n, seq) = (Cell::new(0usize), Cell::new(1u64));
+    let next_ack = || {
+        n.set((n.get() + 1) % clients.len());
+        seq.set(seq.get() + 1);
+        (n.get(), seq.get())
+    };
+    g.sample_size(50);
+    g.bench_pair(
+        "ack_patch_300_clients",
+        |b| {
+            b.iter(|| {
+                let (n, seq) = next_ack();
+                let mark = (clients[n].clone(), serde_json::Value::U64(seq));
+                let patch = serde_json::Value::Map(vec![(
+                    "sessions".to_owned(),
+                    serde_json::Value::Map(vec![mark]),
+                )]);
+                kv.borrow_mut().merge("video:1", patch).unwrap();
+            })
+        },
+        "ack_full_state_300_clients",
+        |b| {
+            b.iter(|| {
+                let (n, seq) = next_ack();
+                state.sessions[n].seq = seq;
+                kv.borrow_mut().put("video:1", &state).unwrap();
+            })
+        },
+    );
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -432,7 +448,8 @@ fn bench_http_serve(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("http_serve");
     g.throughput(Throughput::Elements(1));
-    // Warm page load: state-map hit + JSON + one socket round trip.
+    // Warm page load: state-map hit + a copy of the published JSON
+    // body + one socket round trip.
     g.bench_function("get_dots_warm", |b| {
         b.iter(|| {
             let resp = client.get(&dots_path).unwrap();
@@ -488,23 +505,30 @@ fn bench_router_proxy(c: &mut Criterion) {
 
     // Same warm GET measured with and without the extra hop — the gap
     // is the router's proxy overhead (parse + shard + forward + relay),
-    // budgeted at ≤ 2× the direct p50.
+    // budgeted at ≤ 2× the direct p50. The two rows' samples are
+    // interleaved, 50 pairs of them in quick mode too, so their ratio
+    // compares samples taken side by side.
     let mut g = c.benchmark_group("router_proxy");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("direct", |b| {
-        b.iter(|| {
-            let resp = direct.get(&dots_path).unwrap();
-            assert_eq!(resp.status, 200);
-            black_box(resp)
-        })
-    });
-    g.bench_function("via_router", |b| {
-        b.iter(|| {
-            let resp = via_router.get(&dots_path).unwrap();
-            assert_eq!(resp.status, 200);
-            black_box(resp)
-        })
-    });
+    g.sample_size(50);
+    g.bench_pair(
+        "direct",
+        |b| {
+            b.iter(|| {
+                let resp = direct.get(&dots_path).unwrap();
+                assert_eq!(resp.status, 200);
+                black_box(resp)
+            })
+        },
+        "via_router",
+        |b| {
+            b.iter(|| {
+                let resp = via_router.get(&dots_path).unwrap();
+                assert_eq!(resp.status, 200);
+                black_box(resp)
+            })
+        },
+    );
     g.finish();
     router.shutdown();
     backend.shutdown();

@@ -13,16 +13,20 @@
 //! The hot path is sharded so concurrent viewers don't serialize:
 //!
 //! * per-video refinement state lives behind its own `VideoEntry`
-//!   (a mutex'd [`VideoState`] plus an RCU-published dot snapshot),
+//!   (a mutex'd [`VideoState`] plus an RCU-published read snapshot),
 //!   reached through an `RwLock`'d map — sessions and refinement
 //!   rounds on *different* videos proceed in parallel, and the map's
 //!   write lock is only taken on first sight of a video;
-//! * dot *reads* never touch the per-video state mutex: every write
-//!   path that changes dot positions republishes an immutable
-//!   `Arc<Vec<RedDot>>` snapshot (an RCU-style swap), and
-//!   [`LightorService::cached_dots`] clones out of that snapshot — a
-//!   refinement round folding a large batch cannot stall `GET
-//!   /video/{id}/dots`;
+//! * dot *reads* never touch the per-video state mutex: every path
+//!   that installs an entry or changes dot positions (first sight, a
+//!   round that steps a dot, a bundle import, a restart's reload)
+//!   publishes an immutable snapshot of the dots *and* their encoded
+//!   [`DotsResponse`] body (an RCU-style swap). The encode runs once
+//!   per publish, on the publishing thread: a warm `GET
+//!   /video/{id}/dots` ([`LightorService::dots_body`]) shares the
+//!   published body and encodes nothing, and
+//!   [`LightorService::cached_dots`] copies the dots. A refinement
+//!   round folding a large batch cannot stall either;
 //! * the storage pair (chat log + KV snapshots) sits behind a single
 //!   mutex, touched only on cold opens and state persistence; a first
 //!   sight tokenizes the platform's replay before taking it, and holds
@@ -64,7 +68,7 @@ use crate::cache::LruCache;
 use crate::crawler::{Crawler, OnlineCrawl};
 use crate::store::{format, ChatStore, FaultInjector, KvStore};
 use crate::wire::{
-    self, BundleDto, BundleEntryDto, ExportRequest, ImportResponse, StatsResponse,
+    self, BundleDto, BundleEntryDto, DotsResponse, ExportRequest, ImportResponse, StatsResponse,
     BUNDLE_FORMAT_VERSION,
 };
 use lightor::{DotProgress, ModelBundle, TokenizedChat};
@@ -204,14 +208,15 @@ pub struct BatchOutcome {
     pub replayed: bool,
 }
 
-/// One tracked video: its mutable refinement state plus the published
-/// read-side dot snapshot. Writers mutate `state` under its mutex and
-/// republish; readers clone out of `dots` without ever touching the
-/// state mutex (RCU-style — the snapshot `Arc` is swapped atomically
-/// under a leaf lock held for nanoseconds).
+/// One tracked video: its mutable refinement state plus what readers
+/// share. Writers mutate `state` under its mutex and republish; readers
+/// copy out of `published` without ever touching the state mutex
+/// (RCU-style: the snapshot is swapped under a leaf lock held for
+/// nanoseconds).
 struct VideoEntry {
+    video: VideoId,
     state: Mutex<VideoState>,
-    dots: RwLock<Arc<Vec<RedDot>>>,
+    published: RwLock<Snapshot>,
     /// Set when persisting `state` failed, so the stored value may lag
     /// it: the next persist writes the whole state instead of a patch.
     /// Only read or written with the `state` mutex held, which orders
@@ -219,36 +224,65 @@ struct VideoEntry {
     stored_behind: AtomicBool,
 }
 
+/// The read side of one video, built once per publish: the dots and
+/// their encoded [`DotsResponse`] body. A warm `GET /video/{id}/dots`
+/// shares `body` and encodes nothing.
+struct Snapshot {
+    dots: Vec<RedDot>,
+    body: Arc<[u8]>,
+}
+
+impl Snapshot {
+    /// The read-side projection of a state (current positions, initial
+    /// scores) and its JSON body.
+    fn of(video: VideoId, state: &VideoState) -> Self {
+        let dots: Vec<RedDot> = state
+            .dots
+            .iter()
+            .map(|d| RedDot::new(d.current, d.initial.score))
+            .collect();
+        let body = serde_json::to_vec(&DotsResponse {
+            video: video.0,
+            dots: dots.iter().map(|&d| d.into()).collect(),
+        })
+        .expect("wire DTOs always serialize");
+        Snapshot {
+            dots,
+            body: body.into(),
+        }
+    }
+}
+
 impl VideoEntry {
-    fn new(state: VideoState) -> Arc<Self> {
-        let snap = Arc::new(snapshot_dots(&state));
+    /// An entry publishing `state`. Built before the entry is shared,
+    /// so the encode runs on the installing thread, never on a reader.
+    fn new(video: VideoId, state: VideoState) -> Arc<Self> {
+        let published = RwLock::new(Snapshot::of(video, &state));
         Arc::new(VideoEntry {
+            video,
             state: Mutex::new(state),
-            dots: RwLock::new(snap),
+            published,
             stored_behind: AtomicBool::new(false),
         })
     }
 
-    /// Swap in a fresh snapshot. Callers hold the state mutex, which
-    /// serializes publishers — readers never wait on it.
+    /// Build and swap in a fresh snapshot. Callers hold the state
+    /// mutex, which serializes publishers; readers never wait on it,
+    /// and the encode runs before the swap's write lock is taken.
     fn publish(&self, state: &VideoState) {
-        *self.dots.write() = Arc::new(snapshot_dots(state));
+        let fresh = Snapshot::of(self.video, state);
+        let _old = std::mem::replace(&mut *self.published.write(), fresh);
     }
 
     /// The published dots (never blocks on the state mutex).
-    fn snapshot(&self) -> Vec<RedDot> {
-        self.dots.read().as_ref().clone()
+    fn dots(&self) -> Vec<RedDot> {
+        self.published.read().dots.clone()
     }
-}
 
-/// The read-side projection of a state: current positions, initial
-/// scores.
-fn snapshot_dots(state: &VideoState) -> Vec<RedDot> {
-    state
-        .dots
-        .iter()
-        .map(|d| RedDot::new(d.current, d.initial.score))
-        .collect()
+    /// The published response body, shared, not copied.
+    fn body(&self) -> Arc<[u8]> {
+        self.published.read().body.clone()
+    }
 }
 
 /// The KV key prefix of every video's refinement state.
@@ -335,7 +369,7 @@ impl LightorService {
             if let Some(serde_json::Value::Seq(_)) = stored.get_key("sessions") {
                 kv.put(&key, &state)?;
             }
-            videos.insert(video, VideoEntry::new(state));
+            videos.insert(video, VideoEntry::new(video, state));
         }
         Ok(LightorService {
             models,
@@ -358,10 +392,42 @@ impl LightorService {
     /// dots, crawling chat and initializing dots on first sight.
     /// `Ok(None)` means the platform does not know the video.
     pub fn open_video(&self, video: VideoId) -> std::io::Result<Option<Vec<RedDot>>> {
+        Ok(self.open_entry(video, true)?.map(|entry| entry.dots()))
+    }
+
+    /// The `GET /video/{id}/dots` body of `video`: its [`DotsResponse`]
+    /// as JSON, encoded when its dots were published and shared by
+    /// every read until the next publish. A tracked video's body comes
+    /// straight from its snapshot, without the per-video state mutex.
+    /// An untracked one runs a first sight when `first_sight` is set
+    /// and answers with the body that first publish built. `Ok(None)`
+    /// when the platform does not know the video, or when it is not
+    /// tracked and `first_sight` is unset (degraded mode, where a
+    /// first sight's persist cannot run).
+    pub fn dots_body(
+        &self,
+        video: VideoId,
+        first_sight: bool,
+    ) -> std::io::Result<Option<Arc<[u8]>>> {
+        Ok(self
+            .open_entry(video, first_sight)?
+            .map(|entry| entry.body()))
+    }
+
+    /// The entry of `video`, running its first sight when it is not
+    /// tracked yet and `first_sight` is set.
+    fn open_entry(
+        &self,
+        video: VideoId,
+        first_sight: bool,
+    ) -> std::io::Result<Option<Arc<VideoEntry>>> {
         // Warm path: the published snapshot, no storage or model work —
         // and no per-video state mutex either.
-        if let Some(entry) = self.videos.read().get(&video).cloned() {
-            return Ok(Some(entry.snapshot()));
+        if let Some(entry) = self.videos.read().get(&video) {
+            return Ok(Some(entry.clone()));
+        }
+        if !first_sight {
+            return Ok(None);
         }
 
         // First sight: load the corpus through the shared path, or, for
@@ -383,8 +449,8 @@ impl LightorService {
             .red_dots_corpus(&corpus, duration, self.cfg.top_k);
         let state = VideoState {
             dots: dots
-                .iter()
-                .map(|&d| DotState {
+                .into_iter()
+                .map(|d| DotState {
                     initial: d,
                     current: d.at,
                     end: None,
@@ -398,19 +464,21 @@ impl LightorService {
         };
         // Publish, then persist under the published state's own lock so
         // a racing refinement round cannot be overwritten by this
-        // fresh-init snapshot. If another thread won the publish race,
-        // serve (and never persist over) its state.
+        // fresh-init snapshot. The entry (and its encoded body) is
+        // built before the map's write lock is taken. If another thread
+        // won the publish race, serve (and never persist over) its
+        // state.
+        let entry = VideoEntry::new(video, state);
         let mut map = self.videos.write();
-        if let Some(existing) = map.get(&video).cloned() {
-            drop(map);
-            return Ok(Some(existing.snapshot()));
+        if let Some(existing) = map.get(&video) {
+            return Ok(Some(existing.clone()));
         }
-        let entry = VideoEntry::new(state);
         map.insert(video, entry.clone());
         let published = entry.state.lock();
         drop(map);
         self.persist(video, &entry, &published, None)?;
-        Ok(Some(dots))
+        drop(published);
+        Ok(Some(entry))
     }
 
     /// Re-run the Initializer for an already-stored video (model refresh,
@@ -737,8 +805,7 @@ impl LightorService {
     /// folding a large batch cannot stall it. `None` when the video is
     /// not tracked.
     pub fn cached_dots(&self, video: VideoId) -> Option<Vec<RedDot>> {
-        let entry = self.videos.read().get(&video).cloned()?;
-        Some(entry.snapshot())
+        self.videos.read().get(&video).map(|entry| entry.dots())
     }
 
     /// Whether the service is in degraded read-only mode: a persistence
@@ -994,12 +1061,15 @@ impl LightorService {
             }
         }
         // Publish after the stores lock is released (lock order is
-        // videos map → stores; never the reverse).
+        // videos map → stores; never the reverse). The entries, and
+        // their encoded bodies, are built before the map's write lock
+        // is taken.
         if !restored.is_empty() {
-            let mut map = self.videos.write();
-            for (video, state) in restored {
-                map.insert(video, VideoEntry::new(state));
-            }
+            let entries: Vec<(VideoId, Arc<VideoEntry>)> = restored
+                .into_iter()
+                .map(|(video, state)| (video, VideoEntry::new(video, state)))
+                .collect();
+            self.videos.write().extend(entries);
         }
         Ok(ImportResponse {
             videos: bundle.entries.len(),
@@ -1493,6 +1563,65 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_companion_is_rejected_and_retokenized_once() {
+        // `decode_v3` reads a companion's layout only; the corpus build
+        // (`TokenizedChat::from_columns`) refuses inconsistent columns.
+        // Either way the load re-tokenizes the chat once and rewrites
+        // the companion, and the next cold load decodes it.
+        type Corrupt = fn(&mut format::TokenizedRecord);
+        let corruptions: [(&str, Corrupt); 2] = [
+            ("non-monotone token ends", |rec| {
+                let ends = &mut rec.token_ends;
+                let i = (0..ends.len() - 2)
+                    .find(|&i| ends[i] < ends[i + 1])
+                    .unwrap();
+                ends.swap(i, i + 1);
+            }),
+            ("an id past dim", |rec| {
+                rec.dim = *rec.token_ids.iter().max().unwrap();
+            }),
+        ];
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let k = ServiceConfig::default().top_k;
+        for (what, corrupt) in corruptions {
+            let dir = TempDir::new("corrupt-v3");
+            let svc = service(&dir.0);
+            let dots = svc.open_video(vid).unwrap().unwrap();
+            {
+                let mut stores = svc.stores.lock();
+                let raw = stores.chat.export_tokenized(vid).unwrap().unwrap();
+                let mut rec = format::decode_v3(&raw).unwrap();
+                corrupt(&mut rec);
+                let bad = format::encode_v3(&rec);
+                assert!(format::decode_v3(&bad).is_some(), "{what}: layout decodes");
+                stores.chat.import_tokenized(vid, bad).unwrap();
+            }
+            svc.clear_corpus_cache();
+            let before = svc.stats();
+            assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots, "{what}");
+            let after = svc.stats();
+            assert_eq!(
+                after.tokenized_misses,
+                before.tokenized_misses + 1,
+                "{what}"
+            );
+            assert_eq!(
+                after.tokenized_lazy_upgrades,
+                before.tokenized_lazy_upgrades + 1,
+                "{what}"
+            );
+            assert_eq!(after.tokenized_hits, before.tokenized_hits, "{what}");
+
+            svc.clear_corpus_cache();
+            assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots, "{what}");
+            let again = svc.stats();
+            assert_eq!(again.tokenized_hits, after.tokenized_hits + 1, "{what}");
+            assert_eq!(again.tokenized_misses, after.tokenized_misses, "{what}");
+        }
+    }
+
+    #[test]
     fn concurrent_open_different_videos() {
         // Sharded locks: opens and refinement on distinct videos must be
         // safe (and not serialize through one service-wide mutex).
@@ -1832,6 +1961,129 @@ mod tests {
         });
         let read = result.expect("dot read completed while the state mutex was held");
         assert_eq!(read.unwrap(), dots);
+    }
+
+    /// `video`'s published body must be the JSON of its cached dots:
+    /// the bytes the HTTP edge encoded on every read before bodies were
+    /// published.
+    fn assert_body_encodes_cached_dots(svc: &LightorService, video: VideoId) {
+        let expected = serde_json::to_vec(&DotsResponse {
+            video: video.0,
+            dots: svc
+                .cached_dots(video)
+                .unwrap()
+                .into_iter()
+                .map(Into::into)
+                .collect(),
+        })
+        .unwrap();
+        let body = svc.dots_body(video, false).unwrap().unwrap();
+        assert_eq!(&*body, expected.as_slice());
+    }
+
+    /// Fold crowd sessions around `video`'s dots until a round steps
+    /// one.
+    fn step_a_dot(svc: &LightorService, video: VideoId, seed: u64) {
+        let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let truth = platform.ground_truth(video).unwrap().clone();
+        let mut campaign = Campaign::new(60, seed);
+        for dot in svc.cached_dots(video).unwrap() {
+            for session in &campaign.run_task(&truth.video, dot.at, 12).sessions {
+                let outcome = svc.refine_batch(video, None, session).unwrap().unwrap();
+                if outcome.dots_refined > 0 {
+                    return;
+                }
+            }
+        }
+        panic!("no round stepped a dot");
+    }
+
+    #[test]
+    fn the_published_body_encodes_the_cached_dots() {
+        use lightor_types::UserId;
+        let dir = TempDir::new("body");
+        let dst_dir = TempDir::new("body-dst");
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let other = p.recent_videos(p.channels()[1].id)[0];
+        let served = {
+            let svc = service(&dir.0);
+            // First sight.
+            assert!(svc.dots_body(vid, false).unwrap().is_none());
+            let first = svc.dots_body(vid, true).unwrap().unwrap();
+            assert_body_encodes_cached_dots(&svc, vid);
+            assert_eq!(first, svc.dots_body(vid, false).unwrap().unwrap());
+            // A round that steps a dot.
+            step_a_dot(&svc, vid, 97);
+            assert_body_encodes_cached_dots(&svc, vid);
+            // Degraded mode: the body is still served from memory; an
+            // untracked video gets none and runs no first sight.
+            svc.fault_injector()
+                .arm(Fault::once("kv.wal.sync", FaultKind::Error));
+            svc.refine_batch(vid, Some(1), &Session::new(UserId(9), Vec::new()))
+                .unwrap_err();
+            assert!(svc.is_degraded());
+            assert_body_encodes_cached_dots(&svc, vid);
+            assert!(svc.dots_body(other, false).unwrap().is_none());
+            assert_eq!(svc.stored_videos(), 1);
+            svc.compact_storage().unwrap();
+            // Import into a second service.
+            let bundle = svc
+                .export_bundle(&crate::wire::ExportRequest {
+                    videos: vec![vid.0],
+                    since_seq: 0,
+                    freeze_ms: 0,
+                })
+                .unwrap();
+            let dst = service(&dst_dir.0);
+            dst.import_bundle(&bundle).unwrap();
+            assert_body_encodes_cached_dots(&dst, vid);
+            let served = svc.dots_body(vid, false).unwrap().unwrap();
+            assert_eq!(dst.dots_body(vid, false).unwrap().unwrap(), served);
+            served
+        };
+        // A restart.
+        let svc = service(&dir.0);
+        assert_body_encodes_cached_dots(&svc, vid);
+        assert_eq!(svc.dots_body(vid, false).unwrap().unwrap(), served);
+    }
+
+    #[test]
+    fn warm_reads_share_one_body_until_a_round_steps_a_dot() {
+        use lightor_types::UserId;
+        let dir = TempDir::new("body-share");
+        let svc = service(&dir.0);
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        // The first sight answers with the body its publish built, and
+        // every warm read after it shares that one allocation.
+        let first = svc.dots_body(vid, true).unwrap().unwrap();
+        assert!(Arc::ptr_eq(
+            &first,
+            &svc.dots_body(vid, true).unwrap().unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &first,
+            &svc.dots_body(vid, false).unwrap().unwrap()
+        ));
+        // A batch that steps no dot publishes nothing.
+        let outcome = svc
+            .refine_batch(vid, Some(1), &Session::new(UserId(9), Vec::new()))
+            .unwrap()
+            .unwrap();
+        assert_eq!(outcome.dots_refined, 0);
+        assert!(Arc::ptr_eq(
+            &first,
+            &svc.dots_body(vid, false).unwrap().unwrap()
+        ));
+        // A stepped round publishes a new body, shared in turn.
+        step_a_dot(&svc, vid, 98);
+        let stepped = svc.dots_body(vid, false).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&first, &stepped));
+        assert!(Arc::ptr_eq(
+            &stepped,
+            &svc.dots_body(vid, true).unwrap().unwrap()
+        ));
     }
 
     #[test]

@@ -53,8 +53,11 @@
 //! the result as a v3 companion. Re-crawling a video orphans its v3
 //! record (the chat bytes changed, so the tokenization is stale);
 //! the store's scan enforces that by log order. Decoding a v3 record
-//! validates every length equation, offset monotonicity and the id
-//! bound — a corrupt record decodes to `None` and the service falls
+//! checks its layout (every length equation, the empty trailer); the
+//! columns themselves (monotone token ends, every id below `dim`,
+//! strictly ordered ids per message) are checked once, by
+//! `lightor::TokenizedChat::from_columns` as it assembles the corpus.
+//! A record either check refuses is absent to the service, which falls
 //! back to re-tokenizing the chat record.
 //!
 //! Format detection ([`sniff`]) accepts a payload as v2 or v3 only when
@@ -348,38 +351,24 @@ fn read_u32s(payload: &[u8], off: usize, count: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Decode (and fully validate) a v3 tokenized-corpus record.
+/// Decode the layout of a v3 tokenized-corpus record into its columns.
 ///
-/// Beyond the layout equations this checks offset monotonicity and the
-/// `id < dim` bound. A record that fails any check decodes to `None`,
-/// and so does one with a non-empty trailer (its ids came from a
-/// process-wide vocabulary, see the module docs); callers fall back to
-/// re-tokenizing the chat record.
+/// A record whose length equations fail decodes to `None`, and so does
+/// one with a non-empty trailer (its ids came from a process-wide
+/// vocabulary, see the module docs). The column values are not checked
+/// here: `TokenizedChat::from_columns` refuses inconsistent ones when
+/// it builds the corpus, and the service then re-tokenizes the chat
+/// record.
 pub fn decode_v3(payload: &[u8]) -> Option<TokenizedRecord> {
     let l = v3_layout(payload)?;
     if !l.empty_trailer {
         return None;
     }
-    let token_ends = read_u32s(payload, l.ends_off, l.n);
-    let mut prev = 0u32;
-    for &end in &token_ends {
-        if end < prev {
-            return None;
-        }
-        prev = end;
-    }
-    if prev as usize != l.token_total {
-        return None;
-    }
-    let token_ids = read_u32s(payload, l.ids_off, l.token_total);
-    if token_ids.iter().max().is_some_and(|&id| id >= l.dim) {
-        return None;
-    }
     Some(TokenizedRecord {
         video: l.video,
         dim: l.dim,
-        token_ends,
-        token_ids,
+        token_ends: read_u32s(payload, l.ends_off, l.n),
+        token_ids: read_u32s(payload, l.ids_off, l.token_total),
         word_counts: read_u32s(payload, l.wc_off, l.n),
     })
 }
@@ -568,14 +557,9 @@ mod tests {
             assert!(decode_v3(&good[..good.len() - cut]).is_none(), "cut {cut}");
         }
         assert!(decode_v3(&[]).is_none());
-        // Non-monotone token_ends.
-        let mut bad = sample_tokenized();
-        bad.token_ends = vec![3, 2, 5];
-        assert!(decode_v3(&encode_v3(&bad)).is_none());
-        // Token id out of the declared dimension.
-        let mut bad = sample_tokenized();
-        bad.dim = 5; // ids contain 6
-        assert!(decode_v3(&encode_v3(&bad)).is_none());
+        // Inconsistent column values (non-monotone ends, an id past
+        // `dim`) are `from_columns`'s to refuse: see the service's
+        // `a_corrupt_companion_is_rejected_and_retokenized_once`.
         // Bytes after the empty trailer.
         let mut raw = encode_v3(&sample_tokenized());
         raw.push(0);

@@ -406,8 +406,9 @@ impl KvStore {
     /// amortized work to a known point.
     pub fn snapshot(&mut self) -> std::io::Result<()> {
         if self.wal_pending_ops > 0 || !self.legacy.is_empty() {
+            // Printed from the borrowed map: no clone of the values.
             let bytes =
-                serde_json::to_vec_pretty(&self.map).map_err(|e| invalid_data(format!("{e:?}")))?;
+                serde_json::entries_to_vec_pretty(self.map.iter().map(|(k, v)| (k.as_str(), v)));
             let path = snapshot_path(&self.dir);
             let tmp = path.with_extension("json.tmp");
             let mut f = File::create(&tmp)?;
@@ -496,6 +497,35 @@ mod tests {
         assert!(kv.remove("dot:1").unwrap());
         assert!(!kv.remove("dot:1").unwrap());
         assert!(kv.is_empty());
+    }
+
+    #[test]
+    fn snapshot_bytes_are_the_pretty_print_of_the_map() {
+        // The snapshot prints the borrowed map; its bytes must stay the
+        // ones `to_vec_pretty` of the whole map writes, quotes, nested
+        // objects and merged values included.
+        let d = TempDir::new("snapshot-bytes");
+        let mut kv = KvStore::open(&d.0).unwrap();
+        kv.put(
+            "dot:\"1\"",
+            &Dot {
+                at: 1.5,
+                score: 0.25,
+            },
+        )
+        .unwrap();
+        kv.put("video:7", &vec![(700.0, 0.9), (12.0, 0.5)]).unwrap();
+        kv.merge(
+            "video:7",
+            serde_json::Value::Map(vec![("sessions".into(), serde_json::Value::U64(3))]),
+        )
+        .unwrap();
+        kv.put("empty", &Vec::<u64>::new()).unwrap();
+        kv.snapshot().unwrap();
+        let expected = serde_json::to_vec_pretty(&kv.map).unwrap();
+        assert_eq!(fs::read(snapshot_path(&d.0)).unwrap(), expected);
+        let reopened = KvStore::open(&d.0).unwrap();
+        assert_eq!(reopened.map, kv.map);
     }
 
     #[test]

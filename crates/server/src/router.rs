@@ -4,7 +4,7 @@
 //! | Route | Wire type | Service call |
 //! |---|---|---|
 //! | `GET /healthz` | — | liveness probe |
-//! | `GET /video/{id}/dots` | [`DotsResponse`] | `open_video` |
+//! | `GET /video/{id}/dots` | [`DotsResponse`] | `dots_body` |
 //! | `POST /video/{id}/rescore` | [`RescoreRequest`] → [`DotsResponse`] | `rescore_video` |
 //! | `POST /sessions` | [`SessionUpload`] → [`SessionAccepted`] | `refine_batch` |
 //! | `POST /sessions/stream` | NDJSON [`StreamBatchDto`] lines → [`StreamAccepted`] | `refine_batch` per line |
@@ -28,7 +28,7 @@ use lightor_platform::wire::{
     SessionUpload, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
 };
 use lightor_platform::LightorService;
-use lightor_types::{RedDot, VideoId};
+use lightor_types::VideoId;
 use serde::{Deserialize, Serialize};
 
 /// A resolved route, ids parsed out of the path.
@@ -457,34 +457,21 @@ fn gate_frozen(svc: &LightorService, video: VideoId) -> Option<Response> {
     })
 }
 
-/// The `200` body of every route that answers a video's dots.
-fn dots_response(id: u64, dots: Vec<RedDot>) -> Response {
-    Response::json(
-        200,
-        &DotsResponse {
-            video: id,
-            dots: dots.into_iter().map(Into::into).collect(),
-        },
-    )
-}
-
+/// `GET /video/{id}/dots`: the [`DotsResponse`] body the service
+/// published with the video's dots, copied out as is.
 fn handle_dots(svc: &LightorService, id: u64) -> Response {
-    if svc.is_degraded() {
-        // Read-only mode: serve what memory already holds, never touch
-        // the failing store. Cold videos would need a crawl + persist,
-        // which is exactly what cannot run right now.
-        return match svc.cached_dots(VideoId(id)) {
-            Some(dots) => dots_response(id, dots),
-            None => Response::error(
-                503,
-                "degraded",
-                "storage is degraded; this video is not in memory",
-            )
-            .with_header("Retry-After", "1"),
-        };
-    }
-    match svc.open_video(VideoId(id)) {
-        Ok(Some(dots)) => dots_response(id, dots),
+    // Read-only mode: serve what memory already holds, never touch the
+    // failing store. Cold videos would need a crawl + persist, which
+    // is exactly what cannot run right now.
+    let degraded = svc.is_degraded();
+    match svc.dots_body(VideoId(id), !degraded) {
+        Ok(Some(body)) => Response::raw(200, "application/json", body.to_vec()),
+        Ok(None) if degraded => Response::error(
+            503,
+            "degraded",
+            "storage is degraded; this video is not in memory",
+        )
+        .with_header("Retry-After", "1"),
         Ok(None) => Response::error(
             404,
             "unknown_video",
@@ -508,8 +495,16 @@ fn handle_rescore(svc: &LightorService, id: u64, body: &[u8]) -> Response {
     if k == 0 {
         return Response::error(422, "bad_k", "k must be at least 1");
     }
+    // Encoded per request: `k` is the caller's, so no published body
+    // answers it.
     match svc.rescore_video(VideoId(id), k) {
-        Ok(Some(dots)) => dots_response(id, dots),
+        Ok(Some(dots)) => Response::json(
+            200,
+            &DotsResponse {
+                video: id,
+                dots: dots.into_iter().map(Into::into).collect(),
+            },
+        ),
         Ok(None) => Response::error(404, "unknown_video", "no chat stored for this video"),
         Err(e) => storage_error(&e),
     }

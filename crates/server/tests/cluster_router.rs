@@ -189,6 +189,46 @@ fn router_proxies_routes_and_aggregates_stats() {
 }
 
 #[test]
+fn dots_bytes_are_the_same_from_a_backend_and_through_the_router() {
+    let dir = TempDir::new("dots-bytes");
+    let svc = Arc::new(
+        LightorService::open(&dir.0, models(), platform(), ServiceConfig::default()).unwrap(),
+    );
+    let backend = HttpServer::bind(("127.0.0.1", 0), svc.clone(), ServerConfig::default()).unwrap();
+    let router = router(vec![backend.local_addr()]);
+    let mut via_router = HttpClient::connect(router.local_addr()).unwrap();
+    let mut direct = HttpClient::connect(backend.local_addr()).unwrap();
+    let vid = catalog()[0];
+    let path = format!("/video/{vid}/dots");
+
+    // The first sight (through the router) and a warm read (direct)
+    // serve the bytes of a `DotsResponse` of the cached dots.
+    let first = via_router.get(&path).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body_str());
+    let expected = serde_json::to_vec(&DotsResponse {
+        video: vid,
+        dots: svc
+            .cached_dots(lightor_types::VideoId(vid))
+            .unwrap()
+            .into_iter()
+            .map(Into::into)
+            .collect(),
+    })
+    .unwrap();
+    assert_eq!(first.body, expected);
+    let warm = direct.get(&path).unwrap();
+    assert_eq!(warm.status, 200);
+    assert_eq!(warm.header("content-type"), Some("application/json"));
+    assert_eq!(warm.body, expected);
+    let relayed = via_router.get(&path).unwrap();
+    assert_eq!(relayed.header("content-type"), Some("application/json"));
+    assert_eq!(relayed.body, expected);
+
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
 fn router_trips_a_dead_shard_and_recovers_it() {
     // One video per shard. The ring places each backend by its address,
     // and port-0 binds pick the ports, so some bindings put the whole

@@ -143,9 +143,9 @@ pub struct SessionSeq {
 ///
 /// Persisted as `{"dots": [...], "sessions": {"<client>": seq, ...}}`:
 /// keying the watermarks by client id lets an ack's merge patch touch
-/// one watermark without restating the others. Decoding also accepts
-/// states with no `sessions` (written before streaming ingest) and the
-/// legacy array form `[{"client": c, "seq": s}, ...]`.
+/// one watermark without restating the others. A state with no
+/// `sessions` (written before streaming ingest) has no watermarks; a
+/// `sessions` in any other form than that object does not decode.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct VideoState {
     /// Per-dot state, in initializer rank order.
@@ -186,7 +186,7 @@ impl Deserialize for VideoState {
                     })
                 })
                 .collect::<Result<Vec<_>, serde::Error>>()?,
-            Some(legacy) => Vec::<SessionSeq>::from_value(legacy)?,
+            Some(_) => return Err(serde::Error::custom("`sessions` is not an object")),
         };
         sessions.sort_unstable_by_key(|s| s.client);
         Ok(VideoState {
@@ -351,24 +351,17 @@ impl LightorService {
         let fault = FaultInjector::new();
         chat.set_fault_injector(fault.clone());
         kv.set_fault_injector(fault.clone());
+        // A state that does not decode fails the open: skipping it would
+        // let the video's next first sight overwrite it, watermarks and
+        // all, and a replayed batch would then be folded twice.
         let mut videos = HashMap::new();
-        for key in kv.keys_with_prefix(VIDEO_PREFIX) {
-            let Some(video) = video_of_key(&key) else {
-                continue;
-            };
-            let Some(stored) = kv.get::<serde_json::Value>(&key) else {
-                continue;
-            };
-            let Ok(state) = serde_json::from_value_ref::<VideoState>(&stored) else {
-                continue;
-            };
-            // A merge patch replaces an array target, so a watermark
-            // patch over the legacy array form would drop every other
-            // client's watermark. Rewrite such states in object form
-            // before any ack can reach them.
-            if let Some(serde_json::Value::Seq(_)) = stored.get_key("sessions") {
-                kv.put(&key, &state)?;
-            }
+        for (key, stored) in kv.with_prefix(VIDEO_PREFIX) {
+            let undecodable =
+                |why| invalid_data(format!("stored state {key} does not decode: {why}"));
+            let video =
+                video_of_key(key).ok_or_else(|| undecodable("not a video id".to_owned()))?;
+            let state =
+                serde_json::from_value_ref(stored).map_err(|e| undecodable(e.to_string()))?;
             videos.insert(video, VideoEntry::new(video, state));
         }
         Ok(LightorService {
@@ -981,89 +974,66 @@ impl LightorService {
         Self::build_bundle(&stores.chat, &stores.kv, requested, req.since_seq)
     }
 
-    /// Apply a migration bundle: verify its CRC, then append chat
-    /// records (and their tokenized v3 companions, when the bundle
-    /// carries them), persist refinement states, and publish them to
-    /// the in-memory map so reads serve the migrated videos
-    /// immediately. Idempotent — byte-identical chat and tokenized
+    /// Apply a migration bundle: verify its CRC, decode and check every
+    /// entry, then append chat records (and their tokenized v3
+    /// companions, when the bundle carries them), persist refinement
+    /// states, and publish them to the in-memory map so reads serve the
+    /// migrated videos immediately. A bad entry refuses the bundle
+    /// before anything is written. When a write fails part way, the
+    /// states already stored are still published, so no first sight
+    /// overwrites them. Idempotent — byte-identical chat and tokenized
     /// records already stored are skipped (re-imports don't orphan log
     /// bytes) and state re-puts are plain overwrites.
     pub fn import_bundle(&self, bundle: &BundleDto) -> std::io::Result<ImportResponse> {
-        use std::io::{Error, ErrorKind};
         if bundle.format_version != BUNDLE_FORMAT_VERSION {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "unsupported bundle format_version {} (this build speaks {BUNDLE_FORMAT_VERSION})",
-                    bundle.format_version
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "unsupported bundle format_version {} (this build speaks {BUNDLE_FORMAT_VERSION})",
+                bundle.format_version
+            )));
         }
         if wire::bundle_crc(&bundle.entries) != bundle.crc32 {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                "bundle CRC mismatch — refusing to apply corrupted entries",
+            return Err(invalid_data(
+                "bundle CRC mismatch — refusing to apply corrupted entries".to_owned(),
             ));
         }
-        let mut states_applied = 0;
-        let mut chats_applied = 0;
-        let mut tokenized_applied = 0;
+        let mut applied = ImportResponse {
+            videos: bundle.entries.len(),
+            states_applied: 0,
+            chats_applied: 0,
+            tokenized_applied: 0,
+        };
         let mut restored: Vec<(VideoId, VideoState)> = Vec::new();
-        {
+        let written = {
             let mut stores = self.stores.lock();
-            for entry in &bundle.entries {
-                let video = VideoId(entry.video);
-                if let Some(hex) = &entry.chat_hex {
-                    let bytes = wire::hex_decode(hex).ok_or_else(|| {
-                        Error::new(
-                            ErrorKind::InvalidData,
-                            format!("bundle chat payload for video {} is not hex", entry.video),
-                        )
-                    })?;
-                    if stores.chat.export_record(video)?.as_deref() != Some(bytes.as_slice()) {
-                        stores.chat.import_record(video, bytes)?;
-                        chats_applied += 1;
-                    }
+            let entries = bundle
+                .entries
+                .iter()
+                .map(|entry| check_entry(&stores.chat, entry))
+                .collect::<std::io::Result<Vec<_>>>()?;
+            entries.into_iter().try_for_each(|entry| {
+                if let Some(bytes) = entry.chat {
+                    let fresh = stores.chat.import_record(entry.video, bytes)?;
+                    applied.chats_applied += usize::from(fresh);
                 }
                 // Tokenized companion after the chat record (the store
-                // requires the chat to exist first); idempotent at the
-                // byte level like chat imports.
-                if let Some(hex) = &entry.tokenized_hex {
-                    let bytes = wire::hex_decode(hex).ok_or_else(|| {
-                        Error::new(
-                            ErrorKind::InvalidData,
-                            format!(
-                                "bundle tokenized payload for video {} is not hex",
-                                entry.video
-                            ),
-                        )
-                    })?;
-                    if stores.chat.export_tokenized(video)?.as_deref() != Some(bytes.as_slice()) {
-                        stores.chat.import_tokenized(video, bytes)?;
-                        tokenized_applied += 1;
-                    }
+                // requires the chat to exist first).
+                if let Some(bytes) = entry.tokenized {
+                    let fresh = stores.chat.import_tokenized(entry.video, bytes)?;
+                    applied.tokenized_applied += usize::from(fresh);
                 }
-                if let Some(state) = &entry.state {
-                    let parsed: VideoState = serde_json::from_value_ref(state).map_err(|e| {
-                        Error::new(
-                            ErrorKind::InvalidData,
-                            format!("bundle state for video {}: {e:?}", entry.video),
-                        )
-                    })?;
-                    // Store the re-encoded state, never the raw bundle
-                    // value: a bundle from an older source can carry the
-                    // legacy array-form watermarks, which a later merge
-                    // patch would overwrite wholesale.
-                    stores.kv.put(&video_key(video), &parsed)?;
-                    states_applied += 1;
-                    restored.push((video, parsed));
+                if let Some(state) = entry.state {
+                    stores.kv.put(&video_key(entry.video), &state)?;
+                    applied.states_applied += 1;
+                    restored.push((entry.video, state));
                 }
-            }
-        }
+                Ok(())
+            })
+        };
         // Publish after the stores lock is released (lock order is
-        // videos map → stores; never the reverse). The entries, and
-        // their encoded bodies, are built before the map's write lock
-        // is taken.
+        // videos map → stores; never the reverse), and also when a write
+        // failed: a stored state left unpublished would be overwritten
+        // by the video's next first sight. The entries, and their
+        // encoded bodies, are built before the map's write lock is taken.
         if !restored.is_empty() {
             let entries: Vec<(VideoId, Arc<VideoEntry>)> = restored
                 .into_iter()
@@ -1071,12 +1041,7 @@ impl LightorService {
                 .collect();
             self.videos.write().extend(entries);
         }
-        Ok(ImportResponse {
-            videos: bundle.entries.len(),
-            states_applied,
-            chats_applied,
-            tokenized_applied,
-        })
+        written.map(|()| applied)
     }
 
     /// Rebuild a full migration bundle straight from a (possibly dead)
@@ -1145,9 +1110,8 @@ impl LightorService {
     fn all_video_ids(chat: &ChatStore, kv: &KvStore) -> Vec<VideoId> {
         let mut ids = chat.videos();
         ids.extend(
-            kv.keys_with_prefix(VIDEO_PREFIX)
-                .iter()
-                .filter_map(|k| video_of_key(k)),
+            kv.with_prefix(VIDEO_PREFIX)
+                .filter_map(|(k, _)| video_of_key(k)),
         );
         ids.sort_unstable_by_key(|v| v.0);
         ids.dedup();
@@ -1187,6 +1151,56 @@ impl LightorService {
         }
         result
     }
+}
+
+/// An `InvalidData` error: stored or shipped bytes that do not decode.
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// One bundle entry, decoded and checked: what
+/// [`LightorService::import_bundle`] writes.
+struct CheckedEntry {
+    video: VideoId,
+    chat: Option<Vec<u8>>,
+    tokenized: Option<Vec<u8>>,
+    state: Option<VideoState>,
+}
+
+/// Decode `entry`'s payloads and state and check them against what the
+/// stores require, writing nothing; `InvalidData` names what is wrong.
+fn check_entry(chat: &ChatStore, entry: &BundleEntryDto) -> std::io::Result<CheckedEntry> {
+    let video = VideoId(entry.video);
+    let bad = |what: &str, why: &str| {
+        invalid_data(format!("bundle {what} for video {}{why}", entry.video))
+    };
+    let unhex = |hex: &Option<String>, what: &str| {
+        hex.as_deref()
+            .map(|h| wire::hex_decode(h).ok_or_else(|| bad(what, " is not hex")))
+            .transpose()
+    };
+    let chat_bytes = unhex(&entry.chat_hex, "chat payload")?;
+    if let Some(bytes) = &chat_bytes {
+        ChatStore::check_record(video, bytes)?;
+    }
+    let tokenized = unhex(&entry.tokenized_hex, "tokenized payload")?;
+    if let Some(bytes) = &tokenized {
+        ChatStore::check_tokenized(video, bytes)?;
+        if chat_bytes.is_none() && !chat.contains(video) {
+            return Err(bad("tokenized payload", " has no chat record"));
+        }
+    }
+    let state = entry
+        .state
+        .as_ref()
+        .map(|v| serde_json::from_value_ref(v).map_err(|e| bad("state", &format!(": {e}"))))
+        .transpose()?;
+    Ok(CheckedEntry {
+        video,
+        chat: chat_bytes,
+        tokenized,
+        state,
+    })
 }
 
 #[cfg(test)]
@@ -2249,9 +2263,9 @@ mod tests {
         assert_eq!(state, acked);
     }
 
-    /// Rewrite `state`'s watermarks in the array form that data dirs
-    /// written before object-form watermarks hold.
-    fn legacy_state_value(state: &VideoState) -> serde_json::Value {
+    /// `state`'s value with its watermarks in the array form
+    /// `[{"client": c, "seq": s}, ...]`, which no longer decodes.
+    fn array_form_value(state: &VideoState) -> serde_json::Value {
         let serde_json::Value::Map(mut fields) = serde_json::to_value(state).unwrap() else {
             panic!("a state encodes as an object");
         };
@@ -2263,88 +2277,142 @@ mod tests {
         serde_json::Value::Map(fields)
     }
 
+    /// Every file under `dir` with its bytes, sorted by path.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let p = e.unwrap().path();
+                let bytes = std::fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
-    fn legacy_array_watermarks_survive_the_first_merge() {
+    fn open_refuses_an_undecodable_state_and_leaves_it_stored() {
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vid = p.recent_videos(p.channels()[0].id)[0];
+        let mut marked = VideoState::default();
+        marked.sessions.push(SessionSeq { client: 42, seq: 9 });
+        let cases = [
+            (
+                video_key(vid),
+                serde_json::from_str(r#"{"dots": 7}"#).unwrap(),
+            ),
+            (video_key(vid), array_form_value(&marked)),
+            ("video:x".to_owned(), serde_json::to_value(&marked).unwrap()),
+        ];
+        for (i, (key, value)) in cases.into_iter().enumerate() {
+            let dir = TempDir::new("undecodable");
+            {
+                // Odd cases sit in the snapshot, even ones in the WAL.
+                let mut kv = KvStore::open(dir.0.join("state")).unwrap();
+                kv.put(&key, &value).unwrap();
+                if i % 2 == 1 {
+                    kv.snapshot().unwrap();
+                }
+            }
+            let stored = dir_bytes(&dir.0.join("state"));
+            let Err(err) = LightorService::open(
+                &dir.0,
+                models(),
+                SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92),
+                ServiceConfig::default(),
+            ) else {
+                panic!("case {i}: open skipped the undecodable {key}");
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "case {i}");
+            assert!(err.to_string().contains(&key), "case {i}: {err}");
+            assert_eq!(dir_bytes(&dir.0.join("state")), stored, "case {i}");
+        }
+    }
+
+    #[test]
+    fn a_bundle_with_a_bad_state_is_refused_before_any_write() {
         use lightor_types::UserId;
-        let dir = TempDir::new("legacy-sessions");
         let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
         let vids = p.recent_videos(p.channels()[0].id).to_vec();
         let (a, b) = (vids[0], vids[1]);
-        let marks = |pairs: &[(u64, u64)]| -> Vec<SessionSeq> {
-            pairs
-                .iter()
-                .map(|&(client, seq)| SessionSeq { client, seq })
-                .collect()
-        };
-        let old_a = marks(&[(1, 5), (2, 3)]);
-        let old_b = marks(&[(3, 4), (4, 9)]);
-        let states = {
-            let svc = service(&dir.0);
-            svc.open_video(a).unwrap().unwrap();
-            svc.open_video(b).unwrap().unwrap();
-            let mut sa = svc.video_state(a).unwrap();
-            let mut sb = svc.video_state(b).unwrap();
-            sa.sessions = old_a.clone();
-            sb.sessions = old_b.clone();
-            (sa, sb)
-        };
-        {
-            // Hand-write the legacy layout: video A's array-form state
-            // in the snapshot, video B's in a WAL `p` frame.
-            let mut kv = KvStore::open(dir.0.join("state")).unwrap();
-            kv.put(&video_key(a), &legacy_state_value(&states.0))
-                .unwrap();
-            kv.snapshot().unwrap();
-            kv.put(&video_key(b), &legacy_state_value(&states.1))
-                .unwrap();
-            assert_eq!(kv.stats().wal_pending_ops, 1);
-        }
-        let quiet = |client: u64| Session::new(UserId(client), Vec::new());
-        {
-            let svc = service(&dir.0);
-            assert_eq!(svc.video_state(a).unwrap(), states.0);
-            assert_eq!(svc.video_state(b).unwrap(), states.1);
-            // A new client's ack: a watermark-only merge patch.
-            for vid in [a, b] {
-                let o = svc.refine_batch(vid, Some(1), &quiet(9)).unwrap().unwrap();
-                assert!(!o.replayed);
-            }
-        }
-        let replays_all = |svc: &LightorService, vid: VideoId, old: &[SessionSeq]| {
-            for mark in old.iter().chain(&[SessionSeq { client: 9, seq: 1 }]) {
-                let o = svc
-                    .refine_batch(vid, Some(mark.seq), &quiet(mark.client))
-                    .unwrap()
-                    .unwrap();
-                assert!(o.replayed, "video {}: {mark:?} lost", vid.0);
-            }
-        };
-        let svc = service(&dir.0);
-        replays_all(&svc, a, &old_a);
-        replays_all(&svc, b, &old_b);
-
-        // A migration bundle from an older source carries the array
-        // form too; the import must store it re-encoded.
-        let dst_dir = TempDir::new("legacy-import");
-        {
-            let dst = service(&dst_dir.0);
-            let entries = vec![BundleEntryDto {
-                video: a.0,
-                state: Some(legacy_state_value(&states.0)),
-                chat_hex: None,
-                tokenized_hex: None,
-            }];
-            let crc32 = wire::bundle_crc(&entries);
-            dst.import_bundle(&BundleDto {
-                format_version: 2,
-                as_of_seq: 0,
-                entries,
-                crc32,
+        let src_dir = TempDir::new("bad-bundle-src");
+        let src = service(&src_dir.0);
+        src.open_video(a).unwrap().unwrap();
+        src.open_video(b).unwrap().unwrap();
+        let quiet = Session::new(UserId(42), Vec::new());
+        src.refine_batch(a, Some(9), &quiet).unwrap().unwrap();
+        let good = src
+            .export_bundle(&ExportRequest {
+                videos: vec![a.0],
+                since_seq: 0,
+                freeze_ms: 0,
             })
             .unwrap();
-            dst.refine_batch(a, Some(1), &quiet(9)).unwrap().unwrap();
+        let bad_states = [
+            serde_json::from_str(r#"{"dots": 7}"#).unwrap(),
+            array_form_value(&src.video_state(b).unwrap()),
+        ];
+        for bad in bad_states {
+            // Entry A is whole and good; entry B's state does not decode.
+            let mut entries = good.entries.clone();
+            entries.push(BundleEntryDto {
+                video: b.0,
+                state: Some(bad),
+                chat_hex: None,
+                tokenized_hex: None,
+            });
+            let crc32 = wire::bundle_crc(&entries);
+            let bundle = BundleDto {
+                entries,
+                crc32,
+                ..good.clone()
+            };
+            let dst_dir = TempDir::new("bad-bundle-dst");
+            let dst = service(&dst_dir.0);
+            let err = dst.import_bundle(&bundle).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&b.0.to_string()), "{err}");
+            // Nothing of entry A was written, so its first sight below
+            // persists over nothing the bundle shipped.
+            assert_eq!(dst.stored_videos(), 0);
+            assert!(dst.stores.lock().kv.is_empty());
+            assert_eq!(dst.video_state(a), None);
+            dst.open_video(a).unwrap().unwrap();
+            assert!(dst.video_state(a).unwrap().sessions.is_empty());
         }
-        replays_all(&service(&dst_dir.0), a, &old_a);
+    }
+
+    #[test]
+    fn a_failed_write_still_publishes_the_states_already_stored() {
+        let p = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vids = p.recent_videos(p.channels()[0].id).to_vec();
+        let (a, b) = (vids[0], vids[1]);
+        let src_dir = TempDir::new("half-import-src");
+        let src = service(&src_dir.0);
+        src.open_video(a).unwrap().unwrap();
+        src.open_video(b).unwrap().unwrap();
+        let bundle = src
+            .export_bundle(&ExportRequest {
+                videos: vec![a.0, b.0],
+                since_seq: 0,
+                freeze_ms: 0,
+            })
+            .unwrap();
+        let dst_dir = TempDir::new("half-import-dst");
+        let dst = service(&dst_dir.0);
+        // A's state put lands; B's fails.
+        dst.fault_injector()
+            .arm(Fault::nth("kv.wal.write", 1, FaultKind::Error));
+        assert!(dst.import_bundle(&bundle).is_err());
+        // A is stored, so it must be published: a first sight would
+        // otherwise overwrite it.
+        assert_eq!(dst.video_state(a), src.video_state(a));
+        assert_eq!(dst.video_state(b), None);
+        dst.fault_injector().disarm_all();
+        let applied = dst.import_bundle(&bundle).unwrap();
+        assert_eq!(applied.states_applied, 2);
+        assert_eq!(dst.video_state(b), src.video_state(b));
     }
 
     #[test]
@@ -2616,7 +2684,14 @@ mod tests {
             .all(|d| d.converged));
 
         let persisted = || {
-            let state: VideoState = svc.stores.lock().kv.get(&video_key(vid)).unwrap();
+            let stores = svc.stores.lock();
+            let key = video_key(vid);
+            let (_, stored) = stores
+                .kv
+                .with_prefix(&key)
+                .find(|(k, _)| *k == key)
+                .unwrap();
+            let state: VideoState = serde_json::from_value_ref(stored).unwrap();
             (serde_json::to_string(&state).unwrap(), state)
         };
         // Two-digit sequence numbers keep the watermark's own length

@@ -316,20 +316,33 @@ impl ChatStore {
 
     /// Import a raw record payload (from a migration bundle) for
     /// `video`, durably, replacing any record the store already holds
-    /// for it. The payload must sniff as a chat record for this video —
-    /// a bundle routed to the wrong video id is rejected as
-    /// `InvalidData` rather than silently indexed under the wrong key.
-    pub fn import_record(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<()> {
-        match format::sniff(&payload) {
-            Some(info) if info.video == video => self.put_one_synced(payload, video),
-            Some(info) => Err(std::io::Error::new(
+    /// for it; returns whether it appended. Idempotent: a byte-identical
+    /// record already live is not appended again, so re-importing a
+    /// bundle does not grow the log. The payload must sniff as a chat
+    /// record for this video — a bundle routed to the wrong video id is
+    /// rejected as `InvalidData` rather than silently indexed under the
+    /// wrong key.
+    pub fn import_record(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<bool> {
+        Self::check_record(video, &payload)?;
+        if self.export_record(video)?.as_deref() == Some(payload.as_slice()) {
+            return Ok(false);
+        }
+        self.put_one_synced(payload, video)?;
+        Ok(true)
+    }
+
+    /// The check [`ChatStore::import_record`] makes of its payload.
+    pub(crate) fn check_record(video: VideoId, payload: &[u8]) -> std::io::Result<()> {
+        match format::sniff(payload) {
+            Some(info) if info.format == Format::V2 && info.video == video => Ok(()),
+            Some(info) if info.format == Format::V2 => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
                     "bundle record for video {} arrived under video {}",
                     info.video.0, video.0
                 ),
             )),
-            None => Err(std::io::Error::new(
+            _ => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "bundle record does not sniff as a chat record",
             )),
@@ -419,32 +432,16 @@ impl ChatStore {
         }
     }
 
-    /// Import a raw v3 payload (from a migration bundle) for `video`.
+    /// Import a raw v3 payload (from a migration bundle) for `video`;
+    /// returns whether it appended.
     ///
     /// Idempotent: if the store already holds a byte-identical
     /// companion, nothing is appended — re-importing the same bundle
     /// must not grow the log. The payload must sniff as a v3 record for
     /// this video, and the chat record must be imported first (bundles
     /// list chat before tokenized sections).
-    pub fn import_tokenized(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<()> {
-        match format::sniff(&payload) {
-            Some(info) if info.format == Format::V3 && info.video == video => {}
-            Some(info) if info.format == Format::V3 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "bundle tokenized record for video {} arrived under video {}",
-                        info.video.0, video.0
-                    ),
-                ));
-            }
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "bundle payload does not sniff as a tokenized (v3) record",
-                ));
-            }
-        }
+    pub fn import_tokenized(&mut self, video: VideoId, payload: Vec<u8>) -> std::io::Result<bool> {
+        Self::check_tokenized(video, &payload)?;
         if !self.index.contains_key(&video) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -454,17 +451,30 @@ impl ChatStore {
                 ),
             ));
         }
-        if let Some(entry) = self.tok_index.get(&video) {
-            if self
-                .log
-                .read(entry.id)
-                .map(|p| p == payload)
-                .unwrap_or(false)
-            {
-                return Ok(()); // byte-identical companion already live
-            }
+        if self.export_tokenized(video)?.as_deref() == Some(payload.as_slice()) {
+            return Ok(false);
         }
-        self.put_tokenized_payload(video, &payload)
+        self.put_tokenized_payload(video, &payload)?;
+        Ok(true)
+    }
+
+    /// The sniff check [`ChatStore::import_tokenized`] makes of its
+    /// payload.
+    pub(crate) fn check_tokenized(video: VideoId, payload: &[u8]) -> std::io::Result<()> {
+        match format::sniff(payload) {
+            Some(info) if info.format == Format::V3 && info.video == video => Ok(()),
+            Some(info) if info.format == Format::V3 => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "bundle tokenized record for video {} arrived under video {}",
+                    info.video.0, video.0
+                ),
+            )),
+            _ => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "bundle payload does not sniff as a tokenized (v3) record",
+            )),
+        }
     }
 
     /// Fetch a video's chat replay as a zero-copy view, if crawled.
@@ -959,10 +969,14 @@ mod tests {
         let payload = format::encode_v2(VideoId(1), &sample_chat());
         let err = store.import_record(VideoId(2), payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // Garbage bytes are rejected before touching the log.
+        // Garbage bytes are rejected before touching the log, and so is
+        // a tokenized companion, which holds no chat data.
         let err = store
             .import_record(VideoId(1), b"not a chat record".to_vec())
             .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let companion = format::encode_v3(&sample_tokenized(VideoId(1)));
+        let err = store.import_record(VideoId(1), companion).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(store.video_count(), 0);
     }

@@ -41,17 +41,18 @@
 //! pending, so the next snapshot persists it. Orphaned `*.tmp` files
 //! from a crash mid-snapshot are removed.
 //!
-//! Stores written before the single snapshot kept it as prefix-hashed
-//! `shard-NN.json` files. When `snapshot.json` is absent, `open` reads
-//! those instead; the first snapshot publishes `snapshot.json` (rename
-//! plus directory fsync) before it deletes them.
+//! The store reads one layout. A `shard-NN.json` file is the snapshot
+//! of the older prefix-hashed layout: beside a `snapshot.json` it is a
+//! superseded leftover and `open` removes it; without one it holds
+//! states this store cannot read, so `open` refuses the directory with
+//! an `InvalidData` error naming the file and leaves it untouched.
 
 use super::frame::{self, Frames};
 use super::{sync_dir, FaultInjector};
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
 /// Snapshot once this many ops are pending in the WAL.
@@ -78,9 +79,6 @@ pub struct KvStats {
 pub struct KvStore {
     dir: PathBuf,
     map: BTreeMap<String, serde_json::Value>,
-    /// `shard-NN.json` files of the pre-snapshot layout, deleted by the
-    /// next snapshot.
-    legacy: Vec<PathBuf>,
     wal: File,
     wal_bytes: u64,
     wal_pending_ops: u64,
@@ -116,23 +114,6 @@ fn sync_parent(path: &Path) -> std::io::Result<()> {
         Some(p) if !p.as_os_str().is_empty() => sync_dir(p),
         _ => Ok(()),
     }
-}
-
-/// Read the snapshot at `path` into `map`, strictly. `Ok(false)` when
-/// there is no such file.
-fn load_snapshot(
-    path: &Path,
-    map: &mut BTreeMap<String, serde_json::Value>,
-) -> std::io::Result<bool> {
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    let part: BTreeMap<String, serde_json::Value> = serde_json::from_slice(&bytes)
-        .map_err(|e| invalid_data(format!("corrupt snapshot {}: {e:?}", path.display())))?;
-    map.extend(part);
-    Ok(true)
 }
 
 /// Apply an RFC 7396 JSON Merge Patch to `target` in place: an object
@@ -171,33 +152,47 @@ fn merge_patch(target: &mut serde_json::Value, patch: serde_json::Value) {
 
 impl KvStore {
     /// Open (or create) the store directory at `path`. A corrupt
-    /// snapshot is an `InvalidData` error, never a silently empty store.
+    /// snapshot is an `InvalidData` error, never a silently empty store,
+    /// and so is a directory of the shard layout (see the module docs).
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = path.into();
         fs::create_dir_all(&dir)?;
 
         // A crash mid-snapshot can leave temp files behind; they were
-        // never renamed into place, so they are dead weight. Shard files
-        // are the old layout's snapshot.
-        let mut legacy = Vec::new();
+        // never renamed into place, so they are dead weight.
+        let mut dead = Vec::new();
+        let mut shards = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let p = entry?.path();
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.ends_with(".tmp") {
-                fs::remove_file(&p)?;
+                dead.push(p);
             } else if name.starts_with("shard-") && name.ends_with(".json") {
-                legacy.push(p);
+                shards.push(p);
             }
         }
-
-        // `snapshot.json` supersedes any shard files: they outlive it
-        // only when a crash cut the first snapshot short of deleting
-        // them.
-        let mut map = BTreeMap::new();
-        if !load_snapshot(&snapshot_path(&dir), &mut map)? {
-            for p in &legacy {
-                load_snapshot(p, &mut map)?;
+        let snapshot = snapshot_path(&dir);
+        let mut map: BTreeMap<String, serde_json::Value> = match fs::read(&snapshot) {
+            // A shard file outlives `snapshot.json` only when a crash cut
+            // the store's first snapshot short of deleting it.
+            Ok(bytes) => {
+                dead.append(&mut shards);
+                serde_json::from_slice(&bytes).map_err(|e| {
+                    invalid_data(format!("corrupt snapshot {}: {e:?}", snapshot.display()))
+                })?
             }
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            Err(_) if shards.is_empty() => BTreeMap::new(),
+            Err(_) => {
+                return Err(invalid_data(format!(
+                    "{}: a shard file of the old store layout with no snapshot.json \
+                     beside it; this build reads only snapshot.json",
+                    shards[0].display()
+                )))
+            }
+        };
+        for p in dead {
+            fs::remove_file(p)?;
         }
 
         // Replay the WAL on top of the snapshot; `open_trimmed` has cut
@@ -216,7 +211,6 @@ impl KvStore {
         Ok(KvStore {
             dir,
             map,
-            legacy,
             wal,
             wal_bytes: valid.len() as u64,
             wal_pending_ops,
@@ -293,14 +287,6 @@ impl KvStore {
         self.maybe_snapshot()
     }
 
-    /// Fetch and deserialize a value (borrowed-tree decode, no clone of
-    /// the stored `Value`).
-    pub fn get<T: DeserializeOwned>(&self, key: &str) -> Option<T> {
-        self.map
-            .get(key)
-            .and_then(|v| serde_json::from_value_ref(v).ok())
-    }
-
     /// Remove a key; the op is WAL-durable on return. Returns whether it
     /// existed.
     pub fn remove(&mut self, key: &str) -> std::io::Result<bool> {
@@ -329,21 +315,22 @@ impl KvStore {
     /// is [`KvStore::current_seq`] sampled at the same moment — the
     /// snapshot + WAL-tail shipping primitive for live shard migration.
     pub fn export_since(&self, prefix: &str, since: u64) -> Vec<(String, serde_json::Value)> {
-        self.map
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
+        self.with_prefix(prefix)
             .filter(|(k, _)| self.seqs.get(*k).copied().unwrap_or(0) > since)
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.to_owned(), v.clone()))
             .collect()
     }
 
-    /// All keys with the given prefix, sorted.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+    /// Every `(key, value)` whose key starts with `prefix`, sorted by
+    /// key, borrowed from the map.
+    pub fn with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a serde_json::Value)> + 'a {
         self.map
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect()
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.as_str(), v))
     }
 
     /// Number of keys.
@@ -400,12 +387,11 @@ impl KvStore {
         Ok(())
     }
 
-    /// Rewrite the snapshot atomically when the WAL has pending ops (or
-    /// shard files of the old layout remain), then truncate the WAL.
-    /// Public so callers (service shutdown, benches) can force the
-    /// amortized work to a known point.
+    /// Rewrite the snapshot atomically when the WAL has pending ops,
+    /// then truncate the WAL. Public so callers (service shutdown,
+    /// benches) can force the amortized work to a known point.
     pub fn snapshot(&mut self) -> std::io::Result<()> {
-        if self.wal_pending_ops > 0 || !self.legacy.is_empty() {
+        if self.wal_pending_ops > 0 {
             // Printed from the borrowed map: no clone of the values.
             let bytes =
                 serde_json::entries_to_vec_pretty(self.map.iter().map(|(k, v)| (k.as_str(), v)));
@@ -420,14 +406,6 @@ impl KvStore {
             fs::rename(&tmp, &path)?;
             sync_dir(&self.dir)?;
             self.snapshot_rewrites += 1;
-            // Only a durable `snapshot.json` makes the old shard files
-            // redundant.
-            if !self.legacy.is_empty() {
-                for p in std::mem::take(&mut self.legacy) {
-                    fs::remove_file(p)?;
-                }
-                sync_dir(&self.dir)?;
-            }
         }
         // The snapshot now covers everything: retire the WAL. If we
         // crash between the rename and this truncate, replay is
@@ -447,6 +425,13 @@ mod tests {
     use serde::Deserialize;
     use std::fs::OpenOptions;
     use std::io::Write;
+
+    /// The value under `key`, decoded; a value that does not decode as
+    /// `T` fails the test.
+    fn get<T: Deserialize>(kv: &KvStore, key: &str) -> Option<T> {
+        let v = kv.map.get(key)?;
+        Some(serde_json::from_value_ref(v).expect("stored value decodes"))
+    }
 
     struct TempDir(PathBuf);
     impl TempDir {
@@ -487,13 +472,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            kv.get::<Dot>("dot:1"),
+            get::<Dot>(&kv, "dot:1"),
             Some(Dot {
                 at: 100.0,
                 score: 0.9
             })
         );
-        assert_eq!(kv.get::<Dot>("dot:2"), None);
+        assert_eq!(get::<Dot>(&kv, "dot:2"), None);
         assert!(kv.remove("dot:1").unwrap());
         assert!(!kv.remove("dot:1").unwrap());
         assert!(kv.is_empty());
@@ -540,7 +525,7 @@ mod tests {
             assert_eq!(kv.stats().wal_pending_ops, 1);
         }
         let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<String>("model"), Some("weights".to_owned()));
+        assert_eq!(get::<String>(&kv, "model"), Some("weights".to_owned()));
         assert_eq!(kv.len(), 1);
     }
 
@@ -552,9 +537,9 @@ mod tests {
         kv.put("dots:v1:1", &2.0).unwrap();
         kv.put("dots:v2:0", &3.0).unwrap();
         kv.put("model:main", &4.0).unwrap();
-        assert_eq!(kv.keys_with_prefix("dots:v1:").len(), 2);
-        assert_eq!(kv.keys_with_prefix("dots:").len(), 3);
-        assert_eq!(kv.keys_with_prefix("zzz").len(), 0);
+        assert_eq!(kv.with_prefix("dots:v1:").count(), 2);
+        assert_eq!(kv.with_prefix("dots:").count(), 3);
+        assert_eq!(kv.with_prefix("zzz").count(), 0);
     }
 
     #[test]
@@ -580,11 +565,6 @@ mod tests {
         fs::write(snapshot_path(&d.0), b"[1, 2, oops").unwrap();
         let err = KvStore::open(&d.0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // A corrupt shard file of the old layout is read strictly too.
-        fs::remove_file(snapshot_path(&d.0)).unwrap();
-        fs::write(d.0.join("shard-06.json"), b"{\"video:1\": oops").unwrap();
-        let err = KvStore::open(&d.0).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -604,8 +584,8 @@ mod tests {
         drop(f);
 
         let mut kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<f64>("a"), Some(1.0));
-        assert_eq!(kv.get::<f64>("b"), Some(2.0));
+        assert_eq!(get::<f64>(&kv, "a"), Some(1.0));
+        assert_eq!(get::<f64>(&kv, "b"), Some(2.0));
         // The store keeps accepting writes after recovery.
         kv.put("c", &3.0).unwrap();
         drop(kv);
@@ -626,14 +606,14 @@ mod tests {
             kv.put("video:1", &1.0).unwrap();
             kv.fault_injector().arm(Fault::once("kv.wal.write", kind));
             assert!(kv.put("video:2", &2.0).is_err(), "{kind:?}");
-            assert_eq!(kv.get::<f64>("video:2"), None, "{kind:?}");
+            assert_eq!(get::<f64>(&kv, "video:2"), None, "{kind:?}");
             kv.merge("video:3", json("3")).unwrap();
-            assert_eq!(kv.get::<f64>("video:3"), Some(3.0), "{kind:?}");
+            assert_eq!(get::<f64>(&kv, "video:3"), Some(3.0), "{kind:?}");
             drop(kv);
             let kv = KvStore::open(&d.0).unwrap();
-            assert_eq!(kv.get::<f64>("video:1"), Some(1.0), "{kind:?}");
-            assert_eq!(kv.get::<f64>("video:2"), None, "{kind:?}");
-            assert_eq!(kv.get::<f64>("video:3"), Some(3.0), "{kind:?}");
+            assert_eq!(get::<f64>(&kv, "video:1"), Some(1.0), "{kind:?}");
+            assert_eq!(get::<f64>(&kv, "video:2"), None, "{kind:?}");
+            assert_eq!(get::<f64>(&kv, "video:3"), Some(3.0), "{kind:?}");
         }
     }
 
@@ -648,7 +628,7 @@ mod tests {
         fs::write(&orphan, b"half a snapsh").unwrap();
         let kv = KvStore::open(&d.0).unwrap();
         assert!(!orphan.exists(), "stale tmp file survived open");
-        assert_eq!(kv.get::<f64>("k"), Some(1.0));
+        assert_eq!(get::<f64>(&kv, "k"), Some(1.0));
     }
 
     #[test]
@@ -670,7 +650,7 @@ mod tests {
         let kv = KvStore::open(&d.0).unwrap();
         assert_eq!(kv.len(), 11);
         for i in 0..11 {
-            assert_eq!(kv.get::<f64>(&format!("video:{i}")), Some(i as f64));
+            assert_eq!(get::<f64>(&kv, &format!("video:{i}")), Some(i as f64));
         }
         // The replayed ops are still pending: a snapshot must persist
         // them before the WAL can be retired.
@@ -695,7 +675,7 @@ mod tests {
         assert_eq!(s.wal_pending_ops, 0);
         assert_eq!(s.wal_bytes, 0);
         assert_eq!(s.wal_appends, SNAPSHOT_EVERY_OPS);
-        let want = kv.get::<serde_json::Value>("video:1").unwrap();
+        let want = get::<serde_json::Value>(&kv, "video:1").unwrap();
         match want.get_key("sessions") {
             Some(serde_json::Value::Map(sessions)) => assert_eq!(sessions.len(), 255),
             other => panic!("sessions: {other:?}"),
@@ -705,9 +685,9 @@ mod tests {
         assert_eq!(fs::metadata(wal_path(&d.0)).unwrap().len(), 0);
         let kv = KvStore::open(&d.0).unwrap();
         assert_eq!(kv.len(), 2);
-        assert_eq!(kv.get::<serde_json::Value>("video:1"), Some(want));
+        assert_eq!(get::<serde_json::Value>(&kv, "video:1"), Some(want));
         assert_eq!(
-            kv.get::<serde_json::Value>("video:2"),
+            get::<serde_json::Value>(&kv, "video:2"),
             Some(json(r#"{"dots":[1]}"#))
         );
     }
@@ -722,64 +702,42 @@ mod tests {
         frame
     }
 
-    #[test]
-    fn a_shard_layout_dir_opens_and_moves_to_one_snapshot() {
-        // A data dir as stores of the shard layout left it: the
-        // `video:` namespace in shard-06.json, plus a WAL tail of put
-        // and merge ops not yet snapshotted.
-        let d = TempDir::new("legacy");
-        fs::create_dir_all(&d.0).unwrap();
-        fs::write(
-            d.0.join("shard-06.json"),
-            r#"{
-  "video:1": {"dots": [1, 2], "sessions": {"7": 1}},
-  "video:2": {"dots": [3], "sessions": {}}
-}"#,
-        )
-        .unwrap();
-        let mut wal = hand_frame(br#"["m","video:1",{"sessions":{"8":2}}]"#);
-        wal.extend(hand_frame(
-            br#"["p","video:3",{"dots":[],"sessions":{"9":1}}]"#,
-        ));
-        fs::write(wal_path(&d.0), wal).unwrap();
-
-        let want = [
-            (
-                "video:1",
-                json(r#"{"dots":[1,2],"sessions":{"7":1,"8":2}}"#),
-            ),
-            ("video:2", json(r#"{"dots":[3],"sessions":{}}"#)),
-            ("video:3", json(r#"{"dots":[],"sessions":{"9":1}}"#)),
-        ];
-        let check = |kv: &KvStore| {
-            assert_eq!(kv.len(), want.len());
-            for (key, value) in &want {
-                assert_eq!(
-                    kv.get::<serde_json::Value>(key).as_ref(),
-                    Some(value),
-                    "{key}"
-                );
-            }
-        };
-        let mut kv = KvStore::open(&d.0).unwrap();
-        check(&kv);
-        assert_eq!(kv.stats().wal_pending_ops, 2);
-
-        kv.snapshot().unwrap();
-        drop(kv);
-        let mut names: Vec<String> = fs::read_dir(&d.0)
+    /// The file names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
-        assert_eq!(names, ["snapshot.json", "wal.log"]);
-        check(&KvStore::open(&d.0).unwrap());
+        names
     }
 
     #[test]
-    fn snapshot_json_wins_over_a_stale_shard_file() {
-        // A crash after the first snapshot's rename but before it
-        // deleted the old shard file leaves both on disk.
+    fn a_shard_layout_dir_is_refused_and_left_untouched() {
+        // A data dir as stores of the shard layout left it: the
+        // `video:` namespace in shard-06.json, plus a WAL tail.
+        let d = TempDir::new("shard-layout");
+        fs::create_dir_all(&d.0).unwrap();
+        let shard = br#"{"video:1": {"dots": [1, 2], "sessions": {"7": 1}}}"#;
+        let wal = hand_frame(br#"["m","video:1",{"sessions":{"8":2}}]"#);
+        fs::write(d.0.join("shard-06.json"), shard).unwrap();
+        fs::write(wal_path(&d.0), &wal).unwrap();
+
+        let err = KvStore::open(&d.0).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard-06.json"), "{err}");
+        // Opening it as empty would lose every state it holds: nothing
+        // is created, removed or rewritten.
+        assert_eq!(names(&d.0), ["shard-06.json", "wal.log"]);
+        assert_eq!(fs::read(d.0.join("shard-06.json")).unwrap(), shard);
+        assert_eq!(fs::read(wal_path(&d.0)).unwrap(), wal);
+    }
+
+    #[test]
+    fn a_stale_shard_file_beside_a_snapshot_is_removed() {
+        // A crash after the store's first snapshot was renamed into
+        // place, but before it deleted the old shard file, leaves both
+        // on disk: `snapshot.json` wins and the shard file goes.
         let d = TempDir::new("stale-shard");
         {
             let mut kv = KvStore::open(&d.0).unwrap();
@@ -793,15 +751,13 @@ mod tests {
             r#"{"video:1": {"dots": [1]}, "video:2": {"dots": [0]}}"#,
         )
         .unwrap();
-        let mut kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<serde_json::Value>("video:1"), None);
+        let kv = KvStore::open(&d.0).unwrap();
+        assert_eq!(names(&d.0), ["snapshot.json", "wal.log"]);
+        assert_eq!(get::<serde_json::Value>(&kv, "video:1"), None);
         assert_eq!(
-            kv.get::<serde_json::Value>("video:2"),
+            get::<serde_json::Value>(&kv, "video:2"),
             Some(json(r#"{"dots":[5]}"#))
         );
-        // The next snapshot clears the leftover.
-        kv.snapshot().unwrap();
-        assert!(!d.0.join("shard-06.json").exists());
         drop(kv);
         assert_eq!(KvStore::open(&d.0).unwrap().len(), 1);
     }
@@ -818,8 +774,8 @@ mod tests {
             kv.remove("a").unwrap();
         }
         let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<f64>("a"), None);
-        assert_eq!(kv.get::<f64>("b"), Some(2.0));
+        assert_eq!(get::<f64>(&kv, "a"), None);
+        assert_eq!(get::<f64>(&kv, "b"), Some(2.0));
         assert_eq!(kv.len(), 1);
     }
 
@@ -854,8 +810,8 @@ mod tests {
         for (k, v) in kv.export_since("video:", 0) {
             dst.put(&k, &v).unwrap();
         }
-        assert_eq!(dst.get::<f64>("video:2"), Some(2.5));
-        assert_eq!(dst.get::<f64>("video:1"), Some(1.0));
+        assert_eq!(get::<f64>(&dst, "video:2"), Some(2.5));
+        assert_eq!(get::<f64>(&dst, "video:1"), Some(1.0));
     }
 
     #[test]
@@ -908,7 +864,7 @@ mod tests {
         }
         let kv = KvStore::open(&d.0).unwrap();
         assert_eq!(
-            kv.get::<serde_json::Value>("video:1"),
+            get::<serde_json::Value>(&kv, "video:1"),
             Some(json(r#"{"dots":[1,2],"sessions":{"7":1,"8":3}}"#))
         );
     }
@@ -930,9 +886,12 @@ mod tests {
         }
         let mut kv = KvStore::open(&d.0).unwrap();
         let merged = json(r#"{"dots":[2,3],"sessions":{"7":2}}"#);
-        assert_eq!(kv.get::<serde_json::Value>("video:1"), Some(merged.clone()));
         assert_eq!(
-            kv.get::<serde_json::Value>("video:2"),
+            get::<serde_json::Value>(&kv, "video:1"),
+            Some(merged.clone())
+        );
+        assert_eq!(
+            get::<serde_json::Value>(&kv, "video:2"),
             Some(json(r#"{"a":{"b":1}}"#))
         );
         // Snapshots hold the materialized value, not the patch.
@@ -964,7 +923,7 @@ mod tests {
 
         let mut kv = KvStore::open(&d.0).unwrap();
         assert_eq!(
-            kv.get::<serde_json::Value>("video:1"),
+            get::<serde_json::Value>(&kv, "video:1"),
             Some(json(r#"{"sessions":{"7":1,"8":1}}"#))
         );
         assert_eq!(fs::metadata(wal_path(&d.0)).unwrap().len(), intact);
@@ -974,7 +933,7 @@ mod tests {
         drop(kv);
         let kv = KvStore::open(&d.0).unwrap();
         assert_eq!(
-            kv.get::<serde_json::Value>("video:1"),
+            get::<serde_json::Value>(&kv, "video:1"),
             Some(json(r#"{"sessions":{"7":1,"8":1,"9":2}}"#))
         );
     }
@@ -988,10 +947,10 @@ mod tests {
         kv.merge("k", json(r#"{"a":null,"b":{"c":null},"zz":null}"#))
             .unwrap();
         let want = json(r#"{"b":{"d":3},"e":4}"#);
-        assert_eq!(kv.get::<serde_json::Value>("k"), Some(want.clone()));
+        assert_eq!(get::<serde_json::Value>(&kv, "k"), Some(want.clone()));
         drop(kv);
         let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<serde_json::Value>("k"), Some(want));
+        assert_eq!(get::<serde_json::Value>(&kv, "k"), Some(want));
     }
 
     #[test]
@@ -1002,17 +961,20 @@ mod tests {
         // An array inside an object patch replaces the array field …
         kv.merge("k", json(r#"{"a":[9]}"#)).unwrap();
         assert_eq!(
-            kv.get::<serde_json::Value>("k"),
+            get::<serde_json::Value>(&kv, "k"),
             Some(json(r#"{"a":[9],"b":1}"#))
         );
         // … and a non-object patch replaces the whole value, while an
         // object patch over a non-object starts from an empty object.
         kv.merge("k", json("[1,2]")).unwrap();
-        assert_eq!(kv.get::<serde_json::Value>("k"), Some(json("[1,2]")));
+        assert_eq!(get::<serde_json::Value>(&kv, "k"), Some(json("[1,2]")));
         kv.merge("k", json(r#"{"x":"y"}"#)).unwrap();
         drop(kv);
         let kv = KvStore::open(&d.0).unwrap();
-        assert_eq!(kv.get::<serde_json::Value>("k"), Some(json(r#"{"x":"y"}"#)));
+        assert_eq!(
+            get::<serde_json::Value>(&kv, "k"),
+            Some(json(r#"{"x":"y"}"#))
+        );
     }
 
     /// RFC 7396's `MergePatch` pseudo-code, over sorted maps — the
@@ -1163,7 +1125,7 @@ mod tests {
                 assert_eq!(kv.current_seq(), seq, "step {step}");
                 assert_eq!(kv.len(), model.len(), "step {step}");
                 for (key, want) in &model {
-                    let got = kv.get::<serde_json::Value>(key).map(|v| Model::of(&v));
+                    let got = get::<serde_json::Value>(&kv, key).map(|v| Model::of(&v));
                     assert_eq!(got.as_ref(), Some(want), "step {step}: {key}");
                 }
                 for &since in &marks {
@@ -1185,17 +1147,9 @@ mod tests {
             let kv = KvStore::open(&d.0).unwrap();
             let reopened: BTreeMap<String, Model> = keys
                 .iter()
-                .filter_map(|k| Some((k.to_string(), Model::of(&kv.get::<serde_json::Value>(k)?))))
+                .filter_map(|k| Some((k.to_string(), Model::of(&get::<serde_json::Value>(&kv, k)?))))
                 .collect();
             assert_eq!(reopened, model, "final reopen");
         }
-    }
-
-    #[test]
-    fn type_mismatch_yields_none() {
-        let d = TempDir::new("mismatch");
-        let mut kv = KvStore::open(&d.0).unwrap();
-        kv.put("k", &"string".to_owned()).unwrap();
-        assert_eq!(kv.get::<f64>("k"), None);
     }
 }

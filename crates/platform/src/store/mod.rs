@@ -22,8 +22,9 @@
 //!   fronted by an fsynced write-ahead log. Writes are O(op) — a merge
 //!   logs only its JSON Merge Patch; the snapshot holds materialized
 //!   values and its rewrites are amortized by fixed op/byte
-//!   thresholds; a corrupt snapshot is an error, never a silently
-//!   empty store.
+//!   thresholds. It reads one layout, strictly: a corrupt snapshot,
+//!   or a directory of the old `shard-NN.json` layout, is an error,
+//!   never a silently empty store.
 
 mod chatstore;
 mod fault;

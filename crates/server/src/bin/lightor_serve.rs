@@ -3,11 +3,14 @@
 //! service, and serve the browser-extension routes over HTTP.
 //!
 //! ```text
-//! lightor-serve [--port N] [--data-dir PATH] [--workers N] [--seed N] [--quick]
+//! lightor-serve --data-dir PATH [--port N] [--workers N] [--seed N] [--quick]
 //!               [--restore-from PATH]
 //! ```
 //!
-//! Defaults: port 7878, a fresh temp data dir, 4 workers. `--quick`
+//! `--data-dir` is required: the service keeps its chat log and
+//! refinement state there, and a restart on the same dir resumes them.
+//! A dir whose stored state does not decode fails the boot with an
+//! error naming the key. Defaults: port 7878, 4 workers. `--quick`
 //! shrinks the training corpus and simulated platform so a backend
 //! boots in a fraction of the time — for smoke tests and the chaos
 //! harness, which start several backends per run. Prints one
@@ -41,7 +44,7 @@ use std::sync::Arc;
 
 struct Args {
     port: u16,
-    data_dir: Option<std::path::PathBuf>,
+    data_dir: std::path::PathBuf,
     workers: usize,
     seed: u64,
     quick: bool,
@@ -49,9 +52,10 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut data_dir = None;
     let mut args = Args {
         port: 7878,
-        data_dir: None,
+        data_dir: std::path::PathBuf::new(),
         workers: 4,
         seed: 71,
         quick: false,
@@ -66,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--port: {e}"))?
             }
-            "--data-dir" => args.data_dir = Some(value("--data-dir")?.into()),
+            "--data-dir" => data_dir = Some(value("--data-dir")?.into()),
             "--workers" => {
                 args.workers = value("--workers")?
                     .parse()
@@ -82,6 +86,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    args.data_dir = data_dir.ok_or("--data-dir is required")?;
     Ok(args)
 }
 
@@ -91,7 +96,7 @@ fn main() -> std::io::Result<()> {
         Err(e) => {
             eprintln!("lightor-serve: {e}");
             eprintln!(
-                "usage: lightor-serve [--port N] [--data-dir PATH] [--workers N] [--seed N] \
+                "usage: lightor-serve --data-dir PATH [--port N] [--workers N] [--seed N] \
                  [--quick] [--restore-from PATH]"
             );
             std::process::exit(2);
@@ -122,11 +127,8 @@ fn main() -> std::io::Result<()> {
     let platform = SimPlatform::top_channels(GameKind::Dota2, channels, per_channel, args.seed ^ 3);
     let mut catalog: Vec<u64> = platform.all_videos().map(|v| v.video.meta.id.0).collect();
     catalog.sort_unstable();
-    let data_dir = args.data_dir.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("lightor-serve-{}", std::process::id()))
-    });
     let svc = Arc::new(LightorService::open(
-        &data_dir,
+        &args.data_dir,
         models,
         platform,
         ServiceConfig::default(),
@@ -174,7 +176,7 @@ fn main() -> std::io::Result<()> {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    eprintln!("data dir: {}", data_dir.display());
+    eprintln!("data dir: {}", args.data_dir.display());
 
     // Serve until killed (std-only: no signal handling; the process
     // owner — CI, an operator, a supervisor — terminates us).

@@ -8,7 +8,10 @@ use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
 use lightor_eval::harness::{train_initializer, train_type_classifier};
-use lightor_platform::wire::{DotsResponse, EventDto, SessionUpload, StatsResponse};
+use lightor_platform::wire::{
+    bundle_crc, BundleDto, BundleEntryDto, DotsResponse, EventDto, SessionUpload, StatsResponse,
+    BUNDLE_FORMAT_VERSION,
+};
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::{HttpClient, HttpServer, ServerConfig, SessionAccepted};
 use lightor_types::{GameKind, Session, VideoId};
@@ -384,6 +387,48 @@ fn malformed_requests_get_the_right_status_codes() {
         .post_json(&format!("/video/{}/rescore", vid.0), "{\"k\": 0}")
         .unwrap();
     assert_eq!(resp.status, 422);
+    // A bundle whose second state holds array-form watermarks → 422
+    // bad_bundle, and its good first state is not applied either.
+    let untracked = platform.recent_videos(platform.channels()[0].id)[1];
+    let state = |text: &str| Some(serde_json::from_str(text).unwrap());
+    let entries = vec![
+        BundleEntryDto {
+            video: untracked.0,
+            state: state(r#"{"dots": [], "sessions": {}}"#),
+            chat_hex: None,
+            tokenized_hex: None,
+        },
+        BundleEntryDto {
+            video: vid.0,
+            state: state(r#"{"dots": [], "sessions": [{"client": 1, "seq": 2}]}"#),
+            chat_hex: None,
+            tokenized_hex: None,
+        },
+    ];
+    let bundle = BundleDto {
+        format_version: BUNDLE_FORMAT_VERSION,
+        as_of_seq: 0,
+        crc32: bundle_crc(&entries),
+        entries,
+    };
+    let resp = c
+        .post_json("/admin/import", &serde_json::to_string(&bundle).unwrap())
+        .unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.body_str());
+    assert!(
+        resp.body_str().contains("bad_bundle"),
+        "{}",
+        resp.body_str()
+    );
+    let dots: DotsResponse = c
+        .get(&format!("/video/{}/dots", untracked.0))
+        .unwrap()
+        .json()
+        .unwrap();
+    assert!(
+        !dots.dots.is_empty(),
+        "the refused bundle's state was served"
+    );
 
     // All of those must be visible in the error counters.
     let stats: StatsResponse = c.get("/stats").unwrap().json().unwrap();

@@ -24,7 +24,8 @@
 //!   bytes;
 //! * `http_serve` — the network edge over a real loopback socket: one
 //!   keep-alive client doing warm `GET /video/{id}/dots` and
-//!   `POST /sessions` round trips against the `lightor_server` front
+//!   `POST /sessions` round trips (one sequenced batch each, every one
+//!   folded) against the `lightor_server` front
 //!   end (median_ns is the p50 request latency; requests/sec is its
 //!   reciprocal);
 //! * `router_proxy` — the same warm dots GET measured directly against
@@ -426,7 +427,9 @@ fn bench_http_serve(c: &mut Criterion) {
     let dots_path = format!("/video/{}/dots", vid.0);
     assert_eq!(client.get(&dots_path).unwrap().status, 200);
 
-    // One realistic session upload, serialized once.
+    // One realistic session upload, its events serialized once. Each
+    // iteration posts it with the next `seq`, so every request folds
+    // (a repeated seq would time a replay).
     let session = Campaign::new(64, 0xBE7C)
         .run_task(
             &truth.video,
@@ -435,16 +438,13 @@ fn bench_http_serve(c: &mut Criterion) {
         )
         .sessions
         .remove(0);
-    let upload = lightor_platform::wire::SessionUpload {
-        video: vid.0,
-        client: session.user.0,
-        events: session
-            .events
-            .iter()
-            .map(|&e| lightor_platform::wire::EventDto::from(e))
-            .collect(),
-    };
-    let session_json = serde_json::to_string(&upload).unwrap();
+    let events: Vec<lightor_platform::wire::EventDto> = session
+        .events
+        .iter()
+        .map(|&e| lightor_platform::wire::EventDto::from(e))
+        .collect();
+    let events_json = serde_json::to_string(&events).unwrap();
+    let seq = Cell::new(0u64);
 
     let mut g = c.benchmark_group("http_serve");
     g.throughput(Throughput::Elements(1));
@@ -460,7 +460,14 @@ fn bench_http_serve(c: &mut Criterion) {
     // Implicit-feedback ingestion: parse + validate + buffer + refine.
     g.bench_function("post_session", |b| {
         b.iter(|| {
-            let resp = client.post_json("/sessions", &session_json).unwrap();
+            seq.set(seq.get() + 1);
+            let body = format!(
+                r#"{{"video":{},"client":{},"seq":{},"events":{events_json}}}"#,
+                vid.0,
+                session.user.0,
+                seq.get()
+            );
+            let resp = client.post_json("/sessions", &body).unwrap();
             assert_eq!(resp.status, 200);
             black_box(resp)
         })

@@ -43,7 +43,7 @@
 //! # Incremental ingestion
 //!
 //! [`LightorService::refine_batch`] is the only ingestion entry point;
-//! both upload paths (`POST /sessions` and streamed NDJSON) call it. It
+//! the one HTTP session handler calls it once per NDJSON line. It
 //! buffers one event batch against the nearest dots, steps
 //! every dot with at least `min_plays_per_round` buffered plays,
 //! republishes the dot snapshot, and persists *before* the caller
@@ -713,8 +713,8 @@ impl LightorService {
     }
 
     /// Fold one event batch into a video's refinement state: the unit
-    /// of ingestion for both the `POST /sessions` path and the
-    /// streamed NDJSON path. Buffers the batch's plays, runs a
+    /// of ingestion behind both HTTP session paths, one call per
+    /// NDJSON line. Buffers the batch's plays, runs a
     /// refinement round over whatever has accumulated, republishes the
     /// dot snapshot if anything moved, and persists *before* returning
     /// so the caller's acknowledgement is durable.
@@ -731,7 +731,10 @@ impl LightorService {
     /// is recognized as an idempotent replay (`replayed: true`,
     /// nothing folded) — a client resuming from its last ack after a
     /// crash introduces no duplicate refinement. `seq = None` batches
-    /// are unsequenced and always folded.
+    /// are unsequenced and always folded; the HTTP edge never passes
+    /// one (it rejects a line without a `seq`). Only in-process callers
+    /// do, `loadbench/`'s replay among them, and the branch goes with
+    /// ROADMAP item 2's benchmark change.
     ///
     /// `Ok(None)` when the video is not tracked (no one has fetched
     /// its dots yet); the HTTP edge turns that into a typed 422.

@@ -173,7 +173,8 @@ pub struct StatsResponse {
     /// exhaustion, interrupted syscalls) — nonzero means the accept
     /// loop has been shedding connections.
     pub accept_errors: u64,
-    /// NDJSON lines accepted on `POST /sessions/stream` since start.
+    /// NDJSON lines accepted on `POST /sessions` and
+    /// `POST /sessions/stream` since start.
     /// (`serde(default)` on the stream counters keeps pre-streaming
     /// stats JSON parseable.)
     #[serde(default)]
@@ -181,9 +182,8 @@ pub struct StatsResponse {
     /// NDJSON lines rejected with a typed per-line error.
     #[serde(default)]
     pub stream_lines_rejected: u64,
-    /// Event batches folded into refinement state via the incremental
-    /// path (buffered `POST /sessions` uploads count here too — both
-    /// paths share `refine_batch`).
+    /// Event batches folded into refinement state (both session
+    /// routes share one handler and `refine_batch`).
     #[serde(default)]
     pub stream_batches_folded: u64,
     /// Batches recognized as idempotent replays (sequence at or below
@@ -530,17 +530,21 @@ pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Why a [`SessionUpload`] was rejected (a 422-style semantic error:
-/// the JSON was well-formed, the content is garbage).
+/// Why a [`StreamBatchDto`] line was rejected (a semantic error: the
+/// JSON was well-formed, the content is not a foldable batch).
 ///
 /// The paper's pipeline filters *abnormal* viewer behaviour
 /// statistically (Section V-B), but non-finite or negative timestamps
 /// are not behaviour at all — they are client bugs, and letting them
 /// into the play buffers would poison every downstream aggregate
 /// (`f64` comparisons against NaN are always false, so a single NaN
-/// play survives every filter). They are rejected at the wire edge.
+/// play survives every filter). They are rejected at the wire edge,
+/// as is a batch without the `seq` that makes its retry safe.
 #[derive(Clone, Debug, PartialEq)]
 pub enum UploadError {
+    /// The batch carries no `seq` (absent or `null`): its ack could
+    /// not be retried without folding it twice.
+    MissingSeq,
     /// An event carries a NaN or infinite timestamp.
     NonFiniteTimestamp {
         /// Index of the offending event in `events`.
@@ -551,16 +555,25 @@ pub enum UploadError {
         /// Index of the offending event in `events`.
         event: usize,
     },
-    /// The session has no events — nothing to learn from.
+    /// The batch has no events — nothing to learn from.
     NoEvents,
     /// The server does not track this video (fetch its dots first).
     ///
-    /// Never produced by [`SessionUpload::validate`] (the DTO cannot
+    /// Never produced by [`StreamBatchDto::validate`] (the DTO cannot
     /// know the catalog); the serving layer raises it when the lookup
     /// misses.
     UnknownVideo {
         /// The id the client sent.
         video: u64,
+    },
+    /// The line names another video than the stream's first batch.
+    /// A stream is routed by its first batch's video, so it carries
+    /// that one video only; raised by the serving layer.
+    VideoMismatch {
+        /// The id the line sent.
+        video: u64,
+        /// The video the stream's first batch named.
+        stream_video: u64,
     },
 }
 
@@ -568,10 +581,12 @@ impl UploadError {
     /// Stable machine-readable code for error payloads.
     pub fn code(&self) -> &'static str {
         match self {
+            UploadError::MissingSeq => "missing_seq",
             UploadError::NonFiniteTimestamp { .. } => "non_finite_timestamp",
             UploadError::NegativeTimestamp { .. } => "negative_timestamp",
             UploadError::NoEvents => "no_events",
             UploadError::UnknownVideo { .. } => "unknown_video",
+            UploadError::VideoMismatch { .. } => "video_mismatch",
         }
     }
 }
@@ -579,6 +594,7 @@ impl UploadError {
 impl std::fmt::Display for UploadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            UploadError::MissingSeq => write!(f, "batch carries no seq"),
             UploadError::NonFiniteTimestamp { event } => {
                 write!(f, "event {event} has a NaN or infinite timestamp")
             }
@@ -589,29 +605,53 @@ impl std::fmt::Display for UploadError {
             UploadError::UnknownVideo { video } => {
                 write!(f, "video {video} is not tracked; fetch its dots first")
             }
+            UploadError::VideoMismatch {
+                video,
+                stream_video,
+            } => write!(
+                f,
+                "video {video} in a stream of video {stream_video}; open one stream per video"
+            ),
         }
     }
 }
 
 impl std::error::Error for UploadError {}
 
-/// `POST /video/{id}/session` request body.
+/// The body of `POST /sessions` (one line) and each NDJSON line of
+/// `POST /sessions/stream`: an event batch for one video from one
+/// client, with the client-assigned sequence that makes a retried
+/// batch safe.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SessionUpload {
+pub struct StreamBatchDto {
     /// The video being watched.
     pub video: u64,
-    /// Anonymous client id.
+    /// Anonymous client id (the replay watermark is per
+    /// `(video, client)`).
     pub client: u64,
-    /// Ordered player events.
+    /// Client-assigned batch sequence, strictly increasing per
+    /// `(video, client)` session. A batch at or below the acknowledged
+    /// watermark is recognized as a replay and not folded twice.
+    /// Required: a line without it (absent or `null`) is rejected
+    /// `missing_seq`. The `Option` stays only for the in-process
+    /// replay in `loadbench/`, and goes with ROADMAP item 2's
+    /// benchmark change.
+    #[serde(default)]
+    pub seq: Option<u64>,
+    /// Ordered player events in this batch.
     pub events: Vec<EventDto>,
 }
 
-impl SessionUpload {
-    /// Check every event timestamp is finite and non-negative.
+impl StreamBatchDto {
+    /// Check the batch has a `seq` and events, and that every event
+    /// timestamp is finite and non-negative.
     ///
     /// Returns the first offending event, in upload order, so clients
     /// get an actionable pointer instead of a blanket rejection.
     pub fn validate(&self) -> Result<(), UploadError> {
+        if self.seq.is_none() {
+            return Err(UploadError::MissingSeq);
+        }
         if self.events.is_empty() {
             return Err(UploadError::NoEvents);
         }
@@ -634,64 +674,27 @@ impl SessionUpload {
         Ok(())
     }
 
-    /// Validate, then convert into the domain session type.
+    /// Validate, then convert into the domain session type, moving the
+    /// events rather than copying them.
     ///
-    /// This is the ingestion path: garbage timestamps come back as a
-    /// typed [`UploadError`] (a 422 at the HTTP edge) instead of
+    /// This is the ingestion path: a bad batch comes back as a typed
+    /// [`UploadError`] (a rejected line at the HTTP edge) instead of
     /// poisoning the play buffers.
     pub fn try_into_session(self) -> Result<(VideoId, Session), UploadError> {
         self.validate()?;
-        Ok(self.into_session_unchecked())
-    }
-
-    /// Convert into the domain session type without validating.
-    ///
-    /// Trusted-caller convenience (simulators, tests); network input
-    /// must go through [`SessionUpload::try_into_session`].
-    pub fn into_session(self) -> (VideoId, Session) {
-        self.into_session_unchecked()
-    }
-
-    fn into_session_unchecked(self) -> (VideoId, Session) {
-        (
+        let events = self.events.into_iter().map(Interaction::from).collect();
+        Ok((
             VideoId(self.video),
-            Session::new(
-                UserId(self.client),
-                self.events.into_iter().map(Interaction::from).collect(),
-            ),
-        )
+            Session::new(UserId(self.client), events),
+        ))
     }
-}
 
-/// One NDJSON line on `POST /sessions/stream`: an event batch for one
-/// video from one client, optionally carrying a client-assigned batch
-/// sequence for idempotent replay.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StreamBatchDto {
-    /// The video being watched.
-    pub video: u64,
-    /// Anonymous client id (the replay watermark is per
-    /// `(video, client)`).
-    pub client: u64,
-    /// Client-assigned batch sequence, strictly increasing per
-    /// `(video, client)` session. A batch at or below the acknowledged
-    /// watermark is recognized as a replay and not folded twice.
-    /// `None` (or absent) opts out of replay protection.
-    #[serde(default)]
-    pub seq: Option<u64>,
-    /// Ordered player events in this batch.
-    pub events: Vec<EventDto>,
-}
-
-impl StreamBatchDto {
-    /// The batch's events as a buffered-style [`SessionUpload`] — the
-    /// two ingestion paths validate and fold identically through this.
-    pub fn as_upload(&self) -> SessionUpload {
-        SessionUpload {
-            video: self.video,
-            client: self.client,
-            events: self.events.clone(),
-        }
+    /// A clone of this batch. Only `loadbench/src/replay.rs` calls it;
+    /// it goes with the `Option` on [`StreamBatchDto::seq`] in
+    /// ROADMAP item 2's benchmark change.
+    #[doc(hidden)]
+    pub fn as_upload(&self) -> Self {
+        self.clone()
     }
 }
 
@@ -707,10 +710,10 @@ pub struct LineRejectDto {
     pub message: String,
 }
 
-/// `POST /sessions/stream` success ack (200): per-stream totals plus
-/// every rejected line. Rejected lines do not fail the stream until
-/// the error budget is exhausted. `Default` is the zero-line ack of
-/// an empty or all-blank stream.
+/// `POST /sessions` and `POST /sessions/stream` success ack (200):
+/// per-stream totals plus every rejected line. Rejected lines do not
+/// fail the stream until the error budget is exhausted. `Default` is
+/// the zero-line ack of an empty or all-blank stream.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamAccepted {
     /// NDJSON lines accepted and folded (or recognized as replays).
@@ -725,14 +728,16 @@ pub struct StreamAccepted {
     pub plays_buffered: u64,
     /// Refinement rounds completed across the stream.
     pub dots_refined: u64,
-    /// Highest acknowledged batch sequence (0 when unsequenced) — the
-    /// client resumes replay from the next sequence after a crash.
+    /// Highest sequence among the stream's acknowledged lines, folded
+    /// or replayed (0 when none was) — the client resumes replay from
+    /// the next sequence after a crash.
     pub last_seq: u64,
     /// The rejected lines, in stream order.
     pub rejected: Vec<LineRejectDto>,
 }
 
-/// `POST /sessions/stream` terminal failure (the stream was cut):
+/// `POST /sessions` and `POST /sessions/stream` terminal failure (the
+/// stream was cut):
 /// which line ended it and everything rejected up to that point.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StreamRejected {
@@ -776,9 +781,10 @@ mod tests {
 
     #[test]
     fn session_upload_converts() {
-        let upload = SessionUpload {
+        let batch = StreamBatchDto {
             video: 7,
             client: 99,
+            seq: Some(1),
             events: vec![
                 EventDto::Play { at: 100.0 },
                 EventDto::Seek {
@@ -788,9 +794,9 @@ mod tests {
                 EventDto::Pause { at: 120.0 },
             ],
         };
-        let js = serde_json::to_string(&upload).unwrap();
-        let parsed: SessionUpload = serde_json::from_str(&js).unwrap();
-        let (vid, session) = parsed.into_session();
+        let js = serde_json::to_string(&batch).unwrap();
+        let parsed: StreamBatchDto = serde_json::from_str(&js).unwrap();
+        let (vid, session) = parsed.try_into_session().unwrap();
         assert_eq!(vid, VideoId(7));
         assert_eq!(session.user, UserId(99));
         assert_eq!(session.plays().len(), 2);
@@ -856,12 +862,16 @@ mod tests {
         let js = serde_json::to_string(&batch).unwrap();
         let back: StreamBatchDto = serde_json::from_str(&js).unwrap();
         assert_eq!(batch, back);
-        assert_eq!(back.as_upload().events.len(), 2);
-        // An unsequenced line (no `seq` key at all) parses with None.
-        let unseq: StreamBatchDto =
-            serde_json::from_str(r#"{"video":7,"client":99,"events":[{"type":"play","at":1.0}]}"#)
-                .unwrap();
-        assert_eq!(unseq.seq, None);
+        // A line with no `seq` key, or `"seq": null`, parses with None
+        // and fails validation.
+        for line in [
+            r#"{"video":7,"client":99,"events":[{"type":"play","at":1.0}]}"#,
+            r#"{"video":7,"client":99,"seq":null,"events":[{"type":"play","at":1.0}]}"#,
+        ] {
+            let unseq: StreamBatchDto = serde_json::from_str(line).unwrap();
+            assert_eq!(unseq.seq, None);
+            assert_eq!(unseq.validate(), Err(UploadError::MissingSeq));
+        }
 
         let ack = StreamAccepted {
             lines_accepted: 5,
@@ -1029,10 +1039,11 @@ mod tests {
         assert!(js.contains("\"type\":\"play\""), "{js}");
     }
 
-    fn upload(events: Vec<EventDto>) -> SessionUpload {
-        SessionUpload {
+    fn upload(events: Vec<EventDto>) -> StreamBatchDto {
+        StreamBatchDto {
             video: 7,
             client: 99,
+            seq: Some(1),
             events,
         }
     }
@@ -1040,7 +1051,7 @@ mod tests {
     #[test]
     fn bad_payload_matrix_is_rejected_with_typed_errors() {
         // (events, expected code, offending index) — every way a client
-        // can hand us garbage timestamps, plus the empty session.
+        // can hand us garbage timestamps, plus the empty batch.
         let cases: Vec<(Vec<EventDto>, &str, Option<usize>)> = vec![
             (vec![], "no_events", None),
             (
@@ -1111,6 +1122,13 @@ mod tests {
             // try_into_session must agree with validate.
             assert_eq!(up.try_into_session().unwrap_err().code(), code);
         }
+        // A missing seq is reported before any event is looked at.
+        let unsequenced = StreamBatchDto {
+            seq: None,
+            ..upload(vec![])
+        };
+        assert_eq!(unsequenced.validate(), Err(UploadError::MissingSeq));
+        assert_eq!(UploadError::MissingSeq.code(), "missing_seq");
     }
 
     #[test]
@@ -1136,6 +1154,12 @@ mod tests {
         assert_eq!(e.code(), "unknown_video");
         assert!(e.to_string().contains("42"));
         assert!(UploadError::NoEvents.to_string().contains("no events"));
+        let e = UploadError::VideoMismatch {
+            video: 9,
+            stream_video: 7,
+        };
+        assert_eq!(e.code(), "video_mismatch");
+        assert!(e.to_string().contains("video 9 in a stream of video 7"));
     }
 
     #[test]

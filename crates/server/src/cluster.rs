@@ -6,16 +6,17 @@
 //! unchanged, so the browser extension talks to one address whether
 //! LIGHTOR runs as one process or a sharded fleet:
 //!
-//! * `GET /video/{id}/dots`, `POST /video/{id}/rescore`,
-//!   `POST /sessions` → the shard owning the video id (`/sessions`
-//!   bodies carry the id; the router parses the upload to place it);
+//! * `GET /video/{id}/dots`, `POST /video/{id}/rescore` → the shard
+//!   owning the video id;
 //! * `POST /admin/compact` → broadcast to every shard, responses
 //!   summed;
 //! * `GET /healthz`, `GET /stats` → answered by the router itself with
 //!   per-shard health and aggregated backend stats
 //!   ([`RouterHealthzResponse`], [`RouterStatsResponse`]);
-//! * `POST /sessions/stream` → relayed chunk by chunk to the shard
-//!   owning the video id on the body's first line;
+//! * `POST /sessions` and `POST /sessions/stream` (one route) →
+//!   relayed chunk by chunk to the shard owning the video id on the
+//!   body's first line; the backend rejects any line for another
+//!   video;
 //! * `POST /admin/ring` → swap in a new backend set without a restart
 //!   (see below).
 //!
@@ -75,8 +76,7 @@ use crate::router::{resolve, Route};
 use crate::server::{BodySource, Handler, OneChunk};
 use lightor_platform::wire::{
     BackendHealthDto, BackendStatsDto, CompactResponse, RingUpdateRequest, RingUpdateResponse,
-    RouterHealthzResponse, RouterStatsResponse, SessionUpload, StatsResponse, StreamAccepted,
-    StreamBatchDto,
+    RouterHealthzResponse, RouterStatsResponse, StatsResponse, StreamAccepted, StreamBatchDto,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -511,11 +511,6 @@ impl Cluster {
         }
     }
 
-    /// Route a write to the owner of `video`.
-    fn route_write(&self, video: u64, path: &str, body: &[u8]) -> Response {
-        self.proxy_write(&self.owner(video), path, body)
-    }
-
     /// Open a fresh write connection to `b` (see the module docs):
     /// the breaker gate, the attempt counters, then the connect. `Err`
     /// carries the ready client-facing failure (shard down, bad
@@ -558,22 +553,13 @@ impl Cluster {
         }
     }
 
-    /// `POST /sessions`: the video id lives in the body, so parse the
-    /// upload (which also rejects garbage before it crosses the wire
-    /// again) and route to the owning shard with the original bytes.
-    fn route_session(&self, body: &[u8]) -> Response {
-        let upload: SessionUpload = match serde_json::from_slice(body) {
-            Ok(u) => u,
-            Err(_) => return Response::error(400, "bad_json", "body must be a SessionUpload"),
-        };
-        self.route_write(upload.video, "/sessions", body)
-    }
-
     /// Relay a streamed NDJSON upload to the owning shard chunk by
     /// chunk. The video id lives on the first line, so the router
     /// buffers only up to the first non-blank newline (bounded), picks
     /// the owner, then forwards the buffered prefix and every later
-    /// chunk as it arrives — the hop never holds the whole stream.
+    /// chunk as it arrives — the hop never holds the whole stream. The
+    /// owner rejects any later line for another video, so no batch is
+    /// acknowledged by a shard that does not own it.
     /// Like every write it goes out on a fresh connection and never
     /// retries; a backend that answers early (mid-stream freeze `503`,
     /// budget `422`) and stops reading has that early response relayed
@@ -861,8 +847,7 @@ impl Handler for Cluster {
             Route::Healthz => self.healthz(),
             Route::Stats => self.stats(metrics),
             Route::Dots(id) => self.proxy_get(&self.owner(id), &req.path),
-            Route::Rescore(id) => self.route_write(id, &req.path, &req.body),
-            Route::Sessions => self.route_session(&req.body),
+            Route::Rescore(id) => self.proxy_write(&self.owner(id), &req.path, &req.body),
             Route::SessionsStream => unreachable!("answered by handle_stream above"),
             Route::Compact => self.broadcast_compact(),
             Route::Ring => self.handle_ring(&req.body),

@@ -13,24 +13,23 @@
 //!   First sight of a video crawls its chat replay and runs the
 //!   Highlight Initializer; later requests serve the *refined*
 //!   positions, so the dots viewers see improve as the crowd watches.
-//! * **"interactions stream back"** → `POST /sessions`. The extension
-//!   uploads one [`wire::SessionUpload`] per viewing session (play /
-//!   pause / seek / leave events). The service buffers the derived
-//!   plays against the nearest dot and runs a refinement round — the
+//! * **"interactions stream back"** → `POST /sessions` or
+//!   `POST /sessions/stream`, one route with one handler. The body is
+//!   NDJSON (chunked or Content-Length), one [`wire::StreamBatchDto`]
+//!   event batch (play / pause / seek / leave events) per line, for
+//!   one video; `POST /sessions` is the one-line form. Each line is
+//!   folded as it arrives: the service buffers the derived plays
+//!   against the nearest dot and runs a refinement round — the
 //!   implicit-crowdsourcing step that turns passive viewers into
-//!   labellers. Garbage payloads (NaN/negative timestamps, unknown
-//!   videos) are rejected with a typed 422 ([`wire::UploadError`]).
-//! * **"interactions stream back, live"** → `POST /sessions/stream`.
-//!   The streaming twin: a chunked (or Content-Length) NDJSON body,
-//!   one [`wire::StreamBatchDto`] event batch per line, folded
-//!   incrementally as each line arrives. Acknowledged batches are
-//!   WAL-durable *before* the [`wire::StreamAccepted`] ack; a client
-//!   that tags batches with a per-`(video, client)` `seq` can replay
-//!   from its last acknowledged sequence after any crash without
-//!   double-counting (replays are recognized and skipped). Malformed
-//!   lines reject the *line* — typed, with its 1-based number — not
-//!   the session, up to a 16-line error budget
-//!   ([`wire::StreamRejected`]).
+//!   labellers. Acknowledged batches are WAL-durable *before* the
+//!   [`wire::StreamAccepted`] ack. Every batch carries a per-`(video,
+//!   client)` `seq`, so a client whose ack was lost retries it, or
+//!   replays from its last acknowledged sequence after any crash,
+//!   without double-counting (replays are recognized and skipped).
+//!   Malformed lines reject the *line* — typed, with its 1-based
+//!   number and a [`wire::UploadError`] code such as `missing_seq`,
+//!   `video_mismatch` or `negative_timestamp` — not the session, up
+//!   to a 16-line error budget ([`wire::StreamRejected`]).
 //! * **"model refresh"** → `POST /video/{id}/rescore`: re-run the
 //!   Initializer at a chosen `k` without touching refinement state.
 //! * **operations** → `GET /stats` (service + per-route HTTP counters,
@@ -89,9 +88,10 @@
 //! * [`retry`] — bounded attempts (three per request, under the
 //!   request deadline), jittered backoff, and a global [`RetryBudget`]
 //!   so a flapping shard can't amplify load. Only idempotent GETs are
-//!   retried; writes never re-run on a fresh connection, because an
-//!   acknowledged-but-disconnected `POST /sessions` may already have
-//!   refined the model.
+//!   retried; the router never re-runs a write, because a write whose
+//!   ack was lost may already have applied. A session batch is safe
+//!   to retry only from the client, which owns its `seq`: the owner
+//!   recognizes the retry as a replay.
 //!
 //! The `lightor-router` binary wires these together
 //! (`--backend host:port` per shard). Backends stay plain
@@ -164,10 +164,18 @@
 //! hashing normally does, so grow/shrink operations still need the
 //! export/import migration dance first.
 //!
-//! **Streaming ingest.** `POST /sessions/stream` accepts a chunked (or
-//! `Content-Length`) NDJSON body and folds each line as it arrives, so
-//! a long-lived uploader holds one connection, not one buffered body.
-//! What to know when operating it:
+//! **Streaming ingest.** `POST /sessions` and `POST /sessions/stream`
+//! are one route: each accepts a chunked (or `Content-Length`) NDJSON
+//! body and folds each line as it arrives, so a long-lived uploader
+//! holds one connection, not one buffered body. What to know when
+//! operating it:
+//!
+//! * *One video, every batch sequenced.* A stream carries the video of
+//!   its first batch; a line for another video is rejected
+//!   `video_mismatch`, and a line without a `seq` is rejected
+//!   `missing_seq`. Every client that posts therefore leaves a
+//!   `(client, seq)` watermark in its video's state, and no watermark
+//!   expires yet (ROADMAP item 7 measures the cost).
 //!
 //! * *Progress deadlines.* A streamed body must make progress: each
 //!   read window is bounded by a fixed 2 s body-progress deadline, the
@@ -186,14 +194,14 @@
 //!   count per-line outcomes; `stream_batches_folded` counts batches
 //!   that advanced refinement state and `stream_batches_replayed`
 //!   counts duplicates recognized by their `seq` watermark and
-//!   skipped. `folded + replayed` reconciling with `lines_accepted`
-//!   (buffered `POST /sessions` also counts one `folded` each) is the
-//!   healthy steady state.
+//!   skipped. `folded + replayed` reconciling with `lines_accepted` is
+//!   the healthy steady state. Both paths count under the one
+//!   `POST /sessions/stream` row of `http`.
 //! * *Resume after a crash.* Every `StreamAccepted` ack means the
 //!   batches it covers are WAL-durable on the owning shard. A client
-//!   that tags batches with a monotone per-`(video, client)` `seq`
-//!   resumes by replaying from its last acked `last_seq` + 1; sending
-//!   earlier batches again is harmless (they come back
+//!   numbers its batches with a monotone per-`(video, client)` `seq`
+//!   and resumes by replaying from its last acked `last_seq` + 1;
+//!   sending earlier batches again is harmless (they come back
 //!   `batches_replayed`, fold nothing).
 //! * *Freeze windows.* A mid-stream export freeze answers `503
 //!   frozen` with a `Retry-After` and terminates the stream cleanly;
@@ -261,6 +269,6 @@ pub use metrics::{HttpMetrics, RouteKey, StreamMetrics, ROUTE_NAMES};
 pub use pool::ThreadPool;
 pub use replicate::{ReplicaPair, ReplicaTracker};
 pub use retry::{RetryBudget, XorShift64};
-pub use router::{Route, RouteError, SessionAccepted};
+pub use router::{Route, RouteError};
 pub use server::{BodySource, Handler, HttpServer, ServerConfig, StreamBodyError};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorServer};

@@ -19,30 +19,27 @@ pub enum RouteKey {
     Dots = 1,
     /// `POST /video/{id}/rescore`
     Rescore = 2,
-    /// `POST /sessions`
-    Sessions = 3,
     /// `GET /stats`
-    Stats = 4,
+    Stats = 3,
     /// `POST /admin/compact`
-    Compact = 5,
+    Compact = 4,
     /// `POST /admin/export`
-    Export = 6,
+    Export = 5,
     /// `POST /admin/import`
-    Import = 7,
+    Import = 6,
     /// `POST /admin/ring`
-    Ring = 8,
-    /// `POST /sessions/stream`
-    SessionsStream = 9,
+    Ring = 7,
+    /// `POST /sessions/stream`, and `POST /sessions` (one route)
+    SessionsStream = 8,
     /// Anything unroutable: 404/405, parse errors, load-sheds.
-    Other = 10,
+    Other = 9,
 }
 
 /// Route templates, indexed by [`RouteKey`].
-pub const ROUTE_NAMES: [&str; 11] = [
+pub const ROUTE_NAMES: [&str; 10] = [
     "GET /healthz",
     "GET /video/{id}/dots",
     "POST /video/{id}/rescore",
-    "POST /sessions",
     "GET /stats",
     "POST /admin/compact",
     "POST /admin/export",
@@ -60,7 +57,7 @@ struct RouteCounters {
     latency_max_us: AtomicU64,
 }
 
-/// Streamed-ingest counters (`POST /sessions/stream`), alongside the
+/// Session-ingest counters (`POST /sessions[/stream]`), alongside the
 /// per-route request rows: NDJSON lines accepted/rejected, batches
 /// folded into refinement state vs recognized as replays, and the
 /// open-stream gauge (`opened − completed`).
@@ -124,7 +121,7 @@ impl StreamMetrics {
 /// All routes' counters; shared across worker threads.
 #[derive(Default)]
 pub struct HttpMetrics {
-    routes: [RouteCounters; 11],
+    routes: [RouteCounters; ROUTE_NAMES.len()],
     accept_errors: AtomicU64,
     /// Streamed-ingest counters, surfaced in `GET /stats`.
     pub stream: StreamMetrics,
@@ -190,7 +187,7 @@ mod tests {
         let m = HttpMetrics::new();
         m.record(RouteKey::Dots, 200, Duration::from_micros(120));
         m.record(RouteKey::Dots, 404, Duration::from_micros(80));
-        m.record(RouteKey::Sessions, 200, Duration::from_micros(300));
+        m.record(RouteKey::SessionsStream, 200, Duration::from_micros(300));
         let snap = m.snapshot();
         assert_eq!(snap.len(), ROUTE_NAMES.len());
         let dots = &snap[RouteKey::Dots as usize];
@@ -199,7 +196,7 @@ mod tests {
         assert_eq!(dots.errors, 1);
         assert_eq!(dots.latency_total_us, 200);
         assert_eq!(dots.latency_max_us, 120);
-        assert_eq!(snap[RouteKey::Sessions as usize].requests, 1);
+        assert_eq!(snap[RouteKey::SessionsStream as usize].requests, 1);
         assert_eq!(snap[RouteKey::Healthz as usize].requests, 0);
     }
 

@@ -6,30 +6,31 @@
 //! | `GET /healthz` | — | liveness probe |
 //! | `GET /video/{id}/dots` | [`DotsResponse`] | `dots_body` |
 //! | `POST /video/{id}/rescore` | [`RescoreRequest`] → [`DotsResponse`] | `rescore_video` |
-//! | `POST /sessions` | [`SessionUpload`] → [`SessionAccepted`] | `refine_batch` |
-//! | `POST /sessions/stream` | NDJSON [`StreamBatchDto`] lines → [`StreamAccepted`] | `refine_batch` per line |
+//! | `POST /sessions`, `POST /sessions/stream` | NDJSON [`StreamBatchDto`] lines → [`StreamAccepted`] | `refine_batch` per line |
 //! | `GET /stats` | [`StatsResponse`](lightor_platform::wire::StatsResponse) | `stats` + HTTP counters |
 //! | `POST /admin/compact` | [`CompactResponse`] | `compact_storage` |
 //! | `POST /admin/export` | [`ExportRequest`] → [`BundleDto`] | `export_bundle` |
 //! | `POST /admin/import` | [`BundleDto`] → [`ImportResponse`](lightor_platform::wire::ImportResponse) | `import_bundle` |
 //! | `POST /admin/ring` | router-only | ring swap (404 on a backend) |
 //!
+//! The two session paths are one route: `POST /sessions` is a stream
+//! of one line. A bad line is rejected in the ack, typed with its
+//! [`UploadError`] code, without failing the stream.
+//!
 //! Semantic failures answer with the standard error body
 //! (`{"error":{"code":…,"message":…}}`): `404` for videos the platform
-//! does not know, `422` for well-formed-but-garbage uploads
-//! ([`UploadError`]), `400` for unparseable JSON or ids, `500` for
-//! storage errors.
+//! does not know, `422` for well-formed-but-garbage requests, `400` for
+//! unparseable JSON or ids, `500` for storage errors.
 
 use crate::http::{Request, Response};
 use crate::metrics::{HttpMetrics, RouteKey};
 use crate::server::{BodySource, Handler, OneChunk, StreamBodyError};
 use lightor_platform::wire::{
     BundleDto, CompactResponse, DotsResponse, ExportRequest, LineRejectDto, RescoreRequest,
-    SessionUpload, StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
+    StreamAccepted, StreamBatchDto, StreamRejected, UploadError,
 };
 use lightor_platform::LightorService;
 use lightor_types::VideoId;
-use serde::{Deserialize, Serialize};
 
 /// A resolved route, ids parsed out of the path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,9 +41,8 @@ pub enum Route {
     Dots(u64),
     /// `POST /video/{id}/rescore`
     Rescore(u64),
-    /// `POST /sessions`
-    Sessions,
-    /// `POST /sessions/stream` (NDJSON, one event batch per line)
+    /// `POST /sessions` or `POST /sessions/stream` (NDJSON, one event
+    /// batch per line)
     SessionsStream,
     /// `GET /stats`
     Stats,
@@ -63,7 +63,6 @@ impl Route {
             Route::Healthz => RouteKey::Healthz,
             Route::Dots(_) => RouteKey::Dots,
             Route::Rescore(_) => RouteKey::Rescore,
-            Route::Sessions => RouteKey::Sessions,
             Route::SessionsStream => RouteKey::SessionsStream,
             Route::Stats => RouteKey::Stats,
             Route::Compact => RouteKey::Compact,
@@ -72,17 +71,6 @@ impl Route {
             Route::Ring => RouteKey::Ring,
         }
     }
-}
-
-/// `POST /sessions` success body.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SessionAccepted {
-    /// The video the session was logged against.
-    pub video: u64,
-    /// Plays buffered against red dots (within the Δ neighbourhood).
-    pub plays_buffered: usize,
-    /// Dots whose position a refinement round just updated.
-    pub dots_refined: usize,
 }
 
 /// Why a request did not resolve to a route.
@@ -117,8 +105,7 @@ pub fn resolve(method: &str, path: &str) -> Result<Route, RouteError> {
     let route = match segments.as_slice() {
         ["healthz"] => (Route::Healthz, "GET"),
         ["stats"] => (Route::Stats, "GET"),
-        ["sessions"] => (Route::Sessions, "POST"),
-        ["sessions", "stream"] => (Route::SessionsStream, "POST"),
+        ["sessions"] | ["sessions", "stream"] => (Route::SessionsStream, "POST"),
         ["admin", "compact"] => (Route::Compact, "POST"),
         ["admin", "export"] => (Route::Export, "POST"),
         ["admin", "import"] => (Route::Import, "POST"),
@@ -152,9 +139,6 @@ pub fn dispatch(
         Route::Healthz => Response::text(200, "ok"),
         Route::Dots(id) => handle_dots(svc, id),
         Route::Rescore(id) => gate_write(svc).unwrap_or_else(|| handle_rescore(svc, id, &req.body)),
-        Route::Sessions => {
-            gate_write(svc).unwrap_or_else(|| handle_sessions(svc, metrics, &req.body))
-        }
         // A buffered request to the streaming route (an in-process
         // caller; the server streams every socket request) runs the
         // streaming handler over the complete body as one chunk.
@@ -231,14 +215,17 @@ const STREAM_ERROR_BUDGET: u64 = 16;
 /// skipped to the next newline) without buffering them.
 const MAX_LINE_BYTES: usize = 256 * 1024;
 
-/// Incremental NDJSON ingester for `POST /sessions/stream`: fed raw
-/// body bytes in arbitrary chunk sizes, it splits lines, validates
-/// each as a [`StreamBatchDto`], and folds accepted batches through
-/// [`LightorService::refine_batch`]. Malformed lines reject the *line*
-/// (typed, with its 1-based number), not the session, up to
-/// [`STREAM_ERROR_BUDGET`].
+/// Incremental NDJSON ingester, the one handler of both session
+/// paths: fed raw body bytes in arbitrary chunk sizes, it splits
+/// lines, validates each as a [`StreamBatchDto`], and folds accepted
+/// batches through [`LightorService::refine_batch`]. Malformed lines
+/// reject the *line* (typed, with its 1-based number), not the
+/// session, up to [`STREAM_ERROR_BUDGET`].
 struct NdjsonIngest<'a> {
     svc: &'a LightorService,
+    /// The video of the first line that parsed, the one a router
+    /// routes the stream by; a line for any other video is rejected.
+    video: Option<u64>,
     /// Live stream counters: flushed per line, not at stream end, so
     /// `GET /stats` observes a long-lived stream making progress.
     stream_metrics: &'a crate::metrics::StreamMetrics,
@@ -262,6 +249,7 @@ impl<'a> NdjsonIngest<'a> {
     fn new(svc: &'a LightorService, stream_metrics: &'a crate::metrics::StreamMetrics) -> Self {
         NdjsonIngest {
             svc,
+            video: None,
             stream_metrics,
             line_no: 0,
             carry: Vec::new(),
@@ -351,8 +339,16 @@ impl<'a> NdjsonIngest<'a> {
             Ok(b) => b,
             Err(_) => return self.reject("bad_json", "line must be a StreamBatchDto"),
         };
+        let stream_video = *self.video.get_or_insert(batch.video);
+        if batch.video != stream_video {
+            let e = UploadError::VideoMismatch {
+                video: batch.video,
+                stream_video,
+            };
+            return self.reject(e.code(), &e.to_string());
+        }
         let seq = batch.seq;
-        let (video, session) = match batch.as_upload().try_into_session() {
+        let (video, session) = match batch.try_into_session() {
             Ok(pair) => pair,
             Err(e) => return self.reject(e.code(), &e.to_string()),
         };
@@ -380,9 +376,8 @@ impl<'a> NdjsonIngest<'a> {
                 }
                 self.plays_buffered += outcome.plays_buffered as u64;
                 self.dots_refined += outcome.dots_refined as u64;
-                if let Some(seq) = seq {
-                    self.last_seq = self.last_seq.max(seq);
-                }
+                // Validated: a line that reaches here carries a seq.
+                self.last_seq = self.last_seq.max(seq.unwrap_or_default());
             }
             Err(e) => self.terminal = Some(storage_error(&e)),
         }
@@ -510,43 +505,6 @@ fn handle_rescore(svc: &LightorService, id: u64, body: &[u8]) -> Response {
     }
 }
 
-fn handle_sessions(svc: &LightorService, metrics: &HttpMetrics, body: &[u8]) -> Response {
-    let upload: SessionUpload = match serde_json::from_slice(body) {
-        Ok(u) => u,
-        Err(_) => return Response::error(400, "bad_json", "body must be a SessionUpload"),
-    };
-    let (video, session) = match upload.try_into_session() {
-        Ok(pair) => pair,
-        Err(e) => return Response::error(422, e.code(), &e.to_string()),
-    };
-    // Migration cutover: while a video is frozen, its refinement
-    // writes 503 with a Retry-After covering the rest of the window,
-    // so the exporter's final WAL-tail delta is complete.
-    if let Some(resp) = gate_frozen(svc, video) {
-        return resp;
-    }
-    // The buffered path folds through the same incremental unit as the
-    // streamed one, so both produce bit-identical refinement state.
-    match svc.refine_batch(video, None, &session) {
-        Ok(None) => {
-            let e = UploadError::UnknownVideo { video: video.0 };
-            Response::error(422, e.code(), &e.to_string())
-        }
-        Ok(Some(outcome)) => {
-            metrics.stream.add_lines(0, 0, 1, 0);
-            Response::json(
-                200,
-                &SessionAccepted {
-                    video: video.0,
-                    plays_buffered: outcome.plays_buffered,
-                    dots_refined: outcome.dots_refined,
-                },
-            )
-        }
-        Err(e) => storage_error(&e),
-    }
-}
-
 fn handle_stats(svc: &LightorService, metrics: &HttpMetrics) -> Response {
     let mut stats = svc.stats();
     stats.http = metrics.snapshot();
@@ -605,7 +563,7 @@ mod tests {
     fn routes_resolve() {
         assert_eq!(resolve("GET", "/healthz"), Ok(Route::Healthz));
         assert_eq!(resolve("GET", "/stats"), Ok(Route::Stats));
-        assert_eq!(resolve("POST", "/sessions"), Ok(Route::Sessions));
+        assert_eq!(resolve("POST", "/sessions"), Ok(Route::SessionsStream));
         assert_eq!(
             resolve("POST", "/sessions/stream"),
             Ok(Route::SessionsStream)

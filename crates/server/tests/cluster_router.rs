@@ -11,7 +11,7 @@ use lightor_eval::harness::{train_initializer, train_type_classifier};
 use lightor_platform::wire::{
     BundleDto, CompactResponse, DotsResponse, EventDto, ExportRequest, ImportResponse,
     RingUpdateRequest, RingUpdateResponse, RouterHealthzResponse, RouterStatsResponse,
-    SessionUpload,
+    StatsResponse, StreamAccepted, StreamBatchDto,
 };
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::cluster::{ClusterConfig, RouterServer};
@@ -97,10 +97,12 @@ fn catalog() -> Vec<u64> {
     ids
 }
 
-fn upload_json(video: u64) -> String {
-    serde_json::to_string(&SessionUpload {
+/// A `POST /sessions` body: client 1's batch `seq` for `video`.
+fn upload_json(video: u64, seq: u64) -> String {
+    serde_json::to_string(&StreamBatchDto {
         video,
         client: 1,
+        seq: Some(seq),
         events: vec![
             EventDto::Play { at: 10.0 },
             EventDto::Pause { at: 25.0 },
@@ -155,7 +157,7 @@ fn router_proxies_routes_and_aggregates_stats() {
     assert_eq!(routed, direct_dots);
 
     // Sessions route by the video id inside the body.
-    let resp = client.post_json("/sessions", &upload_json(vid)).unwrap();
+    let resp = client.post_json("/sessions", &upload_json(vid, 1)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     // Garbage bodies bounce at the router with 400, not a proxy error.
     let resp = client.post_json("/sessions", "{not json").unwrap();
@@ -228,19 +230,25 @@ fn dots_bytes_are_the_same_from_a_backend_and_through_the_router() {
     backend.shutdown();
 }
 
-#[test]
-fn router_trips_a_dead_shard_and_recovers_it() {
-    // One video per shard. The ring places each backend by its address,
-    // and port-0 binds pick the ports, so some bindings put the whole
-    // catalog on one shard: re-bind both backends until the catalog
-    // spans them.
+/// Two in-process backends and a router over them, plus the catalog's
+/// first video and one the other backend owns. The ring places each
+/// backend by its address, and port-0 binds pick the ports, so some
+/// bindings put the whole catalog on one shard: re-bind both backends
+/// until the catalog spans them.
+#[allow(clippy::type_complexity)]
+fn two_shards_spanning(
+    tag: &str,
+) -> (
+    Vec<TempDir>,
+    Vec<Option<HttpServer>>,
+    Vec<SocketAddr>,
+    RouterServer,
+    u64,
+) {
     const BIND_ATTEMPTS: usize = 20;
     let ids = catalog();
-    let victim_vid = ids[0];
-    let mut attempts = 0;
-    let (dirs, mut backends, addrs, router, victim, survivor_vid) = loop {
-        attempts += 1;
-        let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("trip{i}"))).collect();
+    for _ in 0..BIND_ATTEMPTS {
+        let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("{tag}{i}"))).collect();
         let backends: Vec<Option<HttpServer>> = dirs
             .iter()
             .map(|d| Some(backend(&d.0, "127.0.0.1:0".parse().unwrap())))
@@ -250,22 +258,27 @@ fn router_trips_a_dead_shard_and_recovers_it() {
             .map(|b| b.as_ref().unwrap().local_addr())
             .collect();
         let router = router(addrs.clone());
-        let victim = router.cluster().shard_for(victim_vid);
-        if let Some(&survivor_vid) = ids
+        let first = router.cluster().shard_for(ids[0]);
+        if let Some(&other) = ids
             .iter()
-            .find(|&&v| router.cluster().shard_for(v) != victim)
+            .find(|&&v| router.cluster().shard_for(v) != first)
         {
-            break (dirs, backends, addrs, router, victim, survivor_vid);
+            return (dirs, backends, addrs, router, other);
         }
         router.shutdown();
         for b in backends.into_iter().flatten() {
             b.shutdown();
         }
-        assert!(
-            attempts < BIND_ATTEMPTS,
-            "no binding in {attempts} attempts spread the catalog over both shards"
-        );
-    };
+    }
+    panic!("no binding in {BIND_ATTEMPTS} attempts spread the catalog over both shards");
+}
+
+#[test]
+fn router_trips_a_dead_shard_and_recovers_it() {
+    let ids = catalog();
+    let victim_vid = ids[0];
+    let (dirs, mut backends, addrs, router, survivor_vid) = two_shards_spanning("trip");
+    let victim = router.cluster().shard_for(victim_vid);
     let mut client = HttpClient::connect(router.local_addr()).unwrap();
 
     // Warm both shards (initializes + persists the dots).
@@ -304,7 +317,7 @@ fn router_trips_a_dead_shard_and_recovers_it() {
             "503 carries Retry-After"
         );
         let resp = client
-            .post_json("/sessions", &upload_json(victim_vid))
+            .post_json("/sessions", &upload_json(victim_vid, 1))
             .unwrap();
         assert_eq!(resp.status, 503, "writes fast-fail too");
         let resp = client.get(&format!("/video/{survivor_vid}/dots")).unwrap();
@@ -373,8 +386,10 @@ fn live_migration_hands_ownership_to_a_new_backend() {
         client.get(&format!("/video/{vid}/dots")).unwrap().status,
         200
     );
-    for _ in 0..3 {
-        let resp = client.post_json("/sessions", &upload_json(vid)).unwrap();
+    for seq in 1..=3 {
+        let resp = client
+            .post_json("/sessions", &upload_json(vid, seq))
+            .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
     }
     let refined: DotsResponse = client
@@ -436,7 +451,7 @@ fn live_migration_hands_ownership_to_a_new_backend() {
 
     // Inside the freeze window the old owner answers writes 503 with a
     // Retry-After (relayed through the router); reads still work.
-    let resp = client.post_json("/sessions", &upload_json(vid)).unwrap();
+    let resp = client.post_json("/sessions", &upload_json(vid, 4)).unwrap();
     assert_eq!(resp.status, 503, "frozen video rejects writes");
     assert!(
         resp.header("retry-after").is_some(),
@@ -470,7 +485,7 @@ fn live_migration_hands_ownership_to_a_new_backend() {
 
     // Writes land again immediately — the target was never frozen, so
     // the freeze window ended with the cutover, not with its TTL.
-    let resp = client.post_json("/sessions", &upload_json(vid)).unwrap();
+    let resp = client.post_json("/sessions", &upload_json(vid, 4)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
 
     // Stats aggregate over the new ring.
@@ -658,4 +673,179 @@ fn router_stats_count_retries_the_budget_denied() {
 
     router.shutdown();
     backend.shutdown();
+}
+
+/// One backend's own `GET /stats`.
+fn backend_stats(addr: SocketAddr) -> StatsResponse {
+    let resp = HttpClient::connect(addr).unwrap().get("/stats").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    resp.json().unwrap()
+}
+
+/// Post `body` to `path` on `addr` and hang up without reading the
+/// answer: the client never learns whether its batch was acknowledged.
+fn post_and_lose_the_ack(addr: SocketAddr, path: &str, body: &str) {
+    use std::io::Write;
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        conn,
+        "POST {path} HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+}
+
+/// A client whose ack is lost retries the same sequenced batch. On
+/// either session path, posted to the owner or through the router,
+/// the retry is recognized as a replay: the batch folds once.
+#[test]
+fn a_lost_ack_is_retried_without_a_second_fold() {
+    let dirs: Vec<TempDir> = (0..2).map(|i| TempDir::new(&format!("lost{i}"))).collect();
+    let backends: Vec<HttpServer> = dirs
+        .iter()
+        .map(|d| backend(&d.0, "127.0.0.1:0".parse().unwrap()))
+        .collect();
+    let router = router(backends.iter().map(|b| b.local_addr()).collect());
+    let vid = catalog()[0];
+    let owner = backends[router.cluster().shard_for(vid)].local_addr();
+    let dots: DotsResponse = HttpClient::connect(router.local_addr())
+        .unwrap()
+        .get(&format!("/video/{vid}/dots"))
+        .unwrap()
+        .json()
+        .unwrap();
+    let dot_at = dots.dots[0].at_seconds;
+
+    let attempts = [
+        (owner, "/sessions"),
+        (owner, "/sessions/stream"),
+        (router.local_addr(), "/sessions"),
+        (router.local_addr(), "/sessions/stream"),
+    ];
+    for (client, (addr, path)) in (1u64..).zip(attempts) {
+        let body = harness::refining_upload(vid, client, dot_at);
+        let before = backend_stats(owner);
+        post_and_lose_the_ack(addr, path, &body);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while backend_stats(owner).stream_batches_folded == before.stream_batches_folded {
+            assert!(
+                Instant::now() < deadline,
+                "{path} via {addr}: the batch whose ack was lost never folded"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        let resp = HttpClient::connect(addr)
+            .unwrap()
+            .post_json(path, &body)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{path} via {addr}: {}", resp.body_str());
+        let after = backend_stats(owner);
+        assert_eq!(
+            after.stream_batches_folded,
+            before.stream_batches_folded + 1,
+            "{path} via {addr}: folded once"
+        );
+        assert_eq!(
+            after.stream_batches_replayed,
+            before.stream_batches_replayed + 1
+        );
+        let ack: StreamAccepted = resp.json().unwrap();
+        assert_eq!(
+            (
+                ack.lines_accepted,
+                ack.batches_folded,
+                ack.batches_replayed,
+                ack.last_seq
+            ),
+            (1, 0, 1, 1),
+            "{path} via {addr}: the retry must replay, not fold: {ack:?}"
+        );
+    }
+
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+/// The router routes a stream by its first line's video. A later line
+/// for another video must not be acknowledged by that owner, even when
+/// it holds a stale copy of the other video: the line is rejected, and
+/// the client sends it in a stream of its own, which reaches its owner.
+#[test]
+fn a_stream_carries_one_video_to_its_owner() {
+    let (_dirs, backends, addrs, router, b_vid) = two_shards_spanning("onevid");
+    let a_vid = catalog()[0];
+    let a_owner = addrs[router.cluster().shard_for(a_vid)];
+    let b_owner = addrs[router.cluster().shard_for(b_vid)];
+    assert_ne!(a_owner, b_owner);
+
+    // Both videos are live through the router, and A's owner also
+    // holds a copy of B, read from it directly.
+    let mut client = HttpClient::connect(router.local_addr()).unwrap();
+    let mut dot_of = |vid: u64| {
+        let dots: DotsResponse = client
+            .get(&format!("/video/{vid}/dots"))
+            .unwrap()
+            .json()
+            .unwrap();
+        dots.dots[0].at_seconds
+    };
+    let (a_at, b_at) = (dot_of(a_vid), dot_of(b_vid));
+    let resp = HttpClient::connect(a_owner)
+        .unwrap()
+        .get(&format!("/video/{b_vid}/dots"))
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+
+    let b_line = harness::refining_stream_line(b_vid, 7, 1, b_at);
+    let body = harness::refining_stream_line(a_vid, 7, 1, a_at) + &b_line;
+    let b_before = backend_stats(b_owner);
+    let resp = client.post_json("/sessions/stream", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let ack: StreamAccepted = resp.json().unwrap();
+    assert_eq!((ack.lines_accepted, ack.batches_folded), (1, 1), "{ack:?}");
+    let rejected: Vec<(u64, &str)> = ack
+        .rejected
+        .iter()
+        .map(|r| (r.line, r.code.as_str()))
+        .collect();
+    assert_eq!(rejected, vec![(2, "video_mismatch")]);
+
+    // A's owner holds no watermark for B's batch: it never acked it.
+    let (_, bundle) = harness::export_bundle(
+        a_owner,
+        &ExportRequest {
+            videos: vec![b_vid],
+            since_seq: 0,
+            freeze_ms: 0,
+        },
+    );
+    let state = bundle.entries[0].state.as_ref().expect("A's copy of B");
+    match state.get_key("sessions") {
+        Some(serde_json::Value::Map(marks)) => {
+            assert!(marks.is_empty(), "A's owner acked B's batch: {marks:?}")
+        }
+        other => panic!("sessions: {other:?}"),
+    }
+    assert_eq!(
+        backend_stats(b_owner).stream_batches_folded,
+        b_before.stream_batches_folded
+    );
+
+    // Sent on its own, B's batch reaches B's owner and folds there.
+    let resp = client.post_json("/sessions", &b_line).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let ack: StreamAccepted = resp.json().unwrap();
+    assert_eq!((ack.lines_accepted, ack.batches_folded), (1, 1), "{ack:?}");
+    assert_eq!(
+        backend_stats(b_owner).stream_batches_folded,
+        b_before.stream_batches_folded + 1
+    );
+
+    router.shutdown();
+    for b in backends.into_iter().flatten() {
+        b.shutdown();
+    }
 }

@@ -10,10 +10,9 @@
 
 use lightor_platform::wire::{
     BundleDto, DotsResponse, EventDto, ExportRequest, ImportResponse, RingUpdateRequest,
-    RingUpdateResponse, RouterHealthzResponse, SessionUpload, StreamBatchDto,
+    RingUpdateResponse, RouterHealthzResponse, StreamAccepted, StreamBatchDto,
     SupervisorStatsResponse,
 };
-use lightor_server::router::SessionAccepted;
 use lightor_server::HttpClient;
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -179,8 +178,10 @@ pub fn spawn_supervisor(router: SocketAddr, pairs: &[String], tick_ms: u64) -> (
     })
 }
 
-/// An upload whose plays cluster around `dot_at`, enough of them
+/// A `POST /sessions` body: `client`'s first batch (seq 1) for
+/// `video`, whose plays cluster around `dot_at`, enough of them
 /// (≥ `min_plays_per_round` = 8) to trigger a refinement round.
+/// Callers post it once per client.
 pub fn refining_upload(video: u64, client: u64, dot_at: f64) -> String {
     let mut events = Vec::new();
     for i in 0..8 {
@@ -189,12 +190,7 @@ pub fn refining_upload(video: u64, client: u64, dot_at: f64) -> String {
         events.push(EventDto::Pause { at: at + 6.0 });
     }
     events.push(EventDto::Leave { at: dot_at + 20.0 });
-    serde_json::to_string(&SessionUpload {
-        video,
-        client,
-        events,
-    })
-    .unwrap()
+    stream_line(video, client, 1, events).trim_end().to_owned()
 }
 
 /// One sequenced NDJSON stream line (newline-terminated) whose plays
@@ -293,14 +289,14 @@ pub fn refine_and_ack(client: &mut HttpClient, vid: u64) -> DotsResponse {
         .json()
         .unwrap();
     assert!(!dots.dots.is_empty());
-    let mut refined_acked = 0usize;
+    let mut refined_acked = 0u64;
     for i in 0..200u64 {
         let dot_at = dots.dots[(i as usize) % dots.dots.len()].at_seconds;
         let resp = client
             .post_json("/sessions", &refining_upload(vid, i, dot_at))
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
-        let ack: SessionAccepted = resp.json().unwrap();
+        let ack: StreamAccepted = resp.json().unwrap();
         refined_acked += ack.dots_refined;
         if refined_acked >= 3 {
             break;

@@ -2,8 +2,9 @@
 //! web-service back end runs behind the hand-rolled HTTP/1.1 front end
 //! (`lightor_server`), and this process plays the browser extension —
 //! it fetches red dots on "page load", streams viewer sessions back as
-//! JSON uploads, and re-fetches the dots to watch refinement move them
-//! (paper Figure 5).
+//! sequenced JSON batches, and re-fetches the dots to watch refinement
+//! move them (paper Figure 5). Every status is asserted, so the run
+//! fails if the ingestion contract breaks.
 //!
 //! ```text
 //! cargo run --release --example browser_extension
@@ -13,10 +14,13 @@ use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
 use lightor_eval::harness::{train_initializer, train_type_classifier};
-use lightor_platform::wire::{DotsResponse, EventDto, SessionUpload, StatsResponse};
+use lightor_platform::wire::{
+    DotsResponse, EventDto, StatsResponse, StreamAccepted, StreamBatchDto,
+};
 use lightor_platform::{LightorService, ServiceConfig};
-use lightor_server::{HttpClient, HttpServer, ServerConfig, SessionAccepted};
+use lightor_server::{HttpClient, HttpServer, ServerConfig};
 use lightor_types::{GameKind, Sec};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn main() -> std::io::Result<()> {
@@ -52,6 +56,7 @@ fn main() -> std::io::Result<()> {
     let vid = platform.recent_videos(platform.channels()[0].id)[1];
     let mut client = HttpClient::connect(addr)?;
     let resp = client.get(&format!("/video/{}/dots", vid.0))?;
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
     let dots: DotsResponse = resp.json().expect("dots JSON");
     println!(
         "GET /video/{}/dots -> {}\n{}\n",
@@ -61,24 +66,31 @@ fn main() -> std::io::Result<()> {
     );
 
     // Viewers watch around the dots; the extension POSTs each session
-    // back as JSON. Every upload may trigger a refinement round.
+    // back as one JSON batch. Every upload may trigger a refinement
+    // round. Each viewer's extension numbers its batches per video, so
+    // a batch whose ack was lost can be re-sent without folding twice.
     let truth = platform.ground_truth(vid).unwrap().clone();
     let mut viewers = Campaign::new(200, 75);
+    let mut next_seq: HashMap<(u64, u64), u64> = HashMap::new();
     for round in 0..3 {
         let mut uploads = 0;
         let mut refined = 0;
         for dot in &dots.dots {
             let task = viewers.run_task(&truth.video, Sec(dot.at_seconds), 12);
             for session in task.sessions {
-                let upload = SessionUpload {
+                let seq = next_seq.entry((vid.0, session.user.0)).or_insert(0);
+                *seq += 1;
+                let batch = StreamBatchDto {
                     video: vid.0,
                     client: session.user.0,
+                    seq: Some(*seq),
                     events: session.events.iter().map(|&e| EventDto::from(e)).collect(),
                 };
                 let resp =
-                    client.post_json("/sessions", &serde_json::to_string(&upload).unwrap())?;
+                    client.post_json("/sessions", &serde_json::to_string(&batch).unwrap())?;
                 assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-                let accepted: SessionAccepted = resp.json().expect("session JSON");
+                let accepted: StreamAccepted = resp.json().expect("ack JSON");
+                assert_eq!(accepted.batches_folded, 1, "{accepted:?}");
                 uploads += 1;
                 refined += accepted.dots_refined;
             }
@@ -90,10 +102,9 @@ fn main() -> std::io::Result<()> {
     }
 
     // The next page load sees the refined positions.
-    let after: DotsResponse = client
-        .get(&format!("/video/{}/dots", vid.0))?
-        .json()
-        .unwrap();
+    let resp = client.get(&format!("/video/{}/dots", vid.0))?;
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let after: DotsResponse = resp.json().unwrap();
     println!("\nred dots before refinement -> after (re-fetched over the wire):");
     for (i, (b, a)) in dots.dots.iter().zip(&after.dots).enumerate() {
         println!(
@@ -110,7 +121,9 @@ fn main() -> std::io::Result<()> {
     }
 
     // Operations: per-route counters ride along in GET /stats.
-    let stats: StatsResponse = client.get("/stats")?.json().unwrap();
+    let resp = client.get("/stats")?;
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let stats: StatsResponse = resp.json().unwrap();
     println!("\nGET /stats -> per-route counters:");
     for row in stats.http.iter().filter(|r| r.requests > 0) {
         println!(

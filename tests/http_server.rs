@@ -9,11 +9,11 @@ use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
 use lightor_eval::harness::{train_initializer, train_type_classifier};
 use lightor_platform::wire::{
-    bundle_crc, BundleDto, BundleEntryDto, DotsResponse, EventDto, SessionUpload, StatsResponse,
-    BUNDLE_FORMAT_VERSION,
+    bundle_crc, BundleDto, BundleEntryDto, DotsResponse, EventDto, StatsResponse, StreamAccepted,
+    StreamBatchDto, BUNDLE_FORMAT_VERSION,
 };
 use lightor_platform::{LightorService, ServiceConfig};
-use lightor_server::{HttpClient, HttpServer, ServerConfig, SessionAccepted};
+use lightor_server::{HttpClient, HttpServer, ServerConfig};
 use lightor_types::{GameKind, Session, VideoId};
 use std::io::Write;
 use std::path::PathBuf;
@@ -73,13 +73,17 @@ fn serve(dir: &std::path::Path, seed: u64) -> (HttpServer, SimPlatform) {
     (server, platform)
 }
 
-fn upload_json(video: u64, session: &Session) -> String {
-    let upload = SessionUpload {
+/// A `POST /sessions` body: `session` as batch `seq` of its viewer.
+/// Every caller numbers its uploads from one counter, so each
+/// viewer's sequence is strictly increasing.
+fn upload_json(video: u64, seq: u64, session: &Session) -> String {
+    let batch = StreamBatchDto {
         video,
         client: session.user.0,
+        seq: Some(seq),
         events: session.events.iter().map(|&e| EventDto::from(e)).collect(),
     };
-    serde_json::to_string(&upload).unwrap()
+    serde_json::to_string(&batch).unwrap()
 }
 
 #[test]
@@ -99,17 +103,19 @@ fn full_paper_loop_over_real_sockets() {
 
     // 2. Viewers watch; the extension uploads their sessions.
     let mut crowd = Campaign::new(150, 4002);
-    let mut refined_total = 0usize;
+    let mut refined_total = 0u64;
+    let mut seq = 0;
     for _ in 0..3 {
         for dot in &dots.dots {
             let task = crowd.run_task(&truth.video, lightor_types::Sec(dot.at_seconds), 12);
             for session in &task.sessions {
+                seq += 1;
                 let resp = client
-                    .post_json("/sessions", &upload_json(vid.0, session))
+                    .post_json("/sessions", &upload_json(vid.0, seq, session))
                     .unwrap();
                 assert_eq!(resp.status, 200, "{}", resp.body_str());
-                let accepted: SessionAccepted = resp.json().unwrap();
-                assert_eq!(accepted.video, vid.0);
+                let accepted: StreamAccepted = resp.json().unwrap();
+                assert_eq!(accepted.batches_folded, 1, "{accepted:?}");
                 refined_total += accepted.dots_refined;
             }
         }
@@ -153,7 +159,7 @@ fn full_paper_loop_over_real_sockets() {
     let sessions_row = stats
         .http
         .iter()
-        .find(|r| r.route == "POST /sessions")
+        .find(|r| r.route == "POST /sessions/stream")
         .unwrap();
     assert!(sessions_row.requests > 0);
 
@@ -210,8 +216,9 @@ fn concurrent_clients_hammer_the_server() {
                         1 => {
                             let dot = truth.video.highlights[0].range.start;
                             let task = crowd.run_task(&truth.video, dot, 4);
+                            let seq = (t * per_thread + i + 1) as u64;
                             let r = client
-                                .post_json("/sessions", &upload_json(vid.0, &task.sessions[0]))
+                                .post_json("/sessions", &upload_json(vid.0, seq, &task.sessions[0]))
                                 .unwrap();
                             assert_eq!(r.status, 200, "{}", r.body_str());
                         }
@@ -315,10 +322,11 @@ fn malformed_requests_get_the_right_status_codes() {
     let resp = c.send_raw(&raw).unwrap();
     assert_eq!(resp.status, 431);
 
-    // Oversized declared body → 413 (default cap is 1 MiB).
+    // Oversized declared body on a buffered route → 413 (default cap
+    // is 1 MiB). The session routes stream their body instead.
     let mut c = HttpClient::connect(addr).unwrap();
     let resp = c
-        .send_raw(b"POST /sessions HTTP/1.1\r\nContent-Length: 2097152\r\n\r\n")
+        .send_raw(b"POST /admin/import HTTP/1.1\r\nContent-Length: 2097152\r\n\r\n")
         .unwrap();
     assert_eq!(resp.status, 413);
 
@@ -332,56 +340,6 @@ fn malformed_requests_get_the_right_status_codes() {
     assert_eq!(resp.status, 400);
     let resp = c.get("/video/999999/dots").unwrap();
     assert_eq!(resp.status, 404, "platform-unknown video");
-    let resp = c.post_json("/sessions", "this is not json").unwrap();
-    assert_eq!(resp.status, 400);
-    // NaN timestamp → 422 typed error.
-    let resp = c
-        .post_json(
-            "/sessions",
-            &format!(
-                r#"{{"video":{},"client":1,"events":[{{"type":"play","at":NaN}}]}}"#,
-                vid.0
-            ),
-        )
-        .unwrap();
-    assert_eq!(resp.status, 400, "NaN is not even valid JSON");
-    let resp = c
-        .post_json(
-            "/sessions",
-            &format!(
-                r#"{{"video":{},"client":1,"events":[{{"type":"play","at":-5.0}}]}}"#,
-                vid.0
-            ),
-        )
-        .unwrap();
-    assert_eq!(resp.status, 422);
-    assert!(
-        resp.body_str().contains("negative_timestamp"),
-        "{}",
-        resp.body_str()
-    );
-    // Session for a video nobody tracked → 422 unknown_video.
-    let resp = c
-        .post_json(
-            "/sessions",
-            r#"{"video":999999,"client":1,"events":[{"type":"play","at":5.0}]}"#,
-        )
-        .unwrap();
-    assert_eq!(resp.status, 422);
-    assert!(
-        resp.body_str().contains("unknown_video"),
-        "{}",
-        resp.body_str()
-    );
-    // Empty session → 422 no_events.
-    let resp = c
-        .post_json(
-            "/sessions",
-            &format!(r#"{{"video":{},"client":1,"events":[]}}"#, vid.0),
-        )
-        .unwrap();
-    assert_eq!(resp.status, 422);
-    assert!(resp.body_str().contains("no_events"));
     // Bad rescore k → 422.
     let resp = c
         .post_json(&format!("/video/{}/rescore", vid.0), "{\"k\": 0}")
@@ -506,11 +464,13 @@ fn restart_recovers_refined_state_over_http() {
             .json()
             .unwrap();
         let mut crowd = Campaign::new(120, 4051);
+        let mut seq = 0;
         for dot in &dots.dots {
             let task = crowd.run_task(&truth.video, lightor_types::Sec(dot.at_seconds), 12);
             for session in &task.sessions {
+                seq += 1;
                 let r = client
-                    .post_json("/sessions", &upload_json(vid.0, session))
+                    .post_json("/sessions", &upload_json(vid.0, seq, session))
                     .unwrap();
                 assert_eq!(r.status, 200);
             }
@@ -593,18 +553,21 @@ fn chunked_bodies_are_decoded_for_buffered_routes() {
     let (server, platform) = serve(&dir.0, 4080);
     let vid = platform.recent_videos(platform.channels()[0].id)[0];
     let addr = server.local_addr();
-    // Track the video first so the upload is accepted.
+    // Track the video first so the rescore finds its chat.
     HttpClient::connect(addr)
         .unwrap()
         .get(&format!("/video/{}/dots", vid.0))
         .unwrap();
 
-    // The same `POST /sessions` body, but chunked — split mid-JSON so
-    // the decoder has to reassemble across frames.
-    let body = upload_json(vid.0, &sample_session());
+    // A `POST /video/{id}/rescore` body, but chunked — split mid-JSON
+    // so the decoder has to reassemble across frames.
+    let body = "{\"k\": 3}";
     let (a, b) = body.as_bytes().split_at(body.len() / 2);
-    let mut raw =
-        b"POST /sessions HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    let mut raw = format!(
+        "POST /video/{}/rescore HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n",
+        vid.0
+    )
+    .into_bytes();
     for part in [a, b] {
         raw.extend_from_slice(format!("{:x}\r\n", part.len()).as_bytes());
         raw.extend_from_slice(part);
@@ -614,8 +577,9 @@ fn chunked_bodies_are_decoded_for_buffered_routes() {
     let mut c = HttpClient::connect(addr).unwrap();
     let resp = c.send_raw(&raw).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
-    let accepted: SessionAccepted = resp.json().unwrap();
-    assert_eq!(accepted.video, vid.0);
+    let rescored: DotsResponse = resp.json().unwrap();
+    assert_eq!(rescored.video, vid.0);
+    assert_eq!(rescored.dots.len(), 3);
     server.shutdown();
 }
 
@@ -633,7 +597,7 @@ fn stalled_bodies_time_out_with_408() {
     // answers once the 2 s body-progress deadline passes.
     let mut c = HttpClient::connect(addr).unwrap();
     let resp = c
-        .send_raw(b"POST /sessions HTTP/1.1\r\nHost: h\r\nContent-Length: 64\r\n\r\n")
+        .send_raw(b"POST /admin/import HTTP/1.1\r\nHost: h\r\nContent-Length: 64\r\n\r\n")
         .unwrap();
     assert_eq!(resp.status, 408, "{}", resp.body_str());
     assert!(resp.body_str().contains("request_timeout"));
@@ -691,7 +655,7 @@ fn degraded_service_serves_warm_reads_and_503s_writes() {
         "warm reads must survive degraded mode"
     );
     let resp = client
-        .post_json("/sessions", &upload_json(vids[0].0, &sample_session()))
+        .post_json("/sessions", &upload_json(vids[0].0, 1, &sample_session()))
         .unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body_str());
     assert!(
@@ -709,7 +673,7 @@ fn degraded_service_serves_warm_reads_and_503s_writes() {
     let stats: StatsResponse = client.get("/stats").unwrap().json().unwrap();
     assert!(!stats.degraded, "successful compaction must clear degraded");
     let resp = client
-        .post_json("/sessions", &upload_json(vids[0].0, &sample_session()))
+        .post_json("/sessions", &upload_json(vids[0].0, 2, &sample_session()))
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     server.shutdown();

@@ -68,11 +68,11 @@ fn serve(dir: &std::path::Path, seed: u64) -> (HttpServer, SimPlatform) {
 }
 
 /// One NDJSON line: a [`StreamBatchDto`] for this session's events.
-fn batch_line(video: u64, seq: Option<u64>, session: &Session) -> String {
+fn batch_line(video: u64, seq: u64, session: &Session) -> String {
     let batch = StreamBatchDto {
         video,
         client: session.user.0,
-        seq,
+        seq: Some(seq),
         events: session.events.iter().map(|&e| EventDto::from(e)).collect(),
     };
     let mut line = serde_json::to_string(&batch).unwrap();
@@ -104,7 +104,9 @@ fn streamed_ndjson_folds_batches_incrementally() {
         for dot in &before.dots {
             let task = crowd.run_task(&truth.video, lightor_types::Sec(dot.at_seconds), 12);
             for session in &task.sessions {
-                lines.push(batch_line(vid.0, None, session));
+                // One counter for every viewer: each one's seqs rise.
+                let seq = lines.len() as u64 + 1;
+                lines.push(batch_line(vid.0, seq, session));
             }
         }
     }
@@ -189,33 +191,43 @@ fn hostile_lines_reject_the_line_not_the_stream() {
     // Track the video so valid lines are foldable.
     client.get(&format!("/video/{}/dots", vid.0)).unwrap();
 
-    let valid = format!(
-        r#"{{"video":{},"client":1,"events":[{{"type":"play","at":5.0}},{{"type":"pause","at":9.0}}]}}"#,
-        vid.0
-    );
-    let mut oversized = format!(r#"{{"video":{},"client":1,"events":["#, vid.0);
+    let valid = |seq: u64| {
+        format!(
+            r#"{{"video":{},"client":1,"seq":{seq},"events":[{{"type":"play","at":5.0}},{{"type":"pause","at":9.0}}]}}"#,
+            vid.0
+        )
+    };
+    let mut oversized = format!(r#"{{"video":{},"client":1,"seq":9,"events":["#, vid.0);
     oversized.push_str(&r#"{"type":"play","at":5.0},"#.repeat(14_000)); // ~322 KiB > 256 KiB cap
     oversized.push_str(r#"{"type":"pause","at":9.0}]}"#);
 
     // The matrix, one physical line each. Line numbers are 1-based and
     // count every physical line — blanks keep their number.
     let body = [
-        valid.as_str(),                     // line 1: folds
+        valid(1).as_str(),                  // line 1: folds
         "",                                 // line 2: blank, skipped
         "\u{0}\u{1}garbage bytes \u{fffd}", // line 3: bad_json
         "{\"video\":",                      // line 4: truncated JSON
         &format!(
-            r#"{{"video":{},"client":1,"events":[{{"type":"play","at":NaN}}]}}"#,
+            r#"{{"video":{},"client":1,"seq":3,"events":[{{"type":"play","at":NaN}}]}}"#,
             vid.0
         ), // 5: NaN is not JSON
         &format!(
-            r#"{{"video":{},"client":1,"events":[{{"type":"play","at":-3.0}}]}}"#,
+            r#"{{"video":{},"client":1,"seq":4,"events":[{{"type":"play","at":-3.0}}]}}"#,
             vid.0
         ), // 6: negative_timestamp
-        r#"{"video":999999,"client":1,"events":[{"type":"play","at":5.0}]}"#, // 7: unknown_video
-        &format!(r#"{{"video":{},"client":1,"events":[]}}"#, vid.0), // 8: no_events
-        &oversized,                         // line 9: line_too_long
-        valid.as_str(),                     // line 10: still folds
+        r#"{"video":999999,"client":1,"seq":5,"events":[{"type":"play","at":5.0}]}"#, // 7: video_mismatch
+        &format!(r#"{{"video":{},"client":1,"seq":6,"events":[]}}"#, vid.0), // 8: no_events
+        &oversized,        // line 9: line_too_long
+        valid(2).as_str(), // line 10: still folds
+        &format!(
+            r#"{{"video":{},"client":1,"events":[{{"type":"play","at":5.0}}]}}"#,
+            vid.0
+        ), // 11: missing_seq
+        &format!(
+            r#"{{"video":{},"client":1,"seq":null,"events":[{{"type":"play","at":5.0}}]}}"#,
+            vid.0
+        ), // 12: missing_seq
     ]
     .join("\n");
 
@@ -238,13 +250,31 @@ fn hostile_lines_reject_the_line_not_the_stream() {
             (4, "bad_json"),
             (5, "bad_json"),
             (6, "negative_timestamp"),
-            (7, "unknown_video"),
+            (7, "video_mismatch"),
             (8, "no_events"),
             (9, "line_too_long"),
+            (11, "missing_seq"),
+            (12, "missing_seq"),
         ],
         "typed per-line rejections with exact 1-based line numbers"
     );
-    assert_eq!(ack.lines_rejected, 7);
+    assert_eq!(ack.lines_rejected, 9);
+
+    // A stream for a video nobody tracked: its line is rejected too.
+    let resp = client
+        .post_json(
+            "/sessions/stream",
+            r#"{"video":999999,"client":1,"seq":1,"events":[{"type":"play","at":5.0}]}"#,
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let ack: StreamAccepted = resp.json().unwrap();
+    let got: Vec<(u64, &str)> = ack
+        .rejected
+        .iter()
+        .map(|r| (r.line, r.code.as_str()))
+        .collect();
+    assert_eq!(got, vec![(1, "unknown_video")]);
     server.shutdown();
 }
 
@@ -261,7 +291,7 @@ fn error_budget_exhaustion_cuts_the_stream_with_422() {
     // line behind them must never be processed.
     let mut body = "not json\n".repeat(17);
     body.push_str(&format!(
-        "{{\"video\":{},\"client\":1,\"events\":[{{\"type\":\"play\",\"at\":5.0}}]}}\n",
+        "{{\"video\":{},\"client\":1,\"seq\":1,\"events\":[{{\"type\":\"play\",\"at\":5.0}}]}}\n",
         vid.0
     ));
     let resp = client.post_json("/sessions/stream", &body).unwrap();
@@ -381,7 +411,7 @@ fn freeze_window_terminates_the_stream_with_503_retry_after() {
     uploader
         .send_chunk(
             format!(
-                "{{\"video\":{},\"client\":1,\"events\":[{{\"type\":\"play\",\"at\":5.0}}]}}\n",
+                "{{\"video\":{},\"client\":1,\"seq\":1,\"events\":[{{\"type\":\"play\",\"at\":5.0}}]}}\n",
                 vid.0
             )
             .as_bytes(),

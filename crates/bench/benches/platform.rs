@@ -72,6 +72,7 @@ use lightor_types::{
 };
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 fn bench_chatstore_decode(c: &mut Criterion) {
@@ -444,7 +445,14 @@ fn bench_http_serve(c: &mut Criterion) {
         .map(|&e| lightor_platform::wire::EventDto::from(e))
         .collect();
     let events_json = serde_json::to_string(&events).unwrap();
-    let seq = Cell::new(0u64);
+    // The body up to its `seq` value is built once; each iteration
+    // only rewrites the number and the closing brace.
+    let mut body = format!(
+        r#"{{"video":{},"client":{},"events":{events_json},"seq":"#,
+        vid.0, session.user.0
+    );
+    let prefix_len = body.len();
+    let mut seq = 0u64;
 
     let mut g = c.benchmark_group("http_serve");
     g.throughput(Throughput::Elements(1));
@@ -460,13 +468,9 @@ fn bench_http_serve(c: &mut Criterion) {
     // Implicit-feedback ingestion: parse + validate + buffer + refine.
     g.bench_function("post_session", |b| {
         b.iter(|| {
-            seq.set(seq.get() + 1);
-            let body = format!(
-                r#"{{"video":{},"client":{},"seq":{},"events":{events_json}}}"#,
-                vid.0,
-                session.user.0,
-                seq.get()
-            );
+            seq += 1;
+            body.truncate(prefix_len);
+            write!(body, "{seq}}}").unwrap();
             let resp = client.post_json("/sessions", &body).unwrap();
             assert_eq!(resp.status, 200);
             black_box(resp)

@@ -392,6 +392,19 @@ impl BodySource for SocketBody<'_> {
     }
 }
 
+/// Discard what is buffered of the in-flight streamed body; `true`
+/// when that reaches its clean end, so the next bytes are a new
+/// request. Never reads the socket.
+fn skip_buffered_body(parser: &mut RequestParser) -> bool {
+    loop {
+        match parser.next_stream_chunk() {
+            Ok(StreamChunk::Data(_)) => {}
+            Ok(StreamChunk::End) => return true,
+            Ok(StreamChunk::NeedMore) | Err(_) => return false,
+        }
+    }
+}
+
 /// Run one connection to completion: parse → dispatch → respond, while
 /// keep-alive holds and the server is not draining.
 fn serve_connection(stream: TcpStream, ctx: &Ctx) {
@@ -445,6 +458,7 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                     disconnected: false,
                 };
                 let (key, response) = ctx.handler.handle_stream(&head, &mut body, &ctx.metrics);
+                let drained = body.drained;
                 if body.disconnected {
                     ctx.metrics.record(key, response.status, started.elapsed());
                     let _ = stream.shutdown(Shutdown::Both);
@@ -452,8 +466,11 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 }
                 // Reuse the connection only when the body reached its
                 // clean end — otherwise unread body bytes would be
-                // parsed as the next request.
-                let keep_alive = head.keep_alive && body.drained;
+                // parsed as the next request. A handler that answered
+                // early (a terminal line) may leave a body whose rest
+                // is already buffered: skipping it keeps the
+                // connection.
+                let keep_alive = head.keep_alive && (drained || skip_buffered_body(&mut parser));
                 Some((key, response, started, keep_alive))
             }
             Some(false) => match parser.try_next() {

@@ -82,7 +82,7 @@ fn killing_and_restarting_a_backend_mid_load_loses_nothing() {
     assert_eq!(resp.status, 503, "{}", resp.body_str());
     assert!(resp.header("retry-after").is_some());
     let resp = client
-        .post_json("/sessions", &refining_upload(victim_vid, 999, 10.0))
+        .post_json("/sessions", &refining_stream_line(victim_vid, 999, 1, 10.0))
         .unwrap();
     assert_eq!(resp.status, 503, "writes to a down shard fast-fail");
 
@@ -182,7 +182,7 @@ fn planned_migration_drains_a_shard_with_a_subsecond_freeze() {
 
     // Mid-freeze, the old owner rejects writes with a Retry-After.
     let resp = client
-        .post_json("/sessions", &refining_upload(vid, 500, 10.0))
+        .post_json("/sessions", &refining_stream_line(vid, 500, 1, 10.0))
         .unwrap();
     assert_eq!(resp.status, 503, "frozen video rejects writes");
     assert!(resp.header("retry-after").is_some());
@@ -195,10 +195,12 @@ fn planned_migration_drains_a_shard_with_a_subsecond_freeze() {
     // whole window stays under a second.
     let freeze_window = loop {
         let resp = client
-            .post_json("/sessions", &refining_upload(vid, 501, 10.0))
+            .post_json("/sessions", &refining_stream_line(vid, 501, 1, 10.0))
             .unwrap();
         if resp.status == 200 {
-            break t0.elapsed();
+            let window = t0.elapsed();
+            assert_folded(&resp);
+            break window;
         }
         assert_eq!(resp.status, 503, "{}", resp.body_str());
         assert!(
@@ -304,10 +306,11 @@ fn crash_replacement_restores_the_dead_range_on_a_fresh_process() {
     );
 
     // Writes flow to the new ring immediately.
-    let resp = client
-        .post_json("/sessions", &refining_upload(vid, 999, 10.0))
-        .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_folded(
+        &client
+            .post_json("/sessions", &refining_stream_line(vid, 999, 1, 10.0))
+            .unwrap(),
+    );
 
     // The replacement joins through recovering → healthy; the dead
     // address is gone from the ring.

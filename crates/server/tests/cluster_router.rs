@@ -11,7 +11,7 @@ use lightor_eval::harness::{train_initializer, train_type_classifier};
 use lightor_platform::wire::{
     BundleDto, CompactResponse, DotsResponse, EventDto, ExportRequest, ImportResponse,
     RingUpdateRequest, RingUpdateResponse, RouterHealthzResponse, RouterStatsResponse,
-    StatsResponse, StreamAccepted, StreamBatchDto,
+    StatsResponse, StreamAccepted,
 };
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::cluster::{ClusterConfig, RouterServer};
@@ -99,17 +99,16 @@ fn catalog() -> Vec<u64> {
 
 /// A `POST /sessions` body: client 1's batch `seq` for `video`.
 fn upload_json(video: u64, seq: u64) -> String {
-    serde_json::to_string(&StreamBatchDto {
+    harness::stream_line(
         video,
-        client: 1,
-        seq: Some(seq),
-        events: vec![
+        1,
+        seq,
+        vec![
             EventDto::Play { at: 10.0 },
             EventDto::Pause { at: 25.0 },
             EventDto::Leave { at: 25.0 },
         ],
-    })
-    .unwrap()
+    )
 }
 
 fn wait_for_health(router: &RouterServer, idx: usize, want: HealthState, within: Duration) -> bool {
@@ -157,8 +156,7 @@ fn router_proxies_routes_and_aggregates_stats() {
     assert_eq!(routed, direct_dots);
 
     // Sessions route by the video id inside the body.
-    let resp = client.post_json("/sessions", &upload_json(vid, 1)).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    harness::assert_folded(&client.post_json("/sessions", &upload_json(vid, 1)).unwrap());
     // Garbage bodies bounce at the router with 400, not a proxy error.
     let resp = client.post_json("/sessions", "{not json").unwrap();
     assert_eq!(resp.status, 400);
@@ -387,10 +385,11 @@ fn live_migration_hands_ownership_to_a_new_backend() {
         200
     );
     for seq in 1..=3 {
-        let resp = client
-            .post_json("/sessions", &upload_json(vid, seq))
-            .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        harness::assert_folded(
+            &client
+                .post_json("/sessions", &upload_json(vid, seq))
+                .unwrap(),
+        );
     }
     let refined: DotsResponse = client
         .get(&format!("/video/{vid}/dots"))
@@ -485,8 +484,7 @@ fn live_migration_hands_ownership_to_a_new_backend() {
 
     // Writes land again immediately — the target was never frozen, so
     // the freeze window ended with the cutover, not with its TTL.
-    let resp = client.post_json("/sessions", &upload_json(vid, 4)).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    harness::assert_folded(&client.post_json("/sessions", &upload_json(vid, 4)).unwrap());
 
     // Stats aggregate over the new ring.
     let stats: RouterStatsResponse = client.get("/stats").unwrap().json().unwrap();
@@ -549,10 +547,8 @@ fn ring_swap_never_serves_the_old_owners_pre_write_dots() {
     let mut moved = false;
     for i in 0..200u64 {
         let dot_at = pre_write.dots[(i as usize) % pre_write.dots.len()].at_seconds;
-        let resp = client
-            .post_json("/sessions", &harness::refining_upload(vid, i, dot_at))
-            .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let line = harness::refining_stream_line(vid, i, 1, dot_at);
+        harness::assert_folded(&client.post_json("/sessions", &line).unwrap());
         let now: DotsResponse = client.get(&dots_path).unwrap().json().unwrap();
         if now != pre_write {
             moved = true;
@@ -723,7 +719,7 @@ fn a_lost_ack_is_retried_without_a_second_fold() {
         (router.local_addr(), "/sessions/stream"),
     ];
     for (client, (addr, path)) in (1u64..).zip(attempts) {
-        let body = harness::refining_upload(vid, client, dot_at);
+        let body = harness::refining_stream_line(vid, client, 1, dot_at);
         let before = backend_stats(owner);
         post_and_lose_the_ack(addr, path, &body);
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -835,10 +831,7 @@ fn a_stream_carries_one_video_to_its_owner() {
     );
 
     // Sent on its own, B's batch reaches B's owner and folds there.
-    let resp = client.post_json("/sessions", &b_line).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
-    let ack: StreamAccepted = resp.json().unwrap();
-    assert_eq!((ack.lines_accepted, ack.batches_folded), (1, 1), "{ack:?}");
+    harness::assert_folded(&client.post_json("/sessions", &b_line).unwrap());
     assert_eq!(
         backend_stats(b_owner).stream_batches_folded,
         b_before.stream_batches_folded + 1

@@ -13,7 +13,7 @@ use lightor_platform::wire::{
     RingUpdateResponse, RouterHealthzResponse, StreamAccepted, StreamBatchDto,
     SupervisorStatsResponse,
 };
-use lightor_server::HttpClient;
+use lightor_server::{ClientResponse, HttpClient};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -178,23 +178,9 @@ pub fn spawn_supervisor(router: SocketAddr, pairs: &[String], tick_ms: u64) -> (
     })
 }
 
-/// A `POST /sessions` body: `client`'s first batch (seq 1) for
-/// `video`, whose plays cluster around `dot_at`, enough of them
+/// One sequenced NDJSON line (newline-terminated; a body for either
+/// session path) whose plays cluster around `dot_at`, enough of them
 /// (≥ `min_plays_per_round` = 8) to trigger a refinement round.
-/// Callers post it once per client.
-pub fn refining_upload(video: u64, client: u64, dot_at: f64) -> String {
-    let mut events = Vec::new();
-    for i in 0..8 {
-        let at = (dot_at - 2.0 + 0.3 * i as f64).max(0.0);
-        events.push(EventDto::Play { at });
-        events.push(EventDto::Pause { at: at + 6.0 });
-    }
-    events.push(EventDto::Leave { at: dot_at + 20.0 });
-    stream_line(video, client, 1, events).trim_end().to_owned()
-}
-
-/// One sequenced NDJSON stream line (newline-terminated) whose plays
-/// cluster around `dot_at` — the streaming twin of [`refining_upload`].
 pub fn refining_stream_line(video: u64, client: u64, seq: u64, dot_at: f64) -> String {
     let mut events = Vec::new();
     for i in 0..8 {
@@ -221,7 +207,9 @@ pub fn inert_stream_line(video: u64, client: u64, seq: u64, far_ts: f64) -> Stri
     )
 }
 
-fn stream_line(video: u64, client: u64, seq: u64, events: Vec<EventDto>) -> String {
+/// One sequenced NDJSON line (newline-terminated): `client`'s batch
+/// `seq` of `events` for `video`.
+pub fn stream_line(video: u64, client: u64, seq: u64, events: Vec<EventDto>) -> String {
     let mut line = serde_json::to_string(&StreamBatchDto {
         video,
         client,
@@ -231,6 +219,16 @@ fn stream_line(video: u64, client: u64, seq: u64, events: Vec<EventDto>) -> Stri
     .unwrap();
     line.push('\n');
     line
+}
+
+/// Assert that `resp` acknowledges exactly one folded batch: a 200
+/// [`StreamAccepted`] with no rejected line and no replay. A 200 alone
+/// proves nothing, since line rejections and replays answer 200 too.
+pub fn assert_folded(resp: &ClientResponse) -> StreamAccepted {
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let ack: StreamAccepted = resp.json().unwrap();
+    assert_eq!((ack.lines_rejected, ack.batches_folded), (0, 1), "{ack:?}");
+    ack
 }
 
 pub fn healthz(client: &mut HttpClient) -> RouterHealthzResponse {
@@ -293,11 +291,9 @@ pub fn refine_and_ack(client: &mut HttpClient, vid: u64) -> DotsResponse {
     for i in 0..200u64 {
         let dot_at = dots.dots[(i as usize) % dots.dots.len()].at_seconds;
         let resp = client
-            .post_json("/sessions", &refining_upload(vid, i, dot_at))
+            .post_json("/sessions", &refining_stream_line(vid, i, 1, dot_at))
             .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
-        let ack: StreamAccepted = resp.json().unwrap();
-        refined_acked += ack.dots_refined;
+        refined_acked += assert_folded(&resp).dots_refined;
         if refined_acked >= 3 {
             break;
         }

@@ -170,10 +170,11 @@ fn supervisor_promotes_a_killed_primary_unattended() {
     assert_eq!(promo.final_delta_source, "data_dir");
 
     // Writes flow to the promoted standby immediately.
-    let resp = client
-        .post_json("/sessions", &refining_upload(victim_vid, 999, 10.0))
-        .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_folded(
+        &client
+            .post_json("/sessions", &refining_stream_line(victim_vid, 999, 1, 10.0))
+            .unwrap(),
+    );
 
     // The standby earns healthy through the ordinary probe machine.
     wait_backend_state(

@@ -4,13 +4,15 @@
 //! restart-recovers-state (the `storage_recovery` fixture recipe, now
 //! exercised through the server).
 
+mod common;
+
+use common::{assert_folded, session_line};
 use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
 use lightor_eval::harness::{train_initializer, train_type_classifier};
 use lightor_platform::wire::{
-    bundle_crc, BundleDto, BundleEntryDto, DotsResponse, EventDto, StatsResponse, StreamAccepted,
-    StreamBatchDto, BUNDLE_FORMAT_VERSION,
+    bundle_crc, BundleDto, BundleEntryDto, DotsResponse, StatsResponse, BUNDLE_FORMAT_VERSION,
 };
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::{HttpClient, HttpServer, ServerConfig};
@@ -73,19 +75,6 @@ fn serve(dir: &std::path::Path, seed: u64) -> (HttpServer, SimPlatform) {
     (server, platform)
 }
 
-/// A `POST /sessions` body: `session` as batch `seq` of its viewer.
-/// Every caller numbers its uploads from one counter, so each
-/// viewer's sequence is strictly increasing.
-fn upload_json(video: u64, seq: u64, session: &Session) -> String {
-    let batch = StreamBatchDto {
-        video,
-        client: session.user.0,
-        seq: Some(seq),
-        events: session.events.iter().map(|&e| EventDto::from(e)).collect(),
-    };
-    serde_json::to_string(&batch).unwrap()
-}
-
 #[test]
 fn full_paper_loop_over_real_sockets() {
     let dir = TempDir::new("loop");
@@ -109,14 +98,11 @@ fn full_paper_loop_over_real_sockets() {
         for dot in &dots.dots {
             let task = crowd.run_task(&truth.video, lightor_types::Sec(dot.at_seconds), 12);
             for session in &task.sessions {
+                // One counter for every viewer: each one's seqs rise.
                 seq += 1;
-                let resp = client
-                    .post_json("/sessions", &upload_json(vid.0, seq, session))
-                    .unwrap();
-                assert_eq!(resp.status, 200, "{}", resp.body_str());
-                let accepted: StreamAccepted = resp.json().unwrap();
-                assert_eq!(accepted.batches_folded, 1, "{accepted:?}");
-                refined_total += accepted.dots_refined;
+                let line = session_line(vid.0, session.user.0, seq, session);
+                let resp = client.post_json("/sessions", &line).unwrap();
+                refined_total += assert_folded(&resp).dots_refined;
             }
         }
     }
@@ -205,6 +191,10 @@ fn concurrent_clients_hammer_the_server() {
             scope.spawn(move || {
                 let mut client = HttpClient::connect(addr).unwrap();
                 let mut crowd = Campaign::new(40, 5000 + t as u64);
+                // Each thread uploads as its own viewer, numbering its
+                // batches from its own counter.
+                let viewer = 1000 + t as u64;
+                let mut seq = 0;
                 for i in 0..per_thread {
                     let vid = vids[(t + i) % vids.len()];
                     let truth = &truths[(t + i) % vids.len()];
@@ -216,11 +206,9 @@ fn concurrent_clients_hammer_the_server() {
                         1 => {
                             let dot = truth.video.highlights[0].range.start;
                             let task = crowd.run_task(&truth.video, dot, 4);
-                            let seq = (t * per_thread + i + 1) as u64;
-                            let r = client
-                                .post_json("/sessions", &upload_json(vid.0, seq, &task.sessions[0]))
-                                .unwrap();
-                            assert_eq!(r.status, 200, "{}", r.body_str());
+                            seq += 1;
+                            let line = session_line(vid.0, viewer, seq, &task.sessions[0]);
+                            assert_folded(&client.post_json("/sessions", &line).unwrap());
                         }
                         _ => {
                             let r = client
@@ -469,10 +457,8 @@ fn restart_recovers_refined_state_over_http() {
             let task = crowd.run_task(&truth.video, lightor_types::Sec(dot.at_seconds), 12);
             for session in &task.sessions {
                 seq += 1;
-                let r = client
-                    .post_json("/sessions", &upload_json(vid.0, seq, session))
-                    .unwrap();
-                assert_eq!(r.status, 200);
+                let line = session_line(vid.0, session.user.0, seq, session);
+                assert_folded(&client.post_json("/sessions", &line).unwrap());
             }
         }
         refined_dots = client
@@ -655,7 +641,10 @@ fn degraded_service_serves_warm_reads_and_503s_writes() {
         "warm reads must survive degraded mode"
     );
     let resp = client
-        .post_json("/sessions", &upload_json(vids[0].0, 1, &sample_session()))
+        .post_json(
+            "/sessions",
+            &session_line(vids[0].0, 5, 1, &sample_session()),
+        )
         .unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body_str());
     assert!(
@@ -672,9 +661,7 @@ fn degraded_service_serves_warm_reads_and_503s_writes() {
     assert_eq!(client.post_json("/admin/compact", "").unwrap().status, 200);
     let stats: StatsResponse = client.get("/stats").unwrap().json().unwrap();
     assert!(!stats.degraded, "successful compaction must clear degraded");
-    let resp = client
-        .post_json("/sessions", &upload_json(vids[0].0, 2, &sample_session()))
-        .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let line = session_line(vids[0].0, 5, 2, &sample_session());
+    assert_folded(&client.post_json("/sessions", &line).unwrap());
     server.shutdown();
 }

@@ -4,16 +4,17 @@
 //! mid-line disconnects, sequence-based idempotent replay, freeze-window
 //! interaction, and `/stats` counter reconciliation.
 
+mod common;
+
+use common::session_line;
 use lightor::{ExtractorConfig, FeatureSet, HighlightExtractor, ModelBundle};
 use lightor_chatsim::{dota2_dataset, SimPlatform};
 use lightor_crowdsim::Campaign;
 use lightor_eval::harness::{train_initializer, train_type_classifier};
-use lightor_platform::wire::{
-    DotsResponse, EventDto, StatsResponse, StreamAccepted, StreamBatchDto, StreamRejected,
-};
+use lightor_platform::wire::{DotsResponse, StatsResponse, StreamAccepted, StreamRejected};
 use lightor_platform::{LightorService, ServiceConfig};
 use lightor_server::{HttpClient, HttpServer, ServerConfig};
-use lightor_types::{GameKind, Session};
+use lightor_types::GameKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,19 +68,6 @@ fn serve(dir: &std::path::Path, seed: u64) -> (HttpServer, SimPlatform) {
     (server, platform)
 }
 
-/// One NDJSON line: a [`StreamBatchDto`] for this session's events.
-fn batch_line(video: u64, seq: u64, session: &Session) -> String {
-    let batch = StreamBatchDto {
-        video,
-        client: session.user.0,
-        seq: Some(seq),
-        events: session.events.iter().map(|&e| EventDto::from(e)).collect(),
-    };
-    let mut line = serde_json::to_string(&batch).unwrap();
-    line.push('\n');
-    line
-}
-
 #[test]
 fn streamed_ndjson_folds_batches_incrementally() {
     let dir = TempDir::new("fold");
@@ -106,7 +94,7 @@ fn streamed_ndjson_folds_batches_incrementally() {
             for session in &task.sessions {
                 // One counter for every viewer: each one's seqs rise.
                 let seq = lines.len() as u64 + 1;
-                lines.push(batch_line(vid.0, seq, session));
+                lines.push(session_line(vid.0, session.user.0, seq, session));
             }
         }
     }

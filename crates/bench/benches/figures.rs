@@ -15,7 +15,7 @@ fn bench_fig3_play_offsets(c: &mut Criterion) {
     let env = ExpEnv::quick();
     let mut g = c.benchmark_group("fig3_play_offsets");
     g.sample_size(10);
-    g.bench_function("both_types", |b| b.iter(|| fig3::summary(&env)));
+    g.bench_function("both_types", |b| b.iter(|| fig3::compute(&env)));
     g.finish();
 }
 

@@ -160,7 +160,10 @@ impl SimPlatform {
         self.videos.get(&id)
     }
 
-    /// Iterate over every video on the platform.
+    /// Iterate over every video on the platform, in hash order, which
+    /// changes from process to process. A caller that needs a stable
+    /// order sorts, or walks [`Self::channels`] and
+    /// [`Self::recent_videos`].
     pub fn all_videos(&self) -> impl Iterator<Item = &SimVideo> {
         self.videos.values()
     }

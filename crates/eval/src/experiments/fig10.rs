@@ -91,38 +91,58 @@ fn lstm_curve(
     prefix_start_curve(&dots, K_MAX)
 }
 
-/// Run both panels; returns (report, curves) so Figure 11 and tests can
-/// reuse the numbers.
-pub fn run(env: &ExpEnv) -> Report {
+/// Both panels' Video Precision@K (start) curves, K = 1…10.
+pub struct Fig10Result {
+    /// Chat-LSTM's training videos in panel (b).
+    pub big_train: usize,
+    /// Test videos.
+    pub n_test: usize,
+    /// LIGHTOR trained on one video (both panels).
+    pub lightor_1: Vec<f64>,
+    /// Chat-LSTM trained on one video (panel a).
+    pub lstm_1: Vec<f64>,
+    /// Chat-LSTM trained on `big_train` videos (panel b).
+    pub lstm_big: Vec<f64>,
+}
+
+/// Compute both panels.
+pub fn compute(env: &ExpEnv) -> Fig10Result {
     let big_train = env.cap(123, 6);
     let n_test = env.cap(50, 4);
     let data = env.lol(big_train + n_test);
     let train: Vec<&SimVideo> = data.videos[..big_train].iter().collect();
     let test: Vec<&SimVideo> = data.videos[big_train..].iter().collect();
+    Fig10Result {
+        big_train,
+        n_test,
+        lightor_1: lightor_curve(&train, 1, &test),
+        lstm_1: lstm_curve(env, &train, 1, &test),
+        lstm_big: lstm_curve(env, &train, big_train, &test),
+    }
+}
 
-    let lightor_1 = lightor_curve(&train, 1, &test);
-    let lstm_1 = lstm_curve(env, &train, 1, &test);
-    let lstm_big = lstm_curve(env, &train, big_train, &test);
-
+/// Render both panels.
+pub fn run(env: &ExpEnv) -> Report {
+    let r = compute(env);
     let mut report = Report::new("Figure 10 — LIGHTOR vs Chat-LSTM (training size)");
     let mut t_a = Table::new(
-        format!("(a) both trained on 1 LoL video, {n_test} test videos"),
+        format!("(a) both trained on 1 LoL video, {} test videos", r.n_test),
         &["K", "Lightor (1 video)", "Chat-LSTM (1 video)"],
     );
     let mut t_b = Table::new(
-        format!("(b) Lightor 1 video vs Chat-LSTM {big_train} videos"),
+        format!("(b) Lightor 1 video vs Chat-LSTM {} videos", r.big_train),
         &["K", "Lightor (1 video)", "Chat-LSTM (many videos)"],
     );
     for k in 1..=K_MAX {
         t_a.row(vec![
             k.to_string(),
-            fmt3(lightor_1[k - 1]),
-            fmt3(lstm_1[k - 1]),
+            fmt3(r.lightor_1[k - 1]),
+            fmt3(r.lstm_1[k - 1]),
         ]);
         t_b.row(vec![
             k.to_string(),
-            fmt3(lightor_1[k - 1]),
-            fmt3(lstm_big[k - 1]),
+            fmt3(r.lightor_1[k - 1]),
+            fmt3(r.lstm_big[k - 1]),
         ]);
     }
     report.table(t_a);
@@ -133,49 +153,4 @@ pub fn run(env: &ExpEnv) -> Report {
             .to_string(),
     );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lightor_dominates_one_video_lstm() {
-        let report = run(&ExpEnv::quick());
-        let rows = &report.tables[0].rows;
-        let avg = |col: usize| {
-            rows.iter()
-                .map(|r| r[col].parse::<f64>().unwrap())
-                .sum::<f64>()
-                / rows.len() as f64
-        };
-        let (lig, lstm) = (avg(1), avg(2));
-        assert!(
-            lig > lstm + 0.15,
-            "Lightor {lig} should clearly beat 1-video Chat-LSTM {lstm}"
-        );
-    }
-
-    #[test]
-    fn more_data_helps_lstm_but_not_enough() {
-        let report = run(&ExpEnv::quick());
-        let avg = |t: usize, col: usize| {
-            let rows = &report.tables[t].rows;
-            rows.iter()
-                .map(|r| r[col].parse::<f64>().unwrap())
-                .sum::<f64>()
-                / rows.len() as f64
-        };
-        let lstm_small = avg(0, 2);
-        let lstm_big = avg(1, 2);
-        let lightor = avg(1, 1);
-        assert!(
-            lstm_big >= lstm_small - 0.05,
-            "more data should not hurt the LSTM: {lstm_small} -> {lstm_big}"
-        );
-        assert!(
-            lightor > lstm_big,
-            "Lightor {lightor} must stay above big-data LSTM {lstm_big}"
-        );
-    }
 }

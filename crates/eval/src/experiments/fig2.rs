@@ -14,11 +14,56 @@ use lightor::{
 use lightor_simkit::{gaussian_smooth, mean, Histogram};
 use lightor_types::TimeRange;
 
-/// Run both panels on the first video of the Dota2 corpus.
-pub fn run(env: &ExpEnv) -> Report {
+/// Mean feature values over one class of sliding windows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FeatureMeans {
+    /// Mean message count.
+    pub msg_num: f64,
+    /// Mean message length (words).
+    pub msg_len: f64,
+    /// Mean message similarity.
+    pub msg_sim: f64,
+}
+
+impl FeatureMeans {
+    fn of(xs: &[WindowFeatures]) -> Self {
+        let avg = |pick: fn(&WindowFeatures) -> f64| {
+            mean(&xs.iter().map(pick).collect::<Vec<_>>()).unwrap_or(0.0)
+        };
+        FeatureMeans {
+            msg_num: avg(|f| f.msg_num),
+            msg_len: avg(|f| f.msg_len),
+            msg_sim: avg(|f| f.msg_sim),
+        }
+    }
+}
+
+/// Both panels' numbers.
+pub struct Fig2Result {
+    /// The highlight panel (a) looks at (the video's first).
+    pub highlight: TimeRange,
+    /// Panel (a): 10 s message-count bins from 60 s before the
+    /// highlight start to 120 s after it.
+    pub hist: Histogram,
+    /// The bin counts, Gaussian-smoothed (σ = 1 bin).
+    pub smoothed: Vec<f64>,
+    /// Seconds from the highlight start to the chat peak of its
+    /// response window.
+    pub delay: f64,
+    /// Panel (b): how many sliding windows are highlight windows.
+    pub highlight_windows: usize,
+    /// Panel (b): how many are not.
+    pub other_windows: usize,
+    /// Feature means over the highlight windows.
+    pub highlight_means: FeatureMeans,
+    /// Feature means over the other windows.
+    pub other_means: FeatureMeans,
+}
+
+/// Compute both panels on the first video of the Dota2 corpus.
+pub fn compute(env: &ExpEnv) -> Fig2Result {
     let data = env.dota2(1);
     let sv = &data.videos[0];
-    let mut report = Report::new("Figure 2 — chat analysis of one Dota2 video");
 
     // Panel (a): histogram around the first highlight (straight off the
     // zero-copy view; no message materialization).
@@ -29,27 +74,11 @@ pub fn run(env: &ExpEnv) -> Report {
         hist.add(m.ts.0);
     }
     let smoothed = gaussian_smooth(hist.counts(), 1.0);
-    let mut t_a = Table::new(
-        format!("(a) message counts near highlight {}", h.range),
-        &["bin start (s)", "count", "smoothed"],
-    );
-    for (i, (&c, &s)) in hist.counts().iter().zip(&smoothed).enumerate() {
-        t_a.row(vec![
-            format!("{:.0}", window.start.0 + i as f64 * 10.0),
-            format!("{c:.0}"),
-            format!("{s:.1}"),
-        ]);
-    }
-    report.table(t_a);
 
     // Measured reaction delay: distance from highlight start to the
     // response-window peak.
-    let resp = sv.response_ranges[0];
-    let peak = window_peak_view(&sv.video.chat, resp, 5.0);
+    let peak = window_peak_view(&sv.video.chat, sv.response_ranges[0], 5.0);
     let delay = peak.0 - h.start().0;
-    report.note(format!(
-        "measured peak delay = {delay:.1} s after the highlight start (paper: ≈20 s)"
-    ));
 
     // Panel (b): feature distributions over labelled windows, via the
     // tokenize-once corpus (the same fast path the Initializer scores
@@ -71,31 +100,56 @@ pub fn run(env: &ExpEnv) -> Report {
             lo.push(fw.features);
         }
     }
+    Fig2Result {
+        highlight: h.range,
+        hist,
+        smoothed,
+        delay,
+        highlight_windows: hi.len(),
+        other_windows: lo.len(),
+        highlight_means: FeatureMeans::of(&hi),
+        other_means: FeatureMeans::of(&lo),
+    }
+}
+
+/// Render both panels.
+pub fn run(env: &ExpEnv) -> Report {
+    let r = compute(env);
+    let mut report = Report::new("Figure 2 — chat analysis of one Dota2 video");
+
+    let mut t_a = Table::new(
+        format!("(a) message counts near highlight {}", r.highlight),
+        &["bin start (s)", "count", "smoothed"],
+    );
+    for (i, (&c, &s)) in r.hist.counts().iter().zip(&r.smoothed).enumerate() {
+        t_a.row(vec![
+            format!("{:.0}", r.hist.lo() + i as f64 * 10.0),
+            format!("{c:.0}"),
+            format!("{s:.1}"),
+        ]);
+    }
+    report.table(t_a);
+    report.note(format!(
+        "measured peak delay = {:.1} s after the highlight start (paper: ≈20 s)",
+        r.delay
+    ));
+
     let mut t_b = Table::new(
         format!(
             "(b) feature means over {} windows ({} highlight, {} non-highlight)",
-            windows.len(),
-            hi.len(),
-            lo.len()
+            r.highlight_windows + r.other_windows,
+            r.highlight_windows,
+            r.other_windows
         ),
         &["feature", "highlight mean", "non-highlight mean"],
     );
-    let summarize = |xs: &[WindowFeatures], pick: fn(&WindowFeatures) -> f64| {
-        mean(&xs.iter().map(pick).collect::<Vec<_>>()).unwrap_or(0.0)
-    };
-    for (name, pick) in [
-        (
-            "msg num",
-            (|f: &WindowFeatures| f.msg_num) as fn(&WindowFeatures) -> f64,
-        ),
-        ("msg len", |f| f.msg_len),
-        ("msg sim", |f| f.msg_sim),
+    let (hi, lo) = (r.highlight_means, r.other_means);
+    for (name, h, l) in [
+        ("msg num", hi.msg_num, lo.msg_num),
+        ("msg len", hi.msg_len, lo.msg_len),
+        ("msg sim", hi.msg_sim, lo.msg_sim),
     ] {
-        t_b.row(vec![
-            name.to_string(),
-            fmt3(summarize(&hi, pick)),
-            fmt3(summarize(&lo, pick)),
-        ]);
+        t_b.row(vec![name.to_string(), fmt3(h), fmt3(l)]);
     }
     report.table(t_b);
     report.note(
@@ -104,44 +158,4 @@ pub fn run(env: &ExpEnv) -> Report {
             .to_string(),
     );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn figure2_shape_holds() {
-        let report = run(&ExpEnv::quick());
-        assert_eq!(report.tables.len(), 2);
-        // Parse the feature table and assert the paper's contrasts.
-        let t = &report.tables[1];
-        let get = |row: usize, col: usize| t.rows[row][col].parse::<f64>().unwrap();
-        let (hi_num, lo_num) = (get(0, 1), get(0, 2));
-        let (hi_len, lo_len) = (get(1, 1), get(1, 2));
-        let (hi_sim, lo_sim) = (get(2, 1), get(2, 2));
-        assert!(hi_num > lo_num, "msg num contrast: {hi_num} vs {lo_num}");
-        assert!(hi_len < lo_len, "msg len contrast: {hi_len} vs {lo_len}");
-        assert!(hi_sim > lo_sim, "msg sim contrast: {hi_sim} vs {lo_sim}");
-    }
-
-    #[test]
-    fn measured_delay_is_physical() {
-        let report = run(&ExpEnv::quick());
-        let note = &report.notes[0];
-        let delay: f64 = note
-            .split('=')
-            .nth(1)
-            .unwrap()
-            .trim()
-            .split(' ')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(
-            (5.0..=40.0).contains(&delay),
-            "delay {delay} outside plausible band"
-        );
-    }
 }

@@ -44,19 +44,55 @@ fn collect_offsets(env: &ExpEnv, type1: bool) -> Vec<f64> {
     offsets
 }
 
-/// Run both panels.
+/// One panel's play start offsets and their summary.
+pub struct Offsets {
+    /// `play.start − highlight.start` of every scoped play, in seconds.
+    pub offsets: Vec<f64>,
+    /// Their mean.
+    pub mean: f64,
+    /// Their standard deviation.
+    pub std: f64,
+}
+
+impl Offsets {
+    fn of(offsets: Vec<f64>) -> Self {
+        Offsets {
+            mean: mean(&offsets).unwrap_or(0.0),
+            std: std_dev(&offsets).unwrap_or(0.0),
+            offsets,
+        }
+    }
+}
+
+/// Both panels' offsets.
+pub struct Fig3Result {
+    /// Panel (a): dots placed after the highlight end.
+    pub type1: Offsets,
+    /// Panel (b): dots placed around the highlight start.
+    pub type2: Offsets,
+}
+
+/// Collect both panels' offsets.
+pub fn compute(env: &ExpEnv) -> Fig3Result {
+    Fig3Result {
+        type1: Offsets::of(collect_offsets(env, true)),
+        type2: Offsets::of(collect_offsets(env, false)),
+    }
+}
+
+/// Render both panels.
 pub fn run(env: &ExpEnv) -> Report {
+    let r = compute(env);
     let mut report = Report::new("Figure 3 — play start-offset distributions");
 
-    for (label, type1) in [("(a) Type I", true), ("(b) Type II", false)] {
-        let offsets = collect_offsets(env, type1);
+    for (label, panel) in [("(a) Type I", &r.type1), ("(b) Type II", &r.type2)] {
         let mut hist = Histogram::new(-60.0, 60.0, 12);
-        for &o in &offsets {
+        for &o in &panel.offsets {
             hist.add(o);
         }
         let dens = hist.density();
         let mut t = Table::new(
-            format!("{label}: {} plays", offsets.len()),
+            format!("{label}: {} plays", panel.offsets.len()),
             &["offset bin (s)", "density"],
         );
         for (i, d) in dens.iter().enumerate() {
@@ -68,8 +104,8 @@ pub fn run(env: &ExpEnv) -> Report {
         report.table(t);
         report.note(format!(
             "{label}: mean {} s, std {} s",
-            fmt3(mean(&offsets).unwrap_or(0.0)),
-            fmt3(std_dev(&offsets).unwrap_or(0.0)),
+            fmt3(panel.mean),
+            fmt3(panel.std),
         ));
     }
     report.note(
@@ -78,33 +114,4 @@ pub fn run(env: &ExpEnv) -> Report {
             .to_string(),
     );
     report
-}
-
-/// The two summary statistics the shape test needs.
-pub fn summary(env: &ExpEnv) -> ((f64, f64), (f64, f64)) {
-    let o1 = collect_offsets(env, true);
-    let o2 = collect_offsets(env, false);
-    (
-        (mean(&o1).unwrap_or(0.0), std_dev(&o1).unwrap_or(0.0)),
-        (mean(&o2).unwrap_or(0.0), std_dev(&o2).unwrap_or(0.0)),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn type1_scatters_wider_than_type2() {
-        let ((_, s1), (m2, s2)) = summary(&ExpEnv::quick());
-        assert!(
-            s1 > 1.3 * s2,
-            "Type I std {s1} should exceed Type II std {s2}"
-        );
-        // Type II is concentrated near the highlight start. Dots are
-        // placed −6…+4 s around it, so the quick-scale mean can sit a
-        // touch below zero; the band tolerates the small-sample draw
-        // while still rejecting Type-I-like scatter.
-        assert!((-4.0..=14.0).contains(&m2), "Type II mean {m2}");
-    }
 }

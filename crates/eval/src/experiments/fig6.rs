@@ -12,8 +12,9 @@ use crate::report::{fmt3, Report, Table};
 use lightor::FeatureSet;
 use lightor_chatsim::SimVideo;
 
-/// Mean Chat Precision@K over the test set for one trained model.
-fn precision_curve(
+/// Mean Chat Precision@K (K = 1…`k_max`) over the test set for one
+/// trained model. Figure 7a's "Ideal" line is this curve.
+pub(crate) fn precision_curve(
     init: &lightor::HighlightInitializer,
     test: &[&SimVideo],
     k_max: usize,
@@ -42,30 +43,53 @@ fn precision_curve(
         .collect()
 }
 
+/// Panel (a)'s numbers.
+pub struct Fig6aResult {
+    /// Training videos.
+    pub n_train: usize,
+    /// Test videos.
+    pub n_test: usize,
+    /// Chat Precision@K (K = 1…10) per feature set, in
+    /// [`FeatureSet::ALL`] order: message number only, + length,
+    /// + similarity.
+    pub curves: Vec<Vec<f64>>,
+}
+
 /// Panel (a): feature ablation.
-pub fn run_a(env: &ExpEnv) -> Report {
+pub fn compute_a(env: &ExpEnv) -> Fig6aResult {
     let n_train = env.cap(10, 3);
     let n_test = env.cap(50, 4);
     let data = env.dota2(n_train + n_test);
     let train: Vec<&SimVideo> = data.videos[..n_train].iter().collect();
     let test: Vec<&SimVideo> = data.videos[n_train..].iter().collect();
-    let k_max = 10;
+    let curves = FeatureSet::ALL
+        .iter()
+        .map(|&fs| precision_curve(&train_initializer(&train, fs), &test, 10))
+        .collect();
+    Fig6aResult {
+        n_train,
+        n_test,
+        curves,
+    }
+}
 
+/// Render panel (a).
+pub fn run_a(env: &ExpEnv) -> Report {
+    let r = compute_a(env);
     let mut report = Report::new("Figure 6a — prediction performance (feature ablation)");
     let mut t = Table::new(
-        format!("Chat Precision@K, {n_train} train / {n_test} test Dota2 videos"),
+        format!(
+            "Chat Precision@K, {} train / {} test Dota2 videos",
+            r.n_train, r.n_test
+        ),
         &["K", "msg num", "+ msg len", "+ msg sim"],
     );
-    let curves: Vec<Vec<f64>> = FeatureSet::ALL
-        .iter()
-        .map(|&fs| precision_curve(&train_initializer(&train, fs), &test, k_max))
-        .collect();
-    for k in 1..=k_max {
+    for k in 1..=r.curves[0].len() {
         t.row(vec![
             k.to_string(),
-            fmt3(curves[0][k - 1]),
-            fmt3(curves[1][k - 1]),
-            fmt3(curves[2][k - 1]),
+            fmt3(r.curves[0][k - 1]),
+            fmt3(r.curves[1][k - 1]),
+            fmt3(r.curves[2][k - 1]),
         ]);
     }
     report.table(t);
@@ -73,65 +97,46 @@ pub fn run_a(env: &ExpEnv) -> Report {
     report
 }
 
+/// Panel (b)'s numbers.
+pub struct Fig6bResult {
+    /// Test videos.
+    pub n_test: usize,
+    /// Chat Precision@10 of the full model trained on the first
+    /// `i + 1` videos, at index `i`.
+    pub p10: Vec<f64>,
+}
+
 /// Panel (b): effect of training size.
-pub fn run_b(env: &ExpEnv) -> Report {
+pub fn compute_b(env: &ExpEnv) -> Fig6bResult {
     let max_train = env.cap(10, 3);
     let n_test = env.cap(50, 4);
     let data = env.dota2(max_train + n_test);
     let test: Vec<&SimVideo> = data.videos[max_train..].iter().collect();
+    let p10 = (1..=max_train)
+        .map(|n| {
+            let train: Vec<&SimVideo> = data.videos[..n].iter().collect();
+            let init = train_initializer(&train, FeatureSet::Full);
+            *precision_curve(&init, &test, 10).last().expect("k=10")
+        })
+        .collect();
+    Fig6bResult { n_test, p10 }
+}
 
+/// Render panel (b).
+pub fn run_b(env: &ExpEnv) -> Report {
+    let r = compute_b(env);
     let mut report = Report::new("Figure 6b — effect of training size");
     let mut t = Table::new(
-        format!("Chat Precision@10 vs training videos ({n_test} test videos)"),
+        format!(
+            "Chat Precision@10 vs training videos ({} test videos)",
+            r.n_test
+        ),
         &["# train videos", "P@10"],
     );
-    for n in 1..=max_train {
-        let train: Vec<&SimVideo> = data.videos[..n].iter().collect();
-        let init = train_initializer(&train, FeatureSet::Full);
-        let p10 = *precision_curve(&init, &test, 10).last().expect("k=10");
-        t.row(vec![n.to_string(), fmt3(p10)]);
+    for (i, &p10) in r.p10.iter().enumerate() {
+        t.row(vec![(i + 1).to_string(), fmt3(p10)]);
     }
     report.table(t);
     report.note("paper shape: stable (~0.82) down to a single training video".to_string());
     report
-}
-
-/// The full-model curve, reused by Figure 7a as the "Ideal" line.
-pub fn ideal_curve(env: &ExpEnv, k_max: usize) -> Vec<f64> {
-    let n_train = env.cap(10, 3);
-    let n_test = env.cap(50, 4);
-    let data = env.dota2(n_train + n_test);
-    let train: Vec<&SimVideo> = data.videos[..n_train].iter().collect();
-    let test: Vec<&SimVideo> = data.videos[n_train..].iter().collect();
-    precision_curve(&train_initializer(&train, FeatureSet::Full), &test, k_max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn full_model_beats_count_only_at_large_k() {
-        let report = run_a(&ExpEnv::quick());
-        let rows = &report.tables[0].rows;
-        let p = |row: usize, col: usize| rows[row][col].parse::<f64>().unwrap();
-        // At K = 10 the full model must dominate count-only.
-        let k10 = rows.len() - 1;
-        assert!(
-            p(k10, 3) >= p(k10, 1),
-            "full {} < count-only {} at K=10",
-            p(k10, 3),
-            p(k10, 1)
-        );
-        // And reach the paper's usable band.
-        assert!(p(k10, 3) >= 0.6, "full model P@10 {}", p(k10, 3));
-    }
-
-    #[test]
-    fn single_video_training_stays_usable() {
-        let report = run_b(&ExpEnv::quick());
-        let rows = &report.tables[0].rows;
-        let p1: f64 = rows[0][1].parse().unwrap();
-        assert!(p1 >= 0.55, "1-video P@10 = {p1}");
-    }
 }

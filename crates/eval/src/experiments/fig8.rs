@@ -16,7 +16,8 @@ use lightor_chatsim::SimVideo;
 use lightor_crowdsim::Campaign;
 use lightor_types::{Sec, Session};
 
-const ITERATIONS: usize = 4;
+/// Crowd rounds the figure runs.
+pub const ITERATIONS: usize = 4;
 const DOTS_PER_VIDEO: usize = 5;
 
 /// One refinement track; a converged dot is not republished
@@ -104,13 +105,7 @@ pub fn compute(env: &ExpEnv) -> Fig8Result {
 
     // Baselines on iteration-1 interaction data, seeded from the same
     // initial dots the refinement tracks started at.
-    let socialskip = baseline_precision(
-        &SocialSkipAdapter,
-        &initial_dots,
-        &test,
-        &first_iter_sessions,
-    );
-    let moocer = baseline_precision(&MoocerAdapter, &initial_dots, &test, &first_iter_sessions);
+    let (socialskip, moocer) = baselines(&initial_dots, &test, &first_iter_sessions);
 
     Fig8Result {
         lightor_start,
@@ -140,6 +135,20 @@ fn precision_now(tracks: &[DotTrack], test: &[&SimVideo]) -> (f64, f64) {
     (
         mean_over_videos(&per_video_start),
         mean_over_videos(&per_video_end),
+    )
+}
+
+/// SocialSkip's and Moocer's (start, end) precision. Neither is
+/// iterative: each runs once on video `v`'s first-round sessions
+/// `first_round[v]`, around every initial dot `(v, at)`.
+pub fn baselines(
+    initial_dots: &[(usize, Sec)],
+    test: &[&SimVideo],
+    first_round: &[Vec<Session>],
+) -> ((f64, f64), (f64, f64)) {
+    (
+        baseline_precision(&SocialSkipAdapter, initial_dots, test, first_round),
+        baseline_precision(&MoocerAdapter, initial_dots, test, first_round),
     )
 }
 
@@ -231,98 +240,4 @@ pub fn run(env: &ExpEnv) -> Report {
             .to_string(),
     );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lightor_chatsim::Dataset;
-    use lightor_types::GameKind;
-
-    #[test]
-    fn parallel_dataset_builder_yields_identical_metrics_to_serial() {
-        // The figure's corpus now comes from the batched parallel
-        // dataset builder (`Dataset::generate` fans videos out over
-        // rayon). Metrics derived from it must be identical to the
-        // serial reference path: same corpus → same trained model →
-        // same red dots → same precision series.
-        let env = ExpEnv::quick();
-        let n = env.cap(6, 2) + env.cap(7, 3);
-        let par = env.dota2(n);
-        let ser = Dataset::generate_serial(GameKind::Dota2, n, env.seed ^ 0xD07A);
-        for (a, b) in par.videos.iter().zip(&ser.videos) {
-            assert_eq!(a.video.chat, b.video.chat);
-        }
-
-        let train_p: Vec<&SimVideo> = par.videos[..2].iter().collect();
-        let train_s: Vec<&SimVideo> = ser.videos[..2].iter().collect();
-        let init_p = train_initializer(&train_p, FeatureSet::Full);
-        let init_s = train_initializer(&train_s, FeatureSet::Full);
-        assert_eq!(init_p.adjustment(), init_s.adjustment());
-        for (p, s) in par.videos[2..].iter().zip(&ser.videos[2..]) {
-            let dots_p = init_p.red_dots(&p.video.chat, p.video.meta.duration, DOTS_PER_VIDEO);
-            let dots_s = init_s.red_dots(&s.video.chat, s.video.meta.duration, DOTS_PER_VIDEO);
-            assert_eq!(dots_p, dots_s, "red dots diverge between builders");
-        }
-        let prec_p = {
-            let test: Vec<&SimVideo> = par.videos[2..].iter().collect();
-            let starts: Vec<Vec<Sec>> = test
-                .iter()
-                .map(|sv| {
-                    init_p
-                        .red_dots(&sv.video.chat, sv.video.meta.duration, DOTS_PER_VIDEO)
-                        .iter()
-                        .map(|d| d.at)
-                        .collect()
-                })
-                .collect();
-            test.iter()
-                .zip(&starts)
-                .map(|(sv, s)| video_precision_start(s, sv))
-                .collect::<Vec<_>>()
-        };
-        let prec_s = {
-            let test: Vec<&SimVideo> = ser.videos[2..].iter().collect();
-            let starts: Vec<Vec<Sec>> = test
-                .iter()
-                .map(|sv| {
-                    init_s
-                        .red_dots(&sv.video.chat, sv.video.meta.duration, DOTS_PER_VIDEO)
-                        .iter()
-                        .map(|d| d.at)
-                        .collect()
-                })
-                .collect();
-            test.iter()
-                .zip(&starts)
-                .map(|(sv, s)| video_precision_start(s, sv))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(prec_p, prec_s, "precision metrics diverge");
-    }
-
-    #[test]
-    fn lightor_improves_and_beats_baselines() {
-        let r = compute(&ExpEnv::quick());
-        let first = r.lightor_start[0];
-        let last = *r.lightor_start.last().unwrap();
-        assert!(
-            last >= first - 0.05,
-            "start precision regressed: {first} -> {last}"
-        );
-        assert!(
-            last > r.socialskip.0 && last > r.moocer.0,
-            "Lightor {last} vs SocialSkip {} / Moocer {}",
-            r.socialskip.0,
-            r.moocer.0
-        );
-        let last_end = *r.lightor_end.last().unwrap();
-        assert!(
-            last_end > r.socialskip.1 && last_end > r.moocer.1,
-            "end precision: Lightor {last_end} vs {} / {}",
-            r.socialskip.1,
-            r.moocer.1
-        );
-        assert!(last >= 0.5, "final start precision {last}");
-    }
 }

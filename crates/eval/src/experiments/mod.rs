@@ -1,5 +1,13 @@
-//! One module per paper figure/table. Each exposes a `run(env) -> Report`
-//! (or several, for multi-panel figures).
+//! One module per paper figure/table.
+//!
+//! Each module computes its numbers once, in a typed `compute(env)`
+//! (`compute_a`/`compute_b` for the two-panel Figures 6 and 7), and
+//! renders that result with `run(env) -> Report` (`run_a`/`run_b`).
+//! `run` only formats: every number it prints comes from the typed
+//! result. The paper's claims are asserted on those typed results in
+//! one place, the workspace's `tests/paper_shapes.rs`; this crate's own
+//! tests cover only its machinery (environment caps, metrics, report
+//! formatting, initializer training).
 
 pub mod fig10;
 pub mod fig11;

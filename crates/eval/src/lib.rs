@@ -2,9 +2,10 @@
 //! experiment module per figure/table of the evaluation section.
 //!
 //! Every experiment is a pure function of a seed (plus a `quick` flag that
-//! shrinks dataset sizes for benches and CI) and returns a [`Report`] that
-//! renders as an aligned text table or markdown. The `experiments` binary
-//! runs any subset:
+//! shrinks dataset sizes for benches and CI). Its `compute` returns the
+//! figure's numbers as a typed result, and its `run` renders that result
+//! as a [`Report`]: an aligned text table or markdown (see
+//! [`experiments`]). The `experiments` binary runs any subset:
 //!
 //! ```text
 //! cargo run --release -p lightor-eval --bin experiments -- all

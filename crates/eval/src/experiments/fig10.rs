@@ -154,3 +154,42 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    /// Both tests read one computation at the quick seed.
+    fn quick() -> &'static Fig10Result {
+        static R: OnceLock<Fig10Result> = OnceLock::new();
+        R.get_or_init(|| compute(&ExpEnv::quick()))
+    }
+
+    fn avg(xs: &[f64]) -> f64 {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    #[test]
+    fn lightor_dominates_one_video_lstm() {
+        let (lig, lstm) = (avg(&quick().lightor_1), avg(&quick().lstm_1));
+        assert!(
+            lig > lstm + 0.15,
+            "Lightor {lig} should clearly beat 1-video Chat-LSTM {lstm}"
+        );
+    }
+
+    #[test]
+    fn more_data_helps_lstm_but_not_enough() {
+        let r = quick();
+        let (lightor, lstm_small, lstm_big) = (avg(&r.lightor_1), avg(&r.lstm_1), avg(&r.lstm_big));
+        assert!(
+            lstm_big >= lstm_small - 0.05,
+            "more data should not hurt the LSTM: {lstm_small} -> {lstm_big}"
+        );
+        assert!(
+            lightor > lstm_big,
+            "Lightor {lightor} must stay above big-data LSTM {lstm_big}"
+        );
+    }
+}

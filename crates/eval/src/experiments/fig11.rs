@@ -115,3 +115,31 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn avg(xs: &[f64]) -> f64 {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    #[test]
+    fn lightor_transfers_lstm_does_not() {
+        let (lightor, lstm) = compute(&ExpEnv::quick());
+        let lightor_gap = avg(&lightor.lol) - avg(&lightor.dota2);
+        let lstm_gap = avg(&lstm.lol) - avg(&lstm.dota2);
+        // LIGHTOR's cross-game drop must be small; the LSTM's must be
+        // clearly larger.
+        assert!(
+            lightor_gap.abs() <= 0.25,
+            "Lightor transfer gap too large: {lightor_gap}"
+        );
+        assert!(
+            lstm_gap > lightor_gap + 0.05,
+            "LSTM gap {lstm_gap} should exceed Lightor gap {lightor_gap}"
+        );
+        // And LIGHTOR on the foreign game still beats the LSTM there.
+        assert!(avg(&lightor.dota2) > avg(&lstm.dota2));
+    }
+}

@@ -159,3 +159,41 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    /// Both tests read one computation at the quick seed.
+    fn quick() -> &'static Fig2Result {
+        static R: OnceLock<Fig2Result> = OnceLock::new();
+        R.get_or_init(|| compute(&ExpEnv::quick()))
+    }
+
+    #[test]
+    fn figure2_shape_holds() {
+        let (hi, lo) = (quick().highlight_means, quick().other_means);
+        assert!(
+            hi.msg_num > lo.msg_num,
+            "msg num contrast: {hi:?} vs {lo:?}"
+        );
+        assert!(
+            hi.msg_len < lo.msg_len,
+            "msg len contrast: {hi:?} vs {lo:?}"
+        );
+        assert!(
+            hi.msg_sim > lo.msg_sim,
+            "msg sim contrast: {hi:?} vs {lo:?}"
+        );
+    }
+
+    #[test]
+    fn measured_delay_is_physical() {
+        let delay = quick().delay;
+        assert!(
+            (15.0..=30.0).contains(&delay),
+            "delay {delay} outside 15–30 s"
+        );
+    }
+}

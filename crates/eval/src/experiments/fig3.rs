@@ -115,3 +115,23 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn type1_scatters_wider_than_type2() {
+        let r = compute(&ExpEnv::quick());
+        let (s1, (m2, s2)) = (r.type1.std, (r.type2.mean, r.type2.std));
+        assert!(
+            s1 > 1.3 * s2,
+            "Type I std {s1} should exceed Type II std {s2}"
+        );
+        // Type II is concentrated near the highlight start. Dots are
+        // placed −6…+4 s around it, so the quick-scale mean can sit a
+        // touch below zero; the band tolerates the small-sample draw
+        // while still rejecting Type-I-like scatter.
+        assert!((-4.0..=14.0).contains(&m2), "Type II mean {m2}");
+    }
+}

@@ -241,3 +241,33 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lightor_improves_and_beats_baselines() {
+        let r = compute(&ExpEnv::quick());
+        let first = r.lightor_start[0];
+        let last = *r.lightor_start.last().unwrap();
+        assert!(
+            last >= first - 0.05,
+            "start precision regressed: {first} -> {last}"
+        );
+        assert!(
+            last > r.socialskip.0 && last > r.moocer.0,
+            "Lightor {last} vs SocialSkip {} / Moocer {}",
+            r.socialskip.0,
+            r.moocer.0
+        );
+        let last_end = *r.lightor_end.last().unwrap();
+        assert!(
+            last_end > r.socialskip.1 && last_end > r.moocer.1,
+            "end precision: Lightor {last_end} vs {} / {}",
+            r.socialskip.1,
+            r.moocer.1
+        );
+        assert!(last >= 0.5, "final start precision {last}");
+    }
+}

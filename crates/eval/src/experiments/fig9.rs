@@ -72,3 +72,38 @@ pub fn run(env: &ExpEnv) -> Report {
     ));
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    /// Both tests read one computation at the quick seed.
+    fn quick() -> &'static Fig9Result {
+        static R: OnceLock<Fig9Result> = OnceLock::new();
+        R.get_or_init(|| compute(&ExpEnv::quick()))
+    }
+
+    #[test]
+    fn applicability_thresholds_match_paper() {
+        let r = quick();
+        assert!(
+            r.frac_chat_ok >= 0.75,
+            "chat-rate applicability {}",
+            r.frac_chat_ok
+        );
+        assert!(
+            r.frac_chat_ok < 1.0,
+            "the low-rate tail should exist ({})",
+            r.frac_chat_ok
+        );
+        assert_eq!(r.frac_viewers_ok, 1.0);
+    }
+
+    #[test]
+    fn cdfs_are_proper() {
+        let r = quick();
+        assert_eq!(r.chat_cdf.fraction_le(f64::MAX), 1.0);
+        assert!(r.viewer_cdf.quantile(0.5).unwrap() >= 100.0);
+    }
+}

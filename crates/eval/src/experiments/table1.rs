@@ -190,3 +190,30 @@ pub fn run(env: &ExpEnv) -> Report {
     );
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lightor_wins_both_columns() {
+        let r = compute(&ExpEnv::quick());
+        assert!(
+            r.lightor.0 > r.joint.0 && r.lightor.1 > r.joint.1,
+            "Lightor {:?} vs Joint {:?}",
+            r.lightor,
+            r.joint
+        );
+        assert!(
+            r.lightor.0 >= 0.6,
+            "Lightor start precision {} below usable band",
+            r.lightor.0
+        );
+        assert!(
+            r.joint_train > r.lightor_train,
+            "Joint-LSTM should train slower: {:?} vs {:?}",
+            r.joint_train,
+            r.lightor_train
+        );
+    }
+}

@@ -1,8 +1,10 @@
 //! The paper's claims (Section VII of arXiv 1910.12201, plus the
 //! classifier of Section V-C), asserted at quick scale on the typed
-//! `compute` results of `lightor_eval::experiments`. This file is the
-//! one home of every claim; each test computes its figure once and
-//! asserts all of that figure's claims on the result.
+//! `compute` results of `lightor_eval::experiments`. This file holds
+//! every claim; each test computes its figure once and asserts all of
+//! that figure's claims on the result. The unit tests of Figures 2, 3,
+//! 8–11 and Table 1 in `crates/eval` assert a subset of them again,
+//! no band there stricter than here.
 //!
 //! | figure / section | claim | test |
 //! |---|---|---|

@@ -40,7 +40,15 @@
 //!   row, `tokenize_per_token_reference`, builds the same columns
 //!   with the kernel's old per-token loop (`for_each_token` +
 //!   `Vocab::intern` + sort/dedup); `rebuild_raw` / reference is the
-//!   raw-word table's win (budget: ≤ 0.9×, fastest samples);
+//!   raw-word table's win (budget: ≤ 0.9×, fastest samples). The
+//!   `mixed_vocab_build` / `mixed_vocab_per_token_reference` pair runs
+//!   the kernel and that reference on the same replay with every word
+//!   suffixed by its message index, so nearly every raw word is fresh:
+//!   the other side of the table's property (printed, not gated);
+//! * `store_crc` — `store::crc32`'s four interleaved lanes vs its
+//!   serial slice-by-16 loop on what one first sight checksums (the
+//!   v2 chat record and v3 companion of the bench dataset's second
+//!   video, 122 KB; budget: lanes ≤ 0.6×, fastest samples);
 //! * `chat_generation` — one video's chat replay: the bump-buffer
 //!   fast path (compiled-lexicon pools straight into a columnar
 //!   `ChatLogView`) vs the owned-`String`-per-message reference sink
@@ -51,9 +59,10 @@
 //!   multi-core hosts).
 //!
 //! The ratios CI gates on rows of this binary — `cold_rescore` /
-//! `warm_rescore`, `rebuild_raw` / `tokenize_per_token_reference` and
-//! `ack_patch_300_clients` / `ack_full_state_300_clients` — and the
-//! `via_router` / `direct` ratio CI prints are sampled interleaved
+//! `warm_rescore`, `rebuild_raw` / `tokenize_per_token_reference`,
+//! `store_crc` `lanes` / `serial` and `ack_patch_300_clients` /
+//! `ack_full_state_300_clients` — and the `via_router` / `direct` and
+//! mixed-vocabulary ratios CI prints are sampled interleaved
 //! (`BenchmarkGroup::bench_pair`, 50 pairs even in quick mode), so a
 //! host that changes speed between two rows cannot trip them.
 
@@ -330,17 +339,7 @@ fn bench_corpus_persist(c: &mut Criterion) {
     // outside the timing), so the `rebuild_raw` / reference ratio is
     // the table's win; the two rows' samples are interleaved, 50
     // pairs of them in quick mode too, as CI gates the ratio.
-    let reference = per_token_columns(&view);
-    assert_eq!(
-        reference,
-        (
-            corpus.token_ids().to_vec(),
-            corpus.token_ends().to_vec(),
-            corpus.word_counts().to_vec(),
-            corpus.dim(),
-        ),
-        "the per-token reference must build the kernel's columns"
-    );
+    assert_per_token_columns(view.ts_texts().map(|(_, text)| text), &corpus);
     g.sample_size(50);
     g.bench_pair(
         "rebuild_raw",
@@ -354,9 +353,29 @@ fn bench_corpus_persist(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let view = store.get_chat_view(vid).unwrap().unwrap();
-                black_box(per_token_columns(&view))
+                black_box(per_token_columns(view.ts_texts().map(|(_, text)| text)))
             })
         },
+    );
+    // The other side of the raw-word table's property: the same replay
+    // with every word suffixed by its message index, so nearly every
+    // raw word is fresh. The pair is printed, not gated.
+    let mixed: Vec<(f64, String)> = view
+        .ts_texts()
+        .enumerate()
+        .map(|(i, (t, text))| {
+            let words: Vec<String> = text.split_whitespace().map(|w| format!("{w}{i}")).collect();
+            (t, words.join(" "))
+        })
+        .collect();
+    let mixed_build =
+        || TokenizedChat::build_from_iter(mixed.len(), mixed.iter().map(|(t, s)| (*t, s)));
+    assert_per_token_columns(mixed.iter().map(|(_, s)| s), &mixed_build());
+    g.bench_pair(
+        "mixed_vocab_build",
+        |b| b.iter(|| black_box(mixed_build())),
+        "mixed_vocab_per_token_reference",
+        |b| b.iter(|| black_box(per_token_columns(mixed.iter().map(|(_, s)| s)))),
     );
     // v3 cold path: decode the persisted columns and reassemble the
     // corpus — no tokenizer.
@@ -381,18 +400,38 @@ fn bench_corpus_persist(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Assert that [`per_token_columns`] over `texts` builds `corpus`'s
+/// columns.
+fn assert_per_token_columns<S: AsRef<str>>(
+    texts: impl Iterator<Item = S>,
+    corpus: &lightor::TokenizedChat,
+) {
+    assert_eq!(
+        per_token_columns(texts),
+        (
+            corpus.token_ids().to_vec(),
+            corpus.token_ends().to_vec(),
+            corpus.word_counts().to_vec(),
+            corpus.dim(),
+        ),
+        "the per-token reference must build the kernel's columns"
+    );
+}
+
 /// A corpus's `(token_ids, token_ends, word_counts, dim)` built the way
 /// the kernel was before its raw-word table: each message through
 /// `Tokenizer::for_each_token`, each token through `Vocab::intern`,
 /// then sort and dedup per message.
-fn per_token_columns(view: &ChatLogView) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
+fn per_token_columns<S: AsRef<str>>(
+    texts: impl Iterator<Item = S>,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
     use lightor_mlcore::text::{Tokenizer, Vocab};
     let mut vocab = Vocab::new();
     let (mut ids, mut ends, mut words) = (Vec::new(), Vec::new(), Vec::new());
     let mut idx: Vec<u32> = Vec::new();
-    for (_, text) in view.ts_texts() {
+    for text in texts {
         idx.clear();
-        let n = Tokenizer.for_each_token(&text, |tok| idx.push(vocab.intern(tok)));
+        let n = Tokenizer.for_each_token(text.as_ref(), |tok| idx.push(vocab.intern(tok)));
         idx.sort_unstable();
         idx.dedup();
         ids.extend_from_slice(&idx);
@@ -400,6 +439,41 @@ fn per_token_columns(view: &ChatLogView) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize
         words.push(n as u32);
     }
     (ids, ends, words, vocab.len())
+}
+
+fn bench_store_crc(c: &mut Criterion) {
+    use lightor::TokenizedChat;
+    use lightor_platform::store::{crc32, crc32_serial, TokenizedRecord};
+
+    // What one first sight checksums: the v2 chat record and v3
+    // companion of the bench dataset's second video, 122 KB (the median
+    // first sight of the loadbench catalog writes 106–119 KB).
+    let data = bench_dataset();
+    let view = &data.videos[1].video.chat;
+    let corpus = TokenizedChat::build_from_view(view);
+    let mut payload = format::encode_v2_view(VideoId(1), view);
+    payload.extend(format::encode_v3(&TokenizedRecord {
+        video: VideoId(1),
+        dim: corpus.dim() as u32,
+        token_ends: corpus.token_ends().to_vec(),
+        token_ids: corpus.token_ids().to_vec(),
+        word_counts: corpus.word_counts().to_vec(),
+    }));
+    assert_eq!(crc32(&payload), crc32_serial(&payload));
+
+    let mut g = c.benchmark_group("store_crc");
+    g.throughput(Throughput::Bytes(payload.len() as u64));
+    // `crc32`'s four interleaved lanes vs its serial slice-by-16 loop;
+    // CI gates the ratio, so the samples are interleaved, 50 pairs of
+    // them in quick mode too.
+    g.sample_size(50);
+    g.bench_pair(
+        "lanes",
+        |b| b.iter(|| black_box(crc32(black_box(&payload)))),
+        "serial",
+        |b| b.iter(|| black_box(crc32_serial(black_box(&payload)))),
+    );
+    g.finish();
 }
 
 fn bench_http_serve(c: &mut Criterion) {
@@ -654,6 +728,7 @@ criterion_group!(
     bench_kv_put_throughput,
     bench_segmentlog_compact,
     bench_corpus_persist,
+    bench_store_crc,
     bench_http_serve,
     bench_router_proxy,
     bench_chat_generation,

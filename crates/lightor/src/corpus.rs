@@ -12,7 +12,11 @@
 //!   sorted-unique token ids stored in one flat CSR column, cached word
 //!   counts (returned by the tokenizer in the same pass, never
 //!   re-split), and prefix sums over word counts. Index-aligned with
-//!   `ChatLog::messages()`.
+//!   `ChatLog::messages()`. A message's ids are assembled without a
+//!   comparison sort in the common case: repeats are dropped by a
+//!   per-id stamp as the ids arrive, and a message with at most 32
+//!   distinct ids places each at its rank (simulated chat has at most
+//!   23; a longer message is sorted).
 //! * [`TokenizedChat::featurize_windows`] — slides over a sorted window
 //!   list with two monotone message pointers, maintaining a sparse
 //!   token-count window ([`LooWindow`]) by adding entering messages and
@@ -100,10 +104,16 @@ impl TokenizedChat {
     /// interns each distinct raw word once and serves every repeat
     /// from one table lookup; the ids are those interning every token
     /// in a fresh [`Vocab`](lightor_mlcore::text::Vocab) would give.
-    /// A message's ids are collected in one scratch buffer reused
-    /// across messages, sorted and deduplicated into its binary
-    /// bag-of-words vector, and its word count comes from the same
-    /// pass. Messages must arrive in non-decreasing timestamp order
+    /// Its word count comes from the same pass.
+    ///
+    /// A message's binary bag-of-words vector is its distinct ids in
+    /// increasing order. An id is kept the first time the message
+    /// names it: a stamp per id, indexed by id and valid for this
+    /// build, records the last message that kept it, so a repeat costs
+    /// one load and compare. The kept ids then go straight to their
+    /// place in the column: with at most 32 of them, each one's place
+    /// is its rank, a branchless count of the smaller ids; more are
+    /// sorted. Messages must arrive in non-decreasing timestamp order
     /// (both [`ChatLog`] and store-written views guarantee this).
     pub fn build_from_iter<S, I>(n_hint: usize, messages: I) -> Self
     where
@@ -117,14 +127,24 @@ impl TokenizedChat {
         let mut word_prefix = Vec::with_capacity(n_hint + 1);
         let mut ts = Vec::with_capacity(n_hint);
         let mut idx: Vec<u32> = Vec::new();
+        // `kept_by[id] == stamp` when this message already kept `id`.
+        let mut kept_by: Vec<usize> = Vec::new();
         word_prefix.push(0u64);
         offsets.push(0u32);
-        for (t, text) in messages {
+        for (message, (t, text)) in messages.enumerate() {
+            let stamp = message + 1;
             idx.clear();
-            let wc = words.for_each_id(text.as_ref(), |id| idx.push(id)) as u32;
-            idx.sort_unstable();
-            idx.dedup();
-            token_ids.extend_from_slice(&idx);
+            let wc = words.for_each_id(text.as_ref(), |id| {
+                let i = id as usize;
+                if i >= kept_by.len() {
+                    kept_by.resize(i + 1, 0);
+                }
+                if kept_by[i] != stamp {
+                    kept_by[i] = stamp;
+                    idx.push(id);
+                }
+            }) as u32;
+            extend_sorted(&mut token_ids, &idx);
             offsets.push(token_ids.len() as u32);
             word_counts.push(wc);
             word_prefix.push(word_prefix.last().unwrap() + u64::from(wc));
@@ -328,6 +348,29 @@ impl TokenizedChat {
     }
 }
 
+/// Messages with at most this many distinct ids are placed by rank.
+/// Placing k ids costs k² compares, so longer messages are sorted;
+/// simulated chat has at most 23 distinct ids in a message.
+const RANK_MAX: usize = 32;
+
+/// Append the distinct `ids` to `out` in increasing order: each id at
+/// its rank, the number of smaller ids, or by a sort past
+/// [`RANK_MAX`].
+fn extend_sorted(out: &mut Vec<u32>, ids: &[u32]) {
+    let start = out.len();
+    if ids.len() > RANK_MAX {
+        out.extend_from_slice(ids);
+        out[start..].sort_unstable();
+        return;
+    }
+    out.resize(start + ids.len(), 0);
+    let placed = &mut out[start..];
+    for &id in ids {
+        let rank: u32 = ids.iter().map(|&other| u32::from(other < id)).sum();
+        placed[rank as usize] = id;
+    }
+}
+
 /// One featurized sliding window: features plus the message peak found
 /// in the same rolling pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -437,6 +480,7 @@ mod tests {
     use super::*;
     use crate::initializer::window_peak;
     use crate::window::sliding_windows;
+    use lightor_mlcore::text::Tokenizer;
     use lightor_types::{ChatMessage, UserId};
     use proptest::prelude::*;
 
@@ -686,7 +730,7 @@ mod tests {
     /// `for_each_token` and `Vocab::intern`, then sort and dedup. The
     /// oracle the kernel must match column for column.
     fn per_token_reference(texts: &[String]) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
-        use lightor_mlcore::text::{Tokenizer, Vocab};
+        use lightor_mlcore::text::Vocab;
         let mut vocab = Vocab::new();
         let (mut ids, mut ends, mut words) = (Vec::new(), Vec::new(), Vec::new());
         let mut idx: Vec<u32> = Vec::new();
@@ -702,32 +746,103 @@ mod tests {
         (ids, ends, words, vocab.len())
     }
 
+    /// Assert the kernel's columns equal the per-token reference's on
+    /// `texts`, and that its windows featurize bit-identically to a
+    /// corpus assembled from the reference's columns.
+    fn check_kernel_against_the_per_token_reference(texts: &[String]) {
+        let ts: Vec<f64> = (0..texts.len()).map(|i| i as f64).collect();
+        let built = TokenizedChat::build_from_iter(
+            texts.len(),
+            ts.iter().zip(texts).map(|(&t, s)| (t, s.as_str())),
+        );
+        let (ids, ends, words, dim) = per_token_reference(texts);
+        assert_eq!(built.token_ids(), &ids[..]);
+        assert_eq!(built.token_ends(), &ends[..]);
+        assert_eq!(built.word_counts(), &words[..]);
+        assert_eq!(built.dim(), dim);
+        let reference = TokenizedChat::from_columns(ts, words, &ends, ids, dim)
+            .expect("the reference columns are consistent");
+        let windows =
+            crate::window::sliding_windows_from_ts(reference.timestamps(), Sec(12.0), 4.0, 0.5);
+        assert_eq!(
+            built.featurize_windows(&windows, 2.0),
+            reference.featurize_windows(&windows, 2.0)
+        );
+    }
+
+    #[test]
+    fn kernel_places_more_than_32_ids_like_the_reference() {
+        // Two messages over the rank-placement limit, one exactly at it,
+        // and short ones around them. Earlier messages name some of
+        // their words first, in another order, so their ids do not
+        // arrive sorted; words repeat, and some are not ASCII.
+        let wide: Vec<String> = (0..40).map(|i| format!("w{}", (i * 7) % 40)).collect();
+        let at_limit: Vec<String> = (0..32).map(|i| format!("Étape{}", (i * 5) % 32)).collect();
+        let texts = vec![
+            "gg gg GG w39 w20 w3 étape9 étape1".to_owned(),
+            format!("{} w3 W3 w39!", wide.join(" ")),
+            at_limit.join(" "),
+            format!("{} ÉTAPE0 {}", at_limit.join(" "), wide.join(" ")),
+            "w1 étape0 ÉTAPE0".to_owned(),
+        ];
+        let distinct = |text: &str| {
+            Tokenizer
+                .tokenize(text)
+                .into_iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        assert_eq!(distinct(&texts[1]), 40);
+        assert_eq!(distinct(&texts[2]), 32);
+        assert_eq!(distinct(&texts[3]), 72);
+        check_kernel_against_the_per_token_reference(&texts);
+    }
+
     proptest! {
         /// The kernel against the per-token reference on chat whose
-        /// words repeat, run past 16 bytes, normalize to nothing, and
-        /// are split by Unicode whitespace.
+        /// words repeat within and across messages, run past 16 bytes,
+        /// normalize to nothing, are non-ASCII, and are split by
+        /// Unicode whitespace; on messages whose words are all distinct;
+        /// and on messages of up to 48 words drawn from a pool of a few
+        /// thousand, so a message can take more than 32 ids, most of
+        /// them first named by earlier messages in another order.
         #[test]
         fn kernel_columns_equal_the_per_token_reference(
-            picks in proptest::collection::vec(proptest::collection::vec(0usize..14, 0..10), 0..60),
+            picks in proptest::collection::vec(
+                (0u32..4, proptest::collection::vec((0usize..14, 0u32..300), 0..48)),
+                0..40,
+            ),
         ) {
             const WORDS: [&str; 14] = [
                 "gg", "GG", "gg!!", "PogChamp", "<3", ":-)", "!!!",
                 "supercalifragilistic", "SUPERCALIFRAGILISTIC?", "ＡＢＣＤＥＦＧ",
                 "Straße", "İstanbul", "\u{85}", "\u{3000}",
             ];
+            // Mode 0 repeats the fixed words, mode 1 makes every word
+            // new to the corpus, mode 2 draws every word from the pool,
+            // and mode 3 alternates fixed and pool words.
+            let mut fresh = 0u32;
+            let mut word = |mode: u32, j: usize, (w, r): (usize, u32)| match mode {
+                0 => WORDS[w].to_owned(),
+                1 => {
+                    fresh += 1;
+                    format!("{}x{fresh}", WORDS[w])
+                }
+                _ if mode == 3 && j.is_multiple_of(2) => WORDS[w].to_owned(),
+                _ => format!("{}y{r}", WORDS[w]),
+            };
             let texts: Vec<String> = picks
                 .iter()
-                .map(|p| p.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" "))
+                .map(|(mode, words)| {
+                    let words: Vec<String> = words
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &pick)| word(*mode, j, pick))
+                        .collect();
+                    words.join(" ")
+                })
                 .collect();
-            let built = TokenizedChat::build_from_iter(
-                texts.len(),
-                texts.iter().enumerate().map(|(i, t)| (i as f64, t.as_str())),
-            );
-            let (ids, ends, words, dim) = per_token_reference(&texts);
-            prop_assert_eq!(built.token_ids(), &ids[..]);
-            prop_assert_eq!(built.token_ends(), &ends[..]);
-            prop_assert_eq!(built.word_counts(), &words[..]);
-            prop_assert_eq!(built.dim(), dim);
+            check_kernel_against_the_per_token_reference(&texts);
         }
     }
 
@@ -751,7 +866,7 @@ mod tests {
             }
             let distinct: std::collections::HashSet<String> = texts
                 .iter()
-                .flat_map(|t| lightor_mlcore::text::Tokenizer.tokenize(t))
+                .flat_map(|t| Tokenizer.tokenize(t))
                 .collect();
             prop_assert_eq!(tc.dim(), distinct.len());
 

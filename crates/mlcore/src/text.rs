@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::OnceLock;
 
 /// Lowercasing, punctuation-stripping whitespace tokenizer.
@@ -242,28 +242,28 @@ const INLINE_WORD: usize = 16;
 /// ([`Tokenizer::normalize_word`]) and interned in the [`Vocab`]; the
 /// table then maps the word to that term id, or to "no term" when it
 /// normalizes to nothing. A word of up to 16 bytes is keyed by value,
-/// as the two `u64`s the keyed hasher folds it into plus its length,
-/// so a lookup hashes and compares integers and chases no pointer.
-/// Longer words skip the table: they are normalized and interned every
-/// time.
+/// as two `u64`s that cover its bytes plus its length, and hashed with
+/// one keyed folded multiply, so a lookup hashes and compares integers
+/// and chases no pointer. Longer words skip the table: they are
+/// normalized and interned every time.
 ///
 /// This pays off only when raw words repeat. The simulated chat does:
 /// the bench video has 265 distinct raw words in 14.7k, and its build
-/// takes 0.70x the CPU of normalizing and interning every token. On a
-/// chat of the same shape whose words are all distinct, each word pays
-/// for a lookup and an insert on top, and the build takes 1.2–1.3x;
-/// the two break even near half the words distinct.
+/// takes 0.62x the CPU of normalizing and interning every token. On
+/// the same chat with each word suffixed by its message index, so
+/// nearly every raw word is new, each word pays for a lookup and an
+/// insert on top, and the build takes 1.25–1.3x
+/// (`corpus_persist/mixed_vocab_*` in the platform benches).
 ///
 /// Ids come from the [`Vocab`], in the first-seen order of *tokens*,
 /// exactly as interning every token would assign them; the table only
 /// caches them, so ids never depend on its hash key. The table hashes
-/// with the same keyed folded multiply and process key as the
-/// [`Vocab`].
+/// under the same process key as the [`Vocab`].
 #[derive(Clone, Debug, Default)]
 pub struct WordInterner {
     vocab: Vocab,
-    /// Raw word (its [`short_words`] and length) → its token's id.
-    words: HashMap<(u64, u64, u32), Option<u32>, TermHashKey>,
+    /// Raw word → its token's id.
+    words: HashMap<RawWord, Option<u32>, WordHashKey>,
     /// Normalization scratch for first-seen and long words.
     buf: String,
 }
@@ -294,7 +294,11 @@ impl WordInterner {
             return self.intern_word(word);
         }
         let (lo, hi) = short_words(bytes);
-        let key = (lo, hi, bytes.len() as u32);
+        let key = RawWord {
+            lo,
+            hi,
+            len: bytes.len() as u32,
+        };
         if let Some(&id) = self.words.get(&key) {
             return id;
         }
@@ -320,8 +324,86 @@ impl WordInterner {
     }
 }
 
-/// The hash key of every [`Vocab`] in this process: two random words
-/// drawn once from std's [`RandomState`].
+/// A raw word of at most 16 bytes, by value: the two words
+/// [`short_words`] folds it into and its length, which together
+/// determine its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RawWord {
+    lo: u64,
+    hi: u64,
+    len: u32,
+}
+
+impl Hash for RawWord {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(u128::from(self.lo) | u128::from(self.hi) << 64);
+        state.write_u32(self.len);
+    }
+}
+
+/// Builds a [`WordHasher`] per lookup from the process key, as
+/// [`TermHashKey`] builds a [`TermHasher`].
+#[derive(Clone, Copy, Debug)]
+struct WordHashKey([u64; 2]);
+
+impl Default for WordHashKey {
+    fn default() -> Self {
+        WordHashKey(process_key())
+    }
+}
+
+impl BuildHasher for WordHashKey {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher {
+            key: self.0,
+            words: 0,
+            len: 0,
+        }
+    }
+}
+
+/// The hash of a [`RawWord`]: one keyed folded multiply, the shape
+/// foldhash gives a string of at most 16 bytes. Each of the word's two
+/// `u64`s is mixed with one half of the key, and the first half is
+/// rotated by the length, so words of different lengths that fold into
+/// the same two `u64`s do not collide under every key. It hashes
+/// nothing but a [`RawWord`].
+#[derive(Clone, Copy, Debug)]
+struct WordHasher {
+    key: [u64; 2],
+    words: u128,
+    len: u32,
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the raw-word table hashes only `RawWord` keys")
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.words = i;
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.len = i;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        folded_multiply(
+            self.words as u64 ^ self.key[0].rotate_right(self.len),
+            (self.words >> 64) as u64 ^ self.key[1],
+        )
+    }
+}
+
+/// The hash key of every [`Vocab`] and [`WordInterner`] in this
+/// process: two random words drawn once from std's [`RandomState`].
 fn process_key() -> [u64; 2] {
     static KEY: OnceLock<[u64; 2]> = OnceLock::new();
     *KEY.get_or_init(|| {
@@ -377,7 +459,10 @@ fn read_u32(b: &[u8]) -> u64 {
 /// 64×64→128-bit multiply of the block's halves, each mixed with the
 /// key and the running state. Chat tokens are mostly 1–16 bytes, one
 /// block. Much cheaper than std's SipHash-1-3 per lookup, and still
-/// keyed, unlike an Fx or FNV hash.
+/// keyed, unlike an Fx or FNV hash. The [`Vocab`] hashes its tokens
+/// with it; a [`WordInterner`]'s table, whose keys are already folded
+/// into two words, skips the per-write mixing and `finish` and uses
+/// [`WordHasher`].
 #[derive(Clone, Copy, Debug)]
 struct TermHasher {
     acc: u64,
@@ -679,7 +764,7 @@ mod tests {
             vocab: Vocab {
                 index: HashMap::with_hasher(TermHashKey(key)),
             },
-            words: HashMap::with_hasher(TermHashKey(key)),
+            words: HashMap::with_hasher(WordHashKey(key)),
             buf: String::new(),
         };
         let wa = words_under(keyed([1, 2]));
@@ -692,6 +777,12 @@ mod tests {
         assert_ne!(
             TermHashKey([1, 2]).hash_one("pogchamp"),
             TermHashKey([3, 4]).hash_one("pogchamp")
+        );
+        let (lo, hi) = short_words(b"pogchamp");
+        let word = RawWord { lo, hi, len: 8 };
+        assert_ne!(
+            WordHashKey([1, 2]).hash_one(word),
+            WordHashKey([3, 4]).hash_one(word)
         );
     }
 

@@ -44,7 +44,11 @@
 //!   `mixed_vocab_build` / `mixed_vocab_per_token_reference` pair runs
 //!   the kernel and that reference on the same replay with every word
 //!   suffixed by its message index, so nearly every raw word is fresh:
-//!   the other side of the table's property (printed, not gated);
+//!   the other side of the table's property (printed, not gated). The
+//!   `wide_messages_build` / `wide_messages_per_token_reference` pair
+//!   runs both on the replay with every six messages joined into one,
+//!   so 58% of messages carry more than 32 distinct ids: the other
+//!   side of the kernel's rank-placement cutoff (printed, not gated);
 //! * `store_crc` — `store::crc32`'s four interleaved lanes vs its
 //!   serial slice-by-16 loop on what one first sight checksums (the
 //!   v2 chat record and v3 companion of the bench dataset's second
@@ -61,10 +65,11 @@
 //! The ratios CI gates on rows of this binary — `cold_rescore` /
 //! `warm_rescore`, `rebuild_raw` / `tokenize_per_token_reference`,
 //! `store_crc` `lanes` / `serial` and `ack_patch_300_clients` /
-//! `ack_full_state_300_clients` — and the `via_router` / `direct` and
-//! mixed-vocabulary ratios CI prints are sampled interleaved
-//! (`BenchmarkGroup::bench_pair`, 50 pairs even in quick mode), so a
-//! host that changes speed between two rows cannot trip them.
+//! `ack_full_state_300_clients` — and the `via_router` / `direct`,
+//! mixed-vocabulary and wide-message ratios CI prints are sampled
+//! interleaved (`BenchmarkGroup::bench_pair`, 50 pairs even in quick
+//! mode), so a host that changes speed between two rows cannot trip
+//! them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lightor_bench::{bench_dataset, bench_models};
@@ -377,6 +382,21 @@ fn bench_corpus_persist(c: &mut Criterion) {
         "mixed_vocab_per_token_reference",
         |b| b.iter(|| black_box(per_token_columns(mixed.iter().map(|(_, s)| s)))),
     );
+    // The other side of the kernel's rank-placement cutoff: the same
+    // replay with every six consecutive messages joined into one, so
+    // 58% of the messages carry more than 32 distinct ids and take the
+    // sort.
+    // The pair is printed, not gated.
+    let wide: Vec<(f64, String)> = joined_messages(&view, 6);
+    let wide_build =
+        || TokenizedChat::build_from_iter(wide.len(), wide.iter().map(|(t, s)| (*t, s)));
+    assert_per_token_columns(wide.iter().map(|(_, s)| s), &wide_build());
+    g.bench_pair(
+        "wide_messages_build",
+        |b| b.iter(|| black_box(wide_build())),
+        "wide_messages_per_token_reference",
+        |b| b.iter(|| black_box(per_token_columns(wide.iter().map(|(_, s)| s)))),
+    );
     // v3 cold path: decode the persisted columns and reassemble the
     // corpus — no tokenizer.
     g.bench_function("load_v3", |b| {
@@ -398,6 +418,22 @@ fn bench_corpus_persist(c: &mut Criterion) {
     });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `view`'s messages joined `n` at a time, each joined message at the
+/// timestamp of its last part.
+fn joined_messages(view: &ChatLogView, n: usize) -> Vec<(f64, String)> {
+    let messages: Vec<(f64, String)> = view
+        .ts_texts()
+        .map(|(t, text)| (t, text.into_owned()))
+        .collect();
+    messages
+        .chunks(n)
+        .map(|chunk| {
+            let texts: Vec<&str> = chunk.iter().map(|(_, s)| s.as_str()).collect();
+            (chunk.last().unwrap().0, texts.join(" "))
+        })
+        .collect()
 }
 
 /// Assert that [`per_token_columns`] over `texts` builds `corpus`'s

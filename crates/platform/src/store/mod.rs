@@ -58,8 +58,8 @@ pub(crate) fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
 /// do not wait on each other, so the CPU overlaps them. The lane CRCs
 /// are then joined as zlib's `crc32_combine` does, by multiplying each
 /// running CRC by x^(8·block) mod P, and the last < 64 bytes run
-/// through the serial loop. A shorter input runs the serial loop alone
-/// ([`crc32_serial`]). Both give the same CRC.
+/// through the serial loop. A shorter input runs the serial loop alone.
+/// Both give the same CRC.
 pub fn crc32(bytes: &[u8]) -> u32 {
     if bytes.len() < CRC_LANES_MIN {
         return crc32_serial(bytes);
@@ -92,8 +92,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// [`crc32`] through the serial slice-by-16 loop alone: what it runs
-/// below `CRC_LANES_MIN` and on the tail. Public as the baseline the
-/// lanes are benchmarked against.
+/// below `CRC_LANES_MIN` and on the tail. Only the `store_crc` bench
+/// calls it, as the baseline the lanes are measured against; the store
+/// itself always calls [`crc32`].
+#[doc(hidden)]
 pub fn crc32_serial(bytes: &[u8]) -> u32 {
     !crc32_update(&crc_tables().slice, !0, bytes)
 }
@@ -101,9 +103,12 @@ pub fn crc32_serial(bytes: &[u8]) -> u32 {
 /// Inputs this long or longer take [`crc32`]'s four lanes. On a 2-vCPU
 /// Xeon (baseline x86-64 build) the lanes, join included, break even
 /// with the serial loop near 512 bytes and take 0.67x its time at
-/// 1 KiB and 0.43x at 4 KiB. The cutoff keeps the KV write-ahead log's
-/// frames (0.1–3 KB) on the serial loop, where the lanes would save
-/// them under 0.6 µs each.
+/// 1 KiB and 0.43x at 4 KiB. The cutoff sits above the measured
+/// crossover on purpose: it keeps the KV write-ahead log's frames
+/// (0.1–3 KB) on the serial loop they have always run, so the write
+/// path (the `ingest_mixed` benchmark workload) is unchanged, and the
+/// lanes would save those frames under 0.6 µs each. Moving it down to
+/// ~1 KiB waits on a measured `ingest_mixed` run (ROADMAP item 12).
 const CRC_LANES_MIN: usize = 4096;
 
 /// The reflected CRC-32 (IEEE) polynomial.

@@ -1,18 +1,14 @@
-//! A small bounded LRU cache with hit/miss accounting.
-//!
-//! Shared by the serving path's two read-through caches: decoded
-//! [`ChatLogView`](lightor_types::ChatLogView) records in the
-//! [`ChatStore`](crate::store::ChatStore) and per-video
-//! `Arc<TokenizedChat>` corpora in the
-//! [`LightorService`](crate::service::LightorService).
+//! A small bounded LRU cache with hit/miss accounting: the
+//! [`ChatStore`](crate::store::ChatStore)'s read-through cache of
+//! decoded [`ChatLogView`](lightor_types::ChatLogView) records.
 //!
 //! Design: a `HashMap` keyed lookup plus a monotone access tick per
 //! entry; eviction scans for the minimum tick. That makes `get`/`insert`
 //! O(1) and eviction O(capacity) — the right trade for the small
-//! capacities (tens to a few hundred entries) these caches run at,
-//! where a linked-list LRU's pointer chasing would cost more than the
-//! scan. Values are handed out by clone, so cache them as `Arc`s (or
-//! other cheaply clonable handles) when the payload is large.
+//! capacity (tens of entries) the cache runs at, where a linked-list
+//! LRU's pointer chasing would cost more than the scan. Values are
+//! handed out by clone, so cache cheaply clonable handles (a view
+//! shares its buffer through an `Arc`).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -78,21 +74,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.remove(key).map(|(_, v)| v)
     }
 
-    /// Drop every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Lifetime `get` hits.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -101,13 +82,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Lifetime `get` misses.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-}
-
-impl<K, V> LruCache<K, V> {
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 }
 
@@ -134,7 +108,7 @@ mod tests {
         assert_eq!(c.get(&2), None, "LRU entry must be evicted");
         assert_eq!(c.get(&1), Some(10));
         assert_eq!(c.get(&3), Some(30));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -143,20 +117,19 @@ mod tests {
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(1, 11); // replacement, not growth
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert_eq!(c.get(&1), Some(11));
         assert_eq!(c.get(&2), Some(20));
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_drops_one_entry() {
         let mut c: LruCache<u32, u32> = LruCache::new(4);
         c.insert(1, 10);
+        c.insert(2, 20);
         assert_eq!(c.remove(&1), Some(10));
         assert_eq!(c.remove(&1), None);
-        c.insert(2, 20);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.capacity(), 4);
+        assert_eq!(c.get(&1), None);
+        assert_eq!(c.get(&2), Some(20));
     }
 }

@@ -17,13 +17,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod crawler;
 pub mod service;
 pub mod store;
 pub mod wire;
 
-pub use cache::LruCache;
 pub use crawler::{CrawlStats, Crawler, OnlineCrawl};
 pub use service::{LightorService, ServiceConfig, VideoState};
 pub use store::{

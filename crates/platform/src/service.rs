@@ -28,17 +28,18 @@
 //!   [`LightorService::cached_dots`] copies the dots. A refinement
 //!   round folding a large batch cannot stall either;
 //! * the storage pair (chat log + KV snapshots) sits behind a single
-//!   mutex, touched only on cold opens and state persistence; a first
-//!   sight tokenizes the platform's replay before taking it, and holds
-//!   it only for the one crawl that stores the chat record and its
-//!   tokenized companion under a single chat-log sync;
-//! * per-video `Arc<TokenizedChat>` corpora are LRU-cached, so warm
-//!   re-scores ([`LightorService::rescore_video`]) never re-tokenize.
+//!   mutex, touched only on cold opens, re-scores and state
+//!   persistence; a first sight tokenizes the platform's replay before
+//!   taking it, and holds it only for the one crawl that stores the
+//!   chat record and its tokenized companion under a single chat-log
+//!   sync;
+//! * no corpus is held in memory: each re-score
+//!   ([`LightorService::rescore_video`]) builds its corpus from the
+//!   video's persisted v3 companion, so it never re-tokenizes.
 //!
 //! Lock order is strictly `videos map → per-video state → stores`;
-//! the corpus cache, the freeze map, and each entry's snapshot lock
-//! are leaf locks. No path acquires them in any other order, which
-//! rules out deadlock.
+//! the freeze map and each entry's snapshot lock are leaf locks. No
+//! path acquires them in any other order, which rules out deadlock.
 //!
 //! # Incremental ingestion
 //!
@@ -64,7 +65,6 @@
 //! initialization and bundle imports write whole states with `put`, as
 //! does the next persist after a failed one.
 
-use crate::cache::LruCache;
 use crate::crawler::{Crawler, OnlineCrawl};
 use crate::store::{format, ChatStore, FaultInjector, KvStore};
 use crate::wire::{
@@ -99,9 +99,6 @@ impl Default for ServiceConfig {
         }
     }
 }
-
-/// Per-video tokenized corpora kept hot (LRU).
-const CORPUS_CACHE_CAP: usize = 32;
 
 /// Persistent per-dot refinement state.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -298,7 +295,7 @@ fn video_of_key(key: &str) -> Option<VideoId> {
     key.strip_prefix(VIDEO_PREFIX)?.parse().ok().map(VideoId)
 }
 
-/// The storage pair: cold-open and persistence only.
+/// The storage pair: cold opens, re-scores and persistence only.
 struct Stores {
     chat: ChatStore,
     kv: KvStore,
@@ -311,7 +308,6 @@ pub struct LightorService {
     platform: SimPlatform,
     stores: Mutex<Stores>,
     videos: RwLock<HashMap<VideoId, Arc<VideoEntry>>>,
-    corpora: Mutex<LruCache<VideoId, Arc<TokenizedChat>>>,
     /// Corpus loads decoded from persisted v3 records (no tokenizing).
     tok_hits: AtomicU64,
     /// Corpus loads that re-tokenized chat (then upgraded lazily).
@@ -370,7 +366,6 @@ impl LightorService {
             platform,
             stores: Mutex::new(Stores { chat, kv }),
             videos: RwLock::new(videos),
-            corpora: Mutex::new(LruCache::new(CORPUS_CACHE_CAP)),
             tok_hits: AtomicU64::new(0),
             tok_misses: AtomicU64::new(0),
             tok_upgrades: AtomicU64::new(0),
@@ -475,9 +470,9 @@ impl LightorService {
     }
 
     /// Re-run the Initializer for an already-stored video (model refresh,
-    /// changed `k`, …) without touching refinement state. Warm calls hit
-    /// the corpus cache and never re-tokenize; `Ok(None)` when the video
-    /// has no stored chat.
+    /// changed `k`, …) without touching refinement state. The corpus is
+    /// decoded from the video's v3 companion, so a re-score never
+    /// re-tokenizes; `Ok(None)` when the video has no stored chat.
     pub fn rescore_video(&self, video: VideoId, k: usize) -> std::io::Result<Option<Vec<RedDot>>> {
         let Some((corpus, duration)) = self.corpus_for(video)? else {
             return Ok(None);
@@ -489,28 +484,21 @@ impl LightorService {
         ))
     }
 
-    /// The cached corpus for a stored video.
+    /// The scoring corpus of a stored video, with its duration.
     ///
-    /// Resolution order — each step strictly cheaper than the next:
-    /// LRU hit (no storage) → persisted v3 tokenized record (decode
-    /// only, zero re-tokenization) → tokenize the chat view (corpus-local
-    /// ids, see [`lightor::corpus`]) and lazily persist the result as a
-    /// v3 companion so no future load (this process or the next) pays
-    /// the tokenization again. A companion the store cannot read or the
+    /// Resolution order — the first step strictly cheaper than the
+    /// second: persisted v3 tokenized record (decode only, zero
+    /// re-tokenization) → tokenize the chat view (corpus-local ids, see
+    /// [`lightor::corpus`]) and lazily persist the result as a v3
+    /// companion so no future load (this process or the next) pays the
+    /// tokenization again. A companion the store cannot read or the
     /// decoder refuses (corrupt, or written with process-wide ids) is
     /// absent to this path, which rebuilds and overwrites it. Companion
     /// write failures are swallowed: the corpus is correct either way,
-    /// and the upgrade retries on the next cold load — a read path must
+    /// and the upgrade retries on the next load — a read path must
     /// not flip the service into degraded mode over an optional cache
     /// write.
-    fn corpus_for(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
-        if let Some(corpus) = self.corpora.lock().get(&video) {
-            let duration = self.platform.video_meta(video).map_or_else(
-                || Sec(corpus.timestamps().last().copied().unwrap_or(0.0)),
-                |m| m.duration,
-            );
-            return Ok(Some((corpus, duration)));
-        }
+    fn corpus_for(&self, video: VideoId) -> std::io::Result<Option<(TokenizedChat, Sec)>> {
         let (view, tok) = {
             let stores = self.stores.lock();
             match stores.chat.get_chat_view(video)? {
@@ -532,7 +520,7 @@ impl LightorService {
                     rec.dim as usize,
                 ) {
                     self.tok_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some(self.cache_corpus(video, corpus, &view)));
+                    return Ok(Some((corpus, self.duration(video, &view))));
                 }
             }
         }
@@ -555,7 +543,7 @@ impl LightorService {
     /// one a later load of the stored record would build. Counted like
     /// any re-tokenization. `Ok(None)` when the platform does not know
     /// the video.
-    fn crawl_corpus(&self, video: VideoId) -> std::io::Result<Option<(Arc<TokenizedChat>, Sec)>> {
+    fn crawl_corpus(&self, video: VideoId) -> std::io::Result<Option<(TokenizedChat, Sec)>> {
         let Some(view) = self.platform.fetch_chat(video) else {
             return Ok(None);
         };
@@ -587,60 +575,54 @@ impl LightorService {
         )
     }
 
-    /// Count a re-tokenization — one tokenized miss, plus one lazy
-    /// upgrade when its companion landed — and cache the corpus.
+    /// Count a re-tokenization: one tokenized miss, plus one lazy
+    /// upgrade when its companion landed.
     fn retokenized(
         &self,
         video: VideoId,
         corpus: TokenizedChat,
         upgraded: bool,
         view: &ChatLogView,
-    ) -> (Arc<TokenizedChat>, Sec) {
+    ) -> (TokenizedChat, Sec) {
         self.tok_misses.fetch_add(1, Ordering::Relaxed);
         if upgraded {
             self.tok_upgrades.fetch_add(1, Ordering::Relaxed);
         }
-        self.cache_corpus(video, corpus, view)
+        (corpus, self.duration(video, view))
     }
 
-    /// Put a corpus loaded from `view` in the corpus cache. Its
-    /// duration is the platform's, or else the last message's time.
-    fn cache_corpus(
-        &self,
-        video: VideoId,
-        corpus: TokenizedChat,
-        view: &ChatLogView,
-    ) -> (Arc<TokenizedChat>, Sec) {
-        let duration = self
-            .platform
+    /// The duration of a video whose chat is `view`: the platform's,
+    /// or else the last message's time.
+    fn duration(&self, video: VideoId, view: &ChatLogView) -> Sec {
+        self.platform
             .video_meta(video)
-            .map_or_else(|| view.last_ts().unwrap_or(Sec::ZERO), |m| m.duration);
-        let corpus = Arc::new(corpus);
-        self.corpora.lock().insert(video, corpus.clone());
-        (corpus, duration)
+            .map_or_else(|| view.last_ts().unwrap_or(Sec::ZERO), |m| m.duration)
     }
 
-    /// Load every stored video's corpus, preferring persisted v3
-    /// records: returns `(loaded, rebuilt)` — `loaded` corpora came
-    /// straight off disk with zero re-tokenization, `rebuilt` had to
-    /// tokenize (and were lazily persisted for next boot). The serve
-    /// binary prints this as its corpus readiness line; on a restart
-    /// over a populated data dir the whole catalog should be `loaded`.
+    /// Make sure every stored video has a v3 companion, decoding none:
+    /// returns `(loaded, rebuilt)`. A video whose companion the chat
+    /// store indexes counts as `loaded`, and its corpus is decoded only
+    /// when a first sight or a re-score asks for it. A video without
+    /// one is re-tokenized and its companion persisted, so it counts as
+    /// `rebuilt`. The serve binary prints this as its corpus readiness
+    /// line; on a restart over a populated data dir the whole catalog
+    /// should be `loaded`.
     pub fn warm_corpora(&self) -> std::io::Result<(usize, usize)> {
-        let videos = self.stores.lock().chat.videos();
-        let mut loaded = 0usize;
+        let (stored, bare) = {
+            let stores = self.stores.lock();
+            let videos = stores.chat.videos();
+            let bare: Vec<VideoId> = videos
+                .iter()
+                .copied()
+                .filter(|&v| !stores.chat.has_tokenized(v))
+                .collect();
+            (videos.len(), bare)
+        };
         let mut rebuilt = 0usize;
-        for video in videos {
-            let misses_before = self.tok_misses.load(Ordering::Relaxed);
-            if self.corpus_for(video)?.is_some() {
-                if self.tok_misses.load(Ordering::Relaxed) > misses_before {
-                    rebuilt += 1;
-                } else {
-                    loaded += 1;
-                }
-            }
+        for &video in &bare {
+            rebuilt += usize::from(self.corpus_for(video)?.is_some());
         }
-        Ok((loaded, rebuilt))
+        Ok((stored - bare.len(), rebuilt))
     }
 
     /// Record the boot-time training pass's wall time (serve binary).
@@ -854,15 +836,9 @@ impl LightorService {
                 stores.chat.reclaimed_bytes(),
             )
         };
-        let (corpus_hits, corpus_misses) = {
-            let corpora = self.corpora.lock();
-            (corpora.hits(), corpora.misses())
-        };
         StatsResponse {
             stored_videos: stored,
             tracked_videos: self.videos.read().len(),
-            corpus_cache_hits: corpus_hits,
-            corpus_cache_misses: corpus_misses,
             tokenized_hits: self.tok_hits.load(Ordering::Relaxed),
             tokenized_misses: self.tok_misses.load(Ordering::Relaxed),
             tokenized_lazy_upgrades: self.tok_upgrades.load(Ordering::Relaxed),
@@ -891,12 +867,6 @@ impl LightorService {
         // degraded mode (entered when a persist hit an I/O error).
         self.degraded.store(false, Ordering::Relaxed);
         Ok(stats)
-    }
-
-    /// Drop every cached corpus (benchmark/test hook for measuring cold
-    /// re-tokenization; hit/miss counters are kept).
-    pub fn clear_corpus_cache(&self) {
-        self.corpora.lock().clear();
     }
 
     /// Freeze writes to `videos` for `ttl` — the migration cutover
@@ -1363,7 +1333,6 @@ mod tests {
         };
         let dots = svc.open_video(vid).unwrap().unwrap();
         let k = ServiceConfig::default().top_k;
-        svc.clear_corpus_cache();
         svc.fault_injector().arm(Fault::once(
             "log.read",
             FaultKind::ShortRead { drop_bytes: 4 },
@@ -1379,8 +1348,7 @@ mod tests {
             before.tokenized_lazy_upgrades + 1
         );
         assert!(!svc.is_degraded());
-        // The rewritten companion decodes on the next cold load.
-        svc.clear_corpus_cache();
+        // The rewritten companion decodes on the next load.
         assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
         let again = svc.stats();
         assert_eq!(again.tokenized_hits, after.tokenized_hits + 1);
@@ -1466,38 +1434,58 @@ mod tests {
     }
 
     #[test]
-    fn warm_rescore_hits_corpus_cache() {
+    fn rescores_decode_the_companion_each_time() {
         let dir = TempDir::new("rescore");
         let svc = service(&dir.0);
         let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
         let vid = platform.recent_videos(platform.channels()[0].id)[0];
+        let k = ServiceConfig::default().top_k;
 
         let dots = svc.open_video(vid).unwrap().unwrap();
-        let before = svc.stats();
         // Rescoring with the service's own k must reproduce the initial
-        // placement — and must not tokenize again.
-        let rescored = svc
-            .rescore_video(vid, ServiceConfig::default().top_k)
-            .unwrap()
-            .unwrap();
-        assert_eq!(rescored, dots);
-        let after = svc.stats();
-        assert_eq!(after.corpus_cache_hits, before.corpus_cache_hits + 1);
-        assert_eq!(after.corpus_cache_misses, before.corpus_cache_misses);
-
-        // Cold rescore (cache dropped): same answer, one more miss.
-        svc.clear_corpus_cache();
-        let cold = svc
-            .rescore_video(vid, ServiceConfig::default().top_k)
-            .unwrap()
-            .unwrap();
-        assert_eq!(cold, dots);
-        assert_eq!(
-            svc.stats().corpus_cache_misses,
-            after.corpus_cache_misses + 1
-        );
+        // placement: each rescore decodes the persisted companion once
+        // and never tokenizes again.
+        for _ in 0..2 {
+            let before = svc.stats();
+            assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
+            let after = svc.stats();
+            assert_eq!(after.tokenized_hits, before.tokenized_hits + 1);
+            assert_eq!(after.tokenized_misses, before.tokenized_misses);
+        }
         // Unknown video.
         assert!(svc.rescore_video(VideoId(999_999), 5).unwrap().is_none());
+    }
+
+    #[test]
+    fn boot_decodes_no_corpus() {
+        // A restart over stored videos reads no companion: each one the
+        // chat store indexes counts as loaded, and its corpus is decoded
+        // only when a rescore (or first sight) asks for it.
+        let dir = TempDir::new("boot");
+        let platform = SimPlatform::top_channels(GameKind::Dota2, 2, 2, 92);
+        let vids: Vec<VideoId> = platform
+            .channels()
+            .iter()
+            .flat_map(|c| platform.recent_videos(c.id).to_vec())
+            .collect();
+        assert!(vids.len() >= 3);
+        let dots: Vec<Vec<RedDot>> = {
+            let svc = service(&dir.0);
+            vids.iter()
+                .map(|&v| svc.open_video(v).unwrap().unwrap())
+                .collect()
+        };
+        let svc = service(&dir.0);
+        let before = svc.stats();
+        assert_eq!(svc.warm_corpora().unwrap(), (vids.len(), 0));
+        let booted = svc.stats();
+        assert_eq!(booted.tokenized_hits, before.tokenized_hits);
+        assert_eq!(booted.tokenized_misses, before.tokenized_misses);
+        let k = ServiceConfig::default().top_k;
+        assert_eq!(svc.rescore_video(vids[0], k).unwrap().unwrap(), dots[0]);
+        let after = svc.stats();
+        assert_eq!(after.tokenized_hits, booted.tokenized_hits + 1);
+        assert_eq!(after.tokenized_misses, booted.tokenized_misses);
     }
 
     #[test]
@@ -1526,7 +1514,6 @@ mod tests {
         let (corpus, _) = svc.corpus_for(small_vid).unwrap().unwrap();
         assert_eq!(corpus.dim(), 5, "gg wp what a play");
         // The persisted companion loads with the same term space.
-        svc.clear_corpus_cache();
         let hits = svc.stats().tokenized_hits;
         let (loaded, _) = svc.corpus_for(small_vid).unwrap().unwrap();
         assert_eq!(svc.stats().tokenized_hits, hits + 1);
@@ -1561,7 +1548,6 @@ mod tests {
             stores.chat.import_tokenized(vid, raw).unwrap();
         }
         let k = ServiceConfig::default().top_k;
-        svc.clear_corpus_cache();
         let before = svc.stats();
         assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
         let after = svc.stats();
@@ -1572,7 +1558,6 @@ mod tests {
         );
         assert_eq!(after.tokenized_hits, before.tokenized_hits);
 
-        svc.clear_corpus_cache();
         assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots);
         let again = svc.stats();
         assert_eq!(again.tokenized_hits, after.tokenized_hits + 1);
@@ -1584,7 +1569,7 @@ mod tests {
         // `decode_v3` reads a companion's layout only; the corpus build
         // (`TokenizedChat::from_columns`) refuses inconsistent columns.
         // Either way the load re-tokenizes the chat once and rewrites
-        // the companion, and the next cold load decodes it.
+        // the companion, and the next load decodes it.
         type Corrupt = fn(&mut format::TokenizedRecord);
         let corruptions: [(&str, Corrupt); 2] = [
             ("non-monotone token ends", |rec| {
@@ -1614,7 +1599,6 @@ mod tests {
                 assert!(format::decode_v3(&bad).is_some(), "{what}: layout decodes");
                 stores.chat.import_tokenized(vid, bad).unwrap();
             }
-            svc.clear_corpus_cache();
             let before = svc.stats();
             assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots, "{what}");
             let after = svc.stats();
@@ -1630,7 +1614,6 @@ mod tests {
             );
             assert_eq!(after.tokenized_hits, before.tokenized_hits, "{what}");
 
-            svc.clear_corpus_cache();
             assert_eq!(svc.rescore_video(vid, k).unwrap().unwrap(), dots, "{what}");
             let again = svc.stats();
             assert_eq!(again.tokenized_hits, after.tokenized_hits + 1, "{what}");

@@ -55,10 +55,10 @@
 //! previous durable record. Batched puts evict instead.
 //!
 //! [`ChatStore::get_tokenized`] reads a companion from the log each
-//! time (the service caches the corpus it builds, not the record). The
-//! companion is a cache of the chat record, so a read that fails or a
-//! record that does not decode counts as absent, and the caller
-//! re-tokenizes.
+//! time: neither the record nor the corpus the service builds from it
+//! is held in memory. The companion is a cache of the chat record, so
+//! a read that fails or a record that does not decode counts as
+//! absent, and the caller re-tokenizes.
 
 use super::format::{self, Format, TokenizedRecord};
 use super::frame;
@@ -192,9 +192,10 @@ impl ChatStore {
         }
     }
 
-    /// Store (or replace) a video's chat replay from an owned log.
+    /// Store (or replace) a video's chat replay from an owned log: the
+    /// view put of its columns.
     pub fn put_chat(&mut self, video: VideoId, chat: &ChatLog) -> std::io::Result<()> {
-        self.put_one_synced(format::encode_v2(video, chat), video)
+        self.put_chat_view(video, &ChatLogView::from_chat_log(chat))
     }
 
     /// Store (or replace) a video's chat replay from a zero-copy view:
@@ -259,9 +260,9 @@ impl ChatStore {
     /// durable record, never serving bytes a crash could lose.
     ///
     /// Once synced, the written bytes *are* the durable record, so their
-    /// view goes straight into the record cache: the read that usually
-    /// follows a crawl (first sight tokenizes the replay it just stored)
-    /// is a cache hit instead of a log read, CRC check and decode.
+    /// view goes straight into the record cache: the next read of the
+    /// imported video is a cache hit instead of a log read, CRC check
+    /// and decode.
     fn put_one_synced(&mut self, payload: Vec<u8>, video: VideoId) -> std::io::Result<()> {
         let payload: Arc<[u8]> = payload.into();
         let id = self.log.append(&payload)?;
@@ -415,11 +416,6 @@ impl ChatStore {
     /// Whether a live tokenized companion exists for `video`.
     pub fn has_tokenized(&self, video: VideoId) -> bool {
         self.tok_index.contains_key(&video)
-    }
-
-    /// Number of videos with a live tokenized companion.
-    pub fn tokenized_count(&self) -> usize {
-        self.tok_index.len()
     }
 
     /// Export a video's live tokenized companion as raw payload bytes
@@ -782,7 +778,7 @@ mod tests {
                 // back from the log itself, not the record cache …
                 store.put_chat(VideoId(2), &sample_chat()).unwrap();
                 store.put_tokenized(&sample_tokenized(VideoId(2))).unwrap();
-                store.cache.lock().clear();
+                *store.cache.lock() = LruCache::new(RECORD_CACHE_CAP);
                 for vid in [VideoId(1), VideoId(2)] {
                     assert_eq!(
                         store.get_chat(vid).unwrap().unwrap(),
@@ -966,7 +962,8 @@ mod tests {
         let dir = TempDir::new("import-bad");
         let mut store = ChatStore::open(&dir.0).unwrap();
         // A record encoded for video 1 must not import under video 2.
-        let payload = format::encode_v2(VideoId(1), &sample_chat());
+        let payload =
+            format::encode_v2_view(VideoId(1), &ChatLogView::from_chat_log(&sample_chat()));
         let err = store.import_record(VideoId(2), payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // Garbage bytes are rejected before touching the log, and so is
@@ -1004,7 +1001,6 @@ mod tests {
         store.put_chat(VideoId(1), &sample_chat()).unwrap();
         store.put_tokenized(&rec).unwrap();
         assert!(store.has_tokenized(VideoId(1)));
-        assert_eq!(store.tokenized_count(), 1);
         assert_eq!(store.get_tokenized(VideoId(1)).unwrap(), rec);
         assert!(store.get_tokenized(VideoId(2)).is_none());
         // The companion is rebuilt from the scan on reopen, and the
@@ -1072,7 +1068,10 @@ mod tests {
         );
         assert_eq!(
             store
-                .import_tokenized(VideoId(1), format::encode_v2(VideoId(1), &sample_chat()))
+                .import_tokenized(
+                    VideoId(1),
+                    format::encode_v2_view(VideoId(1), &ChatLogView::from_chat_log(&sample_chat()))
+                )
                 .unwrap_err()
                 .kind(),
             std::io::ErrorKind::InvalidData
@@ -1206,7 +1205,8 @@ mod tests {
                     })
                     .collect(),
             );
-            let payload: Arc<[u8]> = format::encode_v2(VideoId(77), &chat).into();
+            let payload: Arc<[u8]> =
+                format::encode_v2_view(VideoId(77), &ChatLogView::from_chat_log(&chat)).into();
             let (video, view) = format::decode_v2(&payload).expect("encoder output must decode");
             prop_assert_eq!(video, VideoId(77));
             prop_assert!(view == chat, "view/log mismatch");

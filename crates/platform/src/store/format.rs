@@ -65,7 +65,7 @@
 //! else is not a record of this store.
 
 use bytes::{Buf, BufMut};
-use lightor_types::{ChatLog, ChatLogView, ColumnarLayout, VideoId};
+use lightor_types::{ChatLogView, ColumnarLayout, VideoId};
 use std::sync::Arc;
 
 /// v2 header magic: `b"LCv2"` read as a little-endian u32.
@@ -100,34 +100,6 @@ pub struct RecordInfo {
     pub video: VideoId,
     /// Codec the record was written with.
     pub format: Format,
-}
-
-/// Encode a chat replay as a v2 (columnar) record.
-pub fn encode_v2(video: VideoId, chat: &ChatLog) -> Vec<u8> {
-    let n = chat.len();
-    let blob_len: usize = chat.messages().iter().map(|m| m.text.len()).sum();
-    let mut buf = Vec::with_capacity(V2_HEADER + 20 * n + 4 + blob_len);
-    buf.put_u32_le(V2_MAGIC);
-    buf.put_u16_le(V2_VERSION);
-    buf.put_u16_le(0); // flags, reserved
-    buf.put_u64_le(video.0);
-    buf.put_u32_le(n as u32);
-    for m in chat.messages() {
-        buf.put_f64_le(m.ts.0);
-    }
-    for m in chat.messages() {
-        buf.put_u64_le(m.user.0);
-    }
-    let mut end = 0u32;
-    for m in chat.messages() {
-        end += m.text.len() as u32;
-        buf.put_u32_le(end);
-    }
-    buf.put_u32_le(blob_len as u32);
-    for m in chat.messages() {
-        buf.put_slice(m.text.as_bytes());
-    }
-    buf
 }
 
 /// Encode a zero-copy view as a v2 (columnar) record.
@@ -392,7 +364,7 @@ pub fn sniff(payload: &[u8]) -> Option<RecordInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightor_types::{ChatMessage, UserId};
+    use lightor_types::{ChatLog, ChatMessage, UserId};
 
     fn sample_chat() -> ChatLog {
         ChatLog::new(vec![
@@ -402,10 +374,15 @@ mod tests {
         ])
     }
 
+    /// The v2 record of an owned log: the view encoder over its columns.
+    fn encode_chat(video: VideoId, chat: &ChatLog) -> Vec<u8> {
+        encode_v2_view(video, &ChatLogView::from_chat_log(chat))
+    }
+
     #[test]
     fn v2_round_trip_zero_copy() {
         let chat = sample_chat();
-        let payload: Arc<[u8]> = encode_v2(VideoId(42), &chat).into();
+        let payload: Arc<[u8]> = encode_chat(VideoId(42), &chat).into();
         let (video, view) = decode_v2(&payload).expect("valid v2");
         assert_eq!(video, VideoId(42));
         assert_eq!(view, chat);
@@ -417,11 +394,26 @@ mod tests {
     fn v2_view_encode_matches_chat_log_encode() {
         let chat = sample_chat();
         let view = ChatLogView::from_chat_log(&chat);
-        // Byte-for-byte the same record either way in.
-        assert_eq!(
-            encode_v2_view(VideoId(42), &view),
-            encode_v2(VideoId(42), &chat)
-        );
+        // Byte for byte the layout in the module docs, which is what
+        // stores have always held for an owned log.
+        let mut pinned = Vec::new();
+        pinned.extend_from_slice(b"LCv2");
+        pinned.extend_from_slice(&2u16.to_le_bytes());
+        pinned.extend_from_slice(&0u16.to_le_bytes());
+        pinned.extend_from_slice(&42u64.to_le_bytes());
+        pinned.extend_from_slice(&3u32.to_le_bytes());
+        for ts in [1.5f64, 3.25, 9.0] {
+            pinned.extend_from_slice(&ts.to_le_bytes());
+        }
+        for user in [7u64, 8, u64::MAX] {
+            pinned.extend_from_slice(&user.to_le_bytes());
+        }
+        for text_end in [13u32, 39, 48] {
+            pinned.extend_from_slice(&text_end.to_le_bytes());
+        }
+        pinned.extend_from_slice(&48u32.to_le_bytes());
+        pinned.extend_from_slice("first messagesecond 消息 with unicodespam spam".as_bytes());
+        assert_eq!(encode_v2_view(VideoId(42), &view), pinned);
         let payload: Arc<[u8]> = encode_v2_view(VideoId(42), &view).into();
         let (video, back) = decode_v2(&payload).expect("valid v2");
         assert_eq!(video, VideoId(42));
@@ -433,7 +425,7 @@ mod tests {
 
     #[test]
     fn v2_empty_log() {
-        let payload: Arc<[u8]> = encode_v2(VideoId(1), &ChatLog::empty()).into();
+        let payload: Arc<[u8]> = encode_chat(VideoId(1), &ChatLog::empty()).into();
         let (video, view) = decode_v2(&payload).unwrap();
         assert_eq!(video, VideoId(1));
         assert!(view.is_empty());
@@ -442,7 +434,7 @@ mod tests {
     #[test]
     fn sniff_identifies_both_formats() {
         let chat = sample_chat();
-        let v2 = encode_v2(VideoId(5), &chat);
+        let v2 = encode_chat(VideoId(5), &chat);
         let v3 = encode_v3(&sample_tokenized());
         assert_eq!(
             sniff(&v2),
@@ -547,7 +539,7 @@ mod tests {
         let payload: Arc<[u8]> = encode_v3(&sample_tokenized()).into();
         assert!(decode_v2(&payload).is_none(), "v3 must not decode as chat");
         // And the chat format is not v3.
-        assert!(decode_v3(&encode_v2(VideoId(1), &sample_chat())).is_none());
+        assert!(decode_v3(&encode_chat(VideoId(1), &sample_chat())).is_none());
     }
 
     #[test]
@@ -569,7 +561,7 @@ mod tests {
     #[test]
     fn truncated_payloads_are_rejected() {
         let chat = sample_chat();
-        let v2 = encode_v2(VideoId(5), &chat);
+        let v2 = encode_chat(VideoId(5), &chat);
         for cut in [1, 3, v2.len() - 1] {
             let arc: Arc<[u8]> = v2[..v2.len() - cut].to_vec().into();
             assert!(decode_v2(&arc).is_none(), "cut {cut} bytes");

@@ -137,9 +137,12 @@ pub struct StatsResponse {
     pub stored_videos: usize,
     /// Videos with live refinement state.
     pub tracked_videos: usize,
-    /// Warm scores served without touching storage.
+    /// Always 0: the service holds no corpus cache. Kept only because
+    /// the load driver still reads it.
     pub corpus_cache_hits: u64,
-    /// Corpus loads that went to storage (v3 decode or re-tokenize).
+    /// Always 0, like `corpus_cache_hits`: every corpus load goes to
+    /// storage and is counted by `tokenized_hits` or
+    /// `tokenized_misses`.
     pub corpus_cache_misses: u64,
     /// Corpus loads decoded from persisted v3 tokenized records — zero
     /// re-tokenization.

@@ -17,11 +17,13 @@
 //! `listening on http://…` line once the socket is bound (smoke tests
 //! wait for it) and one `catalog: <id> <id> …` line listing the
 //! simulated platform's video ids (the chaos harness shards load by
-//! them), then serves until killed. Before binding it also warms every
-//! already-crawled corpus and prints `corpus: N loaded, M rebuilt` —
-//! `loaded` decoded straight from persisted v3 tokenized sections,
-//! `rebuilt` re-tokenized from raw text (a restart of a populated data
-//! dir reports `0 rebuilt`).
+//! them), then serves until killed. Before binding it also checks that
+//! every already-crawled video has a persisted v3 tokenized section and
+//! prints `corpus: N loaded, M rebuilt` — `loaded` videos already have
+//! one (nothing is decoded at boot: a corpus is decoded when a request
+//! needs it), `rebuilt` ones were re-tokenized from raw text and their
+//! section persisted (a restart of a populated data dir reports
+//! `0 rebuilt`).
 //!
 //! `--restore-from PATH` is the crash-replacement path: PATH is a dead
 //! backend's data directory. Before the socket binds, its chat segments
@@ -149,11 +151,11 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // Warm every already-crawled video's scoring corpus before taking
-    // traffic. With the v3 tokenized sections in place this is a decode,
-    // not a re-tokenization: a restart of a populated data dir prints
-    // `corpus: N loaded, 0 rebuilt` (the CI server smoke asserts the
-    // `0 rebuilt` half — restarts must never re-run the tokenizer).
+    // Give every already-crawled video a persisted v3 tokenized section
+    // before taking traffic, decoding none: a restart of a populated
+    // data dir prints `corpus: N loaded, 0 rebuilt` (the CI server smoke
+    // asserts the `0 rebuilt` half — restarts must never re-run the
+    // tokenizer).
     let (loaded, rebuilt) = svc.warm_corpora()?;
     println!("corpus: {loaded} loaded, {rebuilt} rebuilt");
 

@@ -328,12 +328,6 @@ impl RequestParser {
         self.buf.is_empty() && self.pending.is_none() && self.stream.is_none()
     }
 
-    /// True when the next request's head is complete (parsed or just
-    /// buffered), even if its body has not finished arriving.
-    pub fn head_complete(&self) -> bool {
-        self.pending.is_some() || find_head_end(&self.buf).is_some()
-    }
-
     /// The next request's head, parsed off the buffer the first time
     /// it is complete and kept until `try_next` or `begin_stream` takes
     /// the request: the [`Request`] carries the body decoded so far,
@@ -1129,7 +1123,6 @@ mod tests {
     fn streamed_bodies_yield_decoded_chunks() {
         let mut p = RequestParser::new(Limits::default());
         p.extend(b"POST /sessions/stream HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        assert!(p.head_complete());
         let (head, framing) = p.peek_head().unwrap().unwrap();
         assert_eq!(framing, Framing::Chunked);
         assert_eq!(head.path, "/sessions/stream");

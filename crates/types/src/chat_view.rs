@@ -481,12 +481,6 @@ impl ChatLogView {
         self.layout.n as f64 / (video_len.0 / 3600.0)
     }
 
-    /// Copy the timestamp column into a `Vec` (for callers that need a
-    /// contiguous `&[f64]`, e.g. window layout).
-    pub fn timestamps_vec(&self) -> Vec<f64> {
-        (0..self.layout.n).map(|i| self.ts(i).0).collect()
-    }
-
     /// Timestamp of the last message, if any.
     pub fn last_ts(&self) -> Option<Sec> {
         self.layout.n.checked_sub(1).map(|i| self.ts(i))
@@ -767,7 +761,6 @@ mod tests {
             view.rate_per_hour(Sec::from_hours(0.5)),
             chat.rate_per_hour(Sec::from_hours(0.5))
         );
-        assert_eq!(view.timestamps_vec(), vec![1.5, 3.25, 3.25, 9.0]);
         assert_eq!(view.get(0).word_count(), 1);
     }
 

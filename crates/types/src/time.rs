@@ -26,22 +26,10 @@ impl Sec {
         Sec(s)
     }
 
-    /// Construct from whole minutes.
-    #[inline]
-    pub fn from_minutes(m: f64) -> Self {
-        Sec(m * 60.0)
-    }
-
     /// Construct from whole hours.
     #[inline]
     pub fn from_hours(h: f64) -> Self {
         Sec(h * 3600.0)
-    }
-
-    /// The raw number of seconds.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0
     }
 
     /// Absolute distance between two time points.
@@ -233,13 +221,6 @@ impl TimeRange {
         }
     }
 
-    /// Clamp the interval into `[lo, hi]`, preserving `start <= end`.
-    pub fn clamp_to(&self, lo: Sec, hi: Sec) -> TimeRange {
-        let s = self.start.clamp(lo, hi);
-        let e = self.end.clamp(lo, hi);
-        TimeRange::new(s, e)
-    }
-
     /// Distance from a point to the interval (zero if contained).
     pub fn distance_to(&self, t: Sec) -> Sec {
         if t.0 < self.start.0 {
@@ -275,7 +256,6 @@ mod tests {
 
     #[test]
     fn sec_constructors() {
-        assert_eq!(Sec::from_minutes(2.0).0, 120.0);
         assert_eq!(Sec::from_hours(1.5).0, 5400.0);
         assert_eq!(Sec::from(7.0).0, 7.0);
     }
@@ -347,8 +327,6 @@ mod tests {
     fn range_shift_and_clamp() {
         let r = TimeRange::from_secs(10.0, 20.0).shift(Sec(-15.0));
         assert_eq!((r.start.0, r.end.0), (-5.0, 5.0));
-        let c = r.clamp_to(Sec::ZERO, Sec(100.0));
-        assert_eq!((c.start.0, c.end.0), (0.0, 5.0));
     }
 
     #[test]
